@@ -206,67 +206,48 @@ def _emit(payload, fmt: str, text_lines) -> None:
             print(line)
 
 
-def _cmd_integrate(cfg: RunConfig) -> int:
+def _cmd_report(cfg: RunConfig) -> int:
+    """integrate and bound: one rule report; integrate also checks it against the oracle."""
     rect = Rectangle(*cfg.rect)
     p = Exponent.parse(cfg.p)
     entry = get_entry(cfg.function)
     f = entry.integrand(rect)
     part = PartitionSpec(rect, cfg.m, cfg.n) if cfg.rule.startswith("composite") else None
     report = rule_report(f, rect, cfg.rule, p, part, cfg.resolution)
-    oracle_value, oracle_err = oracle_integrate(f, rect)
-    error = abs(report.estimate - oracle_value)
-    passed = certificate_ok(error, report.bound, cfg.tol)
+    keys = ("function", "rect", "p", "rule", "m", "n", "resolution")
+    rows = [("rule", f"{cfg.rule} (p={p})"), ("estimate", f"{report.estimate:.12g}")]
+    bound_row = (
+        "bound",
+        f"{report.bound:.6g} "
+        f"(fx {report.fx_term:.4g} + fy {report.fy_term:.4g} + fxy {report.fxy_term:.4g})",
+    )
+    oracle, passed = None, True
+    if cfg.command == "integrate":
+        oracle_value, oracle_err = oracle_integrate(f, rect)
+        error = abs(report.estimate - oracle_value)
+        passed = certificate_ok(error, report.bound, cfg.tol)
+        oracle = {"value": oracle_value, "err": oracle_err}
+        keys += ("tol",)
+        rows += [
+            ("oracle", f"{oracle_value:.12g} (err est {oracle_err:.3g})"),
+            ("|error|", f"{error:.6g}"),
+            bound_row,
+            ("certificate", "ok" if passed else "VIOLATED"),
+        ]
+    else:
+        rows.append(bound_row)
     payload = _schema(
         cfg.command,
-        _inputs(cfg, ("function", "rect", "p", "rule", "m", "n", "resolution", "tol")),
+        _inputs(cfg, keys),
         estimate=report.estimate,
-        oracle={"value": oracle_value, "err": oracle_err},
+        oracle=oracle,
         bound=_bound_dict(report),
         provenance=_provenance(report),
         passed=passed,
     )
-    _emit(
-        payload,
-        cfg.output_format,
-        [
-            f"rule        : {cfg.rule} (p={p})",
-            f"estimate    : {report.estimate:.12g}",
-            f"oracle      : {oracle_value:.12g} (err est {oracle_err:.3g})",
-            f"|error|     : {error:.6g}",
-            f"bound       : {report.bound:.6g} "
-            f"(fx {report.fx_term:.4g} + fy {report.fy_term:.4g} + fxy {report.fxy_term:.4g})",
-            f"certificate : {'ok' if passed else 'VIOLATED'}",
-        ],
-    )
+    width = max(len(name) for name, _ in rows)
+    _emit(payload, cfg.output_format, [f"{name:<{width}} : {text}" for name, text in rows])
     return OK if passed else CERT_VIOLATION
-
-
-def _cmd_bound(cfg: RunConfig) -> int:
-    rect = Rectangle(*cfg.rect)
-    p = Exponent.parse(cfg.p)
-    entry = get_entry(cfg.function)
-    f = entry.integrand(rect)
-    part = PartitionSpec(rect, cfg.m, cfg.n) if cfg.rule.startswith("composite") else None
-    report = rule_report(f, rect, cfg.rule, p, part, cfg.resolution)
-    payload = _schema(
-        cfg.command,
-        _inputs(cfg, ("function", "rect", "p", "rule", "m", "n", "resolution")),
-        estimate=report.estimate,
-        bound=_bound_dict(report),
-        provenance=_provenance(report),
-        passed=True,
-    )
-    _emit(
-        payload,
-        cfg.output_format,
-        [
-            f"rule     : {cfg.rule} (p={p})",
-            f"estimate : {report.estimate:.12g}",
-            f"bound    : {report.bound:.6g} "
-            f"(fx {report.fx_term:.4g} + fy {report.fy_term:.4g} + fxy {report.fxy_term:.4g})",
-        ],
-    )
-    return OK
 
 
 def _cmd_converge(cfg: RunConfig) -> int:
@@ -425,8 +406,8 @@ def _inputs(cfg: RunConfig, keys) -> dict:
 
 
 _COMMANDS = {
-    "integrate": _cmd_integrate,
-    "bound": _cmd_bound,
+    "integrate": _cmd_report,
+    "bound": _cmd_report,
     "converge": _cmd_converge,
     "verify-identity": _cmd_verify_identity,
     "minimize-norm": _cmd_minimize_norm,

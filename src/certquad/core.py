@@ -403,6 +403,46 @@ class DerivativeNorms:
                     f"expected {self.m} midline y norms, got {len(self.interior_y_lines)}"
                 )
 
+    @classmethod
+    def from_lines(
+        cls, p: Exponent, family: str, m: int, n: int, fxy: float,
+        x_lines, y_lines, source: str,
+    ) -> "DerivativeNorms":
+        """Pack line norms listed in increasing transverse coordinate.
+
+        ``x_lines`` are the f_x norms along the lines y = y_l a rule's
+        weight jumps across, ``y_lines`` the f_y norms along x = x_k;
+        ``source`` tags every entry in ``provenance``.  The trapezoid
+        family's first and last lines are the boundary fields.
+        """
+        x_lines, y_lines = tuple(x_lines), tuple(y_lines)
+        if family == "trapezoid":
+            fields = dict(
+                fx_bottom=x_lines[0], fx_top=x_lines[-1],
+                fy_left=y_lines[0], fy_right=y_lines[-1],
+                interior_x_lines=x_lines[1:-1], interior_y_lines=y_lines[1:-1],
+            )
+        else:
+            fields = dict(interior_x_lines=x_lines, interior_y_lines=y_lines)
+        return cls(
+            p=p, family=family, m=m, n=n, fxy=fxy, **fields,
+            provenance={name: source for name in ("fxy", *fields)},
+        )
+
+    @property
+    def x_lines(self) -> tuple[float, ...]:
+        """The f_x line norms in increasing y; inverse of ``from_lines``."""
+        if self.family == "trapezoid":
+            return (self.fx_bottom, *self.interior_x_lines, self.fx_top)
+        return self.interior_x_lines
+
+    @property
+    def y_lines(self) -> tuple[float, ...]:
+        """The f_y line norms in increasing x; inverse of ``from_lines``."""
+        if self.family == "trapezoid":
+            return (self.fy_left, *self.interior_y_lines, self.fy_right)
+        return self.interior_y_lines
+
     def matches(self, family: str, m: int, n: int) -> bool:
         return self.family == family and self.m == m and self.n == n
 

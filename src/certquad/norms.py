@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    FAMILIES,
     ConfigurationError,
     DerivativeNorms,
     Exponent,
@@ -32,6 +33,7 @@ from .gauss import (
     refine_breaks,
     require_finite,
 )
+from .weights import ramp_jumps
 
 DEFAULT_RESOLUTION = 256
 
@@ -63,6 +65,12 @@ class LineSegment:
         if not rect.a <= x <= rect.b:
             raise ValueError(f"fixed coordinate {x} outside [{rect.a}, {rect.b}]")
         return cls("y", float(x), rect.c, rect.d)
+
+    def restrict(self, g):
+        """g(x, y) as a function of the coordinate running along the segment."""
+        if self.axis == "x":
+            return lambda t: g(t, np.full_like(t, self.fixed_coordinate))
+        return lambda t: g(np.full_like(t, self.fixed_coordinate), t)
 
 
 def _zero_breaks(gv, lo: float, hi: float, resolution: int) -> np.ndarray:
@@ -267,20 +275,20 @@ def derivative_norms(
 ) -> DerivativeNorms:
     """Build the norm bundle a certified bound needs.
 
-    trapezoid family: boundary-line norms of f_x (y = c, d) and f_y
-    (x = a, b) plus interior grid-line norms for a composite partition.
-    midpoint family: cell-midline norms of f_x (y = n_j) and f_y
-    (x = m_i).  Both include ||f_xy||_p over the rectangle.  ``cache``
-    memoizes line norms across partitions of the same integrand.
+    The f_x norms are taken along every line y = y_l across which the
+    rule's weight jumps, the f_y norms along every such x = x_k (see
+    ``weights.ramp_jumps``): the boundary and interior grid lines for the
+    trapezoid family, the cell midlines for the midpoint family.  Both
+    include ||f_xy||_p over the rectangle.  ``cache`` memoizes line norms
+    across partitions of the same integrand.
     """
     p = Exponent.coerce(p)
-    if rule_family not in ("trapezoid", "midpoint"):
+    if rule_family not in FAMILIES:
         raise ValueError(f"unknown rule family {rule_family!r}")
     part = partition if partition is not None else PartitionSpec(rect, 1, 1)
     if part.rect != rect:
         raise ValueError("partition was built for a different rectangle")
     fx, fy, fxy, analytic = partial_evaluators(f, rect, fd_fallback)
-    source = "analytic" if analytic else "numeric"
     pkey = str(p)
 
     def memo(key, compute):
@@ -291,57 +299,17 @@ def derivative_norms(
             cache[full] = compute()
         return cache[full]
 
-    def x_line(yfix: float) -> float:
-        seg = LineSegment.along_x(rect, yfix)
+    def line(name: str, g, seg: LineSegment) -> float:
         return memo(
-            ("fx", round(yfix, 15)),
-            lambda: line_norm(lambda t: fx(t, np.full_like(t, yfix)), seg, p, resolution),
-        )
-
-    def y_line(xfix: float) -> float:
-        seg = LineSegment.along_y(rect, xfix)
-        return memo(
-            ("fy", round(xfix, 15)),
-            lambda: line_norm(lambda t: fy(np.full_like(t, xfix), t), seg, p, resolution),
+            (name, round(seg.fixed_coordinate, 15)),
+            lambda: line_norm(seg.restrict(g), seg, p, resolution),
         )
 
     fxy_norm = memo(("fxy",), lambda: area_norm(fxy, rect, p, resolution))
-    prov = {"fxy": source}
-
-    if rule_family == "trapezoid":
-        ys = part.y_nodes()
-        xs = part.x_nodes()
-        bundle = DerivativeNorms(
-            p=p,
-            family="trapezoid",
-            m=part.m,
-            n=part.n,
-            fxy=fxy_norm,
-            fx_bottom=x_line(rect.c),
-            fx_top=x_line(rect.d),
-            fy_left=y_line(rect.a),
-            fy_right=y_line(rect.b),
-            interior_x_lines=tuple(x_line(float(ys[j])) for j in range(1, part.n)),
-            interior_y_lines=tuple(y_line(float(xs[i])) for i in range(1, part.m)),
-            provenance={
-                **prov,
-                "fx_bottom": source,
-                "fx_top": source,
-                "fy_left": source,
-                "fy_right": source,
-                "interior_x_lines": source,
-                "interior_y_lines": source,
-            },
-        )
-    else:
-        bundle = DerivativeNorms(
-            p=p,
-            family="midpoint",
-            m=part.m,
-            n=part.n,
-            fxy=fxy_norm,
-            interior_x_lines=tuple(x_line(float(v)) for v in part.y_mids()),
-            interior_y_lines=tuple(y_line(float(v)) for v in part.x_mids()),
-            provenance={**prov, "interior_x_lines": source, "interior_y_lines": source},
-        )
-    return bundle
+    (xs, _), (ys, _) = ramp_jumps(part, rule_family)
+    return DerivativeNorms.from_lines(
+        p, rule_family, part.m, part.n, fxy_norm,
+        x_lines=[line("fx", fx, LineSegment.along_x(rect, float(y))) for y in ys],
+        y_lines=[line("fy", fy, LineSegment.along_y(rect, float(x))) for x in xs],
+        source="analytic" if analytic else "numeric",
+    )

@@ -1,30 +1,29 @@
 """Quadrature estimates and their certified error bounds.
 
-Each rule pairs a sampling formula with an a-priori bound on
-|estimate - integral| assembled from L^p norms of f_x, f_y and f_xy via
-Holder's inequality.  With W = b - a, H = d - c, C = C(p) the Holder
-coefficient and e = 2 - 1/p (so e = 1 at p = 1 and e = 2 at p = inf),
-the per-term coefficients on an m x n partition are:
+Every rule is one integration-by-parts identity.  Its weight is a
+product phi(x, y) = X(x) Y(y) of two unit-slope sawtooth ramps (see
+``weights``), so phi_xy = 1 on every piece and integrating f against
+phi_xy by parts leaves only the jumps of X and Y.  With J_x[k] the jump
+X(x_k+) - X(x_k-) at each break x_k of X, a boundary counting as a jump
+from or to 0, and J_y[l] likewise,
 
-  corner-sampling (trapezoid) family:
-      fx: H W^e C / (4mn)   fy: W H^e C / (4mn)   fxy: W^e H^e C^2 / (4mn)
-      applied to S_x = ||f_x(.,c)|| + 2 sum_{j=1..n-1} ||f_x(.,y_j)|| + ||f_x(.,d)||
-      and the analogous S_y (boundary lines once, interior lines twice);
+    estimate = sum_{k,l} J_x[k] f(x_k, y_l) J_y[l],
 
-  midline-sampling (midpoint) family:
-      fx: H W^e C / (2mn)   fy: W H^e C / (2mn)   fxy: W^e H^e C^2 / (4mn)
-      applied to S_x = sum_j ||f_x(., n_j)||, S_y = sum_i ||f_y(m_i, .)||.
+and Holder's inequality on the line and area integrals left over bounds
+|estimate - integral| by the sum of
 
-The single formula reproduces all three exponent branches exactly
-(C(1) = 1, C(inf) = 1/2), and m = n = 1 reduces the composite bounds to
-the simple ones bit for bit because the code path is shared.
+    fx term:  sum_l ||f_x(., y_l)||_p |J_y[l]| ||X||_q
+    fy term:  sum_k ||f_y(x_k, .)||_p |J_x[k]| ||Y||_q
+    fxy term: ||f_xy||_p ||X||_q ||Y||_q
 
-The midpoint-family coefficients follow the one-dimensional sawtooth
-identity ||ramp||_q = C(p) L^(2-1/p) / (2m); a variant scaling the
-denominators by m^(1-1/p) (and an f_xy term /(4mn) at p = inf) fails the
-m = n = 1 reduction and the numeric weight-norm audit, so it is not
-used.  Likewise the p = 1 midpoint y-term pairs ||f_y(m1,.)||_1 (the
-midline) with ||ramp||_inf, not a boundary-line norm.
+with q conjugate to p and the ramp norms from ``ramp_norm_closed``.
+Only breaks with a nonzero jump are sampled or carry a line norm.  The
+trapezoid family's ramps vanish at the cell midpoints and jump at the
+grid lines (dx/2 on the boundary, dx inside): the cell-summed corner
+rule.  The midpoint family's ramps vanish at the grid lines and jump by
+dx at the cell midlines: the cell-midpoint rule.  The simple rules are
+the 1 x 1 partition of the composite ones, so m = n = 1 reduces the
+composite bounds to the simple ones bit for bit.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from .core import (
 )
 from .gauss import as_grid_fn, require_finite
 from .norms import LineSegment, derivative_norms, line_norm
-from .weights import CustomPhi, phi_norm_numeric
+from .weights import CustomPhi, phi_norm_numeric, ramp_jumps, ramp_norm_closed
 
 NOTE_MIDLINE_P1 = (
     "p=1 y-term uses the midline norm ||f_y(m1,.)||_1, pairing the error "
@@ -84,73 +83,45 @@ class BoundComponents:
         return self.fx_term + self.fy_term + self.fxy_term
 
 
-def _require_bundle(norms: DerivativeNorms, family: str, m: int, n: int) -> None:
-    if not norms.matches(family, m, n):
-        raise NormMismatchError(
-            f"norm bundle built for family={norms.family!r} m={norms.m} n={norms.n}, "
-            f"rule needs family={family!r} m={m} n={n}"
-        )
-
-
-def _coefficients(p: Exponent, rect: Rectangle, m: int, n: int, family: str):
-    W, H = rect.width, rect.height
-    e = 2.0 - p.reciprocal
-    C = holder_coefficient(p)
-    We, He = W**e, H**e
-    mn = float(m * n)
-    if family == "trapezoid":
-        return H * We * C / (4.0 * mn), W * He * C / (4.0 * mn), We * He * C * C / (4.0 * mn)
-    return H * We * C / (2.0 * mn), W * He * C / (2.0 * mn), We * He * C * C / (4.0 * mn)
-
-
-def _corner_components(norms: DerivativeNorms, rect: Rectangle, m: int, n: int) -> BoundComponents:
-    _require_bundle(norms, "trapezoid", m, n)
-    cx, cy, cxy = _coefficients(norms.p, rect, m, n, "trapezoid")
-    sx = norms.fx_bottom + 2.0 * sum(norms.interior_x_lines) + norms.fx_top
-    sy = norms.fy_left + 2.0 * sum(norms.interior_y_lines) + norms.fy_right
-    notes = (NOTE_CELL_SUMMED,) if m * n > 1 else ()
-    return BoundComponents(sx * cx, sy * cy, norms.fxy * cxy, notes)
-
-
-def _midline_components(norms: DerivativeNorms, rect: Rectangle, m: int, n: int) -> BoundComponents:
-    _require_bundle(norms, "midpoint", m, n)
-    cx, cy, cxy = _coefficients(norms.p, rect, m, n, "midpoint")
-    sx = sum(norms.interior_x_lines)
-    sy = sum(norms.interior_y_lines)
-    notes = []
-    if norms.p.is_one:
-        notes.append(NOTE_MIDLINE_P1)
-    if m * n > 1:
-        notes.append(NOTE_COMPOSITE_MIDPOINT)
-    return BoundComponents(sx * cx, sy * cy, norms.fxy * cxy, tuple(notes))
-
-
-def _corner_grid_estimate(f: Integrand, part: PartitionSpec) -> float:
-    xs, ys = part.x_nodes(), part.y_nodes()
+def _jump_estimate(f: Integrand, part: PartitionSpec, family: str) -> float:
+    (xs, jx), (ys, jy) = ramp_jumps(part, family)
     vals = as_grid_fn(f.f)(xs[:, None], ys[None, :])
     require_finite(vals, (xs[:, None], ys[None, :]))
-    wx = np.ones(part.m + 1)
-    wx[1:-1] = 2.0
-    wy = np.ones(part.n + 1)
-    wy[1:-1] = 2.0
-    return float(wx @ vals @ wy) * (part.dx * part.dy / 4.0)
+    return float(jx @ vals @ jy)
 
 
-def _midpoint_grid_estimate(f: Integrand, part: PartitionSpec) -> float:
-    xm, ym = part.x_mids(), part.y_mids()
-    vals = as_grid_fn(f.f)(xm[:, None], ym[None, :])
-    require_finite(vals, (xm[:, None], ym[None, :]))
-    return float(vals.sum()) * (part.dx * part.dy)
+def _jump_bound(norms: DerivativeNorms, part: PartitionSpec, family: str) -> BoundComponents:
+    if not norms.matches(family, part.m, part.n):
+        raise NormMismatchError(
+            f"norm bundle built for family={norms.family!r} m={norms.m} n={norms.n}, "
+            f"rule needs family={family!r} m={part.m} n={part.n}"
+        )
+    q = conjugate(norms.p)
+    (_, jx), (_, jy) = ramp_jumps(part, family)
+    rx = ramp_norm_closed(part.rect.width, part.m, q)
+    ry = ramp_norm_closed(part.rect.height, part.n, q)
+    composite = part.m * part.n > 1
+    if family == "trapezoid":
+        notes = (NOTE_CELL_SUMMED,) if composite else ()
+    else:
+        notes = (NOTE_MIDLINE_P1,) if norms.p.is_one else ()
+        notes += (NOTE_COMPOSITE_MIDPOINT,) if composite else ()
+    return BoundComponents(
+        float(sum(v * abs(j) for v, j in zip(norms.x_lines, jy))) * rx,
+        float(sum(v * abs(j) for v, j in zip(norms.y_lines, jx))) * ry,
+        norms.fxy * rx * ry,
+        notes,
+    )
 
 
 def trapezoid_estimate(f: Integrand, rect: Rectangle) -> float:
     """Corner average times area: [f(a,c)+f(b,d)+f(a,d)+f(b,c)] W H / 4."""
-    return _corner_grid_estimate(f, PartitionSpec(rect, 1, 1))
+    return _jump_estimate(f, PartitionSpec(rect, 1, 1), "trapezoid")
 
 
 def midpoint_estimate(f: Integrand, rect: Rectangle) -> float:
     """Center sample times area: f(m1, m2) W H."""
-    return _midpoint_grid_estimate(f, PartitionSpec(rect, 1, 1))
+    return _jump_estimate(f, PartitionSpec(rect, 1, 1), "midpoint")
 
 
 def composite_trapezoid_estimate(f: Integrand, rect: Rectangle, part: PartitionSpec) -> float:
@@ -162,7 +133,7 @@ def composite_trapezoid_estimate(f: Integrand, rect: Rectangle, part: PartitionS
     """
     if part.rect != rect:
         raise ValueError("partition was built for a different rectangle")
-    return _corner_grid_estimate(f, part)
+    return _jump_estimate(f, part, "trapezoid")
 
 
 def composite_trapezoid_estimate_boundary_only(
@@ -197,17 +168,17 @@ def composite_midpoint_estimate(f: Integrand, rect: Rectangle, part: PartitionSp
     """Mean of cell-midpoint samples times area."""
     if part.rect != rect:
         raise ValueError("partition was built for a different rectangle")
-    return _midpoint_grid_estimate(f, part)
+    return _jump_estimate(f, part, "midpoint")
 
 
 def trapezoid_bound(norms: DerivativeNorms, rect: Rectangle) -> BoundComponents:
     """Certified bound for the simple corner rule (m = n = 1 bundle)."""
-    return _corner_components(norms, rect, 1, 1)
+    return _jump_bound(norms, PartitionSpec(rect, 1, 1), "trapezoid")
 
 
 def midpoint_bound(norms: DerivativeNorms, rect: Rectangle) -> BoundComponents:
     """Certified bound for the simple center rule (m = n = 1 bundle)."""
-    return _midline_components(norms, rect, 1, 1)
+    return _jump_bound(norms, PartitionSpec(rect, 1, 1), "midpoint")
 
 
 def composite_trapezoid_bound(
@@ -216,7 +187,7 @@ def composite_trapezoid_bound(
     """Certified bound for the cell-summed corner rule."""
     if part.rect != rect:
         raise ValueError("partition was built for a different rectangle")
-    return _corner_components(norms, rect, part.m, part.n)
+    return _jump_bound(norms, part, "trapezoid")
 
 
 def composite_midpoint_bound(
@@ -225,7 +196,7 @@ def composite_midpoint_bound(
     """Certified bound for the composite center rule."""
     if part.rect != rect:
         raise ValueError("partition was built for a different rectangle")
-    return _midline_components(norms, rect, part.m, part.n)
+    return _jump_bound(norms, part, "midpoint")
 
 
 def uniform_bound(
@@ -268,6 +239,10 @@ def custom_phi_rule(
 ) -> QuadratureReport:
     """Generic phi-weighted corner rule with the five-term Holder bound.
 
+    The jump identity of the built-in rules for a phi that is smooth
+    inside the rectangle: it jumps only across the boundary, by its own
+    boundary values, so
+
     estimate = f(a,c)phi(a,c) + f(b,d)phi(b,d) - f(a,d)phi(a,d) - f(b,c)phi(b,c);
     |error| <= sum of ||f_x(.,c)||_p ||phi(.,c)||_q + ... + ||f_xy||_p ||phi||_q,
     with the phi-norms computed numerically.
@@ -289,21 +264,14 @@ def custom_phi_rule(
     estimate = float(np.dot(signs, fvals * phis))
 
     bundle = derivative_norms(f, rect, p, rule_family="trapezoid", resolution=resolution)
-    phi_bottom = line_norm(
-        lambda t: w.eval_grid(t, np.full_like(t, rect.c)),
-        LineSegment.along_x(rect, rect.c), q, resolution,
+    edges = (
+        LineSegment.along_x(rect, rect.c),
+        LineSegment.along_x(rect, rect.d),
+        LineSegment.along_y(rect, rect.a),
+        LineSegment.along_y(rect, rect.b),
     )
-    phi_top = line_norm(
-        lambda t: w.eval_grid(t, np.full_like(t, rect.d)),
-        LineSegment.along_x(rect, rect.d), q, resolution,
-    )
-    phi_left = line_norm(
-        lambda t: w.eval_grid(np.full_like(t, rect.a), t),
-        LineSegment.along_y(rect, rect.a), q, resolution,
-    )
-    phi_right = line_norm(
-        lambda t: w.eval_grid(np.full_like(t, rect.b), t),
-        LineSegment.along_y(rect, rect.b), q, resolution,
+    phi_bottom, phi_top, phi_left, phi_right = (
+        line_norm(seg.restrict(w.eval_grid), seg, q, resolution) for seg in edges
     )
     phi_area = phi_norm_numeric(w, q, resolution)
     fx_term = bundle.fx_bottom * phi_bottom + bundle.fx_top * phi_top

@@ -11,7 +11,10 @@ The built-in variants are all piecewise products of two linear ramps:
   per cell, centered on the cell (trapezoid) or split at the cell
   midpoint and vanishing at cell edges (midpoint).
 
-``CustomPhi`` covers the general solution phi = xy + alpha(x) + beta(y).
+``ramp_jumps`` lists where the two ramps of a built-in weight jump and
+by how much; ``rules`` reads every rule's sample points, sample weights
+and bound coefficients off those jumps.  ``CustomPhi`` covers the
+general solution phi = xy + alpha(x) + beta(y).
 
 Closed-form L^q norms follow from the one-dimensional ramp integral
 
@@ -27,10 +30,10 @@ independent audit of the closed forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import (
     DomainError,
@@ -39,7 +42,14 @@ from .core import (
     Rectangle,
     UnsupportedVariantError,
 )
-from .gauss import as_vector_fn, graded_breaks, merge_breaks, panel_nodes, refine_breaks
+from .gauss import (
+    as_vector_fn,
+    graded_breaks,
+    merge_breaks,
+    p_norm_from_samples,
+    panel_nodes,
+    refine_breaks,
+)
 
 
 @dataclass(frozen=True)
@@ -83,8 +93,59 @@ class WeightFunction:
         return eval_phi(self, x, y)
 
 
+def _ramp(nodes: np.ndarray, family: str) -> tuple[np.ndarray, np.ndarray]:
+    """A family's unit-slope sawtooth ramp on one axis, as (seams, roots).
+
+    The ramp is t - roots[i] from seams[i-1] to seams[i], with roots[0]
+    before the first seam and roots[-1] after the last: its root changes
+    exactly at the seams.  Outside the axis the ramp is 0, which at an
+    axis end is t - root with the end itself as root.  The trapezoid ramp
+    is rooted at the cell midpoints and its seams are the nodes, ends
+    included; the midpoint ramp is rooted at the nodes and its seams are
+    the cell midpoints.
+    """
+    mids = 0.5 * (nodes[:-1] + nodes[1:])
+    if family == "trapezoid":
+        return nodes, np.concatenate((nodes[:1], mids, nodes[-1:]))
+    return mids, nodes
+
+
+def _sawtooth_ramp(nodes: np.ndarray, family: str) -> tuple[np.ndarray, np.ndarray]:
+    """Breaks and roots of the ``_ramp`` pieces, split at every node and midpoint.
+
+    Splitting at the roots too keeps |ramp| smooth on every piece, which
+    the piecewise quadrature of ``phi_norm_numeric`` relies on.
+    """
+    seams, roots = _ramp(nodes, family)
+    breaks = np.empty(2 * nodes.size - 1)
+    breaks[0::2] = nodes
+    breaks[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
+    return breaks, roots[np.searchsorted(seams, breaks[:-1], side="right")]
+
+
+@lru_cache(maxsize=64)
+def ramp_jumps(part: PartitionSpec, family: str):
+    """Nonzero jumps of a rule weight's two ramps: ((xs, J_x), (ys, J_y)).
+
+    J_x[k] is the jump X(xs[k]+) - X(xs[k]-) of the family's x-ramp, a
+    boundary counting as a jump from or to 0; points where the ramp is
+    continuous are left out, since a rule neither samples nor takes a line
+    norm there.  Memoized because a report's estimate, norm bundle and
+    bound ask for the same partition in turn; the arrays are read-only
+    because they are shared.
+    """
+    xs, x_roots = _ramp(part.x_nodes(), family)
+    ys, y_roots = _ramp(part.y_nodes(), family)
+    # across seams[i] the ramp goes from t - roots[i] to t - roots[i+1]
+    out = (xs, x_roots[:-1] - x_roots[1:]), (ys, y_roots[:-1] - y_roots[1:])
+    for axis in out:
+        for a in axis:
+            a.setflags(write=False)
+    return out
+
+
 class _SeparableWeight(WeightFunction):
-    """Piecewise product (x - x_root_i)(y - y_root_j) on a tensor piece grid.
+    """Product ramp_x(x) ramp_y(y) of two ``_ramp`` axes.
 
     ``x_breaks`` has one more entry than ``x_roots``; interval i is
     [x_breaks[i], x_breaks[i+1]] with root x_roots[i].  Lookup uses the
@@ -92,14 +153,15 @@ class _SeparableWeight(WeightFunction):
     the piece on its larger-coordinate side.
     """
 
-    def __init__(self, rect, x_breaks, y_breaks, x_roots, y_roots, x_cells, y_cells):
+    family: str
+
+    def __init__(self, rect: Rectangle, partition: PartitionSpec):
+        if partition.rect != rect:
+            raise ValueError("partition was built for a different rectangle")
         self.rect = rect
-        self.x_breaks = np.asarray(x_breaks, dtype=float)
-        self.y_breaks = np.asarray(y_breaks, dtype=float)
-        self.x_roots = np.asarray(x_roots, dtype=float)
-        self.y_roots = np.asarray(y_roots, dtype=float)
-        self.x_cells = x_cells
-        self.y_cells = y_cells
+        self.partition = partition
+        self.x_breaks, self.x_roots = _sawtooth_ramp(partition.x_nodes(), self.family)
+        self.y_breaks, self.y_roots = _sawtooth_ramp(partition.y_nodes(), self.family)
 
     def _index(self, breaks: np.ndarray, t: float) -> int:
         i = int(np.searchsorted(breaks, t, side="right")) - 1
@@ -127,24 +189,30 @@ class _SeparableWeight(WeightFunction):
         return tuple(out)
 
 
-class TrapezoidPhi(_SeparableWeight):
+class CompositeTrapezoidPhi(_SeparableWeight):
+    """Sawtooth product U_i(x) V_j(y): per-cell ramps centered on the cell."""
+
+    variant = "composite-trapezoid-phi"
+    family = "trapezoid"
+
+
+class CompositeMidpointPhi(_SeparableWeight):
+    """Sawtooth product of per-cell ramps vanishing at the cell edges."""
+
+    variant = "composite-midpoint-phi"
+    family = "midpoint"
+
+
+class TrapezoidPhi(CompositeTrapezoidPhi):
     """phi(x, y) = (x - m1)(y - m2); vanishes on the two midlines."""
 
     variant = "trapezoid-phi"
 
     def __init__(self, rect: Rectangle):
-        super().__init__(
-            rect,
-            x_breaks=(rect.a, rect.m1, rect.b),
-            y_breaks=(rect.c, rect.m2, rect.d),
-            x_roots=(rect.m1, rect.m1),
-            y_roots=(rect.m2, rect.m2),
-            x_cells=1,
-            y_cells=1,
-        )
+        super().__init__(rect, PartitionSpec(rect, 1, 1))
 
 
-class MidpointPhi(_SeparableWeight):
+class MidpointPhi(CompositeMidpointPhi):
     """Four-piece product vanishing on the rectangle boundary.
 
     The ramp in x is x - a left of the midline and x - b right of it
@@ -154,66 +222,7 @@ class MidpointPhi(_SeparableWeight):
     variant = "midpoint-phi"
 
     def __init__(self, rect: Rectangle):
-        super().__init__(
-            rect,
-            x_breaks=(rect.a, rect.m1, rect.b),
-            y_breaks=(rect.c, rect.m2, rect.d),
-            x_roots=(rect.a, rect.b),
-            y_roots=(rect.c, rect.d),
-            x_cells=1,
-            y_cells=1,
-        )
-
-
-def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.empty(a.size + b.size)
-    out[0::2] = a
-    out[1::2] = b
-    return out
-
-
-class CompositeTrapezoidPhi(_SeparableWeight):
-    """Sawtooth product U_i(x) V_j(y): per-cell ramps centered on the cell."""
-
-    variant = "composite-trapezoid-phi"
-
-    def __init__(self, rect: Rectangle, partition: PartitionSpec):
-        if partition.rect != rect:
-            raise ValueError("partition was built for a different rectangle")
-        xs, ys = partition.x_nodes(), partition.y_nodes()
-        xm, ym = partition.x_mids(), partition.y_mids()
-        super().__init__(
-            rect,
-            x_breaks=_interleave(xs[:-1], xm).tolist() + [rect.b],
-            y_breaks=_interleave(ys[:-1], ym).tolist() + [rect.d],
-            x_roots=np.repeat(xm, 2),
-            y_roots=np.repeat(ym, 2),
-            x_cells=partition.m,
-            y_cells=partition.n,
-        )
-        self.partition = partition
-
-
-class CompositeMidpointPhi(_SeparableWeight):
-    """Sawtooth product of per-cell ramps vanishing at the cell edges."""
-
-    variant = "composite-midpoint-phi"
-
-    def __init__(self, rect: Rectangle, partition: PartitionSpec):
-        if partition.rect != rect:
-            raise ValueError("partition was built for a different rectangle")
-        xs, ys = partition.x_nodes(), partition.y_nodes()
-        xm, ym = partition.x_mids(), partition.y_mids()
-        super().__init__(
-            rect,
-            x_breaks=_interleave(xs[:-1], xm).tolist() + [rect.b],
-            y_breaks=_interleave(ys[:-1], ym).tolist() + [rect.d],
-            x_roots=_interleave(xs[:-1], xs[1:]),
-            y_roots=_interleave(ys[:-1], ys[1:]),
-            x_cells=partition.m,
-            y_cells=partition.n,
-        )
-        self.partition = partition
+        super().__init__(rect, PartitionSpec(rect, 1, 1))
 
 
 class CustomPhi(WeightFunction):
@@ -281,7 +290,7 @@ def _cells_of(w: WeightFunction) -> tuple[int, int]:
         raise UnsupportedVariantError(
             f"closed-form norms are unavailable for {w.variant}; use phi_norm_numeric"
         )
-    return w.x_cells, w.y_cells
+    return w.partition.m, w.partition.n
 
 
 def phi_norm_closed(w: WeightFunction, q) -> float:
@@ -318,32 +327,17 @@ def phi_edge_norm_closed(w: WeightFunction, q, edge: str) -> float:
     return abs(fixed - root) * ramp_norm_closed(w.rect.height, my, q)
 
 
-def _axis_power_integral(breaks: np.ndarray, roots: np.ndarray, qq: float, resolution: int) -> float:
-    """sum_k int over interval k of |t - root_k|^q dt by graded panel quadrature."""
-    total = 0.0
+def _axis_ramp_norm(breaks: np.ndarray, roots: np.ndarray, qq: float, resolution: int) -> float:
+    """L^q norm of one axis ramp |t - root_k| by graded panel quadrature per piece."""
     max_frac = 1.0 / max(2, resolution // 64)
+    samples, weights = [], []
     for k in range(roots.size):
         lo, hi = float(breaks[k]), float(breaks[k + 1])
         panels = refine_breaks(graded_breaks(lo, hi, levels=12), (hi - lo) * max_frac)
         x, wts = panel_nodes(panels, 8)
-        total += float(np.dot(wts, np.abs(x - roots[k]) ** qq))
-    return total
-
-
-def _axis_log_power_integral(breaks, roots, qq, resolution):
-    max_frac = 1.0 / max(2, resolution // 64)
-    logs = []
-    for k in range(roots.size):
-        lo, hi = float(breaks[k]), float(breaks[k + 1])
-        panels = refine_breaks(graded_breaks(lo, hi, levels=12), (hi - lo) * max_frac)
-        x, wts = panel_nodes(panels, 8)
-        u = np.abs(x - roots[k])
-        mask = (u > 0.0) & (wts > 0.0)
-        if mask.any():
-            logs.append(qq * np.log(u[mask]) + np.log(wts[mask]))
-    if not logs:
-        return -np.inf
-    return float(logsumexp(np.concatenate(logs)))
+        samples.append(x - roots[k])
+        weights.append(wts)
+    return p_norm_from_samples(np.concatenate(samples), np.concatenate(weights), qq)
 
 
 def _axis_sup(breaks: np.ndarray, roots: np.ndarray) -> float:
@@ -428,7 +422,7 @@ def phi_norm_numeric(w: WeightFunction, q, resolution: int = 256) -> float:
     """L^q norm of a weight by piecewise-aware quadrature.
 
     Panels never straddle a piece seam.  Built-in variants separate, so
-    the tensor-product quadrature is accumulated per axis; q = infinity
+    the norm is the product of the two axis-ramp norms; q = infinity
     takes the maximum of |phi| over piece closures (attained at piece
     corners for these piecewise-bilinear weights).
     """
@@ -441,11 +435,6 @@ def phi_norm_numeric(w: WeightFunction, q, resolution: int = 256) -> float:
         raise UnsupportedVariantError(f"unknown weight variant {w.variant}")
     if q.is_infinite:
         return _axis_sup(w.x_breaks, w.x_roots) * _axis_sup(w.y_breaks, w.y_roots)
-    qq = q.value
-    if qq > 64.0:
-        lx = _axis_log_power_integral(w.x_breaks, w.x_roots, qq, resolution)
-        ly = _axis_log_power_integral(w.y_breaks, w.y_roots, qq, resolution)
-        return float(np.exp((lx + ly) / qq))
-    ix = _axis_power_integral(w.x_breaks, w.x_roots, qq, resolution)
-    iy = _axis_power_integral(w.y_breaks, w.y_roots, qq, resolution)
-    return (ix * iy) ** (1.0 / qq)
+    return _axis_ramp_norm(w.x_breaks, w.x_roots, q.value, resolution) * _axis_ramp_norm(
+        w.y_breaks, w.y_roots, q.value, resolution
+    )

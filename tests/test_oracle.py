@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,18 @@ class TestOracleIntegrate:
         v1, e1 = cq.oracle_integrate(f, unit, 1e-9)
         v2, _ = cq.oracle_integrate(f, unit, 1e-13)
         assert abs(v2 - v1) <= max(e1, 1e-13)
+
+    def test_quadrature_matches_registry_exact(self, unit):
+        # every registry integrand carries exact_integral, which makes
+        # oracle_integrate skip its quadrature; check the quadrature itself
+        for rect in (unit, cq.Rectangle(-0.2, 1.3, 0.1, 0.8)):
+            for name in cq.names():
+                entry = cq.get_entry(name)
+                exact = entry.exact(rect)
+                f = replace(entry.integrand(rect), exact_integral=None)
+                value, err = cq.oracle_integrate(f, rect)
+                assert abs(value - exact) <= err + 1e-12 * (1.0 + abs(exact)), (
+                    name, rect, value, exact, err)
 
     def test_budget_exhaustion_carries_best_value(self, unit, monkeypatch):
         import certquad.oracle as oracle_mod

@@ -183,6 +183,49 @@ class TestCompositeBounds:
                 one = op(bundle(name, unit, 1, family=family, part=part), unit, part).total
                 assert abs(near1 - one) <= 1e-3 * one
 
+    def test_bound_terms_pinned_to_coefficient_table(self):
+        # every bound term against the per-family coefficient table the
+        # bounds were first written with; distinct line norms make each
+        # line's weight show, and m != n separates the two axes
+        rect = cq.Rectangle(-0.5, 1.5, 0.25, 3.25)
+        W, H = rect.width, rect.height
+        for m, n in ((1, 1), (2, 3), (5, 2)):
+            part = cq.PartitionSpec(rect, m, n)
+            for p in map(cq.Exponent.coerce, P_GRID):
+                e = 2.0 - p.reciprocal
+                C = cq.holder_coefficient(p)
+                fxy_coef = W**e * H**e * C * C / (4.0 * m * n)
+                xl = tuple(np.sqrt(np.arange(2.0, n + 3.0)))
+                yl = tuple(np.log(np.arange(3.0, m + 4.0)))
+                nb = cq.DerivativeNorms(
+                    p=p, family="trapezoid", m=m, n=n, fxy=1.7,
+                    fx_bottom=xl[0], fx_top=xl[-1], fy_left=yl[0], fy_right=yl[-1],
+                    interior_x_lines=xl[1:-1], interior_y_lines=yl[1:-1],
+                )
+                sx = xl[0] + 2.0 * sum(xl[1:-1]) + xl[-1]
+                sy = yl[0] + 2.0 * sum(yl[1:-1]) + yl[-1]
+                want = (
+                    sx * H * W**e * C / (4.0 * m * n),
+                    sy * W * H**e * C / (4.0 * m * n),
+                    1.7 * fxy_coef,
+                )
+                comps = cq.composite_trapezoid_bound(nb, rect, part)
+                got = (comps.fx_term, comps.fy_term, comps.fxy_term)
+                assert got == pytest.approx(want, rel=1e-13, abs=0), ("trapezoid", m, n, p)
+
+                nb = cq.DerivativeNorms(
+                    p=p, family="midpoint", m=m, n=n, fxy=1.7,
+                    interior_x_lines=xl[:n], interior_y_lines=yl[:m],
+                )
+                want = (
+                    sum(xl[:n]) * H * W**e * C / (2.0 * m * n),
+                    sum(yl[:m]) * W * H**e * C / (2.0 * m * n),
+                    1.7 * fxy_coef,
+                )
+                comps = cq.composite_midpoint_bound(nb, rect, part)
+                got = (comps.fx_term, comps.fy_term, comps.fxy_term)
+                assert got == pytest.approx(want, rel=1e-13, abs=0), ("midpoint", m, n, p)
+
     def test_provenance_notes(self, unit):
         part = cq.PartitionSpec(unit, 2, 2)
         nb = bundle("xy", unit, 1, family="midpoint", part=part)
