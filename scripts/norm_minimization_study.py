@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Minimal weight norm across q: search results vs the closed form.
 
-For each q on a grid, runs the multi-restart coordinate search over the
-even/odd polynomial basis and reports the achieved norm, the closed-form
-minimum (2/(q+1))^(2/q), and the largest coefficient magnitude (near zero
-for 1 < q < inf, where the minimizer is the plain product s*t).  Also
-evaluates the two q = inf exhibits showing the minimizer is not unique
-there.
+For each q on a grid, runs ``search_min`` (one damped Newton solve per
+start over the even/odd polynomial basis; ``--restarts`` random starts)
+and reports the achieved norm, the closed-form minimum (2/(q+1))^(2/q),
+and the largest coefficient magnitude (near zero for 1 < q < inf, where
+the minimizer is the plain product s*t).  Also evaluates the two q = inf
+exhibits showing the minimizer is not unique there.
 """
 
 import argparse

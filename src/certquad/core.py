@@ -73,7 +73,7 @@ class QuadratureConvergenceError(CertquadError, ArithmeticError):
 
 
 class SearchFailureError(CertquadError, ArithmeticError):
-    """Derivative-free search did not converge within its budget."""
+    """The minimal-norm solve did not converge within its budget."""
 
     def __init__(self, message: str, best_coefficients, best_norm: float):
         super().__init__(message)
@@ -394,6 +394,9 @@ class DerivativeNorms:
                     f"expected {self.m - 1} interior y-line norms, got {len(self.interior_y_lines)}"
                 )
         else:
+            for name in ("fx_bottom", "fx_top", "fy_left", "fy_right"):
+                if getattr(self, name) is not None:
+                    raise ValueError(f"midpoint-family norms take no {name}")
             if len(self.interior_x_lines) != self.n:
                 raise ValueError(
                     f"expected {self.n} midline x norms, got {len(self.interior_x_lines)}"

@@ -12,7 +12,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import EvaluationError
 
@@ -95,7 +94,41 @@ def p_norm_from_samples(values, weights, p: float) -> float:
     if not mask.any():
         return 0.0
     logs = p * np.log(u[mask]) + np.log(w[mask])
-    return s * float(np.exp(logsumexp(logs) / p))
+    top = float(logs.max())
+    return s * float(np.exp((top + np.log(np.sum(np.exp(logs - top)))) / p))
+
+
+def zero_breaks(gv, lo: float, hi: float, resolution: int) -> np.ndarray:
+    """Breakpoints [lo, hi] plus the sign changes of gv, refined by bisection.
+
+    gv is scanned on resolution + 1 uniform points; exact zeros count too,
+    unless they fill more than half the scan (a degenerate line).  At
+    most 32 crossings are bisected, 60 halvings each.
+    """
+    xs = np.linspace(lo, hi, resolution + 1)
+    vals = gv(xs)
+    require_finite(vals, (xs,))
+    zeros: list[float] = []
+    exact = np.flatnonzero(vals == 0.0)
+    if exact.size <= resolution // 2:
+        zeros.extend(float(xs[i]) for i in exact if lo < xs[i] < hi)
+    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+        a, b = float(xs[i]), float(xs[i + 1])
+        fa = float(vals[i])
+        for _ in range(60):
+            m = 0.5 * (a + b)
+            fm = float(gv(np.asarray([m]))[0])
+            if fm == 0.0:
+                a = b = m
+                break
+            if (fa < 0.0) == (fm < 0.0):
+                a, fa = m, fm
+            else:
+                b = m
+        zeros.append(0.5 * (a + b))
+        if len(zeros) >= 32:
+            break
+    return merge_breaks([lo, hi], zeros)
 
 
 def as_vector_fn(g: Callable) -> Callable[[np.ndarray], np.ndarray]:

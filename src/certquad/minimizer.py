@@ -5,11 +5,16 @@ Over phi(s, t) = st + alpha(s) + beta(t) on [-1, 1]^2 the minimum of
 q = infinity, attained by phi = st; for 1 < q < infinity the minimizer
 is unique, at q = infinity it is not (st - |s| + |t| also has norm 1).
 
-``search_min`` checks this at desk scale: derivative-free coordinate
-descent over a small even/odd polynomial basis for alpha and beta, with
-multiple restarts, against a fixed quadrature grid.  No gradients are
-used, so the search remains valid near q = 1 where the norm is not
-smooth.
+``search_min`` checks this at desk scale over a small even/odd
+polynomial basis for alpha and beta.  ||phi||_q is a norm of an affine
+function of the coefficients, so sum w |phi|^q on a fixed quadrature
+grid is convex in them, and one damped Newton solve per start finds its
+minimum.  q = 1 and q = infinity have no smooth objective of this kind
+(|phi| has a kink at 0; the sup norm is no power sum), so they are
+solved at q = 2 and the result's norm is taken at the requested q.
+Polya's algorithm reaches the sup-norm minimizer through L^q minimizers
+as q grows; here the L^q minimizer is st for every finite q > 1, and st
+is also a minimizer at both endpoints.
 """
 
 from __future__ import annotations
@@ -113,7 +118,7 @@ class RestartResult:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Winner of the multi-restart search plus the per-restart record."""
+    """Lowest-norm end point over the starts plus the per-start record."""
 
     coefficients: tuple[float, ...]
     achieved_norm: float
@@ -121,56 +126,67 @@ class SearchResult:
 
 
 class _NormObjective:
-    """||st + alpha + beta||_q on a fixed quadrature grid over [-1, 1]^2.
+    """sum w |st + alpha + beta|^q on a fixed quadrature grid over [-1, 1]^2.
 
     The grid is split at 0 (the kink lines of the limiting |st|^q) and
-    graded toward the splits, with basis values precomputed per axis, so
-    one evaluation is a couple of dense operations.
+    graded toward the splits, with basis values precomputed per axis.
+    phi_ij = s_i s_j + a_i + b_j, so the derivatives in the coefficients
+    are row and column sums of one grid array, mapped through the basis.
     """
 
-    def __init__(self, basis: AlphaBetaBasis, q: Exponent, fine: bool = False):
+    def __init__(self, basis: AlphaBetaBasis, q: float, fine: bool = False):
         levels = 12 if fine else 9
         nodes_per_panel = 10 if fine else 6
         max_width = 0.125 if fine else 0.25
         half = refine_breaks(graded_breaks(0.0, 1.0, levels=levels), max_width)
-        breaks = merge_breaks(-half[::-1], half)
-        x, w = panel_nodes(breaks, nodes_per_panel)
-        self.x = x
+        x, w = panel_nodes(merge_breaks(-half[::-1], half), nodes_per_panel)
         self.w = w
         self.q = q
         self.outer = np.outer(x, x)
+        self.cell_weights = np.outer(w, w)
         self.terms = basis.term_matrix(x)
         self.k = basis.per_axis
-        # q = infinity uses a plain max over a grid that includes the
-        # boundary and the axes, where piecewise extremes live.
-        grid = np.unique(np.concatenate([np.linspace(-1.0, 1.0, 257), breaks]))
-        self.sup_x = grid
-        self.sup_terms = basis.term_matrix(grid)
-        self.sup_outer = np.outer(grid, grid)
+
+    def phi(self, c: np.ndarray) -> np.ndarray:
+        a, b = self.terms @ c[: self.k], self.terms @ c[self.k :]
+        return self.outer + a[:, None] + b[None, :]
 
     def __call__(self, c: np.ndarray) -> float:
-        a = self.terms @ c[: self.k]
-        b = self.terms @ c[self.k :]
-        phi = self.outer + a[:, None] + b[None, :]
-        if self.q.is_infinite:
-            a = self.sup_terms @ c[: self.k]
-            b = self.sup_terms @ c[self.k :]
-            phi = self.sup_outer + a[:, None] + b[None, :]
-            return float(np.abs(phi).max())
-        qq = self.q.value
-        t = float(self.w @ np.abs(phi) ** qq @ self.w)
-        return t ** (1.0 / qq)
+        return float(np.sum(self.cell_weights * np.abs(self.phi(c)) ** self.q))
+
+    def newton_terms(self, c: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """Value, gradient and Hessian of the objective in the coefficients.
+
+        For q < 2 the curvature weight |phi|^(q-2) is unbounded at zeros of
+        phi; dividing |phi|^(q-1) by max(|phi|, 1e-12 max|phi|) instead keeps
+        it finite, which changes the step there but not the value or the
+        gradient the solve converges on.
+        """
+        q, T = self.q, self.terms
+        phi = self.phi(c)
+        mag = np.abs(phi)
+        power = self.cell_weights * mag ** (q - 1.0)
+        value = float(np.sum(power * mag))
+        slope = q * power * np.sign(phi)  # d/dphi of w |phi|^q
+        curv = q * (q - 1.0) * power / np.maximum(mag, 1e-12 * mag.max())
+        grad = np.concatenate((T.T @ slope.sum(axis=1), T.T @ slope.sum(axis=0)))
+        cross = T.T @ curv @ T
+        hess = np.block([
+            [T.T @ (curv.sum(axis=1)[:, None] * T), cross],
+            [cross.T, T.T @ (curv.sum(axis=0)[:, None] * T)],
+        ])
+        return value, grad, hess
 
 
 def _coefficient_transform(basis: AlphaBetaBasis, objective: _NormObjective) -> np.ndarray:
-    """Map search coordinates z to coefficients c = R z, L^2-orthonormalized.
+    """Map solve coordinates z to coefficients c = R z, L^2-orthonormalized.
 
     R's columns span the non-null directions of the coefficient-to-function
     map (eigenvectors of the Gram matrix scaled by 1/sqrt(eigenvalue)), so
-    the search runs in a well-conditioned metric and never moves along
-    directions that leave phi unchanged, e.g. the constant split between
-    alpha and beta.  Coefficients returned through R are automatically the
-    minimal-norm representative of the found function.
+    the solve runs in a well-conditioned metric with a nonsingular Hessian:
+    it never moves along directions that leave phi unchanged, e.g. the
+    constant split between alpha and beta.  Coefficients returned through
+    R are automatically the minimal-norm representative of the function.
     """
     w = objective.w
     T = objective.terms
@@ -189,43 +205,29 @@ def _coefficient_transform(basis: AlphaBetaBasis, objective: _NormObjective) -> 
     return vecs[:, keep] / np.sqrt(vals[keep])
 
 
-def _coordinate_descent(
-    objective, c0: np.ndarray, step0: float, min_step: float, max_sweeps: int
-) -> tuple[np.ndarray, float, bool]:
-    """Compass sweeps with shrinking step plus a pattern move.
+def _newton(
+    objective: _NormObjective, transform: np.ndarray, z: np.ndarray, max_steps: int
+) -> tuple[np.ndarray, bool]:
+    """Damped Newton on the objective in solve coordinates z, c = transform @ z.
 
-    After a successful sweep the aggregate direction is ridden as long as
-    it keeps improving, which removes the coordinate-descent crawl along
-    coupled directions; the step halves only when a sweep fails.
+    Each step is halved until it passes Armijo's sufficient-decrease test.
+    The solve has converged, after one last full step, once the Newton
+    decrement -grad . step (about twice the objective's excess over its
+    minimum) is below 1e-13 of the objective: closer than that, rounding
+    in the objective would hide the decrease Armijo's test looks for.
     """
-    c = c0.copy()
-    best = objective(c)
-    step = step0
-    sweeps = 0
-    while step >= min_step and sweeps < max_sweeps:
-        start = c
-        improved = False
-        for k in range(c.size):
-            for delta in (step, -step):
-                trial = c.copy()
-                trial[k] += delta
-                val = objective(trial)
-                if val < best:
-                    best, c = val, trial
-                    improved = True
-        if improved:
-            direction = c - start
-            for _ in range(60):
-                trial = c + direction
-                val = objective(trial)
-                if val < best:
-                    best, c = val, trial
-                else:
-                    break
-        else:
-            step *= 0.5
-        sweeps += 1
-    return c, best, step < min_step
+    for _ in range(max_steps):
+        value, grad, hess = objective.newton_terms(transform @ z)
+        grad = transform.T @ grad
+        step = -np.linalg.solve(transform.T @ hess @ transform, grad)
+        decrement = -float(grad @ step)
+        if decrement <= 1e-13 * value:
+            return z + step, True
+        t = 1.0
+        while t > 1e-10 and objective(transform @ (z + t * step)) > value - 1e-4 * t * decrement:
+            t *= 0.5
+        z = z + t * step
+    return z, False
 
 
 def search_min(
@@ -237,18 +239,22 @@ def search_min(
 ) -> SearchResult:
     """Minimize ||st + alpha + beta||_q over the basis coefficients.
 
-    Coordinate search with step schedule 0.5 halving to 1e-6, restarted
-    from random coefficient vectors in [-1, 1]; restarts are independent
-    and the winner is the lowest norm with lexicographic tie-break.  The
-    reported norm re-evaluates the winner with the piecewise-aware norm
-    routine rather than the search grid.
+    One damped Newton solve of the grid objective per start, capped at
+    ``max_sweeps`` steps.  The first start is ``basis.coefficients`` when
+    given, the others (``restarts`` in all) are random coefficient vectors
+    in [-1, 1]; the problem is convex, so all of them should land on the
+    same minimizer.  q = 1 and q = infinity are solved at q = 2 (see the
+    module docstring).  Each start's norm re-evaluates its end point at
+    the requested q with the piecewise-aware ``phi_norm_numeric`` rather
+    than the solve grid; the winner is the lowest norm with lexicographic
+    tie-break.  Raises ``SearchFailureError`` with the best end point when
+    no start converges.
     """
     q = Exponent.coerce(q)
     basis = basis if basis is not None else AlphaBetaBasis()
-    objective = _NormObjective(basis, q)
+    objective = _NormObjective(basis, 2.0 if q.is_infinite or q.is_one else q.value)
     transform = _coefficient_transform(basis, objective)
     pseudo_inverse = np.linalg.pinv(transform)
-    z_objective = lambda z: objective(transform @ z)
     rng = np.random.default_rng(seed)
     results: list[RestartResult] = []
     for _ in range(max(1, restarts)):
@@ -256,21 +262,18 @@ def search_min(
             c0 = np.asarray(basis.coefficients, dtype=float)
         else:
             c0 = rng.uniform(-1.0, 1.0, basis.size)
-        z, val, converged = _coordinate_descent(
-            z_objective, pseudo_inverse @ c0, 1.0, 2.5e-7, max_sweeps
-        )
-        c = transform @ z
-        results.append(RestartResult(val, tuple(float(v) for v in c), converged))
+        z, converged = _newton(objective, transform, pseudo_inverse @ c0, max_sweeps)
+        c = tuple(float(v) for v in transform @ z)
+        norm = phi_norm_numeric(basis.build_phi(c), q, resolution=512)
+        results.append(RestartResult(norm, c, converged))
+    best = min(results, key=lambda r: (r.norm, r.coefficients))
     if not any(r.converged for r in results):
-        best = min(results, key=lambda r: (r.norm, r.coefficients))
         raise SearchFailureError(
-            f"coordinate search did not converge in {max_sweeps} sweeps",
+            f"Newton solve did not converge in {max_sweeps} steps",
             best_coefficients=best.coefficients,
             best_norm=best.norm,
         )
-    winner = min(results, key=lambda r: (r.norm, r.coefficients))
-    achieved = phi_norm_numeric(basis.build_phi(winner.coefficients), q, resolution=512)
-    return SearchResult(winner.coefficients, achieved, tuple(results))
+    return SearchResult(best.coefficients, best.norm, tuple(results))
 
 
 def verify_q2_identity(
@@ -286,21 +289,16 @@ def verify_q2_identity(
     squared norm splits; this checks that orthogonality numerically.
     """
     basis = basis if basis is not None else AlphaBetaBasis()
-    objective = _NormObjective(basis, Exponent(2.0), fine=True)
-    x, w = objective.x, objective.w
-    T = objective.terms
-    k = basis.per_axis
-    psi_sq = float(w @ objective.outer**2 @ w)
+    objective = _NormObjective(basis, 2.0, fine=True)
+    w, psi = objective.w, objective.outer
+    psi_sq = float(w @ psi**2 @ w)
     if coefficient_sets is None:
         rng = np.random.default_rng(seed)
         coefficient_sets = [rng.uniform(-1.0, 1.0, basis.size) for _ in range(samples)]
     worst = 0.0
     for c in coefficient_sets:
-        c = np.asarray(c, dtype=float)
-        a = T @ c[:k]
-        b = T @ c[k:]
-        ab = a[:, None] + b[None, :]
-        combined = float(w @ (objective.outer + ab) ** 2 @ w)
-        split = psi_sq + float(w @ ab**2 @ w)
+        phi = objective.phi(np.asarray(c, dtype=float))
+        combined = float(w @ phi**2 @ w)
+        split = psi_sq + float(w @ (phi - psi) ** 2 @ w)
         worst = max(worst, abs(combined - split))
     return worst

@@ -32,6 +32,7 @@ from .gauss import (
     panel_nodes,
     refine_breaks,
     require_finite,
+    zero_breaks,
 )
 from .weights import ramp_jumps
 
@@ -73,34 +74,6 @@ class LineSegment:
         return lambda t: g(np.full_like(t, self.fixed_coordinate), t)
 
 
-def _zero_breaks(gv, lo: float, hi: float, resolution: int) -> np.ndarray:
-    """Breakpoints at sign changes of g, refined by bisection."""
-    xs = np.linspace(lo, hi, resolution + 1)
-    vals = gv(xs)
-    require_finite(vals, (xs,))
-    zeros: list[float] = []
-    exact = np.flatnonzero(vals == 0.0)
-    if exact.size <= resolution // 2:
-        zeros.extend(float(xs[i]) for i in exact if lo < xs[i] < hi)
-    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
-        a, b = float(xs[i]), float(xs[i + 1])
-        fa = float(vals[i])
-        for _ in range(60):
-            m = 0.5 * (a + b)
-            fm = float(gv(np.asarray([m]))[0])
-            if fm == 0.0:
-                a = b = m
-                break
-            if (fa < 0.0) == (fm < 0.0):
-                a, fa = m, fm
-            else:
-                b = m
-        zeros.append(0.5 * (a + b))
-        if len(zeros) >= 32:
-            break
-    return merge_breaks([lo, hi], zeros)
-
-
 def _graded_axis_nodes(breaks: np.ndarray, levels: int, max_frac: float, k: int = 8):
     span = breaks[-1] - breaks[0]
     pieces = [
@@ -138,7 +111,7 @@ def line_norm_with_error(g, seg: LineSegment, p, resolution: int = DEFAULT_RESOL
     if p.is_infinite:
         value, gain = _sup_1d(gv, seg.lo, seg.hi, resolution)
         return value, abs(gain) + 1e-15 * (1.0 + value)
-    breaks = _zero_breaks(gv, seg.lo, seg.hi, resolution)
+    breaks = zero_breaks(gv, seg.lo, seg.hi, resolution)
     max_frac = 1.0 / max(4, resolution // 32)
 
     def one_pass(levels: int, frac: float) -> float:
@@ -195,9 +168,9 @@ def area_norm_with_error(g, rect: Rectangle, p, resolution: int = DEFAULT_RESOLU
     ybreaks: list[np.ndarray] = []
     for off in (0.155, -0.237):
         yline = rect.m2 + off * rect.height
-        xbreaks.append(_zero_breaks(lambda t: fv(t, np.full_like(t, yline)), rect.a, rect.b, scan))
+        xbreaks.append(zero_breaks(lambda t: fv(t, np.full_like(t, yline)), rect.a, rect.b, scan))
         xline = rect.m1 + off * rect.width
-        ybreaks.append(_zero_breaks(lambda t: fv(np.full_like(t, xline), t), rect.c, rect.d, scan))
+        ybreaks.append(zero_breaks(lambda t: fv(np.full_like(t, xline), t), rect.c, rect.d, scan))
     bx = merge_breaks(*xbreaks)
     by = merge_breaks(*ybreaks)
     max_frac = 1.0 / max(4, resolution // 32)

@@ -49,6 +49,7 @@ from .gauss import (
     p_norm_from_samples,
     panel_nodes,
     refine_breaks,
+    zero_breaks,
 )
 
 
@@ -347,35 +348,6 @@ def _axis_sup(breaks: np.ndarray, roots: np.ndarray) -> float:
     return float(max(lo_vals.max(), hi_vals.max()))
 
 
-def _scan_zero_breaks(fn, lo: float, hi: float, samples: int = 129) -> list[float]:
-    """Sign-change locations of fn on [lo, hi], refined by bisection."""
-    xs = np.linspace(lo, hi, samples)
-    vals = fn(xs)
-    zeros: list[float] = []
-    exact = np.flatnonzero(vals == 0.0)
-    # A line of identical zeros means the scan line is degenerate; skip it.
-    if exact.size > samples // 2:
-        return []
-    zeros.extend(float(xs[i]) for i in exact if lo < xs[i] < hi)
-    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
-        a, b = float(xs[i]), float(xs[i + 1])
-        fa = float(vals[i])
-        for _ in range(60):
-            m = 0.5 * (a + b)
-            fm = float(fn(np.asarray([m]))[0])
-            if fm == 0.0:
-                a = b = m
-                break
-            if (fa < 0.0) == (fm < 0.0):
-                a, fa = m, fm
-            else:
-                b = m
-        zeros.append(0.5 * (a + b))
-        if len(zeros) >= 16:
-            break
-    return zeros
-
-
 def _custom_axis_nodes(w: CustomPhi, axis: str, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     r = w.rect
     if axis == "x":
@@ -386,10 +358,7 @@ def _custom_axis_nodes(w: CustomPhi, axis: str, resolution: int) -> tuple[np.nda
         lo, hi, mid_t = r.c, r.d, r.m1
         span_t = r.width
         line = lambda off: as_vector_fn(lambda ys: w.eval_grid(mid_t + off * span_t, ys))
-    zeros: list[float] = []
-    for off in (0.155, -0.237):
-        zeros.extend(_scan_zero_breaks(line(off), lo, hi))
-    breaks = merge_breaks([lo, hi], zeros)
+    breaks = merge_breaks(*(zero_breaks(line(off), lo, hi, 128) for off in (0.155, -0.237)))
     pieces = []
     max_frac = 1.0 / max(2, resolution // 64)
     for blo, bhi in zip(breaks[:-1], breaks[1:]):

@@ -85,6 +85,11 @@ class TestJsonSchema:
         assert payload["estimate"] == pytest.approx(2.0 / 3.0, abs=1e-6)
         assert payload["oracle"]["value"] == pytest.approx(2.0 / 3.0)
 
+    def test_minimize_norm_sup_norm(self, capsys):
+        code, payload = run_json(capsys, ["minimize-norm", "--q", "inf", "--format", "json"])
+        assert code == OK
+        assert payload["estimate"] == pytest.approx(1.0, abs=1e-6)
+
     def test_corpus_report_summary(self, capsys):
         code, payload = run_json(
             capsys, ["corpus-report", "--max-n", "1", "--resolution", "96",

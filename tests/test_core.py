@@ -132,6 +132,13 @@ class TestDerivativeNorms:
         with pytest.raises(ValueError):
             cq.DerivativeNorms(p=cq.INF, family="midpoint", m=1, n=1, fxy=1.0)
 
+    def test_midpoint_rejects_boundary_fields(self):
+        for name in ("fx_bottom", "fx_top", "fy_left", "fy_right"):
+            with pytest.raises(ValueError):
+                cq.DerivativeNorms(p=cq.INF, family="midpoint", m=1, n=1, fxy=1.0,
+                                   interior_x_lines=(1.0,), interior_y_lines=(1.0,),
+                                   **{name: 5.0})
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             cq.DerivativeNorms(p=cq.INF, family="midpoint", m=1, n=1, fxy=-1.0,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import certquad as cq
-from certquad.minimizer import AlphaBetaBasis
+from certquad.minimizer import AlphaBetaBasis, _NormObjective
 
 
 class TestClosedMinimum:
@@ -62,14 +62,35 @@ class TestSearch:
         assert res.achieved_norm == pytest.approx(2.0 / 3.0, abs=1e-6)
 
     def test_nonconvergence_raises_with_best_iterate(self):
+        # q = 2 is quadratic and converges in two Newton steps, so the
+        # budget is starved at q = 3
         with pytest.raises(cq.SearchFailureError) as err:
-            cq.search_min(2, restarts=1, seed=0, max_sweeps=2)
+            cq.search_min(3, restarts=1, seed=0, max_sweeps=1)
         assert err.value.best_coefficients is not None
 
     def test_q1_minimum_value_only(self):
         # no uniqueness assertion at q = 1; the value still matches
         res = cq.search_min(1, restarts=2, seed=0)
         assert res.achieved_norm == pytest.approx(1.0, abs=1e-4)
+
+
+class TestDualityCertificate:
+    @pytest.mark.parametrize("q", [1.5, 2, 3, 7])
+    def test_dual_function_certifies_lower_bound(self, q):
+        # g = |st|^(q-1) sgn(st) / ||st||_q^(q-1) has ||g||_p = 1 and is odd
+        # in each variable, so int (alpha + beta) g = 0 and Holder gives
+        # ||phi||_q >= int phi g = ||st||_q for every admissible phi
+        basis = AlphaBetaBasis()
+        objective = _NormObjective(basis, q)
+        st = objective.outer
+        psi_norm = float(objective.w @ np.abs(st) ** q @ objective.w) ** (1.0 / q)
+        g = np.abs(st) ** (q - 1.0) * np.sign(st) / psi_norm ** (q - 1.0)
+        p = q / (q - 1.0)
+        assert abs(float(objective.w @ np.abs(g) ** p @ objective.w) - 1.0) <= 1e-12
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            phi = objective.phi(rng.uniform(-1.0, 1.0, basis.size))
+            assert abs(float(objective.w @ (phi * g) @ objective.w) - psi_norm) <= 1e-12
 
 
 class TestInfinityNonUniqueness:
