@@ -49,6 +49,7 @@ from .norms import (
     finite_difference_partials,
     line_norm,
     line_norm_with_error,
+    line_norms_with_error,
 )
 from .oracle import oracle_integrate, parts_identity_residual, parts_identity_sides
 from .registry import REGISTRY, get_entry, names

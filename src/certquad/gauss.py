@@ -35,30 +35,39 @@ def panel_nodes(breaks: Sequence[float], nodes_per_panel: int = 8) -> tuple[np.n
     return x, wts
 
 
-def graded_breaks(lo: float, hi: float, levels: int = 12) -> np.ndarray:
+def graded_breaks(lo, hi, levels: int = 12) -> np.ndarray:
     """Breakpoints of [lo, hi] accumulating geometrically toward both ends.
 
     Panel widths halve toward each endpoint, which restores fast
     convergence for integrands with fractional-power behaviour |x - e|^s
-    at an endpoint e.
+    at an endpoint e.  Array endpoints give one row of breakpoints each.
     """
+    lo = np.asarray(lo, dtype=float)[..., None]
+    hi = np.asarray(hi, dtype=float)[..., None]
     width = hi - lo
     fracs = 0.5 ** np.arange(levels, 0, -1)  # 2^-levels .. 1/2
     left = lo + width * fracs
     right = hi - width * fracs[::-1]
-    return np.concatenate(([lo], left, right[1:], [hi]))
+    return np.concatenate((lo, left, right[..., 1:], hi), axis=-1)
 
 
 def refine_breaks(breaks: Sequence[float], max_width: float) -> np.ndarray:
     """Split every panel wider than max_width into uniform subpanels."""
     b = np.asarray(breaks, dtype=float)
-    out = [b[0]]
-    for lo, hi in zip(b[:-1], b[1:]):
-        parts = max(1, int(np.ceil((hi - lo) / max_width)))
-        if parts > 1:
-            out.extend(lo + (hi - lo) * np.arange(1, parts) / parts)
-        out.append(hi)
-    return np.asarray(out)
+    lo, hi = b[:-1], b[1:]
+    parts = np.maximum(1.0, np.ceil((hi - lo) / max_width)).astype(np.int64)
+    panel = np.repeat(np.arange(lo.size), parts)
+    k = np.arange(panel.size) - np.repeat(np.cumsum(parts) - parts, parts) + 1
+    out = lo[panel] + (hi - lo)[panel] * k / parts[panel]
+    last = k == parts[panel]
+    out[last] = hi[panel[last]]
+    return np.concatenate((b[:1], out))
+
+
+def graded_panels(breaks: Sequence[float], levels: int, max_width: float) -> np.ndarray:
+    """Every panel of ``breaks`` graded toward both its ends, split to max_width, merged."""
+    b = np.asarray(breaks, dtype=float)
+    return merge_breaks(refine_breaks(graded_breaks(b[:-1], b[1:], levels).ravel(), max_width))
 
 
 def merge_breaks(*groups: Sequence[float]) -> np.ndarray:
@@ -98,37 +107,79 @@ def p_norm_from_samples(values, weights, p: float) -> float:
     return s * float(np.exp((top + np.log(np.sum(np.exp(logs - top)))) / p))
 
 
-def zero_breaks(gv, lo: float, hi: float, resolution: int) -> np.ndarray:
-    """Breakpoints [lo, hi] plus the sign changes of gv, refined by bisection.
+def row_p_norms(values, weights, p: float) -> np.ndarray:
+    """``p_norm_from_samples`` of every row of a 2-D array against shared weights.
 
-    gv is scanned on resolution + 1 uniform points; exact zeros count too,
-    unless they fill more than half the scan (a degenerate line).  At
-    most 32 crossings are bisected, 60 halvings each.
+    Each row's result equals the one-row call bit for bit: the scaling and
+    powers run on the whole array, the weighted sum stays one dot product
+    per row.
     """
-    xs = np.linspace(lo, hi, resolution + 1)
-    vals = gv(xs)
-    require_finite(vals, (xs,))
-    zeros: list[float] = []
-    exact = np.flatnonzero(vals == 0.0)
-    if exact.size <= resolution // 2:
-        zeros.extend(float(xs[i]) for i in exact if lo < xs[i] < hi)
-    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
-        a, b = float(xs[i]), float(xs[i + 1])
-        fa = float(vals[i])
-        for _ in range(60):
-            m = 0.5 * (a + b)
-            fm = float(gv(np.asarray([m]))[0])
-            if fm == 0.0:
-                a = b = m
-                break
-            if (fa < 0.0) == (fm < 0.0):
-                a, fa = m, fm
-            else:
-                b = m
-        zeros.append(0.5 * (a + b))
-        if len(zeros) >= 32:
+    v = np.abs(np.asarray(values, dtype=float))
+    w = np.asarray(weights, dtype=float).ravel()
+    if p > 64.0:
+        return np.asarray([p_norm_from_samples(row, w, p) for row in v])
+    s = v.max(axis=1)
+    nonzero = s > 0.0
+    u = (v / np.where(nonzero, s, 1.0)[:, None]) ** p
+    out = np.zeros(v.shape[0])
+    for k in np.flatnonzero(nonzero):
+        t = float(np.dot(w, u[k]))
+        if t > 0.0:
+            out[k] = float(s[k]) * t ** (1.0 / p)
+    return out
+
+
+def line_coords(axis: str, t, fixed):
+    """(x, y) of points at running coordinate t on lines along ``axis`` at ``fixed``."""
+    return (t, fixed) if axis == "x" else (fixed, t)
+
+
+def zero_breaks(g, axis: str, fixed, lo: float, hi: float, resolution: int) -> list[np.ndarray]:
+    """Breakpoints [lo, hi] plus the sign changes of g along each of several lines.
+
+    Line k runs along ``axis`` over [lo, hi] at transverse coordinate
+    fixed[k]; g is a broadcasting two-variable callable.  All lines are
+    scanned in one call on resolution + 1 uniform points.  A line's exact
+    zeros inside (lo, hi) are taken first, unless they fill more than half
+    its scan (a degenerate line); then its sign changes in scan order,
+    stopping after the one that brings its list to 32 or more.  Every
+    chosen bracket of every line is bisected together: at most 60 halvings,
+    one vector call each, and a bracket whose midpoint is an exact zero
+    stops there.  Returns one breakpoint array per line.
+    """
+    c = np.asarray(fixed, dtype=float).ravel()
+    t = np.linspace(lo, hi, resolution + 1)
+    coords = line_coords(axis, t[None, :], c[:, None])
+    vals = g(*coords)
+    require_finite(vals, coords)
+    exact = vals == 0.0
+    degenerate = exact.sum(axis=1) > resolution // 2
+    exact &= ((t > lo) & (t < hi))[None, :] & ~degenerate[:, None]
+    rows, idx = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
+    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+    keep = rank < np.maximum(32 - exact.sum(axis=1)[rows], 1)
+    rows, idx = rows[keep], idx[keep]
+    a, b, fa = t[idx], t[idx + 1], vals[rows, idx]
+    live = np.arange(rows.size)
+    for _ in range(60):
+        if live.size == 0:
             break
-    return merge_breaks([lo, hi], zeros)
+        m = 0.5 * (a[live] + b[live])
+        fm = g(*line_coords(axis, m, c[rows[live]]))
+        hit = fm == 0.0
+        left = ~hit & ((fa[live] < 0.0) == (fm < 0.0))
+        a[live[hit | left]] = m[hit | left]
+        fa[live[left]] = fm[left]
+        b[live[~left]] = m[~left]
+        live = live[~hit]
+    zeros = 0.5 * (a + b)
+    start = np.searchsorted(rows, np.arange(c.size + 1))
+    plain = merge_breaks([lo, hi])
+    return [
+        merge_breaks([lo, hi], t[exact[k]], zeros[start[k]:start[k + 1]])
+        if start[k] < start[k + 1] or exact[k].any() else plain
+        for k in range(c.size)
+    ]
 
 
 def as_vector_fn(g: Callable) -> Callable[[np.ndarray], np.ndarray]:

@@ -6,6 +6,13 @@ and graded toward panel ends, plus one refinement halving whose delta is
 the reported error estimate.  p = infinity norms are grid maxima with
 local refinement around the argmax; they are lower bounds of the
 essential supremum that tighten under refinement.
+
+Line norms come in batches: ``line_norms_with_error`` takes every line
+of one axis at once, scans them in one call, bisects all their sign
+changes together (``gauss.zero_breaks``), and groups lines with the same
+breakpoints, so each group builds its graded nodes once and is sampled
+as one (lines x nodes) array.  ``derivative_norms`` makes one such call
+per partial; ``line_norm`` is the one-line case.
 """
 
 from __future__ import annotations
@@ -26,12 +33,13 @@ from .core import (
 from .gauss import (
     as_grid_fn,
     as_vector_fn,
-    graded_breaks,
+    graded_panels,
+    line_coords,
     merge_breaks,
     p_norm_from_samples,
     panel_nodes,
-    refine_breaks,
     require_finite,
+    row_p_norms,
     zero_breaks,
 )
 from .weights import ramp_jumps
@@ -75,54 +83,77 @@ class LineSegment:
 
 
 def _graded_axis_nodes(breaks: np.ndarray, levels: int, max_frac: float, k: int = 8):
-    span = breaks[-1] - breaks[0]
-    pieces = [
-        refine_breaks(graded_breaks(lo, hi, levels=levels), span * max_frac)
-        for lo, hi in zip(breaks[:-1], breaks[1:])
-    ]
-    return panel_nodes(merge_breaks(*pieces), k)
+    return panel_nodes(graded_panels(breaks, levels, (breaks[-1] - breaks[0]) * max_frac), k)
 
 
-def _sup_1d(gv, lo: float, hi: float, resolution: int) -> tuple[float, float]:
-    best = 0.0
-    first = None
-    xs = np.linspace(lo, hi, resolution + 1)
-    for _ in range(4):
-        vals = np.abs(gv(xs))
-        require_finite(vals, (xs,))
-        i = int(np.argmax(vals))
-        best = max(best, float(vals[i]))
-        if first is None:
+def _sup_lines(g, axis: str, c: np.ndarray, lo: float, hi: float, resolution: int):
+    """Grid maxima of |g| along every line, each zoomed four times around its argmax."""
+    rows = np.arange(c.size)
+    t = np.broadcast_to(np.linspace(lo, hi, resolution + 1), (c.size, resolution + 1))
+    best = np.zeros(c.size)
+    for step in range(4):
+        coords = line_coords(axis, t, c[:, None])
+        vals = np.abs(g(*coords))
+        require_finite(vals, coords)
+        i = np.argmax(vals, axis=1)
+        best = np.maximum(best, vals[rows, i])
+        if step == 0:
             first = best
-        xs = np.linspace(xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)], 65)
+        n = t.shape[1]
+        t = np.linspace(t[rows, np.maximum(i - 1, 0)], t[rows, np.minimum(i + 1, n - 1)], 65, axis=1)
     return best, best - first
+
+
+def line_norms_with_error(g, axis: str, fixed, lo: float, hi: float, p,
+                          resolution: int = DEFAULT_RESOLUTION):
+    """(int |g|^p)^(1/p) along every line of one axis, plus error estimates.
+
+    Line k runs along ``axis`` ("x" or "y") over [lo, hi] at transverse
+    coordinate fixed[k]; g is a two-variable callable.  Returns arrays
+    (values, errors), one entry per line.  The estimate is the change under
+    one panel-refinement halving (plus a floating-point floor); the sup
+    norm reports its refinement gain.  Lines whose zero scan gives the
+    same breakpoints share their Gauss nodes and are sampled together.
+    """
+    p = Exponent.coerce(p)
+    if resolution < 16:
+        raise ValueError("resolution must be >= 16")
+    if axis not in ("x", "y"):
+        raise ValueError("axis must be 'x' or 'y'")
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    gv = as_grid_fn(g)
+    c = np.asarray(fixed, dtype=float).ravel()
+    if p.is_infinite:
+        value, gain = _sup_lines(gv, axis, c, lo, hi, resolution)
+        return value, np.abs(gain) + 1e-15 * (1.0 + value)
+    max_frac = 1.0 / max(4, resolution // 32)
+    groups: dict[bytes, tuple[np.ndarray, list[int]]] = {}
+    for k, breaks in enumerate(zero_breaks(gv, axis, c, lo, hi, resolution)):
+        groups.setdefault(breaks.tobytes(), (breaks, []))[1].append(k)
+    coarse, fine = np.empty(c.size), np.empty(c.size)
+    for breaks, rows in groups.values():
+        for out, levels, frac in ((coarse, 11, max_frac), (fine, 12, max_frac / 2.0)):
+            t, w = _graded_axis_nodes(breaks, levels, frac)
+            coords = line_coords(axis, t[None, :], c[rows, None])
+            vals = gv(*coords)
+            require_finite(vals, coords)
+            out[rows] = row_p_norms(vals, w, p.value)
+    return fine, np.abs(fine - coarse) + 1e-15 * (1.0 + np.abs(fine))
 
 
 def line_norm_with_error(g, seg: LineSegment, p, resolution: int = DEFAULT_RESOLUTION):
     """(int |g|^p)^(1/p) over the segment, plus an internal error estimate.
 
-    The estimate is the change under one panel-refinement halving (plus a
-    floating-point floor); the sup norm reports its refinement gain.
+    g is a function of the coordinate running along the segment; this is
+    the one-line case of ``line_norms_with_error``.
     """
-    p = Exponent.coerce(p)
-    if resolution < 16:
-        raise ValueError("resolution must be >= 16")
     gv = as_vector_fn(g)
-    if p.is_infinite:
-        value, gain = _sup_1d(gv, seg.lo, seg.hi, resolution)
-        return value, abs(gain) + 1e-15 * (1.0 + value)
-    breaks = zero_breaks(gv, seg.lo, seg.hi, resolution)
-    max_frac = 1.0 / max(4, resolution // 32)
-
-    def one_pass(levels: int, frac: float) -> float:
-        x, w = _graded_axis_nodes(breaks, levels, frac)
-        vals = gv(x)
-        require_finite(vals, (x,))
-        return p_norm_from_samples(vals, w, p.value)
-
-    coarse = one_pass(11, max_frac)
-    fine = one_pass(12, max_frac / 2.0)
-    return fine, abs(fine - coarse) + 1e-15 * (1.0 + abs(fine))
+    along = (lambda x, y: gv(x)) if seg.axis == "x" else (lambda x, y: gv(y))
+    value, err = line_norms_with_error(
+        along, seg.axis, [seg.fixed_coordinate], seg.lo, seg.hi, p, resolution
+    )
+    return float(value[0]), float(err[0])
 
 
 def line_norm(g, seg: LineSegment, p, resolution: int = DEFAULT_RESOLUTION) -> float:
@@ -164,15 +195,9 @@ def area_norm_with_error(g, rect: Rectangle, p, resolution: int = DEFAULT_RESOLU
         return value, abs(gain) + 1e-15 * (1.0 + value)
 
     scan = min(resolution, 192)
-    xbreaks: list[np.ndarray] = []
-    ybreaks: list[np.ndarray] = []
-    for off in (0.155, -0.237):
-        yline = rect.m2 + off * rect.height
-        xbreaks.append(zero_breaks(lambda t: fv(t, np.full_like(t, yline)), rect.a, rect.b, scan))
-        xline = rect.m1 + off * rect.width
-        ybreaks.append(zero_breaks(lambda t: fv(np.full_like(t, xline), t), rect.c, rect.d, scan))
-    bx = merge_breaks(*xbreaks)
-    by = merge_breaks(*ybreaks)
+    offsets = np.asarray([0.155, -0.237])
+    bx = merge_breaks(*zero_breaks(fv, "x", rect.m2 + offsets * rect.height, rect.a, rect.b, scan))
+    by = merge_breaks(*zero_breaks(fv, "y", rect.m1 + offsets * rect.width, rect.c, rect.d, scan))
     max_frac = 1.0 / max(4, resolution // 32)
 
     def one_pass(levels: int, frac: float) -> float:
@@ -272,17 +297,24 @@ def derivative_norms(
             cache[full] = compute()
         return cache[full]
 
-    def line(name: str, g, seg: LineSegment) -> float:
-        return memo(
-            (name, round(seg.fixed_coordinate, 15)),
-            lambda: line_norm(seg.restrict(g), seg, p, resolution),
-        )
+    def lines(name: str, g, axis: str, coords: np.ndarray) -> list[float]:
+        store = cache if cache is not None else {}
+        keys = [(name, round(float(c), 15), pkey, resolution) for c in coords]
+        todo: dict[tuple, float] = {}
+        for c, key in zip(coords, keys):
+            if key not in store:
+                todo.setdefault(key, float(c))
+        if todo:
+            lo, hi = (rect.a, rect.b) if axis == "x" else (rect.c, rect.d)
+            values, _ = line_norms_with_error(g, axis, list(todo.values()), lo, hi, p, resolution)
+            store.update(zip(todo, map(float, values)))
+        return [store[key] for key in keys]
 
     fxy_norm = memo(("fxy",), lambda: area_norm(fxy, rect, p, resolution))
     (xs, _), (ys, _) = ramp_jumps(part, rule_family)
     return DerivativeNorms.from_lines(
         p, rule_family, part.m, part.n, fxy_norm,
-        x_lines=[line("fx", fx, LineSegment.along_x(rect, float(y))) for y in ys],
-        y_lines=[line("fy", fy, LineSegment.along_y(rect, float(x))) for x in xs],
+        x_lines=lines("fx", fx, "x", ys),
+        y_lines=lines("fy", fy, "y", xs),
         source="analytic" if analytic else "numeric",
     )

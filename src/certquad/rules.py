@@ -48,7 +48,7 @@ from .core import (
     holder_coefficient,
 )
 from .gauss import as_grid_fn, require_finite
-from .norms import LineSegment, derivative_norms, line_norm
+from .norms import derivative_norms, line_norms_with_error
 from .weights import CustomPhi, phi_norm_numeric, ramp_jumps, ramp_norm_closed
 
 NOTE_MIDLINE_P1 = (
@@ -264,15 +264,10 @@ def custom_phi_rule(
     estimate = float(np.dot(signs, fvals * phis))
 
     bundle = derivative_norms(f, rect, p, rule_family="trapezoid", resolution=resolution)
-    edges = (
-        LineSegment.along_x(rect, rect.c),
-        LineSegment.along_x(rect, rect.d),
-        LineSegment.along_y(rect, rect.a),
-        LineSegment.along_y(rect, rect.b),
-    )
-    phi_bottom, phi_top, phi_left, phi_right = (
-        line_norm(seg.restrict(w.eval_grid), seg, q, resolution) for seg in edges
-    )
+    edges_x, _ = line_norms_with_error(w.eval_grid, "x", [rect.c, rect.d], rect.a, rect.b, q, resolution)
+    edges_y, _ = line_norms_with_error(w.eval_grid, "y", [rect.a, rect.b], rect.c, rect.d, q, resolution)
+    phi_bottom, phi_top = map(float, edges_x)
+    phi_left, phi_right = map(float, edges_y)
     phi_area = phi_norm_numeric(w, q, resolution)
     fx_term = bundle.fx_bottom * phi_bottom + bundle.fx_top * phi_top
     fy_term = bundle.fy_left * phi_left + bundle.fy_right * phi_right

@@ -45,6 +45,7 @@ from .core import (
 from .gauss import (
     as_vector_fn,
     graded_breaks,
+    graded_panels,
     merge_breaks,
     p_norm_from_samples,
     panel_nodes,
@@ -351,20 +352,13 @@ def _axis_sup(breaks: np.ndarray, roots: np.ndarray) -> float:
 def _custom_axis_nodes(w: CustomPhi, axis: str, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     r = w.rect
     if axis == "x":
-        lo, hi, mid_t = r.a, r.b, r.m2
-        span_t = r.height
-        line = lambda off: as_vector_fn(lambda xs: w.eval_grid(xs, mid_t + off * span_t))
+        lo, hi, mid_t, span_t = r.a, r.b, r.m2, r.height
     else:
-        lo, hi, mid_t = r.c, r.d, r.m1
-        span_t = r.width
-        line = lambda off: as_vector_fn(lambda ys: w.eval_grid(mid_t + off * span_t, ys))
-    breaks = merge_breaks(*(zero_breaks(line(off), lo, hi, 128) for off in (0.155, -0.237)))
-    pieces = []
+        lo, hi, mid_t, span_t = r.c, r.d, r.m1, r.width
+    scan = mid_t + np.asarray([0.155, -0.237]) * span_t
+    breaks = merge_breaks(*zero_breaks(w.eval_grid, axis, scan, lo, hi, 128))
     max_frac = 1.0 / max(2, resolution // 64)
-    for blo, bhi in zip(breaks[:-1], breaks[1:]):
-        pieces.append(refine_breaks(graded_breaks(blo, bhi, levels=10), (hi - lo) * max_frac))
-    allbreaks = merge_breaks(*pieces)
-    return panel_nodes(allbreaks, 8)
+    return panel_nodes(graded_panels(breaks, 10, (hi - lo) * max_frac), 8)
 
 
 def _custom_norm_numeric(w: CustomPhi, q: Exponent, resolution: int) -> float:
@@ -383,8 +377,7 @@ def _custom_norm_numeric(w: CustomPhi, q: Exponent, resolution: int) -> float:
         return best
     xs, wx = _custom_axis_nodes(w, "x", resolution)
     ys, wy = _custom_axis_nodes(w, "y", resolution)
-    vals = np.abs(w.eval_grid(xs[:, None], ys[None, :])) ** q.value
-    return float(wx @ vals @ wy) ** (1.0 / q.value)
+    return p_norm_from_samples(w.eval_grid(xs[:, None], ys[None, :]), np.outer(wx, wy), q.value)
 
 
 def phi_norm_numeric(w: WeightFunction, q, resolution: int = 256) -> float:

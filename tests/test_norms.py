@@ -1,9 +1,15 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 import certquad as cq
-from certquad.norms import LineSegment
-from conftest import integrand
+from certquad.core import FAMILIES
+from certquad.gauss import as_vector_fn, merge_breaks, zero_breaks
+from certquad.norms import LineSegment, partial_evaluators
+from certquad.weights import ramp_jumps
+from conftest import RECT_SET, UNIT, integrand
 
 
 class TestLineNorm:
@@ -174,3 +180,180 @@ class TestProperties:
         a1, aerr1 = cq.area_norm_with_error(lambda x, y: np.exp(x + y), unit, 3, resolution=64)
         a2, _ = cq.area_norm_with_error(lambda x, y: np.exp(x + y), unit, 3, resolution=128)
         assert abs(a2 - a1) <= aerr1 + 1e-14
+
+
+def _scalar_zero_breaks(g, lo, hi, resolution):
+    """One line, one bracket and one point at a time: the reference for ``zero_breaks``."""
+    gv = as_vector_fn(g)
+    xs = np.linspace(lo, hi, resolution + 1)
+    vals = gv(xs)
+    zeros = []
+    exact = np.flatnonzero(vals == 0.0)
+    if exact.size <= resolution // 2:
+        zeros.extend(float(xs[i]) for i in exact if lo < xs[i] < hi)
+    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+        a, b = float(xs[i]), float(xs[i + 1])
+        fa = float(vals[i])
+        for _ in range(60):
+            m = 0.5 * (a + b)
+            fm = float(gv(np.asarray([m]))[0])
+            if fm == 0.0:
+                a = b = m
+                break
+            if (fa < 0.0) == (fm < 0.0):
+                a, fa = m, fm
+            else:
+                b = m
+        zeros.append(0.5 * (a + b))
+        if len(zeros) >= 32:
+            break
+    return merge_breaks([lo, hi], zeros)
+
+
+class TestZeroBreaks:
+    SCAN = np.linspace(0.0, 1.0, 257)
+
+    @staticmethod
+    def g(x, y):
+        # 41 sign changes of sin(41 pi x + 0.3) on every row; exact zeros at
+        # 16 scan points on row y = 1 and at 32 on row y = 2; row y = 3 is zero
+        # for x < 0.6, more than half its scan (a degenerate line)
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        scan = TestZeroBreaks.SCAN
+        zeroed = (
+            ((y == 1.0) & np.isin(x, scan[8::16]))
+            | ((y == 2.0) & np.isin(x, scan[4::8]))
+            | ((y == 3.0) & (x < 0.6))
+        )
+        return np.where(zeroed, 0.0, np.sin(41.0 * np.pi * x + 0.3))
+
+    def test_rows_match_scalar_reference(self):
+        rows = [0.0, 1.0, 2.0, 3.0]
+        got = zero_breaks(self.g, "x", rows, 0.0, 1.0, 256)
+        for y, breaks in zip(rows, got):
+            ref = _scalar_zero_breaks(lambda t: self.g(t, y), 0.0, 1.0, 256)
+            assert np.array_equal(breaks, ref), y
+
+    def test_cap_takes_exact_zeros_then_crossings_in_order(self):
+        none, sixteen, thirty_two, degenerate = zero_breaks(self.g, "x", [0.0, 1.0, 2.0, 3.0], 0.0, 1.0, 256)
+        roots = (np.pi * np.arange(1, 42) - 0.3) / (41.0 * np.pi)
+        # no exact zeros: the first 32 sign changes
+        assert np.allclose(none[1:-1], roots[:32], rtol=0.0, atol=1e-14)
+        # 16 exact zeros first, then sign changes in scan order up to 32
+        assert sixteen.size - 2 == 32
+        assert np.isin(self.SCAN[8::16], sixteen).all()
+        crossings = np.setdiff1d(sixteen[1:-1], self.SCAN[8::16])
+        assert crossings.size == 16
+        assert np.abs(crossings[:, None] - roots[None, :]).min(axis=1).max() < 1e-14
+        assert crossings.max() < roots[20]
+        # 32 exact zeros already: the first sign change is still bisected
+        assert thirty_two.size - 2 == 32 + 1
+        assert np.isin(self.SCAN[4::8], thirty_two).all()
+        # a line zero on more than half its scan keeps only its sign changes
+        assert np.allclose(degenerate[1:-1], roots[24:], rtol=0.0, atol=1e-14)
+
+    def test_bracket_stops_at_exact_zero(self):
+        # the root is the midpoint of its scan bracket: one halving finds it
+        calls = []
+
+        def g(x, y):
+            calls.append(np.broadcast(x, y).size)
+            return np.asarray(y) - 129.0 / 512.0 + 0.0 * np.asarray(x)
+
+        rows = zero_breaks(g, "y", [0.25, 0.75], 0.0, 1.0, 256)
+        assert all(np.array_equal(r, [0.0, 129.0 / 512.0, 1.0]) for r in rows)
+        assert calls == [2 * 257, 2]
+
+
+class TestBatchedLines:
+    """derivative_norms batches every line of a partial; each value must equal the
+    one-line ``line_norm_with_error`` of that line."""
+
+    @staticmethod
+    def per_line(f, rect, p, part, family):
+        fx, fy, _, _ = partial_evaluators(f, rect)
+        (xs, _), (ys, _) = ramp_jumps(part, family)
+        segs_x = [LineSegment.along_x(rect, float(y)) for y in ys]
+        segs_y = [LineSegment.along_y(rect, float(x)) for x in xs]
+        return (
+            tuple(cq.line_norm_with_error(s.restrict(fx), s, p)[0] for s in segs_x),
+            tuple(cq.line_norm_with_error(s.restrict(fy), s, p)[0] for s in segs_y),
+        )
+
+    def check(self, f, rect, p, m, family):
+        part = cq.PartitionSpec(rect, m, m)
+        nb = cq.derivative_norms(f, rect, p, partition=part, rule_family=family)
+        assert (nb.x_lines, nb.y_lines) == self.per_line(f, rect, p, part, family)
+
+    @pytest.mark.parametrize("rect", [UNIT, RECT_SET[4]], ids=["unit", "offset"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 3, cq.INF])
+    def test_registry_matches_per_line(self, rect, family, p):
+        for name in cq.names():
+            for m in (1, 3, 16):
+                self.check(integrand(name, rect), rect, p, m, family)
+
+    @pytest.mark.parametrize("p", [1, 2, cq.INF])
+    def test_steep_lines(self, p):
+        # a sign change 1e-4 wide on every line, between two scan points
+        x0 = 0.5 + 0.5 / 256
+
+        def g(x, y):
+            return np.tanh((np.asarray(x) - x0) / 1e-4) * (1.0 + np.asarray(y))
+
+        f = cq.Integrand(f=g, fx=g, fy=lambda x, y: g(y, x), fxy=g)
+        for family in FAMILIES:
+            self.check(f, UNIT, p, 8, family)
+
+    def test_scalar_only_integrand(self):
+        def g(x, y):
+            return math.sin(3.0 * x) * math.cos(2.0 * y) - 0.1
+
+        f = cq.Integrand(f=g, fx=g, fy=g, fxy=g)
+        for p in (1.5, cq.INF):
+            self.check(f, UNIT, p, 3, "trapezoid")
+
+    def test_nonfinite_line_raises_with_coordinate(self):
+        def fx(x, y):
+            return np.asarray(x) / (np.asarray(y) - 0.5)
+
+        f = cq.Integrand(f=fx, fx=fx, fy=lambda x, y: 0.0 * x * y, fxy=lambda x, y: 0.0 * x * y)
+        part = cq.PartitionSpec(UNIT, 4, 4)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(cq.EvaluationError) as err:
+                cq.derivative_norms(f, UNIT, 2, partition=part)
+        assert err.value.coordinate is not None
+        assert err.value.coordinate[1] == 0.5
+
+
+class TestEvaluationCounts:
+    """Deterministic evaluation counters of one 32 x 32 trapezoid bundle at p = 2.
+
+    The f_x and f_y lines of a partial are scanned in one call, bisected
+    together and sampled per breakpoint group, so the call count does not
+    grow with the line count while the sampled points stay what a
+    line-by-line evaluation samples.
+    """
+
+    @pytest.mark.parametrize("name, rect, points, max_vector_calls", [
+        ("sinsin", cq.Rectangle(0.0, np.pi, 0.0, np.pi), 70850, 140),
+        ("expsum", UNIT, 46530, 8),
+    ])
+    def test_counts(self, name, rect, points, max_vector_calls):
+        rec = {"vector": 0, "single": 0, "points": 0}
+
+        def counted(fn):
+            def wrapper(x, y):
+                n = np.broadcast(np.asarray(x), np.asarray(y)).size
+                rec["vector" if n > 1 else "single"] += 1
+                rec["points"] += n
+                return fn(x, y)
+
+            return wrapper
+
+        f = integrand(name, rect)
+        f = dataclasses.replace(f, fx=counted(f.fx), fy=counted(f.fy))
+        cq.derivative_norms(f, rect, 2, partition=cq.PartitionSpec(rect, 32, 32))
+        assert rec["single"] == 0
+        assert rec["points"] == points
+        assert rec["vector"] <= max_vector_calls

@@ -127,6 +127,27 @@ class TestNumericAudit:
             cq.phi_norm_numeric(cq.TrapezoidPhi(sym), 2, resolution=4)
 
 
+def _custom_trapezoid(rect):
+    """The corner-product weight written as xy + alpha(x) + beta(y)."""
+    return cq.CustomPhi(lambda x: -rect.m2 * x + rect.m1 * rect.m2, lambda y: -rect.m1 * y, rect)
+
+
+class TestCustomNumericNorm:
+    # at q = 1e6 the power sum must factor out max|phi|: without it
+    # |phi|^q underflows to 0 when max|phi| < 1 and overflows when > 1
+    @pytest.mark.parametrize("rect", [cq.Rectangle.unit(), cq.Rectangle(0.0, 4.0, 0.0, 4.0)],
+                             ids=["unit", "four"])
+    def test_huge_q_matches_trapezoid(self, rect):
+        custom = cq.phi_norm_numeric(_custom_trapezoid(rect), 1e6)
+        builtin = cq.phi_norm_numeric(cq.TrapezoidPhi(rect), 1e6)
+        assert custom == pytest.approx(builtin, rel=1e-4)
+
+    def test_custom_rule_near_p_one_keeps_area_term(self, unit):
+        f = cq.get_entry("poly22").integrand(unit)
+        report = cq.custom_phi_rule(f, _custom_trapezoid(unit), unit, 1 + 1e-6)
+        assert report.fxy_term > 0.0
+
+
 @given(
     st.floats(min_value=-0.99, max_value=0.99),
     st.floats(min_value=-0.99, max_value=0.99),
