@@ -60,7 +60,6 @@ from .rules import (
     composite_midpoint_report,
     composite_trapezoid_bound,
     composite_trapezoid_estimate,
-    composite_trapezoid_estimate_boundary_only,
     composite_trapezoid_report,
     custom_phi_rule,
     midpoint_1d,

@@ -328,13 +328,6 @@ class PartitionSpec:
         return 0.5 * (nodes[:-1] + nodes[1:])
 
 
-def _check_norm_value(name: str, v: float) -> float:
-    v = float(v)
-    if not (math.isfinite(v) and v >= 0.0):
-        raise ValueError(f"norm entry {name} must be finite and >= 0, got {v!r}")
-    return v
-
-
 @dataclass(frozen=True)
 class DerivativeNorms:
     """The derivative norms a certified bound consumes, bound to one rule setup.
@@ -342,12 +335,11 @@ class DerivativeNorms:
     The bundle records which family, exponent and partition it was built
     for; the bound operations refuse bundles built for anything else.
 
-    trapezoid family: the four boundary-line norms plus, for a composite
-    partition, the interior grid-line norms (``interior_x_lines`` holds
-    ||f_x(., y_j)||_p for j = 1..n-1, ``interior_y_lines`` the analogous
-    x_i list).  midpoint family: the boundary fields stay ``None`` and the
-    lists hold the cell-midline norms (length n and m; for m = n = 1 these
-    are the two midline norms of the simple rule).
+    ``x_lines`` holds ||f_x(., y_l)||_p for every line y = y_l across which
+    the rule's weight jumps (``weights.ramp_jumps``), in increasing y, and
+    ``y_lines`` the same for f_y along x = x_k: the boundary and grid
+    lines of the trapezoid family (n + 1 and m + 1 of them), the cell
+    midlines of the midpoint family (n and m).
     """
 
     p: Exponent
@@ -355,12 +347,8 @@ class DerivativeNorms:
     m: int
     n: int
     fxy: float
-    fx_bottom: float | None = None
-    fx_top: float | None = None
-    fy_left: float | None = None
-    fy_right: float | None = None
-    interior_x_lines: tuple[float, ...] = ()
-    interior_y_lines: tuple[float, ...] = ()
+    x_lines: tuple[float, ...]
+    y_lines: tuple[float, ...]
     provenance: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -368,83 +356,17 @@ class DerivativeNorms:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.m < 1 or self.n < 1:
             raise ValueError("partition binding m, n must be >= 1")
-        object.__setattr__(self, "fxy", _check_norm_value("fxy", self.fxy))
-        object.__setattr__(
-            self,
-            "interior_x_lines",
-            tuple(_check_norm_value("interior_x_lines", v) for v in self.interior_x_lines),
-        )
-        object.__setattr__(
-            self,
-            "interior_y_lines",
-            tuple(_check_norm_value("interior_y_lines", v) for v in self.interior_y_lines),
-        )
-        if self.family == "trapezoid":
-            for name in ("fx_bottom", "fx_top", "fy_left", "fy_right"):
-                v = getattr(self, name)
-                if v is None:
-                    raise ValueError(f"trapezoid-family norms require {name}")
-                object.__setattr__(self, name, _check_norm_value(name, v))
-            if len(self.interior_x_lines) != self.n - 1:
-                raise ValueError(
-                    f"expected {self.n - 1} interior x-line norms, got {len(self.interior_x_lines)}"
-                )
-            if len(self.interior_y_lines) != self.m - 1:
-                raise ValueError(
-                    f"expected {self.m - 1} interior y-line norms, got {len(self.interior_y_lines)}"
-                )
-        else:
-            for name in ("fx_bottom", "fx_top", "fy_left", "fy_right"):
-                if getattr(self, name) is not None:
-                    raise ValueError(f"midpoint-family norms take no {name}")
-            if len(self.interior_x_lines) != self.n:
-                raise ValueError(
-                    f"expected {self.n} midline x norms, got {len(self.interior_x_lines)}"
-                )
-            if len(self.interior_y_lines) != self.m:
-                raise ValueError(
-                    f"expected {self.m} midline y norms, got {len(self.interior_y_lines)}"
-                )
-
-    @classmethod
-    def from_lines(
-        cls, p: Exponent, family: str, m: int, n: int, fxy: float,
-        x_lines, y_lines, source: str,
-    ) -> "DerivativeNorms":
-        """Pack line norms listed in increasing transverse coordinate.
-
-        ``x_lines`` are the f_x norms along the lines y = y_l a rule's
-        weight jumps across, ``y_lines`` the f_y norms along x = x_k;
-        ``source`` tags every entry in ``provenance``.  The trapezoid
-        family's first and last lines are the boundary fields.
-        """
-        x_lines, y_lines = tuple(x_lines), tuple(y_lines)
-        if family == "trapezoid":
-            fields = dict(
-                fx_bottom=x_lines[0], fx_top=x_lines[-1],
-                fy_left=y_lines[0], fy_right=y_lines[-1],
-                interior_x_lines=x_lines[1:-1], interior_y_lines=y_lines[1:-1],
-            )
-        else:
-            fields = dict(interior_x_lines=x_lines, interior_y_lines=y_lines)
-        return cls(
-            p=p, family=family, m=m, n=n, fxy=fxy, **fields,
-            provenance={name: source for name in ("fxy", *fields)},
-        )
-
-    @property
-    def x_lines(self) -> tuple[float, ...]:
-        """The f_x line norms in increasing y; inverse of ``from_lines``."""
-        if self.family == "trapezoid":
-            return (self.fx_bottom, *self.interior_x_lines, self.fx_top)
-        return self.interior_x_lines
-
-    @property
-    def y_lines(self) -> tuple[float, ...]:
-        """The f_y line norms in increasing x; inverse of ``from_lines``."""
-        if self.family == "trapezoid":
-            return (self.fy_left, *self.interior_y_lines, self.fy_right)
-        return self.interior_y_lines
+        object.__setattr__(self, "p", Exponent.coerce(self.p))
+        extra = 1 if self.family == "trapezoid" else 0
+        object.__setattr__(self, "fxy", float(self.fxy))
+        for name, count in (("x_lines", self.n + extra), ("y_lines", self.m + extra)):
+            values = tuple(map(float, getattr(self, name)))
+            if len(values) != count:
+                raise ValueError(f"expected {count} {name} norms, got {len(values)}")
+            object.__setattr__(self, name, values)
+        for v in (self.fxy, *self.x_lines, *self.y_lines):
+            if not (math.isfinite(v) and v >= 0.0):
+                raise ValueError(f"norm entries must be finite and >= 0, got {v!r}")
 
     def matches(self, family: str, m: int, n: int) -> bool:
         return self.family == family and self.m == m and self.n == n
@@ -471,6 +393,7 @@ class QuadratureReport:
     def __post_init__(self) -> None:
         if self.rule_id not in RULE_IDS:
             raise ValueError(f"rule_id must be one of {RULE_IDS}, got {self.rule_id!r}")
+        object.__setattr__(self, "p", Exponent.coerce(self.p))
         for name in ("fx_term", "fy_term", "fxy_term"):
             v = float(getattr(self, name))
             if not (math.isfinite(v) and v >= 0.0):

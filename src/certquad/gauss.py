@@ -182,6 +182,30 @@ def zero_breaks(g, axis: str, fixed, lo: float, hi: float, resolution: int) -> l
     ]
 
 
+def zoomed_sup(g, rect, size: int) -> tuple[float, float]:
+    """Grid maximum of |g| over a rectangle, zoomed twice around its argmax.
+
+    g is a broadcasting two-variable callable, sampled on a (size + 1)^2
+    grid of ``rect``, then twice on a 33 x 33 grid spanning the neighbours
+    of the last argmax.  Returns the maximum and its gain over the first
+    grid; non-finite samples raise EvaluationError.
+    """
+    best = 0.0
+    first = None
+    xs = np.linspace(rect.a, rect.b, size + 1)
+    ys = np.linspace(rect.c, rect.d, size + 1)
+    for _ in range(3):
+        vals = np.abs(g(xs[:, None], ys[None, :]))
+        require_finite(vals, (xs[:, None], ys[None, :]))
+        i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        best = max(best, float(vals[i, j]))
+        if first is None:
+            first = best
+        xs = np.linspace(xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)], 33)
+        ys = np.linspace(ys[max(j - 1, 0)], ys[min(j + 1, ys.size - 1)], 33)
+    return best, best - first
+
+
 def as_vector_fn(g: Callable) -> Callable[[np.ndarray], np.ndarray]:
     """Wrap a one-variable callable so it accepts numpy arrays.
 

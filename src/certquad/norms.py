@@ -41,6 +41,7 @@ from .gauss import (
     require_finite,
     row_p_norms,
     zero_breaks,
+    zoomed_sup,
 )
 from .weights import ramp_jumps
 
@@ -161,24 +162,6 @@ def line_norm(g, seg: LineSegment, p, resolution: int = DEFAULT_RESOLUTION) -> f
     return line_norm_with_error(g, seg, p, resolution)[0]
 
 
-def _sup_2d(fv, rect: Rectangle, resolution: int) -> tuple[float, float]:
-    best = 0.0
-    first = None
-    nx = min(resolution, 256)
-    xs = np.linspace(rect.a, rect.b, nx + 1)
-    ys = np.linspace(rect.c, rect.d, nx + 1)
-    for _ in range(3):
-        vals = np.abs(fv(xs[:, None], ys[None, :]))
-        require_finite(vals, (xs[:, None], ys[None, :]))
-        i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        best = max(best, float(vals[i, j]))
-        if first is None:
-            first = best
-        xs = np.linspace(xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)], 33)
-        ys = np.linspace(ys[max(j - 1, 0)], ys[min(j + 1, ys.size - 1)], 33)
-    return best, best - first
-
-
 def area_norm_with_error(g, rect: Rectangle, p, resolution: int = DEFAULT_RESOLUTION):
     """(int int |g|^p)^(1/p) over the rectangle, plus an error estimate.
 
@@ -191,7 +174,7 @@ def area_norm_with_error(g, rect: Rectangle, p, resolution: int = DEFAULT_RESOLU
         raise ValueError("resolution must be >= 16")
     fv = as_grid_fn(g)
     if p.is_infinite:
-        value, gain = _sup_2d(fv, rect, resolution)
+        value, gain = zoomed_sup(fv, rect, min(resolution, 256))
         return value, abs(gain) + 1e-15 * (1.0 + value)
 
     scan = min(resolution, 192)
@@ -273,12 +256,13 @@ def derivative_norms(
 ) -> DerivativeNorms:
     """Build the norm bundle a certified bound needs.
 
-    The f_x norms are taken along every line y = y_l across which the
-    rule's weight jumps, the f_y norms along every such x = x_k (see
-    ``weights.ramp_jumps``): the boundary and interior grid lines for the
-    trapezoid family, the cell midlines for the midpoint family.  Both
-    include ||f_xy||_p over the rectangle.  ``cache`` memoizes line norms
-    across partitions of the same integrand.
+    ``x_lines`` are the f_x norms along every line y = y_l across which
+    the rule's weight jumps, ``y_lines`` the f_y norms along every such
+    x = x_k (see ``weights.ramp_jumps``): the boundary and interior grid
+    lines for the trapezoid family, the cell midlines for the midpoint
+    family.  ``fxy`` is ||f_xy||_p over the rectangle.  ``cache`` memoizes
+    the area norm and every line norm across partitions of the same
+    integrand.
     """
     p = Exponent.coerce(p)
     if rule_family not in FAMILIES:
@@ -288,17 +272,9 @@ def derivative_norms(
         raise ValueError("partition was built for a different rectangle")
     fx, fy, fxy, analytic = partial_evaluators(f, rect, fd_fallback)
     pkey = str(p)
-
-    def memo(key, compute):
-        if cache is None:
-            return compute()
-        full = key + (pkey, resolution)
-        if full not in cache:
-            cache[full] = compute()
-        return cache[full]
+    store = cache if cache is not None else {}
 
     def lines(name: str, g, axis: str, coords: np.ndarray) -> list[float]:
-        store = cache if cache is not None else {}
         keys = [(name, round(float(c), 15), pkey, resolution) for c in coords]
         todo: dict[tuple, float] = {}
         for c, key in zip(coords, keys):
@@ -310,11 +286,14 @@ def derivative_norms(
             store.update(zip(todo, map(float, values)))
         return [store[key] for key in keys]
 
-    fxy_norm = memo(("fxy",), lambda: area_norm(fxy, rect, p, resolution))
+    fxy_key = ("fxy", pkey, resolution)
+    if fxy_key not in store:
+        store[fxy_key] = area_norm(fxy, rect, p, resolution)
     (xs, _), (ys, _) = ramp_jumps(part, rule_family)
-    return DerivativeNorms.from_lines(
-        p, rule_family, part.m, part.n, fxy_norm,
+    source = "analytic" if analytic else "numeric"
+    return DerivativeNorms(
+        p=p, family=rule_family, m=part.m, n=part.n, fxy=store[fxy_key],
         x_lines=lines("fx", fx, "x", ys),
         y_lines=lines("fy", fy, "y", xs),
-        source="analytic" if analytic else "numeric",
+        provenance=dict.fromkeys(("fxy", "x_lines", "y_lines"), source),
     )

@@ -136,34 +136,6 @@ def composite_trapezoid_estimate(f: Integrand, rect: Rectangle, part: PartitionS
     return _jump_estimate(f, part, "trapezoid")
 
 
-def composite_trapezoid_estimate_boundary_only(
-    f: Integrand, rect: Rectangle, part: PartitionSpec
-) -> float:
-    """The telescoped boundary-only display (documented, not certified).
-
-    Samples only the rectangle boundary: corners once, edge-interior grid
-    points twice, times W H / (4mn).  For m, n > 1 it drops the
-    interior-cell corner contributions of the cell-summed rule and fails
-    constant exactness (e.g. m=2, n=3 on the unit square gives 2/3);
-    kept so the discrepancy is checkable.
-    """
-    if part.rect != rect:
-        raise ValueError("partition was built for a different rectangle")
-    fv = as_grid_fn(f.f)
-    xs, ys = part.x_nodes(), part.y_nodes()
-    corners = fv(np.asarray([rect.a, rect.b, rect.a, rect.b]), np.asarray([rect.c, rect.c, rect.d, rect.d]))
-    total = float(corners.sum())
-    if part.n > 1:
-        yj = ys[1:-1]
-        total += 2.0 * float(fv(np.full_like(yj, rect.a), yj).sum())
-        total += 2.0 * float(fv(np.full_like(yj, rect.b), yj).sum())
-    if part.m > 1:
-        xi = xs[1:-1]
-        total += 2.0 * float(fv(xi, np.full_like(xi, rect.c)).sum())
-        total += 2.0 * float(fv(xi, np.full_like(xi, rect.d)).sum())
-    return total * rect.width * rect.height / (4.0 * part.m * part.n)
-
-
 def composite_midpoint_estimate(f: Integrand, rect: Rectangle, part: PartitionSpec) -> float:
     """Mean of cell-midpoint samples times area."""
     if part.rect != rect:
@@ -266,12 +238,9 @@ def custom_phi_rule(
     bundle = derivative_norms(f, rect, p, rule_family="trapezoid", resolution=resolution)
     edges_x, _ = line_norms_with_error(w.eval_grid, "x", [rect.c, rect.d], rect.a, rect.b, q, resolution)
     edges_y, _ = line_norms_with_error(w.eval_grid, "y", [rect.a, rect.b], rect.c, rect.d, q, resolution)
-    phi_bottom, phi_top = map(float, edges_x)
-    phi_left, phi_right = map(float, edges_y)
-    phi_area = phi_norm_numeric(w, q, resolution)
-    fx_term = bundle.fx_bottom * phi_bottom + bundle.fx_top * phi_top
-    fy_term = bundle.fy_left * phi_left + bundle.fy_right * phi_right
-    fxy_term = bundle.fxy * phi_area
+    fx_term = sum(v * e for v, e in zip(bundle.x_lines, edges_x))
+    fy_term = sum(v * e for v, e in zip(bundle.y_lines, edges_y))
+    fxy_term = bundle.fxy * phi_norm_numeric(w, q, resolution)
     return QuadratureReport(
         rule_id="custom-phi",
         estimate=estimate,

@@ -51,6 +51,7 @@ from .gauss import (
     panel_nodes,
     refine_breaks,
     zero_breaks,
+    zoomed_sup,
 )
 
 
@@ -362,19 +363,8 @@ def _custom_axis_nodes(w: CustomPhi, axis: str, resolution: int) -> tuple[np.nda
 
 
 def _custom_norm_numeric(w: CustomPhi, q: Exponent, resolution: int) -> float:
-    r = w.rect
     if q.is_infinite:
-        best = 0.0
-        nx = max(64, resolution)
-        xs = np.linspace(r.a, r.b, nx + 1)
-        ys = np.linspace(r.c, r.d, nx + 1)
-        for _ in range(3):
-            vals = np.abs(w.eval_grid(xs[:, None], ys[None, :]))
-            i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
-            best = max(best, float(vals[i, j]))
-            xs = np.linspace(xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)], 33)
-            ys = np.linspace(ys[max(j - 1, 0)], ys[min(j + 1, ys.size - 1)], 33)
-        return best
+        return zoomed_sup(w.eval_grid, w.rect, max(64, resolution))[0]
     xs, wx = _custom_axis_nodes(w, "x", resolution)
     ys, wy = _custom_axis_nodes(w, "y", resolution)
     return p_norm_from_samples(w.eval_grid(xs[:, None], ys[None, :]), np.outer(wx, wy), q.value)

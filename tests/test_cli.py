@@ -78,6 +78,16 @@ class TestJsonSchema:
         assert payload["oracle"]["value"] == pytest.approx(1.0 / 9.0)
         assert payload["bound"]["total"] == pytest.approx(0.75, abs=1e-9)
 
+    @pytest.mark.parametrize("rule", ["trapezoid", "composite-midpoint"])
+    def test_norm_provenance_names_line_lists(self, capsys, rule):
+        code, payload = run_json(
+            capsys,
+            ["integrate", "--function", "poly22", "--p", "2", "--rule", rule,
+             "--m", "2", "--n", "3", "--format", "json"],
+        )
+        assert code == OK
+        assert payload["provenance"][-1] == "norms: fxy=analytic, x_lines=analytic, y_lines=analytic"
+
     def test_minimize_norm_report(self, capsys):
         code, payload = run_json(
             capsys, ["minimize-norm", "--q", "2", "--restarts", "2", "--format", "json"])

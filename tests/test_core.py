@@ -126,23 +126,36 @@ class TestDerivativeNorms:
     def test_trapezoid_shape_enforced(self):
         with pytest.raises(ValueError):
             cq.DerivativeNorms(p=cq.INF, family="trapezoid", m=1, n=2, fxy=1.0,
-                               fx_bottom=1, fx_top=1, fy_left=1, fy_right=1)
+                               x_lines=(1, 1), y_lines=(1, 1))
 
     def test_midpoint_shape_enforced(self):
         with pytest.raises(ValueError):
-            cq.DerivativeNorms(p=cq.INF, family="midpoint", m=1, n=1, fxy=1.0)
+            cq.DerivativeNorms(p=cq.INF, family="midpoint", m=1, n=1, fxy=1.0,
+                               x_lines=(), y_lines=())
 
-    def test_midpoint_rejects_boundary_fields(self):
-        for name in ("fx_bottom", "fx_top", "fy_left", "fy_right"):
+    @pytest.mark.parametrize("family, extra", [("trapezoid", 1), ("midpoint", 0)])
+    def test_line_counts_and_entries_checked(self, family, extra):
+        m, n = 3, 2
+
+        def build(x_lines, y_lines):
+            return cq.DerivativeNorms(p=2, family=family, m=m, n=n, fxy=1.0,
+                                      x_lines=x_lines, y_lines=y_lines)
+
+        nb = build((1.0,) * (n + extra), (1.0,) * (m + extra))
+        assert (len(nb.x_lines), len(nb.y_lines)) == (n + extra, m + extra)
+        for dx, dy in ((-1, 0), (1, 0), (0, -1), (0, 1)):
             with pytest.raises(ValueError):
-                cq.DerivativeNorms(p=cq.INF, family="midpoint", m=1, n=1, fxy=1.0,
-                                   interior_x_lines=(1.0,), interior_y_lines=(1.0,),
-                                   **{name: 5.0})
+                build((1.0,) * (n + extra + dx), (1.0,) * (m + extra + dy))
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                build((bad,) + (1.0,) * (n + extra - 1), (1.0,) * (m + extra))
+            with pytest.raises(ValueError):
+                build((1.0,) * (n + extra), (1.0,) * (m + extra - 1) + (bad,))
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             cq.DerivativeNorms(p=cq.INF, family="midpoint", m=1, n=1, fxy=-1.0,
-                               interior_x_lines=(1.0,), interior_y_lines=(1.0,))
+                               x_lines=(1.0,), y_lines=(1.0,))
 
 
 class TestQuadratureReport:
@@ -152,6 +165,11 @@ class TestQuadratureReport:
             fx_term=0.1, fy_term=0.2, fxy_term=0.3, p=cq.INF,
         )
         assert rep.bound == 0.1 + 0.2 + 0.3
+
+    def test_plain_exponent_coerced(self):
+        rep = cq.QuadratureReport(rule_id="trapezoid", estimate=0.0,
+                                  fx_term=0, fy_term=0, fxy_term=0, p=2)
+        assert isinstance(rep.p, cq.Exponent) and rep.p == cq.Exponent(2.0)
 
     def test_rule_id_checked(self):
         with pytest.raises(ValueError):

@@ -90,21 +90,22 @@ class TestSegments:
 class TestDerivativeNorms:
     def test_poly22_sup_trapezoid(self, unit):
         nb = cq.derivative_norms(integrand("poly22", unit), unit, cq.INF)
-        assert nb.fx_bottom == pytest.approx(0.0, abs=1e-14)
-        assert nb.fx_top == pytest.approx(2.0, abs=1e-10)
-        assert nb.fy_left == pytest.approx(0.0, abs=1e-14)
-        assert nb.fy_right == pytest.approx(2.0, abs=1e-10)
+        (fx_bottom, fx_top), (fy_left, fy_right) = nb.x_lines, nb.y_lines
+        assert fx_bottom == pytest.approx(0.0, abs=1e-14)
+        assert fx_top == pytest.approx(2.0, abs=1e-10)
+        assert fy_left == pytest.approx(0.0, abs=1e-14)
+        assert fy_right == pytest.approx(2.0, abs=1e-10)
         assert nb.fxy == pytest.approx(4.0, abs=1e-10)
 
     def test_constant_all_zero(self, unit):
         nb = cq.derivative_norms(integrand("one", unit), unit, 2)
-        assert nb.fx_bottom == nb.fx_top == nb.fy_left == nb.fy_right == nb.fxy == 0.0
+        assert (*nb.x_lines, *nb.y_lines, nb.fxy) == (0.0,) * 5
 
     def test_xy_l1(self, unit):
         nb = cq.derivative_norms(integrand("xy", unit), unit, 1)
-        assert nb.fx_bottom == pytest.approx(0.0, abs=1e-14)
-        assert nb.fx_top == pytest.approx(1.0, rel=1e-11)
-        assert nb.fy_right == pytest.approx(1.0, rel=1e-11)
+        assert nb.x_lines[0] == pytest.approx(0.0, abs=1e-14)
+        assert nb.x_lines[-1] == pytest.approx(1.0, rel=1e-11)
+        assert nb.y_lines[-1] == pytest.approx(1.0, rel=1e-11)
         assert nb.fxy == pytest.approx(1.0, rel=1e-11)
 
     def test_midpoint_family_midlines(self, unit):
@@ -112,8 +113,8 @@ class TestDerivativeNorms:
         nb = cq.derivative_norms(integrand("poly22", unit), unit, cq.INF,
                                  partition=part, rule_family="midpoint")
         # ||f_x(., n_j)||_inf = 2 * n_j^2 at x = 1
-        assert nb.interior_x_lines == pytest.approx((2 * 0.25**2, 2 * 0.75**2), abs=1e-10)
-        assert nb.fx_bottom is None
+        assert nb.x_lines == pytest.approx((2 * 0.25**2, 2 * 0.75**2), abs=1e-10)
+        assert len(nb.y_lines) == 2
 
     def test_provenance_flags(self, unit):
         nb = cq.derivative_norms(integrand("poly22", unit), unit, 2)
@@ -134,9 +135,8 @@ class TestDerivativeNorms:
             bare = cq.Integrand(f=entry.f)
             na = cq.derivative_norms(full, unit, 2, resolution=512)
             nn = cq.derivative_norms(bare, unit, 2, resolution=512)
-            for attr in ("fx_bottom", "fx_top", "fy_left", "fy_right", "fxy"):
-                a, b = getattr(na, attr), getattr(nn, attr)
-                assert abs(a - b) <= 1e-4 * (1.0 + a), (name, attr, a, b)
+            for a, b in zip((*na.x_lines, *na.y_lines, na.fxy), (*nn.x_lines, *nn.y_lines, nn.fxy)):
+                assert abs(a - b) <= 1e-4 * (1.0 + a), (name, a, b)
 
 
 class TestRegistryPartials:

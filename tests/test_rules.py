@@ -42,19 +42,10 @@ class TestEstimates:
             pytest.approx(0.25, abs=1e-15))
 
     def test_composite_constant_exactness(self, unit):
-        # the cell-summed corner rule integrates constants exactly;
-        # the telescoped boundary-only display does not (m=2, n=3 -> 2/3).
+        # the cell-summed corner rule integrates constants exactly
         part = cq.PartitionSpec(unit, 2, 3)
         one = integrand("one", unit)
         assert cq.composite_trapezoid_estimate(one, unit, part) == pytest.approx(1.0, abs=1e-15)
-        displayed = cq.composite_trapezoid_estimate_boundary_only(one, unit, part)
-        assert displayed == pytest.approx(2.0 / 3.0, abs=1e-15)
-
-    def test_boundary_only_matches_at_single_cell(self, unit):
-        part = cq.PartitionSpec(unit, 1, 1)
-        f = integrand("expsum", unit)
-        assert cq.composite_trapezoid_estimate_boundary_only(f, unit, part) == (
-            pytest.approx(cq.trapezoid_estimate(f, unit)))
 
     def test_nonfinite_corner(self, unit):
         bad = cq.Integrand(f=lambda x, y: np.where(x > 0.5, np.inf, 1.0))
@@ -105,8 +96,17 @@ class TestSimpleBounds:
 
     def test_zero_norms_zero_bound(self, unit):
         nb = cq.DerivativeNorms(p=cq.INF, family="trapezoid", m=1, n=1, fxy=0.0,
-                                fx_bottom=0, fx_top=0, fy_left=0, fy_right=0)
+                                x_lines=(0, 0), y_lines=(0, 0))
         assert cq.trapezoid_bound(nb, unit).total == 0.0
+
+    def test_plain_exponent_bundle(self, unit):
+        # a bundle built with p = 1 as a plain number bounds like Exponent(1),
+        # midline note included
+        lines = dict(family="midpoint", m=1, n=1, fxy=1.25, x_lines=(0.5,), y_lines=(2.0,))
+        plain = cq.midpoint_bound(cq.DerivativeNorms(p=1, **lines), unit)
+        typed = cq.midpoint_bound(cq.DerivativeNorms(p=cq.Exponent(1), **lines), unit)
+        assert plain == typed
+        assert plain.notes == (cq.rules.NOTE_MIDLINE_P1,)
 
     def test_family_mismatch_rejected(self, unit):
         nb = bundle("xy", unit, cq.INF, family="midpoint")
@@ -198,9 +198,7 @@ class TestCompositeBounds:
                 xl = tuple(np.sqrt(np.arange(2.0, n + 3.0)))
                 yl = tuple(np.log(np.arange(3.0, m + 4.0)))
                 nb = cq.DerivativeNorms(
-                    p=p, family="trapezoid", m=m, n=n, fxy=1.7,
-                    fx_bottom=xl[0], fx_top=xl[-1], fy_left=yl[0], fy_right=yl[-1],
-                    interior_x_lines=xl[1:-1], interior_y_lines=yl[1:-1],
+                    p=p, family="trapezoid", m=m, n=n, fxy=1.7, x_lines=xl, y_lines=yl,
                 )
                 sx = xl[0] + 2.0 * sum(xl[1:-1]) + xl[-1]
                 sy = yl[0] + 2.0 * sum(yl[1:-1]) + yl[-1]
@@ -214,8 +212,7 @@ class TestCompositeBounds:
                 assert got == pytest.approx(want, rel=1e-13, abs=0), ("trapezoid", m, n, p)
 
                 nb = cq.DerivativeNorms(
-                    p=p, family="midpoint", m=m, n=n, fxy=1.7,
-                    interior_x_lines=xl[:n], interior_y_lines=yl[:m],
+                    p=p, family="midpoint", m=m, n=n, fxy=1.7, x_lines=xl[:n], y_lines=yl[:m],
                 )
                 want = (
                     sum(xl[:n]) * H * W**e * C / (2.0 * m * n),

@@ -1,0 +1,50 @@
+"""The experiment scripts run end to end as subprocesses on small inputs."""
+
+import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_convergence_study(tmp_path):
+    out = tmp_path / "c.csv"
+    stdout = run_script("convergence_study.py", "--levels", "2", "--out", str(out))
+    assert "wrote 6 rows" in stdout
+    with open(out, newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0] == ["rule", "n", "estimate", "error", "bound", "bound_over_error"]
+    got = [(r[0], int(r[1])) for r in rows[1:]]
+    assert got == [(rule, n) for rule in ("composite-trapezoid", "composite-midpoint")
+                   for n in (1, 2, 4)]
+    for row in rows[1:]:
+        error, bound = float(row[3]), float(row[4])
+        assert error <= bound
+
+
+def test_norm_minimization_study():
+    stdout = run_script("norm_minimization_study.py", "--q-grid", "2", "--restarts", "2")
+    lines = stdout.splitlines()
+    q, achieved, target, gap, _ = lines[1].split()
+    assert float(q) == 2.0
+    assert float(achieved) == pytest.approx(float(target), abs=1e-6)
+    assert float(gap) <= 1e-6
+    exhibits = [line for line in lines if line.strip().startswith("||")]
+    assert len(exhibits) == 2
+    for line in exhibits:
+        assert float(line.rsplit("=", 1)[1]) == pytest.approx(1.0, abs=1e-12)

@@ -142,6 +142,12 @@ class TestCustomNumericNorm:
         builtin = cq.phi_norm_numeric(cq.TrapezoidPhi(rect), 1e6)
         assert custom == pytest.approx(builtin, rel=1e-4)
 
+    def test_nonfinite_weight_rejected_at_every_q(self, unit):
+        w = cq.CustomPhi(lambda x: np.where(x > 0.5, np.nan, 0.0), lambda y: 0.0 * y, unit)
+        for q in (2, cq.INF):
+            with pytest.raises(cq.EvaluationError):
+                cq.phi_norm_numeric(w, q)
+
     def test_custom_rule_near_p_one_keeps_area_term(self, unit):
         f = cq.get_entry("poly22").integrand(unit)
         report = cq.custom_phi_rule(f, _custom_trapezoid(unit), unit, 1 + 1e-6)
