@@ -33,20 +33,13 @@ def main() -> int:
 
     rows = []
     for rule in ("composite-trapezoid", "composite-midpoint"):
-        family = "midpoint" if rule.endswith("midpoint") else "trapezoid"
         cache = {}
         ns, bounds = [], []
         for k in range(args.levels + 1):
             n = 2**k
             part = cq.PartitionSpec(rect, n, n)
-            nb = cq.derivative_norms(f, rect, p, partition=part, rule_family=family,
-                                     resolution=args.resolution, cache=cache)
-            if rule == "composite-trapezoid":
-                est = cq.composite_trapezoid_estimate(f, rect, part)
-                bound = cq.composite_trapezoid_bound(nb, rect, part).total
-            else:
-                est = cq.composite_midpoint_estimate(f, rect, part)
-                bound = cq.composite_midpoint_bound(nb, rect, part).total
+            report = cq.rule_report(f, rect, rule, p, part, args.resolution, cache)
+            est, bound = report.estimate, report.bound
             err = abs(est - oracle)
             rows.append((rule, n, est, err, bound, bound / err if err else float("inf")))
             ns.append(n)

@@ -57,19 +57,16 @@ from .rules import (
     BoundComponents,
     composite_midpoint_bound,
     composite_midpoint_estimate,
-    composite_midpoint_report,
     composite_trapezoid_bound,
     composite_trapezoid_estimate,
-    composite_trapezoid_report,
     custom_phi_rule,
     midpoint_1d,
     midpoint_bound,
     midpoint_estimate,
-    midpoint_report,
+    rule_report,
     trapezoid_1d,
     trapezoid_bound,
     trapezoid_estimate,
-    trapezoid_report,
     uniform_bound,
 )
 from .weights import (

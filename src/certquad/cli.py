@@ -21,6 +21,7 @@ import sys
 from dataclasses import dataclass
 
 from .core import (
+    BUILTIN_RULES,
     EvaluationError,
     Exponent,
     PartitionSpec,
@@ -31,26 +32,14 @@ from .core import (
     SearchFailureError,
 )
 from .minimizer import min_phi_norm_value, search_min
-from .norms import derivative_norms
 from .oracle import oracle_integrate, parts_identity_sides
 from .registry import get_entry, names
-from .rules import (
-    composite_midpoint_report,
-    composite_trapezoid_report,
-    midpoint_report,
-    trapezoid_report,
-)
-from .weights import (
-    CompositeMidpointPhi,
-    CompositeTrapezoidPhi,
-    MidpointPhi,
-    TrapezoidPhi,
-)
+from .rules import rule_report
+from .weights import CompositeMidpointPhi, CompositeTrapezoidPhi
 
 OK, CERT_VIOLATION, USAGE_ERROR, NUMERIC_FAILURE = 0, 1, 2, 3
 
-RULES = ("trapezoid", "midpoint", "composite-trapezoid", "composite-midpoint")
-WEIGHT_NAMES = ("trapezoid", "midpoint", "composite-trapezoid", "composite-midpoint")
+RULES = WEIGHT_NAMES = tuple(BUILTIN_RULES)
 DEFAULT_P_GRID = ("1", "1.5", "2", "3", "inf")
 DEFAULT_N_GRID = (1, 2, 4, 8)
 
@@ -100,32 +89,6 @@ def certificate_ok(error: float, bound: float, tol: float = 0.0) -> bool:
     return error <= bound + max(tol, CERT_MARGIN_REL * (1.0 + abs(bound)))
 
 
-def _family_of(rule: str) -> str:
-    return "midpoint" if rule.endswith("midpoint") else "trapezoid"
-
-
-def rule_report(
-    f, rect: Rectangle, rule: str, p, part: PartitionSpec | None = None,
-    resolution: int = 256, cache: dict | None = None,
-) -> QuadratureReport:
-    """Estimate + certified bound for one registry-style integrand."""
-    family = _family_of(rule)
-    if rule.startswith("composite"):
-        if part is None:
-            raise ValueError(f"rule {rule!r} needs a partition")
-        bundle = derivative_norms(
-            f, rect, p, partition=part, rule_family=family,
-            resolution=resolution, cache=cache,
-        )
-        if rule == "composite-trapezoid":
-            return composite_trapezoid_report(f, rect, part, bundle)
-        return composite_midpoint_report(f, rect, part, bundle)
-    bundle = derivative_norms(f, rect, p, rule_family=family, resolution=resolution, cache=cache)
-    if rule == "trapezoid":
-        return trapezoid_report(f, rect, bundle)
-    return midpoint_report(f, rect, bundle)
-
-
 def certificate_matrix(
     function_names=None,
     rect: Rectangle | None = None,
@@ -151,13 +114,13 @@ def certificate_matrix(
             p = Exponent.parse(str(ptext))
             for rule in rules:
                 for n in ns:
-                    part = PartitionSpec(rect, n, n) if rule.startswith("composite") else None
+                    part = PartitionSpec(rect, n, n)
                     report = rule_report(f, rect, rule, p, part, resolution, cache)
                     error = abs(report.estimate - oracle_value)
                     cases.append(
                         MatrixCase(
                             function=fname, rule=rule, p=str(p),
-                            m=n if part else 1, n=n if part else 1,
+                            m=report.partition.m, n=report.partition.n,
                             estimate=report.estimate, oracle_value=oracle_value,
                             error=error, bound=report.bound,
                             passed=certificate_ok(error, report.bound),
@@ -212,7 +175,7 @@ def _cmd_report(cfg: RunConfig) -> int:
     p = Exponent.parse(cfg.p)
     entry = get_entry(cfg.function)
     f = entry.integrand(rect)
-    part = PartitionSpec(rect, cfg.m, cfg.n) if cfg.rule.startswith("composite") else None
+    part = PartitionSpec(rect, cfg.m, cfg.n) if BUILTIN_RULES[cfg.rule][1] else None
     report = rule_report(f, rect, cfg.rule, p, part, cfg.resolution)
     keys = ("function", "rect", "p", "rule", "m", "n", "resolution")
     rows = [("rule", f"{cfg.rule} (p={p})"), ("estimate", f"{report.estimate:.12g}")]
@@ -251,7 +214,7 @@ def _cmd_report(cfg: RunConfig) -> int:
 
 
 def _cmd_converge(cfg: RunConfig) -> int:
-    if not cfg.rule.startswith("composite"):
+    if not BUILTIN_RULES[cfg.rule][1]:
         raise ValueError("converge needs a composite rule")
     rect = Rectangle(*cfg.rect)
     p = Exponent.parse(cfg.p)
@@ -294,12 +257,7 @@ def _cmd_converge(cfg: RunConfig) -> int:
     return OK if all_ok else CERT_VIOLATION
 
 
-_WEIGHTS = {
-    "trapezoid": lambda rect, part: TrapezoidPhi(rect),
-    "midpoint": lambda rect, part: MidpointPhi(rect),
-    "composite-trapezoid": lambda rect, part: CompositeTrapezoidPhi(rect, part),
-    "composite-midpoint": lambda rect, part: CompositeMidpointPhi(rect, part),
-}
+_WEIGHT_CLASSES = {"trapezoid": CompositeTrapezoidPhi, "midpoint": CompositeMidpointPhi}
 
 
 def _cmd_verify_identity(cfg: RunConfig) -> int:
@@ -307,7 +265,8 @@ def _cmd_verify_identity(cfg: RunConfig) -> int:
     entry = get_entry(cfg.function)
     f = entry.integrand(rect)
     part = PartitionSpec(rect, cfg.m, cfg.n)
-    w = _WEIGHTS[cfg.weight](rect, part)
+    family, partitioned = BUILTIN_RULES[cfg.weight]
+    w = _WEIGHT_CLASSES[family](rect, part if partitioned else PartitionSpec(rect, 1, 1))
     lhs, rhs = parts_identity_sides(f, w, rect, cfg.resolution)
     residual = abs(lhs - rhs)
     passed = residual <= cfg.tol * (1.0 + abs(lhs))

@@ -24,13 +24,16 @@ OneVarFn = Callable[..., "np.ndarray | float"]
 #: general branch.
 ONE_SNAP_TOLERANCE = 1e-12
 
-RULE_IDS = (
-    "trapezoid",
-    "midpoint",
-    "composite-trapezoid",
-    "composite-midpoint",
-    "custom-phi",
-)
+#: Built-in rule -> (weight family, takes a partition).  A simple rule is
+#: its family's composite rule on the 1 x 1 partition.
+BUILTIN_RULES = {
+    "trapezoid": ("trapezoid", False),
+    "midpoint": ("midpoint", False),
+    "composite-trapezoid": ("trapezoid", True),
+    "composite-midpoint": ("midpoint", True),
+}
+
+RULE_IDS = (*BUILTIN_RULES, "custom-phi")
 
 FAMILIES = ("trapezoid", "midpoint")
 
@@ -300,14 +303,6 @@ class PartitionSpec:
             if int(v) != v or int(v) < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
             object.__setattr__(self, name, int(v))
-
-    @property
-    def dx(self) -> float:
-        return self.rect.width / self.m
-
-    @property
-    def dy(self) -> float:
-        return self.rect.height / self.n
 
     def x_nodes(self) -> np.ndarray:
         nodes = self.rect.a + np.arange(self.m + 1) * (self.rect.width / self.m)

@@ -261,8 +261,9 @@ def derivative_norms(
     x = x_k (see ``weights.ramp_jumps``): the boundary and interior grid
     lines for the trapezoid family, the cell midlines for the midpoint
     family.  ``fxy`` is ||f_xy||_p over the rectangle.  ``cache`` memoizes
-    the area norm and every line norm across partitions of the same
-    integrand.
+    the area norm and every line norm of one integrand per (rectangle, p,
+    resolution), so calls for other partitions, rules or rectangles can
+    share it.
     """
     p = Exponent.coerce(p)
     if rule_family not in FAMILIES:
@@ -271,11 +272,12 @@ def derivative_norms(
     if part.rect != rect:
         raise ValueError("partition was built for a different rectangle")
     fx, fy, fxy, analytic = partial_evaluators(f, rect, fd_fallback)
-    pkey = str(p)
-    store = cache if cache is not None else {}
+    # one sub-cache per setup: a line or area norm depends on the rectangle
+    # through its extent and the finite-difference steps, not only on p
+    store = {} if cache is None else cache.setdefault((rect, str(p), resolution), {})
 
     def lines(name: str, g, axis: str, coords: np.ndarray) -> list[float]:
-        keys = [(name, round(float(c), 15), pkey, resolution) for c in coords]
+        keys = [(name, round(float(c), 15)) for c in coords]
         todo: dict[tuple, float] = {}
         for c, key in zip(coords, keys):
             if key not in store:
@@ -286,13 +288,12 @@ def derivative_norms(
             store.update(zip(todo, map(float, values)))
         return [store[key] for key in keys]
 
-    fxy_key = ("fxy", pkey, resolution)
-    if fxy_key not in store:
-        store[fxy_key] = area_norm(fxy, rect, p, resolution)
+    if "fxy" not in store:
+        store["fxy"] = area_norm(fxy, rect, p, resolution)
     (xs, _), (ys, _) = ramp_jumps(part, rule_family)
     source = "analytic" if analytic else "numeric"
     return DerivativeNorms(
-        p=p, family=rule_family, m=part.m, n=part.n, fxy=store[fxy_key],
+        p=p, family=rule_family, m=part.m, n=part.n, fxy=store["fxy"],
         x_lines=lines("fx", fx, "x", ys),
         y_lines=lines("fy", fy, "y", xs),
         provenance=dict.fromkeys(("fxy", "x_lines", "y_lines"), source),

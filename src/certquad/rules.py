@@ -22,8 +22,12 @@ trapezoid family's ramps vanish at the cell midpoints and jump at the
 grid lines (dx/2 on the boundary, dx inside): the cell-summed corner
 rule.  The midpoint family's ramps vanish at the grid lines and jump by
 dx at the cell midlines: the cell-midpoint rule.  The simple rules are
-the 1 x 1 partition of the composite ones, so m = n = 1 reduces the
-composite bounds to the simple ones bit for bit.
+the 1 x 1 partition of the composite ones (``core.BUILTIN_RULES``), so
+m = n = 1 reduces the composite bounds to the simple ones bit for bit.
+
+``rule_report`` runs any built-in rule by name.  ``uniform_bound`` is
+the same bound on a bundle built from pointwise derivative bounds, and
+the one-variable rules are the same identity on one ramp.
 """
 
 from __future__ import annotations
@@ -34,8 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    BUILTIN_RULES,
+    INF,
     DerivativeNorms,
-    EvaluationError,
     Exponent,
     Integrand,
     NormMismatchError,
@@ -45,11 +50,10 @@ from .core import (
     UniformBounds,
     UnsupportedVariantError,
     conjugate,
-    holder_coefficient,
 )
 from .gauss import as_grid_fn, require_finite
 from .norms import derivative_norms, line_norms_with_error
-from .weights import CustomPhi, phi_norm_numeric, ramp_jumps, ramp_norm_closed
+from .weights import CustomPhi, _ramp, phi_norm_numeric, ramp_jumps, ramp_norm_closed
 
 NOTE_MIDLINE_P1 = (
     "p=1 y-term uses the midline norm ||f_y(m1,.)||_1, pairing the error "
@@ -171,35 +175,66 @@ def composite_midpoint_bound(
     return _jump_bound(norms, part, "midpoint")
 
 
+def _rule_grid(rule: str, rect: Rectangle, part: PartitionSpec | None):
+    """(family, partition) of a built-in rule; a simple rule ignores ``part``."""
+    if rule not in BUILTIN_RULES:
+        raise ValueError(f"unknown rule {rule!r}")
+    family, partitioned = BUILTIN_RULES[rule]
+    if not partitioned:
+        return family, PartitionSpec(rect, 1, 1)
+    if part is None:
+        raise ValueError(f"rule {rule!r} needs a partition")
+    if part.rect != rect:
+        raise ValueError("partition was built for a different rectangle")
+    return family, part
+
+
+def rule_report(
+    f: Integrand, rect: Rectangle, rule: str, p, part: PartitionSpec | None = None,
+    resolution: int = 256, cache: dict | None = None,
+) -> QuadratureReport:
+    """Estimate and certified bound of one built-in rule, from one norm bundle.
+
+    ``part`` is required by the composite rules and ignored by the simple
+    ones, whose report carries the 1 x 1 partition; ``cache`` is passed on
+    to ``derivative_norms``.
+    """
+    family, grid = _rule_grid(rule, rect, part)
+    norms = derivative_norms(
+        f, rect, p, partition=grid, rule_family=family, resolution=resolution, cache=cache,
+    )
+    comps = _jump_bound(norms, grid, family)
+    return QuadratureReport(
+        rule_id=rule,
+        estimate=_jump_estimate(f, grid, family),
+        fx_term=comps.fx_term,
+        fy_term=comps.fy_term,
+        fxy_term=comps.fxy_term,
+        p=norms.p,
+        partition=grid,
+        norms_used=norms,
+        notes=comps.notes,
+    )
+
+
 def uniform_bound(
     rule_family: str, ub: UniformBounds, rect: Rectangle, part: PartitionSpec | None = None
 ) -> float:
     """Bound from pointwise bounds |grad f| <= M, |f_xy| <= N alone.
 
-    composite-trapezoid keeps the conservative (2n+1), (2m+1) line-count
-    factors; the composite-midpoint N-term is W^2 H^2 / (16mn), matching
-    the m = n = 1 reduction.
+    ``rule_family`` is a built-in rule name.  The bound is the rule's jump
+    bound at p = inf on a bundle whose line norms are all M and whose
+    ||f_xy||_inf is N, which the pointwise bounds dominate: e.g.
+    M W^2 H / (4m) + M W H^2 / (4n) + N W^2 H^2 / (16mn) for every
+    composite rule, and m = n = 1 for the simple ones.
     """
-    W, H = rect.width, rect.height
-    M, N = ub.M, ub.N
-    if rule_family in ("trapezoid", "midpoint"):
-        return M * W * W * H / 4.0 + M * W * H * H / 4.0 + N * W * W * H * H / 16.0
-    if part is None:
-        raise ValueError(f"rule family {rule_family!r} needs a partition")
-    m, n = part.m, part.n
-    if rule_family == "composite-trapezoid":
-        return (
-            M * (2 * n + 1) * H * W * W / (8.0 * m * n)
-            + M * (2 * m + 1) * W * H * H / (8.0 * m * n)
-            + N * W * W * H * H / (16.0 * m * n)
-        )
-    if rule_family == "composite-midpoint":
-        return (
-            M * W * W * H / (4.0 * m)
-            + M * W * H * H / (4.0 * n)
-            + N * W * W * H * H / (16.0 * m * n)
-        )
-    raise ValueError(f"unknown rule family {rule_family!r}")
+    family, grid = _rule_grid(rule_family, rect, part)
+    (xs, _), (ys, _) = ramp_jumps(grid, family)
+    norms = DerivativeNorms(
+        p=INF, family=family, m=grid.m, n=grid.n, fxy=ub.N,
+        x_lines=(ub.M,) * ys.size, y_lines=(ub.M,) * xs.size,
+    )
+    return _jump_bound(norms, grid, family).total
 
 
 def custom_phi_rule(
@@ -254,19 +289,33 @@ def custom_phi_rule(
     )
 
 
-def trapezoid_1d(g, interval: tuple[float, float], p, norm_gprime: float):
-    """One-variable endpoint rule: ([g(a)+g(b)] L/2, ||g'||_p C(p) L^(2-1/p) / 2)."""
+def _rule_1d(g, interval: tuple[float, float], p, norm_gprime: float, family: str):
+    """One-variable jump rule: (-J . g(t), ||g'||_p ||ramp||_q).
+
+    In one variable the family's ramp X on [lo, hi] jumps by J[k] at the
+    points t_k, so integrating g against X' = 1 by parts gives
+    int g = -sum_k J[k] g(t_k) - int g' X, and Holder bounds the last
+    integral.  Both families' ramps have the norm ``ramp_norm_closed(L, 1, q)``.
+    """
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ValueError("interval must satisfy lo < hi")
-    p = Exponent.coerce(p)
-    ga, gb = float(g(lo)), float(g(hi))
-    if not (math.isfinite(ga) and math.isfinite(gb)):
-        raise EvaluationError("non-finite endpoint value", coordinate=(lo, hi))
-    length = hi - lo
-    estimate = (ga + gb) * length / 2.0
-    bound = float(norm_gprime) * holder_coefficient(p) * length ** (2.0 - p.reciprocal) / 2.0
-    return estimate, bound
+    norm = float(norm_gprime)
+    if not (math.isfinite(norm) and norm >= 0.0):
+        raise ValueError(f"norm_gprime must be finite and >= 0, got {norm_gprime!r}")
+    ts, roots = _ramp(np.asarray([lo, hi]), family)
+    vals = np.asarray([float(g(t)) for t in ts])
+    require_finite(vals, (ts,))
+    estimate = -float((roots[:-1] - roots[1:]) @ vals)
+    return estimate, norm * ramp_norm_closed(hi - lo, 1, conjugate(p))
+
+
+def trapezoid_1d(g, interval: tuple[float, float], p, norm_gprime: float):
+    """One-variable endpoint rule: ([g(a)+g(b)] L/2, ||g'||_p C(p) L^(2-1/p) / 2).
+
+    ``norm_gprime`` is ||g'||_p, finite and >= 0.
+    """
+    return _rule_1d(g, interval, p, norm_gprime, "trapezoid")
 
 
 def midpoint_1d(g, interval: tuple[float, float], p, norm_gprime: float):
@@ -274,68 +323,6 @@ def midpoint_1d(g, interval: tuple[float, float], p, norm_gprime: float):
 
     omega ramps from 0 at each endpoint to L/2 at the center, so
     ||omega||_q = (2/(q+1))^(1/q) (L/2)^(1+1/q), and L/2 at q = inf.
+    ``norm_gprime`` is ||g'||_p, finite and >= 0.
     """
-    lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise ValueError("interval must satisfy lo < hi")
-    p = Exponent.coerce(p)
-    gm = float(g(0.5 * (lo + hi)))
-    if not math.isfinite(gm):
-        raise EvaluationError("non-finite midpoint value", coordinate=0.5 * (lo + hi))
-    length = hi - lo
-    estimate = gm * length
-    q = conjugate(p)
-    if q.is_infinite:
-        omega = length / 2.0
-    else:
-        qq = q.value
-        omega = (2.0 / (qq + 1.0)) ** (1.0 / qq) * (length / 2.0) ** (1.0 + 1.0 / qq)
-    return estimate, float(norm_gprime) * omega
-
-
-def _report(rule_id, estimate, comps, p, part, norms) -> QuadratureReport:
-    return QuadratureReport(
-        rule_id=rule_id,
-        estimate=estimate,
-        fx_term=comps.fx_term,
-        fy_term=comps.fy_term,
-        fxy_term=comps.fxy_term,
-        p=p,
-        partition=part,
-        norms_used=norms,
-        notes=comps.notes,
-    )
-
-
-def trapezoid_report(f: Integrand, rect: Rectangle, norms: DerivativeNorms) -> QuadratureReport:
-    return _report("trapezoid", trapezoid_estimate(f, rect), trapezoid_bound(norms, rect), norms.p, None, norms)
-
-
-def midpoint_report(f: Integrand, rect: Rectangle, norms: DerivativeNorms) -> QuadratureReport:
-    return _report("midpoint", midpoint_estimate(f, rect), midpoint_bound(norms, rect), norms.p, None, norms)
-
-
-def composite_trapezoid_report(
-    f: Integrand, rect: Rectangle, part: PartitionSpec, norms: DerivativeNorms
-) -> QuadratureReport:
-    return _report(
-        "composite-trapezoid",
-        composite_trapezoid_estimate(f, rect, part),
-        composite_trapezoid_bound(norms, rect, part),
-        norms.p,
-        part,
-        norms,
-    )
-
-
-def composite_midpoint_report(
-    f: Integrand, rect: Rectangle, part: PartitionSpec, norms: DerivativeNorms
-) -> QuadratureReport:
-    return _report(
-        "composite-midpoint",
-        composite_midpoint_estimate(f, rect, part),
-        composite_midpoint_bound(norms, rect, part),
-        norms.p,
-        part,
-        norms,
-    )
+    return _rule_1d(g, interval, p, norm_gprime, "midpoint")

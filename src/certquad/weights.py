@@ -261,9 +261,6 @@ class CustomPhi(WeightFunction):
         return (PhiPiece(r.a, r.b, r.c, r.d, fn=self.eval_grid),)
 
 
-BUILTIN_VARIANTS = (TrapezoidPhi, MidpointPhi, CompositeTrapezoidPhi, CompositeMidpointPhi)
-
-
 def eval_phi(w: WeightFunction, x: float, y: float) -> float:
     """Value of phi at (x, y); on a seam, the piece with larger coordinates.
 

@@ -123,6 +123,24 @@ class TestDerivativeNorms:
         nb2 = cq.derivative_norms(bare, unit, 2)
         assert set(nb2.provenance.values()) == {"numeric"}
 
+    def test_cache_keyed_on_rectangle(self, unit):
+        wide = cq.Rectangle(0.0, 3.0, 0.0, 1.0)
+        f = integrand("sinsin", unit)
+        cache = {}
+        cq.derivative_norms(f, unit, 2, cache=cache)
+        shared = cq.derivative_norms(f, wide, 2, cache=cache)
+        fresh = cq.derivative_norms(f, wide, 2)
+        assert shared == fresh
+        assert fresh.fxy == pytest.approx(1.0199, abs=1e-4)
+
+        def miss(x, y):
+            raise AssertionError(f"cache miss at {x}, {y}")
+
+        # a repeat on either rectangle is served from the cache alone
+        cached = cq.Integrand(f=f.f, fx=miss, fy=miss, fxy=miss)
+        assert cq.derivative_norms(cached, wide, 2, cache=cache) == fresh
+        assert cq.derivative_norms(cached, unit, 2, cache=cache) == cq.derivative_norms(f, unit, 2)
+
     def test_missing_partials_without_fallback(self, unit):
         bare = cq.Integrand(f=lambda x, y: x + y)
         with pytest.raises(cq.ConfigurationError):
