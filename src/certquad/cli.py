@@ -99,8 +99,10 @@ def certificate_matrix(
 ) -> list[MatrixCase]:
     """Run the full certificate-validity cross product.
 
-    Every case checks |estimate - oracle| <= bound.  Line norms are
-    memoized per integrand across partitions and rules.
+    Every case checks |estimate - oracle| <= bound.  The composite rules
+    run once per n in ``ns``; the simple rules ignore the partition and
+    run once per (integrand, p).  Line norms are memoized per integrand
+    across partitions and rules.
     """
     rect = rect if rect is not None else Rectangle.unit()
     function_names = tuple(function_names) if function_names is not None else names()
@@ -113,8 +115,8 @@ def certificate_matrix(
         for ptext in p_values:
             p = Exponent.parse(str(ptext))
             for rule in rules:
-                for n in ns:
-                    part = PartitionSpec(rect, n, n)
+                parts = [PartitionSpec(rect, n, n) for n in ns] if BUILTIN_RULES[rule][1] else [None]
+                for part in parts:
                     report = rule_report(f, rect, rule, p, part, resolution, cache)
                     error = abs(report.estimate - oracle_value)
                     cases.append(

@@ -64,12 +64,6 @@ def refine_breaks(breaks: Sequence[float], max_width: float) -> np.ndarray:
     return np.concatenate((b[:1], out))
 
 
-def graded_panels(breaks: Sequence[float], levels: int, max_width: float) -> np.ndarray:
-    """Every panel of ``breaks`` graded toward both its ends, split to max_width, merged."""
-    b = np.asarray(breaks, dtype=float)
-    return merge_breaks(refine_breaks(graded_breaks(b[:-1], b[1:], levels).ravel(), max_width))
-
-
 def merge_breaks(*groups: Sequence[float]) -> np.ndarray:
     """Sorted union of breakpoints, with near-duplicates collapsed."""
     allpts = np.concatenate([np.asarray(g, dtype=float) for g in groups if len(g)])
@@ -77,6 +71,97 @@ def merge_breaks(*groups: Sequence[float]) -> np.ndarray:
     scale = max(1.0, abs(allpts[0]), abs(allpts[-1]))
     keep = np.concatenate(([True], np.diff(allpts) > 1e-14 * scale))
     return allpts[keep]
+
+
+@lru_cache(maxsize=16)
+def _graded_fracs(levels: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets of ``graded_breaks`` rows, one row per level count, as fractions of the panel.
+
+    The first array gives lo's row from lo (factor 0) up to lo + w/2, the
+    second hi's row from hi - w/4 down to hi (factor 0).  Shallower level
+    counts are padded with factor 0, i.e. with copies of the panel ends.
+    """
+    top = max(levels)
+    fracs = np.zeros((len(levels), top + 1))
+    for row, count in zip(fracs, levels):
+        row[top + 1 - count:] = 0.5 ** np.arange(count, 0, -1)
+    from_hi = np.concatenate((fracs[:, :0:-1][:, 1:], np.zeros((len(levels), 1))), axis=1)
+    fracs.flags.writeable = from_hi.flags.writeable = False
+    return fracs, from_hi
+
+
+def graded_nodes(sets: Sequence[np.ndarray], passes: Sequence[tuple[int, np.ndarray]], k: int = 8):
+    """Graded composite Gauss nodes of several breakpoint sets and passes in one vectorised build.
+
+    Each pass is (levels, max_width), max_width an array of one width per
+    set.  Set b of a pass gets the nodes and weights of
+    ``panel_nodes(merge_breaks(refine_breaks(graded_breaks(b[:-1], b[1:], levels).ravel(),
+    max_width)), k)``: every panel graded toward both its ends, split to at
+    most max_width, and near-duplicates collapsed with the set's own merge
+    tolerance.  Segment arithmetic runs every (pass, set) pair at once and
+    each pair's nodes equal its one-set build bit for bit.  Returns flat
+    (nodes, weights, bounds); pass i of set s owns
+    nodes[bounds[i * len(sets) + s]:bounds[i * len(sets) + s + 1]].
+    """
+    nset, npass = len(sets), len(passes)
+    cap = np.array([width for _, width in passes], dtype=float)[..., None]
+    if nset == 1:
+        b = np.asarray(sets[0], dtype=float)
+        if b.size < 2:
+            raise ValueError("need at least two breakpoints")
+        lo, hi = b[:-1], b[1:]
+        tol = 1e-14 * max(1.0, abs(b[0]), abs(b[-1]))
+    else:
+        sizes = np.array([len(s) for s in sets])
+        if sizes.min() < 2:
+            raise ValueError("need at least two breakpoints")
+        b = np.concatenate(sets)
+        last = np.cumsum(sizes) - 1
+        first = last - sizes + 1
+        lo, hi = np.delete(b, last), np.delete(b, first)
+        tol = np.tile(1e-14 * np.maximum(1.0, np.maximum(np.abs(b[first]), np.abs(b[last]))), npass)
+        cap = np.repeat(cap, sizes - 1, axis=1)
+    # graded rows of every panel in every pass; a shallower pass's row is
+    # padded with copies of the panel ends, which the merge drops again
+    from_lo, from_hi = _graded_fracs(tuple(levels for levels, _ in passes))
+    width = (hi - lo)[:, None]
+    g = np.concatenate((lo[:, None] + width * from_lo[:, None, :],
+                        hi[:, None] - width * from_hi[:, None, :]), axis=-1)
+    # refine: the gap ending at each break splits into `parts` equal panels;
+    # a row's first break closes the zero-width gap from the previous row
+    prev = np.concatenate((g[..., :1], g[..., :-1]), axis=-1)
+    gap = g - prev
+    parts = np.maximum(np.ceil(gap / cap), 1.0)
+    steps = np.arange(1.0, parts.max() + 1.0)
+    pts = prev[..., None] + gap[..., None] * steps / parts[..., None]
+    pts = np.where(steps == parts[..., None], g[..., None], pts)[steps <= parts[..., None]]
+    # merge: drop each break within its set's tolerance of its predecessor
+    if nset == 1:
+        emitted = parts.sum(axis=(1, 2)).astype(np.int64)
+    else:
+        rows = parts.sum(axis=-1)
+        emitted = np.add.reduceat(rows, first - np.arange(nset), axis=1).ravel().astype(np.int64)
+        tol = np.repeat(tol, emitted)[1:]
+    start = np.cumsum(emitted) - emitted
+    keep = np.empty(pts.size, dtype=bool)
+    keep[1:] = np.diff(pts) > tol
+    keep[start] = True
+    merged = pts[keep]
+    kept = np.add.reduceat(keep, start)
+    if kept.min() < 2:
+        s = int(np.argmin(kept)) % nset
+        lo, hi = sets[s][0], sets[s][-1]
+        raise ValueError(f"the panels of [{lo!r}, {hi!r}] all merge under the breakpoint merge tolerance "
+                         f"{1e-14 * max(1.0, abs(lo), abs(hi)):.3g}: the interval is too narrow for quadrature")
+    # panels: consecutive kept breaks of one (pass, set) pair
+    inner = np.ones(merged.size - 1, dtype=bool)
+    inner[np.cumsum(kept)[:-1] - 1] = False
+    half = 0.5 * np.diff(merged)[inner]
+    mid = 0.5 * (merged[1:] + merged[:-1])[inner]
+    t, w = _leggauss(k)
+    x = (mid[:, None] + half[:, None] * t[None, :]).ravel()
+    wts = (half[:, None] * w[None, :]).ravel()
+    return x, wts, np.concatenate(([0], np.cumsum((kept - 1) * k)))
 
 
 def p_norm_from_samples(values, weights, p: float) -> float:
@@ -93,9 +178,11 @@ def p_norm_from_samples(values, weights, p: float) -> float:
     s = float(v.max())
     if s == 0.0:
         return 0.0
-    u = v / s
+    u = v  # v is a fresh array: scale and raise it in place
+    u /= s
     if p <= 64.0:
-        t = float(np.dot(w, u**p))
+        u **= p
+        t = float(np.dot(w, u))
         if t <= 0.0:
             return 0.0
         return s * t ** (1.0 / p)
@@ -107,25 +194,33 @@ def p_norm_from_samples(values, weights, p: float) -> float:
     return s * float(np.exp((top + np.log(np.sum(np.exp(logs - top)))) / p))
 
 
-def row_p_norms(values, weights, p: float) -> np.ndarray:
-    """``p_norm_from_samples`` of every row of a 2-D array against shared weights.
+def segment_p_norms(magnitudes: np.ndarray, weights, offsets, sizes, p: float) -> np.ndarray:
+    """``p_norm_from_samples`` of consecutive segments of sample magnitudes.
 
-    Each row's result equals the one-row call bit for bit: the scaling and
-    powers run on the whole array, the weighted sum stays one dot product
-    per row.
+    ``magnitudes`` holds |samples| as a float array, which this scales and
+    raises to p in place (it is the largest array of a line batch).  The
+    segments tile it in flattened order; segment i has sizes[i] samples
+    and takes weights[offsets[i]:offsets[i] + sizes[i]].  Each result
+    equals the one-segment call bit for bit: the scaling and powers run on
+    the whole array, the weighted sum stays one dot product of two
+    contiguous slices per segment.
     """
-    v = np.abs(np.asarray(values, dtype=float))
-    w = np.asarray(weights, dtype=float).ravel()
+    v = magnitudes.reshape(-1)
+    w = np.asarray(weights, dtype=float)
+    starts = np.cumsum(sizes) - sizes
     if p > 64.0:
-        return np.asarray([p_norm_from_samples(row, w, p) for row in v])
-    s = v.max(axis=1)
+        return np.asarray([p_norm_from_samples(v[a:a + n], w[o:o + n], p)
+                           for a, o, n in zip(starts, offsets, sizes)])
+    s = np.maximum.reduceat(v, starts)
     nonzero = s > 0.0
-    u = (v / np.where(nonzero, s, 1.0)[:, None]) ** p
-    out = np.zeros(v.shape[0])
-    for k in np.flatnonzero(nonzero):
-        t = float(np.dot(w, u[k]))
+    v /= np.repeat(np.where(nonzero, s, 1.0), sizes)
+    v **= p
+    out = np.zeros(s.size)
+    for i in np.flatnonzero(nonzero):
+        a, o, n = starts[i], offsets[i], sizes[i]
+        t = float(np.dot(w[o:o + n], v[a:a + n]))
         if t > 0.0:
-            out[k] = float(s[k]) * t ** (1.0 / p)
+            out[i] = float(s[i]) * t ** (1.0 / p)
     return out
 
 
@@ -148,6 +243,8 @@ def zero_breaks(g, axis: str, fixed, lo: float, hi: float, resolution: int) -> l
     stops there.  Returns one breakpoint array per line.
     """
     c = np.asarray(fixed, dtype=float).ravel()
+    if c.size == 0:
+        return []
     t = np.linspace(lo, hi, resolution + 1)
     coords = line_coords(axis, t[None, :], c[:, None])
     vals = g(*coords)
@@ -172,14 +269,21 @@ def zero_breaks(g, axis: str, fixed, lo: float, hi: float, resolution: int) -> l
         fa[live[left]] = fm[left]
         b[live[~left]] = m[~left]
         live = live[~hit]
-    zeros = 0.5 * (a + b)
-    start = np.searchsorted(rows, np.arange(c.size + 1))
-    plain = merge_breaks([lo, hi])
-    return [
-        merge_breaks([lo, hi], t[exact[k]], zeros[start[k]:start[k + 1]])
-        if start[k] < start[k + 1] or exact[k].any() else plain
-        for k in range(c.size)
-    ]
+    # every line's merge_breaks([lo, hi], exact zeros, bisected zeros) at
+    # once: sort by (line, value), collapse near-duplicates within a line
+    exact_rows, exact_idx = np.nonzero(exact)
+    lines = np.arange(c.size)
+    line = np.concatenate((lines, lines, exact_rows, rows))
+    point = np.concatenate((np.full(c.size, float(lo)), np.full(c.size, float(hi)),
+                            t[exact_idx], 0.5 * (a + b)))
+    order = np.lexsort((point, line))
+    line, point = line[order], point[order]
+    keep = np.empty(point.size, dtype=bool)
+    keep[0] = True
+    keep[1:] = (np.diff(point) > 1e-14 * max(1.0, abs(lo), abs(hi))) | (line[1:] != line[:-1])
+    point = point[keep]
+    bounds = np.searchsorted(line[keep], lines, side="right").tolist()
+    return [point[a:b] for a, b in zip([0, *bounds], bounds)]
 
 
 def zoomed_sup(g, rect, size: int) -> tuple[float, float]:
@@ -228,12 +332,18 @@ def as_vector_fn(g: Callable) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def as_grid_fn(f: Callable) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Wrap a two-variable callable so it accepts broadcastable arrays."""
+    """Wrap a two-variable callable so it accepts broadcastable arrays.
+
+    Array-aware callables are used directly; scalar-only ones fall back to
+    elementwise evaluation.  An already wrapped callable is returned as is.
+    """
+    if getattr(f, "_grid_fn", False):
+        return f
 
     def call(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        shape = np.broadcast_shapes(x.shape, y.shape)
+        shape = np.broadcast(x, y).shape
         try:
             out = np.asarray(f(x, y), dtype=float)
         except (TypeError, ValueError):
@@ -246,6 +356,7 @@ def as_grid_fn(f: Callable) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
             out = np.broadcast_to(out, shape).astype(float)
         return out
 
+    call._grid_fn = True
     return call
 
 

@@ -9,10 +9,12 @@ essential supremum that tighten under refinement.
 
 Line norms come in batches: ``line_norms_with_error`` takes every line
 of one axis at once, scans them in one call, bisects all their sign
-changes together (``gauss.zero_breaks``), and groups lines with the same
-breakpoints, so each group builds its graded nodes once and is sampled
-as one (lines x nodes) array.  ``derivative_norms`` makes one such call
-per partial; ``line_norm`` is the one-line case.
+changes together (``gauss.zero_breaks``), builds the graded nodes of
+every distinct breakpoint set for both Gauss passes in one call
+(``gauss.graded_nodes``), and samples every line in one integrand call:
+as one (lines x nodes) array when all lines share their breakpoints, as
+one flat array of each line's own nodes otherwise.  ``derivative_norms``
+makes one such call per partial; ``line_norm`` is the one-line case.
 """
 
 from __future__ import annotations
@@ -33,13 +35,12 @@ from .core import (
 from .gauss import (
     as_grid_fn,
     as_vector_fn,
-    graded_panels,
+    graded_nodes,
     line_coords,
     merge_breaks,
     p_norm_from_samples,
-    panel_nodes,
     require_finite,
-    row_p_norms,
+    segment_p_norms,
     zero_breaks,
     zoomed_sup,
 )
@@ -83,8 +84,28 @@ class LineSegment:
         return lambda t: g(np.full_like(t, self.fixed_coordinate), t)
 
 
-def _graded_axis_nodes(breaks: np.ndarray, levels: int, max_frac: float, k: int = 8):
-    return panel_nodes(graded_panels(breaks, levels, (breaks[-1] - breaks[0]) * max_frac), k)
+def _pass_fraction(resolution: int) -> float:
+    """Panel-width cap of the coarse Gauss pass as a fraction of the interval; the fine pass halves it."""
+    return 1.0 / max(4, resolution // 32)
+
+
+def _require_resolvable(lo: float, hi: float, frac: float) -> None:
+    """Reject [lo, hi] when its finest quadrature panels cannot survive ``merge_breaks``.
+
+    The graded panels of the finest pass are at most ``frac`` of the
+    interval wide, and ``merge_breaks`` collapses breakpoints closer than
+    1e-14 * scale, scale = max(1, |lo|, |hi|).  Below the limit, where
+    even the widest panel plus the rounding of its two ends (2^-51 * scale)
+    stays under that tolerance, every panel would merge away.
+    """
+    scale = max(1.0, abs(lo), abs(hi))
+    limit = (1e-14 - 2.0**-51) * scale / frac
+    if hi - lo < limit:
+        raise ValueError(
+            f"interval [{lo!r}, {hi!r}] is too narrow for quadrature: its width must be at least "
+            f"{limit:.4g}, where panels of 1/{1.0 / frac:g} of it clear the breakpoint merge "
+            f"tolerance 1e-14 * max(1, |lo|, |hi|)"
+        )
 
 
 def _sup_lines(g, axis: str, c: np.ndarray, lo: float, hi: float, resolution: int):
@@ -113,8 +134,11 @@ def line_norms_with_error(g, axis: str, fixed, lo: float, hi: float, p,
     coordinate fixed[k]; g is a two-variable callable.  Returns arrays
     (values, errors), one entry per line.  The estimate is the change under
     one panel-refinement halving (plus a floating-point floor); the sup
-    norm reports its refinement gain.  Lines whose zero scan gives the
-    same breakpoints share their Gauss nodes and are sampled together.
+    norm reports its refinement gain.  Every line is sampled in one
+    integrand call at the nodes of its breakpoint set; lines whose zero
+    scan gives the same breakpoints share their nodes.  An empty ``fixed``
+    gives two empty arrays, and an interval too narrow for the
+    breakpoint merge tolerance raises ValueError before any sampling.
     """
     p = Exponent.coerce(p)
     if resolution < 16:
@@ -125,21 +149,37 @@ def line_norms_with_error(g, axis: str, fixed, lo: float, hi: float, p,
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     gv = as_grid_fn(g)
     c = np.asarray(fixed, dtype=float).ravel()
+    if c.size == 0:
+        return np.zeros(0), np.zeros(0)
     if p.is_infinite:
         value, gain = _sup_lines(gv, axis, c, lo, hi, resolution)
         return value, np.abs(gain) + 1e-15 * (1.0 + value)
-    max_frac = 1.0 / max(4, resolution // 32)
-    groups: dict[bytes, tuple[np.ndarray, list[int]]] = {}
+    max_frac = _pass_fraction(resolution)
+    _require_resolvable(lo, hi, max_frac / 2.0)
+    # the distinct breakpoint sets, and the set of each line
+    sets: list[np.ndarray] = []
+    index: dict[bytes, int] = {}
+    owner = np.empty(c.size, dtype=np.int64)
     for k, breaks in enumerate(zero_breaks(gv, axis, c, lo, hi, resolution)):
-        groups.setdefault(breaks.tobytes(), (breaks, []))[1].append(k)
-    coarse, fine = np.empty(c.size), np.empty(c.size)
-    for breaks, rows in groups.values():
-        for out, levels, frac in ((coarse, 11, max_frac), (fine, 12, max_frac / 2.0)):
-            t, w = _graded_axis_nodes(breaks, levels, frac)
-            coords = line_coords(axis, t[None, :], c[rows, None])
-            vals = gv(*coords)
-            require_finite(vals, coords)
-            out[rows] = row_p_norms(vals, w, p.value)
+        owner[k] = index.setdefault(breaks.tobytes(), len(sets))
+        if owner[k] == len(sets):
+            sets.append(breaks)
+    spans = np.asarray([s[-1] - s[0] for s in sets])
+    nodes, weights, bounds = graded_nodes(
+        sets, ((11, spans * max_frac), (12, spans * (max_frac / 2.0)))
+    )
+    # each line is two segments, its coarse then its fine samples, with the
+    # nodes and weights of its set's two passes
+    seg = np.stack((owner, owner + len(sets)), axis=1).ravel()
+    offsets, sizes = bounds[seg], np.diff(bounds)[seg]
+    if len(sets) == 1:
+        coords = line_coords(axis, nodes[None, :], c[:, None])
+    else:
+        t = nodes[np.repeat(offsets - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())]
+        coords = line_coords(axis, t, np.repeat(c, sizes[0::2] + sizes[1::2]))
+    magnitudes = np.abs(gv(*coords))
+    require_finite(magnitudes, coords)
+    coarse, fine = segment_p_norms(magnitudes, weights, offsets, sizes, p.value).reshape(-1, 2).T
     return fine, np.abs(fine - coarse) + 1e-15 * (1.0 + np.abs(fine))
 
 
@@ -177,21 +217,26 @@ def area_norm_with_error(g, rect: Rectangle, p, resolution: int = DEFAULT_RESOLU
         value, gain = zoomed_sup(fv, rect, min(resolution, 256))
         return value, abs(gain) + 1e-15 * (1.0 + value)
 
+    max_frac = _pass_fraction(resolution)
+    _require_resolvable(rect.a, rect.b, max_frac / 2.0)
+    _require_resolvable(rect.c, rect.d, max_frac / 2.0)
     scan = min(resolution, 192)
     offsets = np.asarray([0.155, -0.237])
     bx = merge_breaks(*zero_breaks(fv, "x", rect.m2 + offsets * rect.height, rect.a, rect.b, scan))
     by = merge_breaks(*zero_breaks(fv, "y", rect.m1 + offsets * rect.width, rect.c, rect.d, scan))
-    max_frac = 1.0 / max(4, resolution // 32)
+    spans = np.asarray([bx[-1] - bx[0], by[-1] - by[0]])
+    nodes, weights, bounds = graded_nodes([bx, by], ((9, spans * max_frac), (10, spans * (max_frac / 2.0))))
+    # segments: coarse x, coarse y, fine x, fine y
+    x_c, y_c, x_f, y_f = np.split(nodes, bounds[1:-1])
+    wx_c, wy_c, wx_f, wy_f = np.split(weights, bounds[1:-1])
 
-    def one_pass(levels: int, frac: float) -> float:
-        x, wx = _graded_axis_nodes(bx, levels, frac)
-        y, wy = _graded_axis_nodes(by, levels, frac)
+    def one_pass(x, y, wx, wy) -> float:
         vals = fv(x[:, None], y[None, :])
         require_finite(vals, (x[:, None], y[None, :]))
         return p_norm_from_samples(vals, np.outer(wx, wy), p.value)
 
-    coarse = one_pass(9, max_frac)
-    fine = one_pass(10, max_frac / 2.0)
+    coarse = one_pass(x_c, y_c, wx_c, wy_c)
+    fine = one_pass(x_f, y_f, wx_f, wy_f)
     return fine, abs(fine - coarse) + 1e-15 * (1.0 + abs(fine))
 
 

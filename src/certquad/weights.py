@@ -45,7 +45,7 @@ from .core import (
 from .gauss import (
     as_vector_fn,
     graded_breaks,
-    graded_panels,
+    graded_nodes,
     merge_breaks,
     p_norm_from_samples,
     panel_nodes,
@@ -347,23 +347,27 @@ def _axis_sup(breaks: np.ndarray, roots: np.ndarray) -> float:
     return float(max(lo_vals.max(), hi_vals.max()))
 
 
-def _custom_axis_nodes(w: CustomPhi, axis: str, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+def _custom_axis_breaks(w: CustomPhi, axis: str) -> np.ndarray:
+    """Breakpoints of one axis: the ends plus the sign changes found on two scan lines."""
     r = w.rect
     if axis == "x":
         lo, hi, mid_t, span_t = r.a, r.b, r.m2, r.height
     else:
         lo, hi, mid_t, span_t = r.c, r.d, r.m1, r.width
     scan = mid_t + np.asarray([0.155, -0.237]) * span_t
-    breaks = merge_breaks(*zero_breaks(w.eval_grid, axis, scan, lo, hi, 128))
-    max_frac = 1.0 / max(2, resolution // 64)
-    return panel_nodes(graded_panels(breaks, 10, (hi - lo) * max_frac), 8)
+    return merge_breaks(*zero_breaks(w.eval_grid, axis, scan, lo, hi, 128))
 
 
 def _custom_norm_numeric(w: CustomPhi, q: Exponent, resolution: int) -> float:
     if q.is_infinite:
         return zoomed_sup(w.eval_grid, w.rect, max(64, resolution))[0]
-    xs, wx = _custom_axis_nodes(w, "x", resolution)
-    ys, wy = _custom_axis_nodes(w, "y", resolution)
+    max_frac = 1.0 / max(2, resolution // 64)
+    spans = np.asarray([w.rect.b - w.rect.a, w.rect.d - w.rect.c])
+    nodes, wts, bounds = graded_nodes(
+        [_custom_axis_breaks(w, "x"), _custom_axis_breaks(w, "y")], [(10, spans * max_frac)]
+    )
+    xs, ys = np.split(nodes, bounds[1:2])
+    wx, wy = np.split(wts, bounds[1:2])
     return p_norm_from_samples(w.eval_grid(xs[:, None], ys[None, :]), np.outer(wx, wy), q.value)
 
 

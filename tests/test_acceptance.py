@@ -23,7 +23,8 @@ def report(num: int, ok: bool, desc: str) -> None:
 
 def test_criterion_1_certificate_validity_matrix():
     t0 = time.monotonic()
-    cases = certificate_matrix()  # full registry x 4 rules x 5 p x 4 partitions
+    # full registry x 5 p x (2 composite rules x 4 partitions + 2 simple rules): 500 cases
+    cases = certificate_matrix()
     elapsed = time.monotonic() - t0
     violations = [c for c in cases if not c.passed]
     ok = not violations and elapsed < 60.0

@@ -149,6 +149,14 @@ class TestExitCodes:
         capsys.readouterr()
 
 
+class TestTinyRectangle:
+    def test_too_narrow_rectangle_exits_with_usage_error(self):
+        code, _, err = invoke(["integrate", "--function", "sinsin", "--rect", "0", "1e-15", "0", "1e-15",
+                               "--p", "2", "--rule", "composite-trapezoid", "--m", "4", "--n", "4"])
+        assert code == USAGE_ERROR
+        assert "interval [0.0, 1e-15] is too narrow for quadrature" in err
+
+
 class TestMatrix:
     def test_small_matrix_clean(self):
         cases = certificate_matrix(
@@ -157,7 +165,8 @@ class TestMatrix:
             ns=(1, 2),
             resolution=96,
         )
-        assert len(cases) == 2 * 2 * 4 * 2
+        # 2 functions x 2 p x (2 composite rules x 2 partitions + 2 simple rules)
+        assert len(cases) == 2 * 2 * (2 * 2 + 2)
         assert all(c.passed for c in cases)
 
     def test_registry_size_is_at_least_eight(self):

@@ -6,7 +6,16 @@ import pytest
 
 import certquad as cq
 from certquad.core import FAMILIES
-from certquad.gauss import as_vector_fn, merge_breaks, zero_breaks
+from certquad.gauss import (
+    as_grid_fn,
+    as_vector_fn,
+    graded_breaks,
+    graded_nodes,
+    merge_breaks,
+    panel_nodes,
+    refine_breaks,
+    zero_breaks,
+)
 from certquad.norms import LineSegment, partial_evaluators
 from certquad.weights import ramp_jumps
 from conftest import RECT_SET, UNIT, integrand
@@ -348,14 +357,18 @@ class TestEvaluationCounts:
     """Deterministic evaluation counters of one 32 x 32 trapezoid bundle at p = 2.
 
     The f_x and f_y lines of a partial are scanned in one call, bisected
-    together and sampled per breakpoint group, so the call count does not
-    grow with the line count while the sampled points stay what a
-    line-by-line evaluation samples.
+    together and sampled in one call for both Gauss passes, whatever their
+    breakpoints: at most 1 + 60 + 1 vector calls per partial.  The call
+    count grows neither with the line count nor with the number of
+    distinct breakpoint sets (sinsum's f_x = cos(x + y) has its own zero
+    on every line), while the sampled points stay what a line-by-line
+    evaluation samples.
     """
 
     @pytest.mark.parametrize("name, rect, points, max_vector_calls", [
         ("sinsin", cq.Rectangle(0.0, np.pi, 0.0, np.pi), 70850, 140),
         ("expsum", UNIT, 46530, 8),
+        ("sinsum", cq.Rectangle(0.0, np.pi, 0.0, np.pi), 73946, 126),
     ])
     def test_counts(self, name, rect, points, max_vector_calls):
         rec = {"vector": 0, "single": 0, "points": 0}
@@ -375,3 +388,117 @@ class TestEvaluationCounts:
         assert rec["single"] == 0
         assert rec["points"] == points
         assert rec["vector"] <= max_vector_calls
+
+
+class TestGradedNodes:
+    """``graded_nodes`` builds every breakpoint set and pass in one call; each
+    (pass, set) pair must equal the one-set build, kept here as the reference."""
+
+    SETS = [
+        np.array([0.0, 1.0]),  # no interior break
+        np.array([-0.25, 0.3, 1.5]),  # one
+        np.array([0.5, 0.6, 0.61, 0.9, 1.2, 1.7, 1.75]),  # five
+        np.array([0.2, 0.2 + 1e-15, 0.7]),  # a break within 1e-15 of lo
+        np.array([1e3, 1e3 + 0.5, 1e3 + 2.0]),
+    ]
+
+    @staticmethod
+    def reference(breaks, levels, max_width, k=8):
+        b = np.asarray(breaks, dtype=float)
+        panels = merge_breaks(refine_breaks(graded_breaks(b[:-1], b[1:], levels).ravel(), max_width))
+        return panel_nodes(panels, k)
+
+    def check(self, sets, passes):
+        spans = np.asarray([s[-1] - s[0] for s in sets])
+        x, w, bounds = graded_nodes(sets, [(levels, spans * frac) for levels, frac in passes])
+        assert bounds.size == len(passes) * len(sets) + 1
+        assert bounds[0] == 0 and bounds[-1] == x.size == w.size
+        for i, (levels, frac) in enumerate(passes):
+            for s, b in enumerate(sets):
+                ref_x, ref_w = self.reference(b, levels, spans[s] * frac)
+                seg = slice(bounds[i * len(sets) + s], bounds[i * len(sets) + s + 1])
+                assert np.array_equal(x[seg], ref_x), (levels, s)
+                assert np.array_equal(w[seg], ref_w), (levels, s)
+
+    @pytest.mark.parametrize("passes", [
+        [(11, 1 / 8), (12, 1 / 16)],  # the line norms
+        [(9, 1 / 8), (10, 1 / 16)],  # the area norm
+        [(10, 1 / 4)],  # the custom weight norm
+        [(12, 1 / 64), (3, 1 / 2)],  # uneven depths, the deeper pass first
+    ])
+    def test_sets_of_different_lengths_match_reference(self, passes):
+        self.check(self.SETS, passes)
+
+    @pytest.mark.parametrize("s", range(len(SETS)))
+    def test_one_set_matches_reference(self, s):
+        self.check([self.SETS[s]], [(11, 1 / 8), (12, 1 / 16)])
+
+    def test_collapsed_set_raises(self):
+        with pytest.raises(ValueError, match="too narrow"):
+            graded_nodes([np.array([0.0, 1.0]), np.array([0.0, 1e-14])], [(11, np.array([0.1, 1e-15]))])
+        with pytest.raises(ValueError, match="two breakpoints"):
+            graded_nodes([np.array([0.5])], [(11, np.array([0.1]))])
+
+
+class TestAsGridFn:
+    def test_wrapping_twice_returns_the_same_callable(self):
+        g = as_grid_fn(lambda x, y: x * y)
+        assert as_grid_fn(g) is g
+
+    def test_scalar_only_callable_through_a_double_wrap(self):
+        calls = []
+
+        def f(x, y):
+            calls.append(1)
+            return math.sin(x) * y
+
+        g = as_grid_fn(as_grid_fn(f))
+        out = g(np.array([[0.1], [0.2]]), np.array([1.0, 2.0, 3.0]))
+        assert out.shape == (2, 3)
+        assert out[1, 2] == math.sin(0.2) * 3.0
+        # the array call fails once, then one call per point
+        assert len(calls) == 1 + 6
+
+    def test_incompatible_shapes_raise(self):
+        g = as_grid_fn(lambda x, y: x + y)
+        with pytest.raises(ValueError):
+            g(np.zeros(3), np.zeros(4))
+
+
+class TestEmptyAndTinyIntervals:
+    @pytest.mark.parametrize("p", [2, cq.INF])
+    def test_no_lines_give_empty_arrays(self, p):
+        values, errors = cq.line_norms_with_error(lambda x, y: x + y, "x", [], 0.0, 1.0, p)
+        assert values.shape == errors.shape == (0,)
+
+    @pytest.mark.parametrize("lo, width", [(0.0, 1e-15), (0.0, 1e-13), (1e3, 1e-11)])
+    def test_too_narrow_square_is_refused(self, lo, width):
+        rect = cq.Rectangle(lo, lo + width, lo, lo + width)
+        with pytest.raises(ValueError, match=r"interval \[.*\] is too narrow for quadrature.*at least"):
+            cq.rule_report(integrand("sinsin", rect), rect, "composite-trapezoid", 2,
+                           cq.PartitionSpec(rect, 4, 4))
+
+    def test_refused_before_sampling(self):
+        calls = []
+
+        def g(x, y):
+            calls.append(1)
+            return np.asarray(x) + np.asarray(y)
+
+        with pytest.raises(ValueError, match=r"\[0.0, 1e-13\].*1.529e-13"):
+            cq.line_norms_with_error(g, "x", [0.0], 0.0, 1e-13, 2)
+        with pytest.raises(ValueError, match="too narrow"):
+            cq.area_norm_with_error(g, cq.Rectangle(0.0, 1.0, 0.0, 1e-13), 2)
+        assert calls == []
+
+    def test_narrow_square_above_the_limit_reports(self):
+        rect = cq.Rectangle(0.0, 3e-13, 0.0, 3e-13)
+        rep = cq.rule_report(integrand("sinsin", rect), rect, "composite-trapezoid", 2,
+                             cq.PartitionSpec(rect, 4, 4))
+        assert math.isfinite(rep.bound) and rep.bound > 0.0
+
+    def test_sup_norms_need_no_panels(self):
+        rect = cq.Rectangle(0.0, 1e-15, 0.0, 1e-15)
+        rep = cq.rule_report(integrand("sinsin", rect), rect, "composite-trapezoid", cq.INF,
+                             cq.PartitionSpec(rect, 4, 4))
+        assert math.isfinite(rep.bound)

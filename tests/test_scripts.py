@@ -48,3 +48,12 @@ def test_norm_minimization_study():
     assert len(exhibits) == 2
     for line in exhibits:
         assert float(line.rsplit("=", 1)[1]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_norm_digest():
+    args = ("--functions", "xy", "sinsum", "--rects", "unit", "--p", "2", "inf", "--m", "1", "3")
+    first = run_script("norm_digest.py", *args)
+    count, label, algorithm, digest = first.split()
+    assert (count, label, algorithm) == ("16", "bundles", "sha256")
+    assert len(digest) == 64 and int(digest, 16) >= 0
+    assert run_script("norm_digest.py", *args) == first
