@@ -16,6 +16,9 @@ import numpy as np
 from .core import EvaluationError
 
 
+_MERGE_RTOL = 1e-14
+
+
 @lru_cache(maxsize=64)
 def _leggauss(k: int) -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = np.polynomial.legendre.leggauss(k)
@@ -64,30 +67,71 @@ def refine_breaks(breaks: Sequence[float], max_width: float) -> np.ndarray:
     return np.concatenate((b[:1], out))
 
 
+def merge_tol(lo, hi):
+    """Breakpoint merge tolerance of [lo, hi], elementwise for array ends.
+
+    Breaks of [lo, hi] closer than 1e-14 * max(1, |lo|, |hi|) collapse
+    into one; every breakpoint merge uses this tolerance.
+    """
+    return _MERGE_RTOL * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+
+
 def merge_breaks(*groups: Sequence[float]) -> np.ndarray:
     """Sorted union of breakpoints, with near-duplicates collapsed."""
     allpts = np.concatenate([np.asarray(g, dtype=float) for g in groups if len(g)])
     allpts = np.sort(allpts)
-    scale = max(1.0, abs(allpts[0]), abs(allpts[-1]))
-    keep = np.concatenate(([True], np.diff(allpts) > 1e-14 * scale))
+    keep = np.concatenate(([True], np.diff(allpts) > merge_tol(allpts[0], allpts[-1])))
     return allpts[keep]
+
+
+def _narrow_limit(lo: float, hi: float, frac: float) -> float:
+    """Width below which panels of ``frac`` of [lo, hi] all merge away.
+
+    Below it even a panel of frac * (hi - lo), plus the rounding of its
+    two ends (2^-51 * max(1, |lo|, |hi|)), stays under ``merge_tol``.
+    """
+    return float(merge_tol(lo, hi)) * (1.0 - 2.0**-51 / _MERGE_RTOL) / frac
+
+
+def _too_narrow(lo: float, hi: float, frac: float) -> ValueError:
+    return ValueError(
+        f"interval [{lo!r}, {hi!r}] is too narrow for quadrature: panels of 1/{1.0 / frac:g} of its width "
+        f"must clear the breakpoint merge tolerance {float(merge_tol(lo, hi)):.3g}, which needs a width "
+        f"of at least {_narrow_limit(lo, hi, frac):.4g}"
+    )
+
+
+def require_resolvable(lo: float, hi: float, frac: float) -> None:
+    """Reject [lo, hi] before any sampling when panels of ``frac`` of it all merge away.
+
+    ``graded_nodes`` panels are at most frac * (hi - lo) wide; below
+    ``_narrow_limit`` every one collapses and ``graded_nodes`` would raise
+    the same error.
+    """
+    if hi - lo < _narrow_limit(lo, hi, frac):
+        raise _too_narrow(lo, hi, frac)
 
 
 @lru_cache(maxsize=16)
 def _graded_fracs(levels: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets of ``graded_breaks`` rows, one row per level count, as fractions of the panel.
+    """Offsets of the graded rows of a panel, one row per level count.
 
-    The first array gives lo's row from lo (factor 0) up to lo + w/2, the
-    second hi's row from hi - w/4 down to hi (factor 0).  Shallower level
-    counts are padded with factor 0, i.e. with copies of the panel ends.
+    A panel [lo, hi] of width w gets the row ends + w * fracs: lo (twice)
+    up to lo + w/2 by the ``graded_breaks`` fractions, then hi - w/4 down
+    to hi.  ``hi_end`` marks the entries offset from hi, whose fractions
+    are negated (hi + w * -f equals hi - w * f bit for bit).  Shallower
+    level counts are padded with fraction 0, i.e. with copies of the panel
+    ends.
     """
     top = max(levels)
-    fracs = np.zeros((len(levels), top + 1))
-    for row, count in zip(fracs, levels):
+    lo_side = np.zeros((len(levels), top + 1))
+    for row, count in zip(lo_side, levels):
         row[top + 1 - count:] = 0.5 ** np.arange(count, 0, -1)
-    from_hi = np.concatenate((fracs[:, :0:-1][:, 1:], np.zeros((len(levels), 1))), axis=1)
-    fracs.flags.writeable = from_hi.flags.writeable = False
-    return fracs, from_hi
+    hi_side = np.concatenate((lo_side[:, :0:-1][:, 1:], np.zeros((len(levels), 1))), axis=1)
+    fracs = np.concatenate((np.zeros((len(levels), 1)), lo_side, -hi_side), axis=1)[:, None, :]
+    hi_end = np.arange(fracs.shape[-1]) > top + 1
+    fracs.flags.writeable = hi_end.flags.writeable = False
+    return fracs, hi_end
 
 
 def graded_nodes(sets: Sequence[np.ndarray], passes: Sequence[tuple[int, np.ndarray]], k: int = 8):
@@ -104,55 +148,41 @@ def graded_nodes(sets: Sequence[np.ndarray], passes: Sequence[tuple[int, np.ndar
     nodes[bounds[i * len(sets) + s]:bounds[i * len(sets) + s + 1]].
     """
     nset, npass = len(sets), len(passes)
-    cap = np.array([width for _, width in passes], dtype=float)[..., None]
-    if nset == 1:
-        b = np.asarray(sets[0], dtype=float)
-        if b.size < 2:
-            raise ValueError("need at least two breakpoints")
-        lo, hi = b[:-1], b[1:]
-        tol = 1e-14 * max(1.0, abs(b[0]), abs(b[-1]))
-    else:
-        sizes = np.array([len(s) for s in sets])
-        if sizes.min() < 2:
-            raise ValueError("need at least two breakpoints")
-        b = np.concatenate(sets)
-        last = np.cumsum(sizes) - 1
-        first = last - sizes + 1
-        lo, hi = np.delete(b, last), np.delete(b, first)
-        tol = np.tile(1e-14 * np.maximum(1.0, np.maximum(np.abs(b[first]), np.abs(b[last]))), npass)
-        cap = np.repeat(cap, sizes - 1, axis=1)
-    # graded rows of every panel in every pass; a shallower pass's row is
-    # padded with copies of the panel ends, which the merge drops again
-    from_lo, from_hi = _graded_fracs(tuple(levels for levels, _ in passes))
-    width = (hi - lo)[:, None]
-    g = np.concatenate((lo[:, None] + width * from_lo[:, None, :],
-                        hi[:, None] - width * from_hi[:, None, :]), axis=-1)
+    panels = np.array([len(s) - 1 for s in sets])
+    if panels.min() < 1:
+        raise ValueError("need at least two breakpoints")
+    lo = np.concatenate([s[:-1] for s in sets])
+    hi = np.concatenate([s[1:] for s in sets])
+    cap = np.repeat(np.array([width for _, width in passes], dtype=float), panels, axis=1)[..., None]
+    # graded rows of every panel in every pass, each led by a copy of the
+    # panel's lo; a shallower pass's row is padded with copies of the panel
+    # ends, which the merge drops again
+    fracs, hi_end = _graded_fracs(tuple(levels for levels, _ in passes))
+    rows = np.where(hi_end, hi[:, None], lo[:, None]) + (hi - lo)[:, None] * fracs
     # refine: the gap ending at each break splits into `parts` equal panels;
-    # a row's first break closes the zero-width gap from the previous row
-    prev = np.concatenate((g[..., :1], g[..., :-1]), axis=-1)
+    # a row's first break closes the zero-width gap from its leading lo
+    prev, g = rows[..., :-1], rows[..., 1:]
     gap = g - prev
     parts = np.maximum(np.ceil(gap / cap), 1.0)
-    steps = np.arange(1.0, parts.max() + 1.0)
-    pts = prev[..., None] + gap[..., None] * steps / parts[..., None]
-    pts = np.where(steps == parts[..., None], g[..., None], pts)[steps <= parts[..., None]]
+    count = parts.astype(np.int64)
+    n = count.ravel()
+    last = np.cumsum(n)
+    step = np.arange(1.0, last[-1] + 1.0) - np.repeat(last - n, n)
+    pts = np.repeat(prev, n) + np.repeat(gap, n) * step / np.repeat(parts, n)
+    pts[last - 1] = g.ravel()
     # merge: drop each break within its set's tolerance of its predecessor
-    if nset == 1:
-        emitted = parts.sum(axis=(1, 2)).astype(np.int64)
-    else:
-        rows = parts.sum(axis=-1)
-        emitted = np.add.reduceat(rows, first - np.arange(nset), axis=1).ravel().astype(np.int64)
-        tol = np.repeat(tol, emitted)[1:]
+    emitted = np.add.reduceat(count.sum(axis=-1), np.cumsum(panels) - panels, axis=1).ravel()
     start = np.cumsum(emitted) - emitted
+    tol = merge_tol(np.array([s[0] for s in sets]), np.array([s[-1] for s in sets]))
     keep = np.empty(pts.size, dtype=bool)
-    keep[1:] = np.diff(pts) > tol
+    keep[1:] = np.diff(pts) > np.repeat(np.concatenate([tol] * npass), emitted)[1:]
     keep[start] = True
     merged = pts[keep]
     kept = np.add.reduceat(keep, start)
     if kept.min() < 2:
-        s = int(np.argmin(kept)) % nset
-        lo, hi = sets[s][0], sets[s][-1]
-        raise ValueError(f"the panels of [{lo!r}, {hi!r}] all merge under the breakpoint merge tolerance "
-                         f"{1e-14 * max(1.0, abs(lo), abs(hi)):.3g}: the interval is too narrow for quadrature")
+        i, s = divmod(int(np.argmin(kept)), nset)
+        lo, hi = float(sets[s][0]), float(sets[s][-1])
+        raise _too_narrow(lo, hi, float(passes[i][1][s]) / (hi - lo))
     # panels: consecutive kept breaks of one (pass, set) pair
     inner = np.ones(merged.size - 1, dtype=bool)
     inner[np.cumsum(kept)[:-1] - 1] = False
@@ -280,7 +310,7 @@ def zero_breaks(g, axis: str, fixed, lo: float, hi: float, resolution: int) -> l
     line, point = line[order], point[order]
     keep = np.empty(point.size, dtype=bool)
     keep[0] = True
-    keep[1:] = (np.diff(point) > 1e-14 * max(1.0, abs(lo), abs(hi))) | (line[1:] != line[:-1])
+    keep[1:] = (np.diff(point) > merge_tol(lo, hi)) | (line[1:] != line[:-1])
     point = point[keep]
     bounds = np.searchsorted(line[keep], lines, side="right").tolist()
     return [point[a:b] for a, b in zip([0, *bounds], bounds)]

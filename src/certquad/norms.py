@@ -40,6 +40,7 @@ from .gauss import (
     merge_breaks,
     p_norm_from_samples,
     require_finite,
+    require_resolvable,
     segment_p_norms,
     zero_breaks,
     zoomed_sup,
@@ -89,25 +90,6 @@ def _pass_fraction(resolution: int) -> float:
     return 1.0 / max(4, resolution // 32)
 
 
-def _require_resolvable(lo: float, hi: float, frac: float) -> None:
-    """Reject [lo, hi] when its finest quadrature panels cannot survive ``merge_breaks``.
-
-    The graded panels of the finest pass are at most ``frac`` of the
-    interval wide, and ``merge_breaks`` collapses breakpoints closer than
-    1e-14 * scale, scale = max(1, |lo|, |hi|).  Below the limit, where
-    even the widest panel plus the rounding of its two ends (2^-51 * scale)
-    stays under that tolerance, every panel would merge away.
-    """
-    scale = max(1.0, abs(lo), abs(hi))
-    limit = (1e-14 - 2.0**-51) * scale / frac
-    if hi - lo < limit:
-        raise ValueError(
-            f"interval [{lo!r}, {hi!r}] is too narrow for quadrature: its width must be at least "
-            f"{limit:.4g}, where panels of 1/{1.0 / frac:g} of it clear the breakpoint merge "
-            f"tolerance 1e-14 * max(1, |lo|, |hi|)"
-        )
-
-
 def _sup_lines(g, axis: str, c: np.ndarray, lo: float, hi: float, resolution: int):
     """Grid maxima of |g| along every line, each zoomed four times around its argmax."""
     rows = np.arange(c.size)
@@ -155,7 +137,7 @@ def line_norms_with_error(g, axis: str, fixed, lo: float, hi: float, p,
         value, gain = _sup_lines(gv, axis, c, lo, hi, resolution)
         return value, np.abs(gain) + 1e-15 * (1.0 + value)
     max_frac = _pass_fraction(resolution)
-    _require_resolvable(lo, hi, max_frac / 2.0)
+    require_resolvable(lo, hi, max_frac / 2.0)
     # the distinct breakpoint sets, and the set of each line
     sets: list[np.ndarray] = []
     index: dict[bytes, int] = {}
@@ -218,8 +200,8 @@ def area_norm_with_error(g, rect: Rectangle, p, resolution: int = DEFAULT_RESOLU
         return value, abs(gain) + 1e-15 * (1.0 + value)
 
     max_frac = _pass_fraction(resolution)
-    _require_resolvable(rect.a, rect.b, max_frac / 2.0)
-    _require_resolvable(rect.c, rect.d, max_frac / 2.0)
+    require_resolvable(rect.a, rect.b, max_frac / 2.0)
+    require_resolvable(rect.c, rect.d, max_frac / 2.0)
     scan = min(resolution, 192)
     offsets = np.asarray([0.155, -0.237])
     bx = merge_breaks(*zero_breaks(fv, "x", rect.m2 + offsets * rect.height, rect.a, rect.b, scan))

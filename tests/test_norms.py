@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -432,6 +433,22 @@ class TestGradedNodes:
     @pytest.mark.parametrize("s", range(len(SETS)))
     def test_one_set_matches_reference(self, s):
         self.check([self.SETS[s]], [(11, 1 / 8), (12, 1 / 16)])
+
+    def test_fine_cap_memory_follows_the_node_count(self):
+        # a resolution-8192 cap (1/256 and 1/512 of the span) splits each
+        # set's one wide panel into ~125 parts while its 31 narrow panels
+        # stay whole: the build must not pad every gap to the largest split
+        sets = [np.concatenate(([0.0], 1e-3 * np.arange(1, 32) + 1e-5 * i, [1.0])) for i in range(16)]
+        passes = [(11, 1 / 256), (12, 1 / 512)]
+        spans = np.ones(len(sets))
+        tracemalloc.start()
+        try:
+            x, w, bounds = graded_nodes(sets, [(levels, spans * frac) for levels, frac in passes])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * x.nbytes
+        self.check(sets[:2], passes)
 
     def test_collapsed_set_raises(self):
         with pytest.raises(ValueError, match="too narrow"):
