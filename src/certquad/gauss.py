@@ -1,9 +1,12 @@
 """Gauss-Legendre panel quadrature with graded subdivision.
 
-Shared sampling machinery for the norm, weight-norm and oracle modules.
-All routines are deterministic: fixed node counts and fixed summation
-order (numpy dot products), so repeated runs reproduce bit-identical
-values.
+Every graded rule and tensor-product norm is built here: ``graded_nodes``
+for the line norms (``norms``), the ramp norms (``weights``) and the
+minimizer's grid (``minimizer``); ``tensor_norms`` for the f_xy area
+norm (``norms``) and the custom weight norm (``weights``).  The oracle
+uses ``panel_nodes``.  All routines are deterministic: fixed node counts
+and fixed summation order (numpy dot products), so repeated runs
+reproduce bit-identical values.
 """
 
 from __future__ import annotations
@@ -25,46 +28,18 @@ def _leggauss(k: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def panel_nodes(breaks: Sequence[float], nodes_per_panel: int = 8) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of composite Gauss-Legendre over consecutive panels."""
+def panel_nodes(breaks, nodes_per_panel: int = 8) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes and weights over consecutive breaks, or over the panels (lo, hi) of a 2 x n array."""
     b = np.asarray(breaks, dtype=float)
-    if b.size < 2:
+    lo, hi = (b[:-1], b[1:]) if b.ndim == 1 else b
+    if lo.size < 1:
         raise ValueError("need at least two breakpoints")
     t, w = _leggauss(nodes_per_panel)
-    half = 0.5 * np.diff(b)
-    mid = 0.5 * (b[1:] + b[:-1])
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
     x = (mid[:, None] + half[:, None] * t[None, :]).ravel()
     wts = (half[:, None] * w[None, :]).ravel()
     return x, wts
-
-
-def graded_breaks(lo, hi, levels: int = 12) -> np.ndarray:
-    """Breakpoints of [lo, hi] accumulating geometrically toward both ends.
-
-    Panel widths halve toward each endpoint, which restores fast
-    convergence for integrands with fractional-power behaviour |x - e|^s
-    at an endpoint e.  Array endpoints give one row of breakpoints each.
-    """
-    lo = np.asarray(lo, dtype=float)[..., None]
-    hi = np.asarray(hi, dtype=float)[..., None]
-    width = hi - lo
-    fracs = 0.5 ** np.arange(levels, 0, -1)  # 2^-levels .. 1/2
-    left = lo + width * fracs
-    right = hi - width * fracs[::-1]
-    return np.concatenate((lo, left, right[..., 1:], hi), axis=-1)
-
-
-def refine_breaks(breaks: Sequence[float], max_width: float) -> np.ndarray:
-    """Split every panel wider than max_width into uniform subpanels."""
-    b = np.asarray(breaks, dtype=float)
-    lo, hi = b[:-1], b[1:]
-    parts = np.maximum(1.0, np.ceil((hi - lo) / max_width)).astype(np.int64)
-    panel = np.repeat(np.arange(lo.size), parts)
-    k = np.arange(panel.size) - np.repeat(np.cumsum(parts) - parts, parts) + 1
-    out = lo[panel] + (hi - lo)[panel] * k / parts[panel]
-    last = k == parts[panel]
-    out[last] = hi[panel[last]]
-    return np.concatenate((b[:1], out))
 
 
 def merge_tol(lo, hi):
@@ -117,7 +92,7 @@ def _graded_fracs(levels: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Offsets of the graded rows of a panel, one row per level count.
 
     A panel [lo, hi] of width w gets the row ends + w * fracs: lo (twice)
-    up to lo + w/2 by the ``graded_breaks`` fractions, then hi - w/4 down
+    up to lo + w/2 by the fractions 2^-levels .. 1/2, then hi - w/4 down
     to hi.  ``hi_end`` marks the entries offset from hi, whose fractions
     are negated (hi + w * -f equals hi - w * f bit for bit).  Shallower
     level counts are padded with fraction 0, i.e. with copies of the panel
@@ -138,14 +113,14 @@ def graded_nodes(sets: Sequence[np.ndarray], passes: Sequence[tuple[int, np.ndar
     """Graded composite Gauss nodes of several breakpoint sets and passes in one vectorised build.
 
     Each pass is (levels, max_width), max_width an array of one width per
-    set.  Set b of a pass gets the nodes and weights of
-    ``panel_nodes(merge_breaks(refine_breaks(graded_breaks(b[:-1], b[1:], levels).ravel(),
-    max_width)), k)``: every panel graded toward both its ends, split to at
-    most max_width, and near-duplicates collapsed with the set's own merge
-    tolerance.  Segment arithmetic runs every (pass, set) pair at once and
-    each pair's nodes equal its one-set build bit for bit.  Returns flat
-    (nodes, weights, bounds); pass i of set s owns
-    nodes[bounds[i * len(sets) + s]:bounds[i * len(sets) + s + 1]].
+    set.  In set b of a pass every panel [lo, hi] of width w is graded
+    toward both its ends, with breaks at lo + w 2^-j and hi - w 2^-j for
+    j = 1 .. levels; every gap is split into equal parts at most
+    max_width wide; a break within the set's merge tolerance of its
+    predecessor is dropped; each remaining panel gets k Gauss-Legendre
+    nodes (``panel_nodes``).  Segment arithmetic runs every (pass, set)
+    pair at once.  Returns flat (nodes, weights, bounds); pass i of set s
+    owns nodes[bounds[i * len(sets) + s]:bounds[i * len(sets) + s + 1]].
     """
     nset, npass = len(sets), len(passes)
     panels = np.array([len(s) - 1 for s in sets])
@@ -183,15 +158,37 @@ def graded_nodes(sets: Sequence[np.ndarray], passes: Sequence[tuple[int, np.ndar
         i, s = divmod(int(np.argmin(kept)), nset)
         lo, hi = float(sets[s][0]), float(sets[s][-1])
         raise _too_narrow(lo, hi, float(passes[i][1][s]) / (hi - lo))
-    # panels: consecutive kept breaks of one (pass, set) pair
+    # panels: consecutive kept breaks of one (pass, set) pair; masking the panel
+    # ends rather than the nodes keeps the build free of a node-sized copy
     inner = np.ones(merged.size - 1, dtype=bool)
     inner[np.cumsum(kept)[:-1] - 1] = False
-    half = 0.5 * np.diff(merged)[inner]
-    mid = 0.5 * (merged[1:] + merged[:-1])[inner]
-    t, w = _leggauss(k)
-    x = (mid[:, None] + half[:, None] * t[None, :]).ravel()
-    wts = (half[:, None] * w[None, :]).ravel()
+    x, wts = panel_nodes((merged[:-1][inner], merged[1:][inner]), k)
     return x, wts, np.concatenate(([0], np.cumsum((kept - 1) * k)))
+
+
+def tensor_norms(g, rect, p: float, scan: int, passes: Sequence[tuple[int, float]]) -> list[float]:
+    """L^p norms of g over a rectangle by graded tensor Gauss, one per pass.
+
+    Each axis is split at the sign changes of g along two scan lines
+    (``zero_breaks`` on scan + 1 points), which captures the axis-aligned
+    kink lines of separable integrands.  A pass (levels, cap) is one
+    ``graded_nodes`` build of both axes, panels at most cap times the axis
+    span wide, and one tensor sample of g, a broadcasting callable.
+    """
+    offsets = np.asarray([0.155, -0.237])
+    bx = merge_breaks(*zero_breaks(g, "x", rect.m2 + offsets * rect.height, rect.a, rect.b, scan))
+    by = merge_breaks(*zero_breaks(g, "y", rect.m1 + offsets * rect.width, rect.c, rect.d, scan))
+    spans = np.asarray([bx[-1] - bx[0], by[-1] - by[0]])
+    nodes, weights, bounds = graded_nodes([bx, by], [(levels, spans * cap) for levels, cap in passes])
+    # segments: x then y of each pass
+    xs, ws = np.split(nodes, bounds[1:-1]), np.split(weights, bounds[1:-1])
+    out = []
+    for x, y, wx, wy in zip(xs[0::2], xs[1::2], ws[0::2], ws[1::2]):
+        vals = g(x[:, None], y[None, :])
+        require_finite(vals, (x[:, None], y[None, :]))
+        out.append(p_norm_from_samples(vals, np.outer(wx, wy), p))
+        del vals  # before the next pass samples: a second live grid array faults in fresh pages
+    return out
 
 
 def p_norm_from_samples(values, weights, p: float) -> float:
@@ -282,7 +279,8 @@ def zero_breaks(g, axis: str, fixed, lo: float, hi: float, resolution: int) -> l
     exact = vals == 0.0
     degenerate = exact.sum(axis=1) > resolution // 2
     exact &= ((t > lo) & (t < hi))[None, :] & ~degenerate[:, None]
-    rows, idx = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
+    neg, pos = vals < 0.0, vals > 0.0  # signs, not products: those can underflow to -0.0 or overflow
+    rows, idx = np.nonzero(neg[:, :-1] & pos[:, 1:] | pos[:, :-1] & neg[:, 1:])
     rank = np.arange(rows.size) - np.searchsorted(rows, rows)
     keep = rank < np.maximum(32 - exact.sum(axis=1)[rows], 1)
     rows, idx = rows[keep], idx[keep]

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import Exponent, Rectangle, SearchFailureError
-from .gauss import as_vector_fn, graded_breaks, merge_breaks, panel_nodes, refine_breaks
+from .gauss import as_vector_fn, graded_nodes
 from .weights import CustomPhi, phi_norm_numeric
 
 SYMMETRIC_SQUARE = Rectangle(-1.0, 1.0, -1.0, 1.0)
@@ -138,8 +138,7 @@ class _NormObjective:
         levels = 12 if fine else 9
         nodes_per_panel = 10 if fine else 6
         max_width = 0.125 if fine else 0.25
-        half = refine_breaks(graded_breaks(0.0, 1.0, levels=levels), max_width)
-        x, w = panel_nodes(merge_breaks(-half[::-1], half), nodes_per_panel)
+        x, w, _ = graded_nodes([np.array([-1.0, 0.0, 1.0])], [(levels, [max_width])], nodes_per_panel)
         self.w = w
         self.q = q
         self.outer = np.outer(x, x)

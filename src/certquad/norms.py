@@ -37,11 +37,10 @@ from .gauss import (
     as_vector_fn,
     graded_nodes,
     line_coords,
-    merge_breaks,
-    p_norm_from_samples,
     require_finite,
     require_resolvable,
     segment_p_norms,
+    tensor_norms,
     zero_breaks,
     zoomed_sup,
 )
@@ -187,9 +186,8 @@ def line_norm(g, seg: LineSegment, p, resolution: int = DEFAULT_RESOLUTION) -> f
 def area_norm_with_error(g, rect: Rectangle, p, resolution: int = DEFAULT_RESOLUTION):
     """(int int |g|^p)^(1/p) over the rectangle, plus an error estimate.
 
-    Panel breakpoints include zero crossings of g detected along two scan
-    lines per axis, which captures the axis-aligned kink lines of
-    separable integrands.
+    Two passes of ``gauss.tensor_norms`` (panels split at the sign changes
+    of g along two scan lines per axis); the estimate is their difference.
     """
     p = Exponent.coerce(p)
     if resolution < 16:
@@ -202,23 +200,8 @@ def area_norm_with_error(g, rect: Rectangle, p, resolution: int = DEFAULT_RESOLU
     max_frac = _pass_fraction(resolution)
     require_resolvable(rect.a, rect.b, max_frac / 2.0)
     require_resolvable(rect.c, rect.d, max_frac / 2.0)
-    scan = min(resolution, 192)
-    offsets = np.asarray([0.155, -0.237])
-    bx = merge_breaks(*zero_breaks(fv, "x", rect.m2 + offsets * rect.height, rect.a, rect.b, scan))
-    by = merge_breaks(*zero_breaks(fv, "y", rect.m1 + offsets * rect.width, rect.c, rect.d, scan))
-    spans = np.asarray([bx[-1] - bx[0], by[-1] - by[0]])
-    nodes, weights, bounds = graded_nodes([bx, by], ((9, spans * max_frac), (10, spans * (max_frac / 2.0))))
-    # segments: coarse x, coarse y, fine x, fine y
-    x_c, y_c, x_f, y_f = np.split(nodes, bounds[1:-1])
-    wx_c, wy_c, wx_f, wy_f = np.split(weights, bounds[1:-1])
-
-    def one_pass(x, y, wx, wy) -> float:
-        vals = fv(x[:, None], y[None, :])
-        require_finite(vals, (x[:, None], y[None, :]))
-        return p_norm_from_samples(vals, np.outer(wx, wy), p.value)
-
-    coarse = one_pass(x_c, y_c, wx_c, wy_c)
-    fine = one_pass(x_f, y_f, wx_f, wy_f)
+    passes = ((9, max_frac), (10, max_frac / 2.0))
+    coarse, fine = tensor_norms(fv, rect, p.value, min(resolution, 192), passes)
     return fine, abs(fine - coarse) + 1e-15 * (1.0 + abs(fine))
 
 

@@ -42,17 +42,7 @@ from .core import (
     Rectangle,
     UnsupportedVariantError,
 )
-from .gauss import (
-    as_vector_fn,
-    graded_breaks,
-    graded_nodes,
-    merge_breaks,
-    p_norm_from_samples,
-    panel_nodes,
-    refine_breaks,
-    zero_breaks,
-    zoomed_sup,
-)
+from .gauss import as_vector_fn, graded_nodes, p_norm_from_samples, tensor_norms, zoomed_sup
 
 
 @dataclass(frozen=True)
@@ -327,17 +317,10 @@ def phi_edge_norm_closed(w: WeightFunction, q, edge: str) -> float:
     return abs(fixed - root) * ramp_norm_closed(w.rect.height, my, q)
 
 
-def _axis_ramp_norm(breaks: np.ndarray, roots: np.ndarray, qq: float, resolution: int) -> float:
-    """L^q norm of one axis ramp |t - root_k| by graded panel quadrature per piece."""
-    max_frac = 1.0 / max(2, resolution // 64)
-    samples, weights = [], []
-    for k in range(roots.size):
-        lo, hi = float(breaks[k]), float(breaks[k + 1])
-        panels = refine_breaks(graded_breaks(lo, hi, levels=12), (hi - lo) * max_frac)
-        x, wts = panel_nodes(panels, 8)
-        samples.append(x - roots[k])
-        weights.append(wts)
-    return p_norm_from_samples(np.concatenate(samples), np.concatenate(weights), qq)
+def _axis_ramp_norm(breaks: np.ndarray, roots: np.ndarray, qq: float, cap: float) -> float:
+    """L^q norm of one axis ramp |t - root_k|: each piece is its own set of one graded Gauss build."""
+    x, wts, bounds = graded_nodes(np.stack((breaks[:-1], breaks[1:]), axis=1), [(12, np.diff(breaks) * cap)])
+    return p_norm_from_samples(x - np.repeat(roots, np.diff(bounds)), wts, qq)
 
 
 def _axis_sup(breaks: np.ndarray, roots: np.ndarray) -> float:
@@ -345,30 +328,6 @@ def _axis_sup(breaks: np.ndarray, roots: np.ndarray) -> float:
     lo_vals = np.abs(breaks[:-1] - roots)
     hi_vals = np.abs(breaks[1:] - roots)
     return float(max(lo_vals.max(), hi_vals.max()))
-
-
-def _custom_axis_breaks(w: CustomPhi, axis: str) -> np.ndarray:
-    """Breakpoints of one axis: the ends plus the sign changes found on two scan lines."""
-    r = w.rect
-    if axis == "x":
-        lo, hi, mid_t, span_t = r.a, r.b, r.m2, r.height
-    else:
-        lo, hi, mid_t, span_t = r.c, r.d, r.m1, r.width
-    scan = mid_t + np.asarray([0.155, -0.237]) * span_t
-    return merge_breaks(*zero_breaks(w.eval_grid, axis, scan, lo, hi, 128))
-
-
-def _custom_norm_numeric(w: CustomPhi, q: Exponent, resolution: int) -> float:
-    if q.is_infinite:
-        return zoomed_sup(w.eval_grid, w.rect, max(64, resolution))[0]
-    max_frac = 1.0 / max(2, resolution // 64)
-    spans = np.asarray([w.rect.b - w.rect.a, w.rect.d - w.rect.c])
-    nodes, wts, bounds = graded_nodes(
-        [_custom_axis_breaks(w, "x"), _custom_axis_breaks(w, "y")], [(10, spans * max_frac)]
-    )
-    xs, ys = np.split(nodes, bounds[1:2])
-    wx, wy = np.split(wts, bounds[1:2])
-    return p_norm_from_samples(w.eval_grid(xs[:, None], ys[None, :]), np.outer(wx, wy), q.value)
 
 
 def phi_norm_numeric(w: WeightFunction, q, resolution: int = 256) -> float:
@@ -382,12 +341,15 @@ def phi_norm_numeric(w: WeightFunction, q, resolution: int = 256) -> float:
     q = Exponent.coerce(q)
     if resolution < 8:
         raise ValueError("resolution must be >= 8")
+    cap = 1.0 / max(2, resolution // 64)  # panel width cap, as a fraction of a piece or an axis
     if isinstance(w, CustomPhi):
-        return _custom_norm_numeric(w, q, resolution)
+        if q.is_infinite:
+            return zoomed_sup(w.eval_grid, w.rect, max(64, resolution))[0]
+        return tensor_norms(w.eval_grid, w.rect, q.value, 128, [(10, cap)])[0]
     if not isinstance(w, _SeparableWeight):
         raise UnsupportedVariantError(f"unknown weight variant {w.variant}")
     if q.is_infinite:
         return _axis_sup(w.x_breaks, w.x_roots) * _axis_sup(w.y_breaks, w.y_roots)
-    return _axis_ramp_norm(w.x_breaks, w.x_roots, q.value, resolution) * _axis_ramp_norm(
-        w.y_breaks, w.y_roots, q.value, resolution
+    return _axis_ramp_norm(w.x_breaks, w.x_roots, q.value, cap) * _axis_ramp_norm(
+        w.y_breaks, w.y_roots, q.value, cap
     )

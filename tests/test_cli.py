@@ -139,6 +139,12 @@ class TestExitCodes:
             ["integrate", "--function", "invsum", "--rect", "-2", "3", "1", "4"])
         assert code == USAGE_ERROR or code == NUMERIC_FAILURE
 
+    def test_overflowing_exact_integral_is_usage_error(self):
+        code, _, err = invoke(["integrate", "--function", "expsum", "--rect", "1000", "1001", "0", "1",
+                               "--p", "2"])
+        assert code == USAGE_ERROR
+        assert err.startswith("error: the exact integral of 'expsum' over Rectangle(a=1000.0")
+
     def test_violation_exit_code_via_run(self, capsys, monkeypatch):
         # force a fake oracle so the certificate check fails deterministically
         import certquad.cli as cli

@@ -131,6 +131,17 @@ class TestMinimizerMapsToTrapezoidWeight:
         assert numeric == pytest.approx(target, rel=1e-9)
 
 
+class TestObjectiveGrid:
+    @pytest.mark.parametrize("fine", [False, True])
+    def test_grid_is_mirror_symmetric_bit_for_bit(self, fine):
+        basis = AlphaBetaBasis()
+        objective = _NormObjective(basis, 2.0, fine)
+        x = objective.terms[:, len(basis.even_terms)]  # the odd term s is the node itself
+        assert np.array_equal(x, -x[::-1])
+        assert np.array_equal(objective.w, objective.w[::-1])
+        assert np.all(np.diff(x) > 0.0)
+
+
 class TestQ2Identity:
     def test_random_draws(self):
         assert cq.verify_q2_identity(samples=12, seed=3) <= 1e-8

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,11 +11,9 @@ from certquad.core import FAMILIES
 from certquad.gauss import (
     as_grid_fn,
     as_vector_fn,
-    graded_breaks,
     graded_nodes,
     merge_breaks,
     panel_nodes,
-    refine_breaks,
     zero_breaks,
 )
 from certquad.norms import LineSegment, partial_evaluators
@@ -219,7 +218,7 @@ def _scalar_zero_breaks(g, lo, hi, resolution):
     exact = np.flatnonzero(vals == 0.0)
     if exact.size <= resolution // 2:
         zeros.extend(float(xs[i]) for i in exact if lo < xs[i] < hi)
-    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+    for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0):
         a, b = float(xs[i]), float(xs[i + 1])
         fa = float(vals[i])
         for _ in range(60):
@@ -291,6 +290,20 @@ class TestZeroBreaks:
         rows = zero_breaks(g, "y", [0.25, 0.75], 0.0, 1.0, 256)
         assert all(np.array_equal(r, [0.0, 129.0 / 512.0, 1.0]) for r in rows)
         assert calls == [2 * 257, 2]
+
+    def test_tiny_values_keep_their_sign_change(self):
+        # neighbouring samples ~1e-163 apart: their product underflows to -0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (row,) = zero_breaks(lambda x, y: 1e-160 * (x - 0.3) + 0.0 * y, "x", [0.0], 0.0, 1.0, 256)
+        assert row.size == 3 and row[1] == pytest.approx(0.3, abs=1e-15)
+
+    def test_huge_values_raise_no_overflow_warning(self):
+        # exp(x + y) near x = 700: the products of neighbours overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (row,) = zero_breaks(lambda x, y: np.exp(x + y), "x", [1.0], 700.0, 701.0, 256)
+        assert np.array_equal(row, [700.0, 701.0])
 
 
 class TestBatchedLines:
@@ -391,9 +404,34 @@ class TestEvaluationCounts:
         assert rec["vector"] <= max_vector_calls
 
 
+def graded_breaks(lo, hi, levels):
+    """Breakpoints of [lo, hi] accumulating geometrically toward both ends, one row per end pair."""
+    lo = np.asarray(lo, dtype=float)[..., None]
+    hi = np.asarray(hi, dtype=float)[..., None]
+    width = hi - lo
+    fracs = 0.5 ** np.arange(levels, 0, -1)  # 2^-levels .. 1/2
+    left = lo + width * fracs
+    right = hi - width * fracs[::-1]
+    return np.concatenate((lo, left, right[..., 1:], hi), axis=-1)
+
+
+def refine_breaks(breaks, max_width):
+    """Split every panel wider than max_width into uniform subpanels."""
+    b = np.asarray(breaks, dtype=float)
+    lo, hi = b[:-1], b[1:]
+    parts = np.maximum(1.0, np.ceil((hi - lo) / max_width)).astype(np.int64)
+    panel = np.repeat(np.arange(lo.size), parts)
+    k = np.arange(panel.size) - np.repeat(np.cumsum(parts) - parts, parts) + 1
+    out = lo[panel] + (hi - lo)[panel] * k / parts[panel]
+    last = k == parts[panel]
+    out[last] = hi[panel[last]]
+    return np.concatenate((b[:1], out))
+
+
 class TestGradedNodes:
     """``graded_nodes`` builds every breakpoint set and pass in one call; each
-    (pass, set) pair must equal the one-set build, kept here as the reference."""
+    (pass, set) pair must equal the one-set build of ``graded_breaks`` and
+    ``refine_breaks`` above, kept here as the reference."""
 
     SETS = [
         np.array([0.0, 1.0]),  # no interior break

@@ -50,6 +50,15 @@ class TestOracleIntegrate:
                 assert abs(value - exact) <= err + 1e-12 * (1.0 + abs(exact)), (
                     name, rect, value, exact, err)
 
+    @pytest.mark.parametrize("h", [1e-6, 1e-9])
+    @pytest.mark.parametrize("name", ["sinsin", "sinsum", "expsum"])
+    def test_closed_forms_keep_their_digits_on_small_rectangles(self, name, h):
+        # differences of cosines or exponentials cancel here; the product forms do not
+        rect = cq.Rectangle(1.0, 1.0 + h, 2.0, 2.0 + h)
+        f = cq.get_entry(name).integrand(rect)
+        value, _ = cq.oracle_integrate(replace(f, exact_integral=None), rect)
+        assert f.exact_integral == pytest.approx(value, rel=1e-12, abs=0.0)
+
     def test_budget_exhaustion_carries_best_value(self, unit, monkeypatch):
         import certquad.oracle as oracle_mod
 
