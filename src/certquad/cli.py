@@ -8,6 +8,12 @@ fixed schema
      bound: {total, fx_term, fy_term, fxy_term}, provenance: [...], pass}
 
 (converge emits a JSON list of such objects, one per refinement level).
+integrate, bound and every converge level go through one checked-report
+step, ``_checked_report``: the rule's report, its certificate when an
+oracle value is given, and the JSON payload, whose m and n are those of
+the partition the report used.  The parsed ``argparse.Namespace`` is the
+only configuration object; each shared flag is declared once, in a
+parent parser (``_shared_flags``).
 
 Exit codes: 0 success, 1 certificate violation, 2 usage error,
 3 numerical failure.
@@ -26,7 +32,6 @@ from .core import (
     Exponent,
     PartitionSpec,
     QuadratureConvergenceError,
-    QuadratureReport,
     Rectangle,
     RegistryError,
     SearchFailureError,
@@ -39,7 +44,7 @@ from .weights import CompositeMidpointPhi, CompositeTrapezoidPhi
 
 OK, CERT_VIOLATION, USAGE_ERROR, NUMERIC_FAILURE = 0, 1, 2, 3
 
-RULES = WEIGHT_NAMES = tuple(BUILTIN_RULES)
+RULES = tuple(BUILTIN_RULES)
 DEFAULT_P_GRID = ("1", "1.5", "2", "3", "inf")
 DEFAULT_N_GRID = (1, 2, 4, 8)
 
@@ -47,28 +52,6 @@ DEFAULT_N_GRID = (1, 2, 4, 8)
 #: bound: the bound arithmetic is plain double precision (no directed
 #: rounding), so certificates hold up to ~1e-12 relative rounding.
 CERT_MARGIN_REL = 1e-12
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation; one command with its inputs."""
-
-    command: str
-    function: str = "poly22"
-    rect: tuple[float, float, float, float] = (0.0, 1.0, 0.0, 1.0)
-    p: str = "inf"
-    rule: str = "trapezoid"
-    m: int = 1
-    n: int = 1
-    resolution: int = 256
-    output_format: str = "text"
-    tol: float = 1e-8
-    weight: str = "trapezoid"
-    q: str = "2"
-    restarts: int = 8
-    seed: int = 0
-    levels: int = 5
-    max_n: int = 8
 
 
 @dataclass(frozen=True)
@@ -136,31 +119,11 @@ def _schema(command, inputs, estimate=None, oracle=None, bound=None, provenance=
         "command": command,
         "inputs": inputs,
         "estimate": estimate,
-        "oracle": {"value": None, "err": None} if oracle is None else oracle,
-        "bound": {"total": None, "fx_term": None, "fy_term": None, "fxy_term": None}
-        if bound is None
-        else bound,
+        "oracle": dict.fromkeys(("value", "err")) if oracle is None else oracle,
+        "bound": dict.fromkeys(("total", "fx_term", "fy_term", "fxy_term")) if bound is None else bound,
         "provenance": list(provenance),
         "pass": bool(passed),
     }
-
-
-def _bound_dict(report: QuadratureReport) -> dict:
-    return {
-        "total": report.bound,
-        "fx_term": report.fx_term,
-        "fy_term": report.fy_term,
-        "fxy_term": report.fxy_term,
-    }
-
-
-def _provenance(report: QuadratureReport) -> list[str]:
-    out = list(report.notes)
-    if report.norms_used is not None:
-        prov = report.norms_used.provenance
-        if prov:
-            out.append("norms: " + ", ".join(f"{k}={v}" for k, v in sorted(prov.items())))
-    return out
 
 
 def _emit(payload, fmt: str, text_lines) -> None:
@@ -171,140 +134,134 @@ def _emit(payload, fmt: str, text_lines) -> None:
             print(line)
 
 
-def _cmd_report(cfg: RunConfig) -> int:
-    """integrate and bound: one rule report; integrate also checks it against the oracle."""
-    rect = Rectangle(*cfg.rect)
-    p = Exponent.parse(cfg.p)
-    entry = get_entry(cfg.function)
-    f = entry.integrand(rect)
-    part = PartitionSpec(rect, cfg.m, cfg.n) if BUILTIN_RULES[cfg.rule][1] else None
-    report = rule_report(f, rect, cfg.rule, p, part, cfg.resolution)
-    keys = ("function", "rect", "p", "rule", "m", "n", "resolution")
-    rows = [("rule", f"{cfg.rule} (p={p})"), ("estimate", f"{report.estimate:.12g}")]
-    bound_row = (
+def _at_least(flag: str, value: int, minimum: int) -> int:
+    if value < minimum:
+        raise ValueError(f"{flag} must be at least {minimum}, got {value}")
+    return value
+
+
+def _checked_report(args, keys, f, rect: Rectangle, p: Exponent, part, oracle=None, cache=None):
+    """The one report step of integrate, bound and every converge level.
+
+    Runs ``rule_report`` and, when ``oracle`` (value, err) is given, checks
+    |estimate - oracle| against the bound with ``args.tol``.  Returns the
+    report, that error (None without an oracle) and the JSON payload,
+    whose ``inputs`` lists ``keys`` in order, with m and n read off the
+    partition the report used.
+    """
+    report = rule_report(f, rect, args.rule, p, part, args.resolution, cache)
+    error, passed = None, True
+    if oracle is not None:
+        error = abs(report.estimate - oracle[0])
+        passed = certificate_ok(error, report.bound, args.tol)
+    used = {"m": report.partition.m, "n": report.partition.n}
+    provenance = list(report.notes)
+    norms = report.norms_used.provenance if report.norms_used is not None else None
+    if norms:
+        provenance.append("norms: " + ", ".join(f"{k}={v}" for k, v in sorted(norms.items())))
+    payload = _schema(
+        args.command,
+        {key: used[key] if key in used else getattr(args, key) for key in keys},
+        estimate=report.estimate,
+        oracle=None if oracle is None else {"value": oracle[0], "err": oracle[1]},
+        bound={"total": report.bound, "fx_term": report.fx_term,
+               "fy_term": report.fy_term, "fxy_term": report.fxy_term},
+        provenance=provenance,
+        passed=passed,
+    )
+    return report, error, payload
+
+
+def _cmd_report(args) -> int:
+    """integrate and bound: one checked report; integrate also checks it against the oracle."""
+    rect = Rectangle(*args.rect)
+    p = Exponent.parse(args.p)
+    f = get_entry(args.function).integrand(rect)
+    part = PartitionSpec(rect, args.m, args.n) if BUILTIN_RULES[args.rule][1] else None
+    checked = args.command == "integrate"
+    oracle = oracle_integrate(f, rect) if checked else None
+    keys = ("function", "rect", "p", "rule", "m", "n", "resolution") + (("tol",) if checked else ())
+    report, error, payload = _checked_report(args, keys, f, rect, p, part, oracle)
+    rows = [("rule", f"{args.rule} (p={p})"), ("estimate", f"{report.estimate:.12g}")]
+    if checked:
+        rows += [("oracle", f"{oracle[0]:.12g} (err est {oracle[1]:.3g})"), ("|error|", f"{error:.6g}")]
+    rows.append((
         "bound",
         f"{report.bound:.6g} "
         f"(fx {report.fx_term:.4g} + fy {report.fy_term:.4g} + fxy {report.fxy_term:.4g})",
-    )
-    oracle, passed = None, True
-    if cfg.command == "integrate":
-        oracle_value, oracle_err = oracle_integrate(f, rect)
-        error = abs(report.estimate - oracle_value)
-        passed = certificate_ok(error, report.bound, cfg.tol)
-        oracle = {"value": oracle_value, "err": oracle_err}
-        keys += ("tol",)
-        rows += [
-            ("oracle", f"{oracle_value:.12g} (err est {oracle_err:.3g})"),
-            ("|error|", f"{error:.6g}"),
-            bound_row,
-            ("certificate", "ok" if passed else "VIOLATED"),
-        ]
-    else:
-        rows.append(bound_row)
-    payload = _schema(
-        cfg.command,
-        _inputs(cfg, keys),
-        estimate=report.estimate,
-        oracle=oracle,
-        bound=_bound_dict(report),
-        provenance=_provenance(report),
-        passed=passed,
-    )
+    ))
+    if checked:
+        rows.append(("certificate", "ok" if payload["pass"] else "VIOLATED"))
     width = max(len(name) for name, _ in rows)
-    _emit(payload, cfg.output_format, [f"{name:<{width}} : {text}" for name, text in rows])
-    return OK if passed else CERT_VIOLATION
+    _emit(payload, args.output_format, [f"{name:<{width}} : {text}" for name, text in rows])
+    return OK if payload["pass"] else CERT_VIOLATION
 
 
-def _cmd_converge(cfg: RunConfig) -> int:
-    if not BUILTIN_RULES[cfg.rule][1]:
+def _cmd_converge(args) -> int:
+    if not BUILTIN_RULES[args.rule][1]:
         raise ValueError("converge needs a composite rule")
-    rect = Rectangle(*cfg.rect)
-    p = Exponent.parse(cfg.p)
-    entry = get_entry(cfg.function)
-    f = entry.integrand(rect)
-    oracle_value, oracle_err = oracle_integrate(f, rect)
+    levels = _at_least("--levels", args.levels, 0)
+    rect = Rectangle(*args.rect)
+    p = Exponent.parse(args.p)
+    f = get_entry(args.function).integrand(rect)
+    oracle = oracle_integrate(f, rect)
     cache: dict = {}
-    rows = []
+    keys = ("function", "rect", "p", "rule", "resolution", "tol", "m", "n")
+    rows = [f"{'n':>6} {'estimate':>18} {'|error|':>12} {'bound':>12} {'bound/err':>10}"]
     payloads = []
-    all_ok = True
-    for k in range(cfg.levels + 1):
-        n = 2**k
-        part = PartitionSpec(rect, n, n)
-        report = rule_report(f, rect, cfg.rule, p, part, cfg.resolution, cache)
-        error = abs(report.estimate - oracle_value)
+    for n in (2**k for k in range(levels + 1)):
+        report, error, payload = _checked_report(
+            args, keys, f, rect, p, PartitionSpec(rect, n, n), oracle, cache)
         ratio = report.bound / error if error > 0 else float("inf")
-        passed = certificate_ok(error, report.bound, cfg.tol)
-        all_ok = all_ok and passed
-        inputs = _inputs(cfg, ("function", "rect", "p", "rule", "resolution", "tol"))
-        inputs["m"] = inputs["n"] = n
-        payloads.append(
-            _schema(
-                cfg.command, inputs,
-                estimate=report.estimate,
-                oracle={"value": oracle_value, "err": oracle_err},
-                bound=_bound_dict(report),
-                provenance=_provenance(report),
-                passed=passed,
-            )
-        )
-        rows.append(
-            f"{n:6d} {report.estimate:18.12g} {error:12.4e} {report.bound:12.4e} {ratio:10.3g}"
-        )
-    if cfg.output_format == "json":
-        print(json.dumps(payloads, indent=2))
-    else:
-        print(f"{'n':>6} {'estimate':>18} {'|error|':>12} {'bound':>12} {'bound/err':>10}")
-        for row in rows:
-            print(row)
-    return OK if all_ok else CERT_VIOLATION
+        payloads.append(payload)
+        rows.append(f"{n:6d} {report.estimate:18.12g} {error:12.4e} {report.bound:12.4e} {ratio:10.3g}")
+    _emit(payloads, args.output_format, rows)
+    return OK if all(payload["pass"] for payload in payloads) else CERT_VIOLATION
 
 
 _WEIGHT_CLASSES = {"trapezoid": CompositeTrapezoidPhi, "midpoint": CompositeMidpointPhi}
 
 
-def _cmd_verify_identity(cfg: RunConfig) -> int:
-    rect = Rectangle(*cfg.rect)
-    entry = get_entry(cfg.function)
-    f = entry.integrand(rect)
-    part = PartitionSpec(rect, cfg.m, cfg.n)
-    family, partitioned = BUILTIN_RULES[cfg.weight]
+def _cmd_verify_identity(args) -> int:
+    rect = Rectangle(*args.rect)
+    f = get_entry(args.function).integrand(rect)
+    part = PartitionSpec(rect, args.m, args.n)
+    family, partitioned = BUILTIN_RULES[args.weight]
     w = _WEIGHT_CLASSES[family](rect, part if partitioned else PartitionSpec(rect, 1, 1))
-    lhs, rhs = parts_identity_sides(f, w, rect, cfg.resolution)
+    m, n = w.partition.m, w.partition.n
+    lhs, rhs = parts_identity_sides(f, w, rect, args.resolution)
     residual = abs(lhs - rhs)
-    passed = residual <= cfg.tol * (1.0 + abs(lhs))
+    passed = residual <= args.tol * (1.0 + abs(lhs))
     payload = _schema(
-        cfg.command,
-        _inputs(cfg, ("function", "rect", "weight", "m", "n", "resolution", "tol")),
+        args.command,
+        {"function": args.function, "rect": args.rect, "weight": args.weight, "m": m, "n": n,
+         "resolution": args.resolution, "tol": args.tol},
         estimate=rhs,
         oracle={"value": lhs, "err": 0.0},
         bound={"total": residual, "fx_term": None, "fy_term": None, "fxy_term": None},
-        provenance=[f"residual {residual:.3e} vs tolerance {cfg.tol:.1e}*(1+|integral|)"],
+        provenance=[f"residual {residual:.3e} vs tolerance {args.tol:.1e}*(1+|integral|)"],
         passed=passed,
     )
-    _emit(
-        payload,
-        cfg.output_format,
-        [
-            f"weight    : {cfg.weight} ({cfg.m}x{cfg.n})",
-            f"integral  : {lhs:.12g}",
-            f"identity  : {rhs:.12g}",
-            f"residual  : {residual:.3e} ({'ok' if passed else 'FAILED'})",
-        ],
-    )
+    _emit(payload, args.output_format, [
+        f"weight    : {args.weight} ({m}x{n})",
+        f"integral  : {lhs:.12g}",
+        f"identity  : {rhs:.12g}",
+        f"residual  : {residual:.3e} ({'ok' if passed else 'FAILED'})",
+    ])
     return OK if passed else CERT_VIOLATION
 
 
-def _cmd_minimize_norm(cfg: RunConfig) -> int:
-    q = Exponent.parse(cfg.q)
-    result = search_min(q, restarts=cfg.restarts, seed=cfg.seed)
+def _cmd_minimize_norm(args) -> int:
+    q = Exponent.parse(args.q)
+    result = search_min(q, restarts=_at_least("--restarts", args.restarts, 1), seed=args.seed)
     target = min_phi_norm_value(q)
     coeff_mag = max(abs(v) for v in result.coefficients)
-    passed = abs(result.achieved_norm - target) <= cfg.tol
+    passed = abs(result.achieved_norm - target) <= args.tol
     if not q.is_infinite and not q.is_one:
         passed = passed and coeff_mag <= 1e-4
     payload = _schema(
-        cfg.command,
-        _inputs(cfg, ("q", "restarts", "seed", "tol")),
+        args.command,
+        {"q": args.q, "restarts": args.restarts, "seed": args.seed, "tol": args.tol},
         estimate=result.achieved_norm,
         oracle={"value": target, "err": 0.0},
         provenance=[
@@ -313,98 +270,84 @@ def _cmd_minimize_norm(cfg: RunConfig) -> int:
         ],
         passed=passed,
     )
-    _emit(
-        payload,
-        cfg.output_format,
-        [
-            f"q               : {q}",
-            f"achieved norm   : {result.achieved_norm:.10g}",
-            f"closed-form min : {target:.10g}",
-            f"max |coeff|     : {coeff_mag:.3e}",
-            f"status          : {'ok' if passed else 'FAILED'}",
-        ],
-    )
+    _emit(payload, args.output_format, [
+        f"q               : {q}",
+        f"achieved norm   : {result.achieved_norm:.10g}",
+        f"closed-form min : {target:.10g}",
+        f"max |coeff|     : {coeff_mag:.3e}",
+        f"status          : {'ok' if passed else 'FAILED'}",
+    ])
     return OK if passed else CERT_VIOLATION
 
 
-def _cmd_corpus_report(cfg: RunConfig) -> int:
-    ns = tuple(n for n in DEFAULT_N_GRID if n <= cfg.max_n)
-    cases = certificate_matrix(ns=ns, rect=Rectangle(*cfg.rect), resolution=cfg.resolution)
+def _cmd_corpus_report(args) -> int:
+    max_n = _at_least("--max-n", args.max_n, 1)
+    ns = tuple(n for n in DEFAULT_N_GRID if n <= max_n)
+    cases = certificate_matrix(ns=ns, rect=Rectangle(*args.rect), resolution=args.resolution)
     violations = [c for c in cases if not c.passed]
-    passed = not violations
+    summary = f"{len(cases)} cases, {len(violations)} violations"
     payload = _schema(
-        cfg.command,
-        _inputs(cfg, ("rect", "resolution", "max_n")),
+        args.command,
+        {"rect": args.rect, "resolution": args.resolution, "max_n": max_n},
         provenance=[
-            f"{len(cases)} cases, {len(violations)} violations",
+            summary,
             *(
                 f"VIOLATION {c.function} {c.rule} p={c.p} n={c.n}: "
                 f"error {c.error:.3e} > bound {c.bound:.3e}"
                 for c in violations
             ),
         ],
-        passed=passed,
+        passed=not violations,
     )
-    if cfg.output_format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"{'function':>8} {'rule':>20} {'p':>4} {'n':>2} {'|error|':>12} {'bound':>12} ok")
-        for c in cases:
-            print(
-                f"{c.function:>8} {c.rule:>20} {c.p:>4} {c.n:>2} "
-                f"{c.error:12.4e} {c.bound:12.4e} {'y' if c.passed else 'VIOLATION'}"
-            )
-        print(f"{len(cases)} cases, {len(violations)} violations")
-    return OK if passed else CERT_VIOLATION
+    _emit(payload, args.output_format, [
+        f"{'function':>8} {'rule':>20} {'p':>4} {'n':>2} {'|error|':>12} {'bound':>12} ok",
+        *(
+            f"{c.function:>8} {c.rule:>20} {c.p:>4} {c.n:>2} "
+            f"{c.error:12.4e} {c.bound:12.4e} {'y' if c.passed else 'VIOLATION'}"
+            for c in cases
+        ),
+        summary,
+    ])
+    return OK if not violations else CERT_VIOLATION
 
 
-def _inputs(cfg: RunConfig, keys) -> dict:
-    out = {}
-    for key in keys:
-        v = getattr(cfg, key)
-        out[key] = list(v) if isinstance(v, tuple) else v
-    return out
-
-
-_COMMANDS = {
-    "integrate": _cmd_report,
-    "bound": _cmd_report,
-    "converge": _cmd_converge,
-    "verify-identity": _cmd_verify_identity,
-    "minimize-norm": _cmd_minimize_norm,
-    "corpus-report": _cmd_corpus_report,
-}
-
-
-def run(cfg: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     """Execute one parsed command; returns the process exit code."""
     try:
-        return _COMMANDS[cfg.command](cfg)
-    except (RegistryError,) as exc:
+        return args.handler(args)
+    except RegistryError as exc:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return USAGE_ERROR
     except (QuadratureConvergenceError, SearchFailureError, EvaluationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERIC_FAILURE
-    except (ValueError,) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
 
-def _add_common(sub: argparse.ArgumentParser, with_rule: bool = True) -> None:
-    sub.add_argument("--function", default="poly22", help="registry integrand name")
-    sub.add_argument(
+def _shared_flags() -> dict[str, argparse.ArgumentParser]:
+    """Fresh parent parsers, one per shared flag (``partition`` holds --m and --n).
+
+    Every shared flag is declared here once.  Each subcommand takes a
+    fresh set, because argparse shares a parent's actions with its
+    children: one subcommand's ``set_defaults`` would change another's.
+    """
+    groups = ("function", "rect", "p", "rule", "partition", "resolution", "format", "tol")
+    flags = {group: argparse.ArgumentParser(add_help=False) for group in groups}
+    flags["function"].add_argument("--function", default="poly22", help="registry integrand name")
+    flags["rect"].add_argument(
         "--rect", nargs=4, type=float, default=(0.0, 1.0, 0.0, 1.0),
         metavar=("A", "B", "C", "D"), help="integration rectangle [a b] x [c d]",
     )
-    sub.add_argument("--p", default="inf", help='exponent: decimal or "inf"/"infinity"')
-    if with_rule:
-        sub.add_argument("--rule", default="trapezoid", choices=RULES)
-    sub.add_argument("--m", type=int, default=1, help="x subintervals")
-    sub.add_argument("--n", type=int, default=1, help="y subintervals")
-    sub.add_argument("--resolution", type=int, default=256)
-    sub.add_argument("--format", dest="output_format", default="text", choices=("text", "json"))
-    sub.add_argument("--tol", type=float, default=1e-8)
+    flags["p"].add_argument("--p", default="inf", help='exponent: decimal or "inf"/"infinity"')
+    flags["rule"].add_argument("--rule", default="trapezoid", choices=RULES)
+    flags["partition"].add_argument("--m", type=int, default=1, help="x subintervals")
+    flags["partition"].add_argument("--n", type=int, default=1, help="y subintervals")
+    flags["resolution"].add_argument("--resolution", type=int, default=256)
+    flags["format"].add_argument("--format", dest="output_format", default="text", choices=("text", "json"))
+    flags["tol"].add_argument("--tol", type=float, default=1e-8)
+    return flags
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -414,50 +357,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    _add_common(subs.add_parser("integrate", help="estimate, oracle comparison and bound"))
-    _add_common(subs.add_parser("bound", help="estimate and certified bound only"))
+    def command(name, help, handler, shared, **defaults):
+        flags = _shared_flags()
+        sub = subs.add_parser(name, help=help, parents=[flags[key] for key in shared.split()])
+        sub.set_defaults(handler=handler, **defaults)
+        return sub
 
-    conv = subs.add_parser("converge", help="sweep m=n over powers of two")
-    _add_common(conv)
+    report = "function rect p rule partition resolution format tol"
+    command("integrate", "estimate, oracle comparison and bound", _cmd_report, report)
+    command("bound", "estimate and certified bound only", _cmd_report, report)
+    conv = command("converge", "sweep m=n over powers of two", _cmd_converge, report.replace(" partition", ""))
     conv.add_argument("--levels", type=int, default=5, help="sweep n = 1..2^levels")
+    ver = command("verify-identity", "integration-by-parts residual", _cmd_verify_identity,
+                  "function rect partition resolution format tol")
+    ver.add_argument("--weight", default="trapezoid", choices=RULES)
 
-    ver = subs.add_parser("verify-identity", help="integration-by-parts residual")
-    _add_common(ver, with_rule=False)
-    ver.add_argument("--weight", default="trapezoid", choices=WEIGHT_NAMES)
-
-    mini = subs.add_parser("minimize-norm", help="search the minimal weight norm")
+    mini = command("minimize-norm", "search the minimal weight norm", _cmd_minimize_norm, "tol format", tol=1e-6)
     mini.add_argument("--q", default="2", help='norm exponent: decimal or "inf"')
     mini.add_argument("--restarts", type=int, default=8)
     mini.add_argument("--seed", type=int, default=0)
-    mini.add_argument("--tol", type=float, default=1e-6)
-    mini.add_argument("--format", dest="output_format", default="text", choices=("text", "json"))
 
-    rep = subs.add_parser("corpus-report", help="full certificate-validity matrix")
-    rep.add_argument(
-        "--rect", nargs=4, type=float, default=(0.0, 1.0, 0.0, 1.0),
-        metavar=("A", "B", "C", "D"),
-    )
-    rep.add_argument("--resolution", type=int, default=192)
+    rep = command("corpus-report", "full certificate-validity matrix", _cmd_corpus_report,
+                  "rect resolution format", resolution=192)
     rep.add_argument("--max-n", dest="max_n", type=int, default=8)
-    rep.add_argument("--format", dest="output_format", default="text", choices=("text", "json"))
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {k: v for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__}
-    if "rect" in fields:
-        fields["rect"] = tuple(fields["rect"])
-    return RunConfig(**fields)
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        cfg = config_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    return run(cfg)
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from certquad.cli import (
     USAGE_ERROR,
     build_parser,
     certificate_matrix,
-    config_from_args,
+    main,
     run,
 )
 
@@ -28,9 +28,19 @@ def invoke(args):
 
 def run_json(capsys, argv):
     args = build_parser().parse_args(argv)
-    code = run(config_from_args(args))
+    code = run(args)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def run_main(capsys, argv):
+    """Exit code, stdout and stderr of ``main(argv)``, argparse usage errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 class TestJsonSchema:
@@ -151,8 +161,70 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "oracle_integrate", lambda f, rect: (100.0, 0.0))
         args = build_parser().parse_args(["integrate", "--function", "xy", "--p", "2"])
-        assert run(config_from_args(args)) == CERT_VIOLATION
+        assert run(args) == CERT_VIOLATION
         capsys.readouterr()
+
+
+class TestReportedPartition:
+    """Reports echo the partition they used, not the --m/--n that a simple rule ignores."""
+
+    def test_simple_rule_reports_one_by_one(self, capsys):
+        code, payload = run_json(
+            capsys, ["integrate", "--rule", "trapezoid", "--m", "3", "--n", "2", "--format", "json"])
+        assert code == OK
+        assert (payload["inputs"]["m"], payload["inputs"]["n"]) == (1, 1)
+
+    def test_composite_rule_reports_its_partition(self, capsys):
+        code, payload = run_json(
+            capsys, ["bound", "--rule", "composite-midpoint", "--m", "3", "--n", "2", "--format", "json"])
+        assert code == OK
+        assert (payload["inputs"]["m"], payload["inputs"]["n"]) == (3, 2)
+
+    def test_simple_weight_reports_one_by_one(self, capsys):
+        argv = ["verify-identity", "--weight", "trapezoid", "--m", "3", "--n", "3"]
+        code, out, _ = run_main(capsys, argv)
+        assert code == OK
+        assert out.splitlines()[0] == "weight    : trapezoid (1x1)"
+        code, payload = run_json(capsys, [*argv, "--format", "json"])
+        assert (payload["inputs"]["m"], payload["inputs"]["n"]) == (1, 1)
+
+    def test_input_key_order(self, capsys):
+        _, report = run_json(capsys, ["integrate", "--format", "json"])
+        assert list(report["inputs"]) == ["function", "rect", "p", "rule", "m", "n", "resolution", "tol"]
+        _, levels = run_json(
+            capsys, ["converge", "--rule", "composite-trapezoid", "--levels", "1", "--format", "json"])
+        for level in levels:
+            assert list(level["inputs"]) == ["function", "rect", "p", "rule", "resolution", "tol", "m", "n"]
+
+
+class TestFlagChecks:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["converge", "--rule", "composite-trapezoid", "--levels", "-1"], "--levels"),
+            (["corpus-report", "--max-n", "0"], "--max-n"),
+            (["minimize-norm", "--restarts", "0"], "--restarts"),
+        ],
+    )
+    def test_count_below_its_minimum_is_usage_error(self, capsys, argv, flag):
+        code, out, err = run_main(capsys, argv)
+        assert code == USAGE_ERROR
+        assert out == ""
+        assert err.startswith(f"error: {flag} must be at least ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["converge", "--rule", "composite-trapezoid", "--m", "2"],
+            ["converge", "--rule", "composite-trapezoid", "--n", "2"],
+            ["verify-identity", "--p", "2"],
+        ],
+    )
+    def test_flags_a_command_does_not_read_are_usage_errors(self, capsys, argv):
+        code, out, err = run_main(capsys, argv)
+        assert code == USAGE_ERROR
+        assert out == ""
+        assert "unrecognized arguments" in err
 
 
 class TestTinyRectangle:

@@ -57,3 +57,12 @@ def test_norm_digest():
     assert (count, label, algorithm) == ("16", "bundles", "sha256")
     assert len(digest) == 64 and int(digest, 16) >= 0
     assert run_script("norm_digest.py", *args) == first
+
+
+def test_cli_digest():
+    args = ("--functions", "xy", "--rects", "unit", "--p", "2", "--formats", "json")
+    first = run_script("cli_digest.py", *args)
+    count, label, algorithm, digest = first.split()
+    assert (count, label, algorithm) == ("33", "calls", "sha256")
+    assert len(digest) == 64 and int(digest, 16) >= 0
+    assert run_script("cli_digest.py", *args) == first
