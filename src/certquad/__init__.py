@@ -42,13 +42,10 @@ from .minimizer import (
     verify_q2_identity,
 )
 from .norms import (
-    LineSegment,
     area_norm,
     area_norm_with_error,
     derivative_norms,
     finite_difference_partials,
-    line_norm,
-    line_norm_with_error,
     line_norms_with_error,
 )
 from .oracle import oracle_integrate, parts_identity_residual, parts_identity_sides

@@ -363,10 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
         sub.set_defaults(handler=handler, **defaults)
         return sub
 
-    report = "function rect p rule partition resolution format tol"
-    command("integrate", "estimate, oracle comparison and bound", _cmd_report, report)
+    report = "function rect p rule partition resolution format"
+    command("integrate", "estimate, oracle comparison and bound", _cmd_report, report + " tol")
     command("bound", "estimate and certified bound only", _cmd_report, report)
-    conv = command("converge", "sweep m=n over powers of two", _cmd_converge, report.replace(" partition", ""))
+    conv = command("converge", "sweep m=n over powers of two", _cmd_converge,
+                   report.replace(" partition", "") + " tol")
     conv.add_argument("--levels", type=int, default=5, help="sweep n = 1..2^levels")
     ver = command("verify-identity", "integration-by-parts residual", _cmd_verify_identity,
                   "function rect partition resolution format tol")

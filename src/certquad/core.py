@@ -327,8 +327,9 @@ class PartitionSpec:
 class DerivativeNorms:
     """The derivative norms a certified bound consumes, bound to one rule setup.
 
-    The bundle records which family, exponent and partition it was built
-    for; the bound operations refuse bundles built for anything else.
+    The bundle records which family, exponent and partition (rectangle
+    included) it was built for; the bound operations refuse bundles built
+    for anything else.
 
     ``x_lines`` holds ||f_x(., y_l)||_p for every line y = y_l across which
     the rule's weight jumps (``weights.ramp_jumps``), in increasing y, and
@@ -339,8 +340,7 @@ class DerivativeNorms:
 
     p: Exponent
     family: str
-    m: int
-    n: int
+    partition: PartitionSpec
     fxy: float
     x_lines: tuple[float, ...]
     y_lines: tuple[float, ...]
@@ -349,12 +349,11 @@ class DerivativeNorms:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if self.m < 1 or self.n < 1:
-            raise ValueError("partition binding m, n must be >= 1")
         object.__setattr__(self, "p", Exponent.coerce(self.p))
         extra = 1 if self.family == "trapezoid" else 0
         object.__setattr__(self, "fxy", float(self.fxy))
-        for name, count in (("x_lines", self.n + extra), ("y_lines", self.m + extra)):
+        part = self.partition
+        for name, count in (("x_lines", part.n + extra), ("y_lines", part.m + extra)):
             values = tuple(map(float, getattr(self, name)))
             if len(values) != count:
                 raise ValueError(f"expected {count} {name} norms, got {len(values)}")
@@ -363,8 +362,8 @@ class DerivativeNorms:
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"norm entries must be finite and >= 0, got {v!r}")
 
-    def matches(self, family: str, m: int, n: int) -> bool:
-        return self.family == family and self.m == m and self.n == n
+    def matches(self, family: str, part: PartitionSpec) -> bool:
+        return self.family == family and self.partition == part
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,12 @@ changes together (``gauss.zero_breaks``), builds the graded nodes of
 every distinct breakpoint set for both Gauss passes in one call
 (``gauss.graded_nodes``), and samples every line in one integrand call:
 as one (lines x nodes) array when all lines share their breakpoints, as
-one flat array of each line's own nodes otherwise.  ``derivative_norms``
-makes one such call per partial; ``line_norm`` is the one-line case.
+one flat array of each line's own nodes otherwise.  It is the only
+line-norm entry point: one line is a one-element ``fixed``, and
+``derivative_norms`` makes one call per partial.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +33,6 @@ from .core import (
 )
 from .gauss import (
     as_grid_fn,
-    as_vector_fn,
     graded_nodes,
     line_coords,
     require_finite,
@@ -47,41 +45,6 @@ from .gauss import (
 from .weights import ramp_jumps
 
 DEFAULT_RESOLUTION = 256
-
-
-@dataclass(frozen=True)
-class LineSegment:
-    """A horizontal or vertical segment: the axis the coordinate runs along,
-    the frozen transverse coordinate, and the coordinate range."""
-
-    axis: str
-    fixed_coordinate: float
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if self.axis not in ("x", "y"):
-            raise ValueError("axis must be 'x' or 'y'")
-        if not self.lo < self.hi:
-            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-
-    @classmethod
-    def along_x(cls, rect: Rectangle, y: float) -> "LineSegment":
-        if not rect.c <= y <= rect.d:
-            raise ValueError(f"fixed coordinate {y} outside [{rect.c}, {rect.d}]")
-        return cls("x", float(y), rect.a, rect.b)
-
-    @classmethod
-    def along_y(cls, rect: Rectangle, x: float) -> "LineSegment":
-        if not rect.a <= x <= rect.b:
-            raise ValueError(f"fixed coordinate {x} outside [{rect.a}, {rect.b}]")
-        return cls("y", float(x), rect.c, rect.d)
-
-    def restrict(self, g):
-        """g(x, y) as a function of the coordinate running along the segment."""
-        if self.axis == "x":
-            return lambda t: g(t, np.full_like(t, self.fixed_coordinate))
-        return lambda t: g(np.full_like(t, self.fixed_coordinate), t)
 
 
 def _pass_fraction(resolution: int) -> float:
@@ -162,25 +125,6 @@ def line_norms_with_error(g, axis: str, fixed, lo: float, hi: float, p,
     require_finite(magnitudes, coords)
     coarse, fine = segment_p_norms(magnitudes, weights, offsets, sizes, p.value).reshape(-1, 2).T
     return fine, np.abs(fine - coarse) + 1e-15 * (1.0 + np.abs(fine))
-
-
-def line_norm_with_error(g, seg: LineSegment, p, resolution: int = DEFAULT_RESOLUTION):
-    """(int |g|^p)^(1/p) over the segment, plus an internal error estimate.
-
-    g is a function of the coordinate running along the segment; this is
-    the one-line case of ``line_norms_with_error``.
-    """
-    gv = as_vector_fn(g)
-    along = (lambda x, y: gv(x)) if seg.axis == "x" else (lambda x, y: gv(y))
-    value, err = line_norms_with_error(
-        along, seg.axis, [seg.fixed_coordinate], seg.lo, seg.hi, p, resolution
-    )
-    return float(value[0]), float(err[0])
-
-
-def line_norm(g, seg: LineSegment, p, resolution: int = DEFAULT_RESOLUTION) -> float:
-    """One-variable L^p norm of g over the segment."""
-    return line_norm_with_error(g, seg, p, resolution)[0]
 
 
 def area_norm_with_error(g, rect: Rectangle, p, resolution: int = DEFAULT_RESOLUTION):
@@ -287,13 +231,16 @@ def derivative_norms(
     store = {} if cache is None else cache.setdefault((rect, str(p), resolution), {})
 
     def lines(name: str, g, axis: str, coords: np.ndarray) -> list[float]:
-        keys = [(name, round(float(c), 15)) for c in coords]
+        # a line's key is its position across the rectangle, so lines stay
+        # distinct however small the rectangle is
+        lo, hi = (rect.a, rect.b) if axis == "x" else (rect.c, rect.d)
+        c0, c1 = (rect.c, rect.d) if axis == "x" else (rect.a, rect.b)
+        keys = [(name, round((float(c) - c0) / (c1 - c0), 12)) for c in coords]
         todo: dict[tuple, float] = {}
         for c, key in zip(coords, keys):
             if key not in store:
                 todo.setdefault(key, float(c))
         if todo:
-            lo, hi = (rect.a, rect.b) if axis == "x" else (rect.c, rect.d)
             values, _ = line_norms_with_error(g, axis, list(todo.values()), lo, hi, p, resolution)
             store.update(zip(todo, map(float, values)))
         return [store[key] for key in keys]
@@ -303,7 +250,7 @@ def derivative_norms(
     (xs, _), (ys, _) = ramp_jumps(part, rule_family)
     source = "analytic" if analytic else "numeric"
     return DerivativeNorms(
-        p=p, family=rule_family, m=part.m, n=part.n, fxy=store["fxy"],
+        p=p, family=rule_family, partition=part, fxy=store["fxy"],
         x_lines=lines("fx", fx, "x", ys),
         y_lines=lines("fy", fy, "y", xs),
         provenance=dict.fromkeys(("fxy", "x_lines", "y_lines"), source),

@@ -95,10 +95,10 @@ def _jump_estimate(f: Integrand, part: PartitionSpec, family: str) -> float:
 
 
 def _jump_bound(norms: DerivativeNorms, part: PartitionSpec, family: str) -> BoundComponents:
-    if not norms.matches(family, part.m, part.n):
+    if not norms.matches(family, part):
         raise NormMismatchError(
-            f"norm bundle built for family={norms.family!r} m={norms.m} n={norms.n}, "
-            f"rule needs family={family!r} m={part.m} n={part.n}"
+            f"norm bundle built for family={norms.family!r} on {norms.partition}, "
+            f"rule needs family={family!r} on {part}"
         )
     q = conjugate(norms.p)
     (_, jx), (_, jy) = ramp_jumps(part, family)
@@ -231,7 +231,7 @@ def uniform_bound(
     family, grid = _rule_grid(rule_family, rect, part)
     (xs, _), (ys, _) = ramp_jumps(grid, family)
     norms = DerivativeNorms(
-        p=INF, family=family, m=grid.m, n=grid.n, fxy=ub.N,
+        p=INF, family=family, partition=grid, fxy=ub.N,
         x_lines=(ub.M,) * ys.size, y_lines=(ub.M,) * xs.size,
     )
     return _jump_bound(norms, grid, family).total

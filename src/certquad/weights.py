@@ -29,6 +29,7 @@ independent audit of the closed forms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -269,10 +270,15 @@ def ramp_norm_closed(length: float, cells: int, q) -> float:
     """
     q = Exponent.coerce(q)
     delta = length / cells
-    if q.is_infinite:
-        return delta / 2.0
     qq = q.value
-    return (2.0 * cells / (qq + 1.0)) ** (1.0 / qq) * (delta / 2.0) ** (1.0 + 1.0 / qq)
+    try:
+        norm = delta / 2.0 if q.is_infinite else (
+            (2.0 * cells / (qq + 1.0)) ** (1.0 / qq) * (delta / 2.0) ** (1.0 + 1.0 / qq))
+    except OverflowError:
+        norm = math.inf
+    if not math.isfinite(norm):
+        raise ValueError(f"span {length:g} over {cells} cells is too wide: its ramp L^{q} norm overflows")
+    return norm
 
 
 def _cells_of(w: WeightFunction) -> tuple[int, int]:

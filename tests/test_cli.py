@@ -155,6 +155,13 @@ class TestExitCodes:
         assert code == USAGE_ERROR
         assert err.startswith("error: the exact integral of 'expsum' over Rectangle(a=1000.0")
 
+    def test_overflowing_ramp_norm_is_usage_error(self, capsys):
+        code, out, err = run_main(capsys, ["integrate", "--function", "sinsin", "--rect", "0", "1e300", "0", "1",
+                                           "--p", "2"])
+        assert code == USAGE_ERROR
+        assert out == ""
+        assert err.startswith("error: span 1e+300 over 1 cells is too wide")
+
     def test_violation_exit_code_via_run(self, capsys, monkeypatch):
         # force a fake oracle so the certificate check fails deterministically
         import certquad.cli as cli
@@ -218,6 +225,7 @@ class TestFlagChecks:
             ["converge", "--rule", "composite-trapezoid", "--m", "2"],
             ["converge", "--rule", "composite-trapezoid", "--n", "2"],
             ["verify-identity", "--p", "2"],
+            ["bound", "--tol", "5"],
         ],
     )
     def test_flags_a_command_does_not_read_are_usage_errors(self, capsys, argv):

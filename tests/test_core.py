@@ -125,12 +125,14 @@ class TestPartitionSpec:
 class TestDerivativeNorms:
     def test_trapezoid_shape_enforced(self):
         with pytest.raises(ValueError):
-            cq.DerivativeNorms(p=cq.INF, family="trapezoid", m=1, n=2, fxy=1.0,
+            cq.DerivativeNorms(p=cq.INF, family="trapezoid", fxy=1.0,
+                               partition=cq.PartitionSpec(cq.Rectangle.unit(), 1, 2),
                                x_lines=(1, 1), y_lines=(1, 1))
 
     def test_midpoint_shape_enforced(self):
         with pytest.raises(ValueError):
-            cq.DerivativeNorms(p=cq.INF, family="midpoint", m=1, n=1, fxy=1.0,
+            cq.DerivativeNorms(p=cq.INF, family="midpoint", fxy=1.0,
+                               partition=cq.PartitionSpec(cq.Rectangle.unit(), 1, 1),
                                x_lines=(), y_lines=())
 
     @pytest.mark.parametrize("family, extra", [("trapezoid", 1), ("midpoint", 0)])
@@ -138,7 +140,8 @@ class TestDerivativeNorms:
         m, n = 3, 2
 
         def build(x_lines, y_lines):
-            return cq.DerivativeNorms(p=2, family=family, m=m, n=n, fxy=1.0,
+            part = cq.PartitionSpec(cq.Rectangle.unit(), m, n)
+            return cq.DerivativeNorms(p=2, family=family, partition=part, fxy=1.0,
                                       x_lines=x_lines, y_lines=y_lines)
 
         nb = build((1.0,) * (n + extra), (1.0,) * (m + extra))
@@ -154,7 +157,8 @@ class TestDerivativeNorms:
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            cq.DerivativeNorms(p=cq.INF, family="midpoint", m=1, n=1, fxy=-1.0,
+            cq.DerivativeNorms(p=cq.INF, family="midpoint", fxy=-1.0,
+                               partition=cq.PartitionSpec(cq.Rectangle.unit(), 1, 1),
                                x_lines=(1.0,), y_lines=(1.0,))
 
 

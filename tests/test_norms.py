@@ -16,48 +16,58 @@ from certquad.gauss import (
     panel_nodes,
     zero_breaks,
 )
-from certquad.norms import LineSegment, partial_evaluators
+from certquad.norms import partial_evaluators
 from certquad.weights import ramp_jumps
 from conftest import RECT_SET, UNIT, integrand
 
 
+def one_line(g, lo, hi, p, fixed=0.0, axis="x", **kw):
+    """Value and error estimate of the one-line ``line_norms_with_error`` call."""
+    values, errors = cq.line_norms_with_error(g, axis, [fixed], lo, hi, p, **kw)
+    return float(values[0]), float(errors[0])
+
+
 class TestLineNorm:
-    def test_constant(self, unit):
-        seg = LineSegment.along_x(unit, 0.0)
-        assert cq.line_norm(lambda x: np.ones_like(x), seg, 2) == pytest.approx(1.0, rel=1e-12)
+    def test_constant(self):
+        assert one_line(lambda x, y: np.ones_like(x), 0.0, 1.0, 2)[0] == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("q", [1.5, 2, 3])
     def test_identity_ramp(self, q):
         # ||t||_q on [-1, 1] = (2/(q+1))^(1/q)
-        seg = LineSegment("x", 0.0, -1.0, 1.0)
         expect = (2.0 / (q + 1.0)) ** (1.0 / q)
-        assert cq.line_norm(lambda x: x, seg, q) == pytest.approx(expect, rel=1e-10)
+        assert one_line(lambda x, y: x, -1.0, 1.0, q)[0] == pytest.approx(expect, rel=1e-10)
 
-    def test_sup_norm(self, unit):
-        seg = LineSegment.along_x(unit, 0.5)
-        assert cq.line_norm(lambda x: 2.0 * x * 0.25, seg, cq.INF) == pytest.approx(0.5, abs=1e-12)
+    def test_sup_norm(self):
+        # f_x of x^2 y^2 along y = 0.5
+        value, _ = one_line(lambda x, y: 2.0 * x * y**2, 0.0, 1.0, cq.INF, fixed=0.5)
+        assert value == pytest.approx(0.5, abs=1e-12)
 
     def test_interior_sign_change(self):
         # int_0^pi |cos| = 2
-        seg = LineSegment("x", 0.0, 0.0, np.pi)
-        assert cq.line_norm(np.cos, seg, 1) == pytest.approx(2.0, rel=1e-11)
+        assert one_line(lambda x, y: np.cos(x), 0.0, np.pi, 1)[0] == pytest.approx(2.0, rel=1e-11)
 
-    def test_nonfinite_raises_with_coordinate(self, unit):
-        seg = LineSegment.along_x(unit, 0.0)
+    def test_nonfinite_raises_with_coordinate(self):
         with np.errstate(divide="ignore"):
             with pytest.raises(cq.EvaluationError) as err:
-                cq.line_norm(lambda x: 1.0 / (x - 0.5), seg, cq.INF, resolution=16)
+                one_line(lambda x, y: 1.0 / (x - 0.5), 0.0, 1.0, cq.INF, resolution=16)
         assert err.value.coordinate is not None
 
-    def test_resolution_validated(self, unit):
-        seg = LineSegment.along_x(unit, 0.0)
+    def test_resolution_validated(self):
         with pytest.raises(ValueError):
-            cq.line_norm(lambda x: x, seg, 2, resolution=8)
+            one_line(lambda x, y: x, 0.0, 1.0, 2, resolution=8)
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 0.0), (0.5, 0.5)])
+    def test_empty_interval_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="need lo < hi"):
+            one_line(lambda x, y: x, lo, hi, 2)
+
+    def test_bad_axis_rejected(self):
+        with pytest.raises(ValueError, match="axis must be"):
+            one_line(lambda x, y: x, 0.0, 1.0, 2, axis="z")
 
     def test_huge_p_close_to_sup(self):
-        seg = LineSegment("x", 0.0, 0.0, np.pi)
-        sup = cq.line_norm(np.sin, seg, cq.INF)
-        near = cq.line_norm(np.sin, seg, 1e6)
+        sup, _ = one_line(lambda x, y: np.sin(x), 0.0, np.pi, cq.INF)
+        near, _ = one_line(lambda x, y: np.sin(x), 0.0, np.pi, 1e6)
         assert near <= sup + 1e-12
         assert near == pytest.approx(sup, rel=1e-4)
 
@@ -86,14 +96,6 @@ class TestAreaNorm:
         factor, _ = quad(lambda t: abs(np.cos(t)) ** p, 0.0, np.pi, limit=200)
         expect = (factor * factor) ** (1.0 / p)
         assert got == pytest.approx(expect, rel=1e-8)
-
-
-class TestSegments:
-    def test_fixed_coordinate_range_checked(self, unit):
-        with pytest.raises(ValueError):
-            LineSegment.along_x(unit, 2.0)
-        with pytest.raises(ValueError):
-            LineSegment("x", 0.0, 1.0, 0.0)
 
 
 class TestDerivativeNorms:
@@ -199,10 +201,9 @@ class TestProperties:
             assert all(a <= b + 1e-9 for a, b in zip(vals, vals[1:])), vals
 
     def test_refinement_within_error_estimate(self, unit):
-        seg = LineSegment.along_x(unit, 0.3)
-        g = lambda x: np.exp(x) * np.cos(5 * x)
-        v1, err1 = cq.line_norm_with_error(g, seg, 1.5, resolution=64)
-        v2, _ = cq.line_norm_with_error(g, seg, 1.5, resolution=128)
+        g = lambda x, y: np.exp(x) * np.cos(5 * x)
+        v1, err1 = one_line(g, 0.0, 1.0, 1.5, fixed=0.3, resolution=64)
+        v2, _ = one_line(g, 0.0, 1.0, 1.5, fixed=0.3, resolution=128)
         assert abs(v2 - v1) <= err1 + 1e-14
         a1, aerr1 = cq.area_norm_with_error(lambda x, y: np.exp(x + y), unit, 3, resolution=64)
         a2, _ = cq.area_norm_with_error(lambda x, y: np.exp(x + y), unit, 3, resolution=128)
@@ -308,23 +309,22 @@ class TestZeroBreaks:
 
 class TestBatchedLines:
     """derivative_norms batches every line of a partial; each value must equal the
-    one-line ``line_norm_with_error`` of that line."""
+    one-line ``line_norms_with_error`` call of that line."""
 
     @staticmethod
     def per_line(f, rect, p, part, family):
         fx, fy, _, _ = partial_evaluators(f, rect)
         (xs, _), (ys, _) = ramp_jumps(part, family)
-        segs_x = [LineSegment.along_x(rect, float(y)) for y in ys]
-        segs_y = [LineSegment.along_y(rect, float(x)) for x in xs]
         return (
-            tuple(cq.line_norm_with_error(s.restrict(fx), s, p)[0] for s in segs_x),
-            tuple(cq.line_norm_with_error(s.restrict(fy), s, p)[0] for s in segs_y),
+            tuple(one_line(fx, rect.a, rect.b, p, fixed=y)[0] for y in ys),
+            tuple(one_line(fy, rect.c, rect.d, p, fixed=x, axis="y")[0] for x in xs),
         )
 
     def check(self, f, rect, p, m, family):
         part = cq.PartitionSpec(rect, m, m)
         nb = cq.derivative_norms(f, rect, p, partition=part, rule_family=family)
         assert (nb.x_lines, nb.y_lines) == self.per_line(f, rect, p, part, family)
+        return nb
 
     @pytest.mark.parametrize("rect", [UNIT, RECT_SET[4]], ids=["unit", "offset"])
     @pytest.mark.parametrize("family", FAMILIES)
@@ -345,6 +345,12 @@ class TestBatchedLines:
         f = cq.Integrand(f=g, fx=g, fy=lambda x, y: g(y, x), fxy=g)
         for family in FAMILIES:
             self.check(f, UNIT, p, 8, family)
+
+    def test_tiny_rectangle_keeps_its_lines_apart(self):
+        # grid lines 6.25e-16 apart: each keeps its own norm, ||f_x(., y)||_inf = sin(y)
+        rect = cq.Rectangle(0.0, 1e-14, 0.0, 1e-14)
+        nb = self.check(integrand("sinsin", rect), rect, cq.INF, 16, "trapezoid")
+        assert len(set(nb.x_lines)) == len(set(nb.y_lines)) == 17
 
     def test_scalar_only_integrand(self):
         def g(x, y):

@@ -97,14 +97,15 @@ class TestSimpleBounds:
         assert cq.midpoint_bound(nbm, unit).total == pytest.approx(0.3125, abs=1e-9)
 
     def test_zero_norms_zero_bound(self, unit):
-        nb = cq.DerivativeNorms(p=cq.INF, family="trapezoid", m=1, n=1, fxy=0.0,
-                                x_lines=(0, 0), y_lines=(0, 0))
+        nb = cq.DerivativeNorms(p=cq.INF, family="trapezoid", partition=cq.PartitionSpec(unit, 1, 1),
+                                fxy=0.0, x_lines=(0, 0), y_lines=(0, 0))
         assert cq.trapezoid_bound(nb, unit).total == 0.0
 
     def test_plain_exponent_bundle(self, unit):
         # a bundle built with p = 1 as a plain number bounds like Exponent(1),
         # midline note included
-        lines = dict(family="midpoint", m=1, n=1, fxy=1.25, x_lines=(0.5,), y_lines=(2.0,))
+        lines = dict(family="midpoint", partition=cq.PartitionSpec(unit, 1, 1), fxy=1.25,
+                     x_lines=(0.5,), y_lines=(2.0,))
         plain = cq.midpoint_bound(cq.DerivativeNorms(p=1, **lines), unit)
         typed = cq.midpoint_bound(cq.DerivativeNorms(p=cq.Exponent(1), **lines), unit)
         assert plain == typed
@@ -122,6 +123,16 @@ class TestSimpleBounds:
             cq.trapezoid_bound(nb, unit)
         with pytest.raises(cq.NormMismatchError):
             cq.composite_trapezoid_bound(nb, unit, cq.PartitionSpec(unit, 4, 4))
+
+    def test_rectangle_mismatch_rejected(self):
+        # sinsin's bundle on [0, 0.01]^2 would bound its trapezoid error on
+        # [0, 3]^2 (3.92) by 0.027
+        small, large = cq.Rectangle(0.0, 0.01, 0.0, 0.01), cq.Rectangle(0.0, 3.0, 0.0, 3.0)
+        nb = bundle("sinsin", small, 2)
+        with pytest.raises(cq.NormMismatchError, match="Rectangle"):
+            cq.trapezoid_bound(nb, large)
+        assert cq.trapezoid_bound(nb, small).total == cq.rule_report(
+            integrand("sinsin", small), small, "trapezoid", 2, resolution=128).bound
 
 
 class TestCompositeBounds:
@@ -200,7 +211,7 @@ class TestCompositeBounds:
                 xl = tuple(np.sqrt(np.arange(2.0, n + 3.0)))
                 yl = tuple(np.log(np.arange(3.0, m + 4.0)))
                 nb = cq.DerivativeNorms(
-                    p=p, family="trapezoid", m=m, n=n, fxy=1.7, x_lines=xl, y_lines=yl,
+                    p=p, family="trapezoid", partition=part, fxy=1.7, x_lines=xl, y_lines=yl,
                 )
                 sx = xl[0] + 2.0 * sum(xl[1:-1]) + xl[-1]
                 sy = yl[0] + 2.0 * sum(yl[1:-1]) + yl[-1]
@@ -214,7 +225,7 @@ class TestCompositeBounds:
                 assert got == pytest.approx(want, rel=1e-13, abs=0), ("trapezoid", m, n, p)
 
                 nb = cq.DerivativeNorms(
-                    p=p, family="midpoint", m=m, n=n, fxy=1.7, x_lines=xl[:n], y_lines=yl[:m],
+                    p=p, family="midpoint", partition=part, fxy=1.7, x_lines=xl[:n], y_lines=yl[:m],
                 )
                 want = (
                     sum(xl[:n]) * H * W**e * C / (2.0 * m * n),
@@ -386,14 +397,11 @@ class TestOneDimensionalRules:
 
     def test_midpoint_omega_norm_numeric_cross_check(self):
         # ||omega||_q from the formula equals direct quadrature of the ramp
-        from certquad.norms import LineSegment
-
         for p in (1, 1.5, 2, 3, cq.INF):
             q = cq.conjugate(p)
             _, bound = cq.midpoint_1d(lambda x: x, (0.0, 1.0), p, 1.0)
-            seg = LineSegment("x", 0.0, 0.0, 1.0)
-            omega = lambda x: np.where(x < 0.5, x, x - 1.0)
-            direct = cq.line_norm(omega, seg, q, resolution=256)
+            omega = lambda x, y: np.where(x < 0.5, x, x - 1.0)
+            (direct,), _ = cq.line_norms_with_error(omega, "x", [0.0], 0.0, 1.0, q, resolution=256)
             assert bound == pytest.approx(direct, rel=1e-9)
 
     def test_midpoint_zero_norm(self):
