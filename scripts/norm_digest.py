@@ -18,11 +18,20 @@ one command on each tree:
     PYTHONPATH=src python3 scripts/norm_digest.py
 
 The options shrink the grid (the default is the full one, ~4 s on a
-2-vCPU x86_64 VM).
+2-vCPU x86_64 VM).  A change meant to alter norm values is checked by
+value instead: ``--dump FILE`` writes every bundle's ``fxy``, ``x_lines``
+and ``y_lines`` as JSON, and ``--against FILE`` compares this tree's
+bundles with such a dump from another tree, printing one more line: the
+largest relative deviation of the line norms and of ``fxy``, and how
+many ``fxy`` values fall below the reference's:
+
+    PYTHONPATH=src python3 scripts/norm_digest.py --dump old.json      # on the old tree
+    PYTHONPATH=src python3 scripts/norm_digest.py --against old.json   # on the new tree
 """
 
 import argparse
 import hashlib
+import json
 
 import numpy as np
 
@@ -41,12 +50,38 @@ def custom_phi(rect):
                         lambda t: rect.m1 * (rect.m2 - t) - 0.02, rect)
 
 
+def relative_deviation(value: float, reference: float) -> float:
+    if value == reference:
+        return 0.0
+    return abs(value - reference) / abs(reference) if reference else float("inf")
+
+
+def compare(bundles: dict, reference: dict) -> str:
+    """One line comparing bundle values with a reference dump of the same keys."""
+    missing = sorted(set(reference) ^ set(bundles))
+    if missing:
+        raise SystemExit(f"the dumps hold different bundles, for example {missing[0]!r}")
+    lines = fxy = 0.0
+    below = 0
+    for key, ref in reference.items():
+        got = bundles[key]
+        for name in ("x_lines", "y_lines"):
+            for value, old in zip(got[name], ref[name], strict=True):
+                lines = max(lines, relative_deviation(value, old))
+        fxy = max(fxy, relative_deviation(got["fxy"], ref["fxy"]))
+        below += got["fxy"] < ref["fxy"]
+    return (f"against {len(reference)} bundles: line norms max rel dev {lines:.3g}, "
+            f"fxy max rel dev {fxy:.3g}, fxy below reference {below}")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--functions", nargs="+", default=list(cq.names()))
     ap.add_argument("--rects", nargs="+", choices=sorted(RECTS), default=list(RECTS))
     ap.add_argument("--p", nargs="+", default=["1", "1.5", "2", "3", "inf"])
     ap.add_argument("--m", nargs="+", type=int, default=[1, 3, 16, 64])
+    ap.add_argument("--dump", metavar="FILE", help="write every bundle's values as JSON")
+    ap.add_argument("--against", metavar="FILE", help="compare every bundle with a --dump of another tree")
     args = ap.parse_args()
 
     digest = hashlib.sha256()
@@ -55,7 +90,7 @@ def main() -> int:
         for item in items:
             digest.update(repr(np.asarray(item).tolist()).encode())
 
-    count = 0
+    bundles = {}
     for rect_name in args.rects:
         rect = cq.Rectangle(*RECTS[rect_name])
         for ptext in args.p:
@@ -81,11 +116,18 @@ def main() -> int:
                         x_lines = cq.line_norms_with_error(fx, "x", ys, rect.a, rect.b, p)
                         y_lines = cq.line_norms_with_error(fy, "y", xs, rect.c, rect.d, p)
                         update(nb.fxy, nb.x_lines, nb.y_lines, *x_lines, *y_lines)
-                        count += 1
+                        bundles[f"{name} {rect_name} p={ptext} {family} m={m}"] = {
+                            "fxy": nb.fxy, "x_lines": list(nb.x_lines), "y_lines": list(nb.y_lines)}
     for qtext in SEARCH_Q:
         result = cq.search_min(cq.Exponent.parse(qtext), restarts=2)
         update(result.achieved_norm, result.coefficients)
-    print(f"{count} bundles sha256 {digest.hexdigest()}")
+    print(f"{len(bundles)} bundles sha256 {digest.hexdigest()}")
+    if args.dump:
+        with open(args.dump, "w") as handle:
+            json.dump(bundles, handle)
+    if args.against:
+        with open(args.against) as handle:
+            print(compare(bundles, json.load(handle)))
     return 0
 
 

@@ -68,8 +68,13 @@ class MatrixCase:
     passed: bool
 
 
-def certificate_ok(error: float, bound: float, tol: float = 0.0) -> bool:
-    return error <= bound + max(tol, CERT_MARGIN_REL * (1.0 + abs(bound)))
+def certificate_ok(error: float, bound: float, tol: float = 0.0, scale: float = 1.0) -> bool:
+    """|error| <= bound up to a relative margin: max(tol, CERT_MARGIN_REL) * (scale + |bound|).
+
+    ``scale`` is the size of the integral, so the margin shrinks with the
+    integrand instead of forgiving every error below ``tol``.
+    """
+    return error <= bound + max(tol, CERT_MARGIN_REL) * (scale + abs(bound))
 
 
 def certificate_matrix(
@@ -144,16 +149,16 @@ def _checked_report(args, keys, f, rect: Rectangle, p: Exponent, part, oracle=No
     """The one report step of integrate, bound and every converge level.
 
     Runs ``rule_report`` and, when ``oracle`` (value, err) is given, checks
-    |estimate - oracle| against the bound with ``args.tol``.  Returns the
-    report, that error (None without an oracle) and the JSON payload,
-    whose ``inputs`` lists ``keys`` in order, with m and n read off the
-    partition the report used.
+    |estimate - oracle| against the bound with ``args.tol`` relative to
+    |estimate| + bound.  Returns the report, that error (None without an
+    oracle) and the JSON payload, whose ``inputs`` lists ``keys`` in
+    order, with m and n read off the partition the report used.
     """
     report = rule_report(f, rect, args.rule, p, part, args.resolution, cache)
     error, passed = None, True
     if oracle is not None:
         error = abs(report.estimate - oracle[0])
-        passed = certificate_ok(error, report.bound, args.tol)
+        passed = certificate_ok(error, report.bound, args.tol, abs(report.estimate))
     used = {"m": report.partition.m, "n": report.partition.n}
     provenance = list(report.notes)
     norms = report.norms_used.provenance if report.norms_used is not None else None

@@ -20,6 +20,7 @@ from .core import EvaluationError
 
 
 _MERGE_RTOL = 1e-14
+_SIXTEENTHS = np.arange(1.0, 16.0) / 16.0
 
 
 @lru_cache(maxsize=64)
@@ -265,9 +266,13 @@ def zero_breaks(g, axis: str, fixed, lo: float, hi: float, resolution: int) -> l
     zeros inside (lo, hi) are taken first, unless they fill more than half
     its scan (a degenerate line); then its sign changes in scan order,
     stopping after the one that brings its list to 32 or more.  Every
-    chosen bracket of every line is bisected together: at most 60 halvings,
-    one vector call each, and a bracket whose midpoint is an exact zero
-    stops there.  Returns one breakpoint array per line.
+    chosen bracket of every line is refined together in at most 15 rounds
+    of one vector call each: a round samples the 15 interior points
+    a + (b - a) j/16 of every live bracket and keeps the first sixteenth
+    whose right end changes sign against the left end of the bracket; an
+    exact zero there collapses the bracket onto it.  The final width is
+    16^-15 = 2^-60 of the scan step, what 60 halvings leave.  Returns one
+    breakpoint array per line.
     """
     c = np.asarray(fixed, dtype=float).ravel()
     if c.size == 0:
@@ -281,29 +286,40 @@ def zero_breaks(g, axis: str, fixed, lo: float, hi: float, resolution: int) -> l
     exact &= ((t > lo) & (t < hi))[None, :] & ~degenerate[:, None]
     neg, pos = vals < 0.0, vals > 0.0  # signs, not products: those can underflow to -0.0 or overflow
     rows, idx = np.nonzero(neg[:, :-1] & pos[:, 1:] | pos[:, :-1] & neg[:, 1:])
+    if rows.size == 0 and not exact.any() and hi - lo > merge_tol(lo, hi):
+        return list(np.tile([float(lo), float(hi)], (c.size, 1)))
     rank = np.arange(rows.size) - np.searchsorted(rows, rows)
     keep = rank < np.maximum(32 - exact.sum(axis=1)[rows], 1)
     rows, idx = rows[keep], idx[keep]
-    a, b, fa = t[idx], t[idx + 1], vals[rows, idx]
+    # the live brackets as compact arrays: ends, left value and line; zeros
+    # gets each bracket's root as it collapses or after the last round
+    a, b, fa, line_of = t[idx], t[idx + 1], vals[rows, idx], c[rows]
+    zeros = np.empty(rows.size)
     live = np.arange(rows.size)
-    for _ in range(60):
+    for _ in range(15):
         if live.size == 0:
             break
-        m = 0.5 * (a[live] + b[live])
-        fm = g(*line_coords(axis, m, c[rows[live]]))
-        hit = fm == 0.0
-        left = ~hit & ((fa[live] < 0.0) == (fm < 0.0))
-        a[live[hit | left]] = m[hit | left]
-        fa[live[left]] = fm[left]
-        b[live[~left]] = m[~left]
-        live = live[~hit]
-    # every line's merge_breaks([lo, hi], exact zeros, bisected zeros) at
+        x = a[:, None] + (b - a)[:, None] * _SIXTEENTHS
+        fs = g(*line_coords(axis, x, line_of[:, None]))
+        # k: the first sixteenth whose right end does not share fa's sign; 15
+        # when only b does
+        flip = (fs == 0.0) | ((fs < 0.0) != (fa < 0.0)[:, None])
+        k = np.where(flip.any(axis=1), np.argmax(flip, axis=1), 15)
+        n = np.arange(live.size)
+        right = np.minimum(k, 14)
+        hit = (k < 15) & (fs[n, right] == 0.0)
+        a, fa = np.where(k > 0, x[n, k - 1], a), np.where(k > 0, fs[n, k - 1], fa)
+        b = np.where(k < 15, x[n, right], b)
+        zeros[live[hit]] = b[hit]
+        live, a, b, fa, line_of = live[~hit], a[~hit], b[~hit], fa[~hit], line_of[~hit]
+    zeros[live] = 0.5 * (a + b)
+    # every line's merge_breaks([lo, hi], exact zeros, refined zeros) at
     # once: sort by (line, value), collapse near-duplicates within a line
     exact_rows, exact_idx = np.nonzero(exact)
     lines = np.arange(c.size)
     line = np.concatenate((lines, lines, exact_rows, rows))
     point = np.concatenate((np.full(c.size, float(lo)), np.full(c.size, float(hi)),
-                            t[exact_idx], 0.5 * (a + b)))
+                            t[exact_idx], zeros))
     order = np.lexsort((point, line))
     line, point = line[order], point[order]
     keep = np.empty(point.size, dtype=bool)

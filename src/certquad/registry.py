@@ -5,11 +5,14 @@ Only kink-free integrands are shipped, since the certified bounds need
 the derivative norms to exist.  ``exact`` maps a rectangle to the true
 integral via antiderivatives, independent of any quadrature here; the sin
 and exp ones are products (sin of half-widths, expm1) that do not cancel.
+invsum's corner difference of s log s - s has no such form, so invsum
+refuses the rectangles on which it would cancel (``_invsum_ok``).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,7 +35,7 @@ class RegistryEntry:
     def integrand(self, rect: Rectangle | None = None) -> Integrand:
         """Bind to a rectangle, filling the exact integral for it."""
         if rect is not None and not self.domain_ok(rect):
-            raise DomainError(f"integrand {self.name!r} is not defined on {rect}")
+            raise DomainError(f"integrand {self.name!r} ({self.description}) does not accept {rect}")
         try:
             exact = float(self.exact(rect)) if rect is not None else None
         except OverflowError:
@@ -112,13 +115,13 @@ _ENTRIES = (
         exact=lambda r: _exp_integral(r.a, r.b) * _exp_integral(r.c, r.d),
     ),
     RegistryEntry(
-        "invsum", "1 / (1 + x + y), needs 1 + a + c > 0",
+        "invsum", "1 / (1 + x + y), needs 1 + a + c > 0 and a rectangle its closed form resolves",
         f=lambda x, y: 1.0 / (1.0 + np.asarray(x, dtype=float) + np.asarray(y, dtype=float)),
         fx=lambda x, y: -1.0 / (1.0 + np.asarray(x, dtype=float) + np.asarray(y, dtype=float)) ** 2,
         fy=lambda x, y: -1.0 / (1.0 + np.asarray(x, dtype=float) + np.asarray(y, dtype=float)) ** 2,
         fxy=lambda x, y: 2.0 / (1.0 + np.asarray(x, dtype=float) + np.asarray(y, dtype=float)) ** 3,
         exact=lambda r: _invsum_exact(r),
-        domain_ok=lambda r: 1.0 + r.a + r.c > 1e-9,
+        domain_ok=lambda r: _invsum_ok(r),
     ),
     RegistryEntry(
         "sinsum", "sin(x + y)",
@@ -140,6 +143,23 @@ def _sin_integral(lo: float, hi: float) -> float:
 def _exp_integral(lo: float, hi: float) -> float:
     """exp(hi) - exp(lo) as exp(lo) expm1(hi - lo)."""
     return math.exp(lo) * math.expm1(hi - lo)
+
+
+def _invsum_ok(r: Rectangle) -> bool:
+    """1 + x + y > 0 on the rectangle, and the closed form keeps 12 digits there.
+
+    Each corner term s log s - s rounds by up to ~eps s (|log s| + 1), so
+    the corner difference of ``_invsum_exact`` is off by up to 4 eps times
+    the largest of them.  The integral is at least area / (1 + b + d); a
+    rectangle where that rounding exceeds 1e-12 of it (sides below ~0.2
+    near s = 4, below ~0.04 near s = 1) is refused, so the closed form
+    never decides a certificate check.
+    """
+    if not 1.0 + r.a + r.c > 1e-9:
+        return False
+    corners = [1.0 + x + y for x in (r.a, r.b) for y in (r.c, r.d)]
+    rounding = 4.0 * sys.float_info.epsilon * max(s * (abs(math.log(s)) + 1.0) for s in corners)
+    return rounding <= 1e-12 * r.area / (1.0 + r.b + r.d)
 
 
 def _invsum_exact(r: Rectangle) -> float:

@@ -11,6 +11,7 @@ from certquad.cli import (
     USAGE_ERROR,
     build_parser,
     certificate_matrix,
+    certificate_ok,
     main,
     run,
 )
@@ -149,6 +150,15 @@ class TestExitCodes:
             ["integrate", "--function", "invsum", "--rect", "-2", "3", "1", "4"])
         assert code == USAGE_ERROR or code == NUMERIC_FAILURE
 
+    def test_invsum_refuses_a_rectangle_its_closed_form_cancels_on(self, capsys):
+        # at h = 1e-9 the closed form's corner difference is all rounding: it
+        # read 0 against an estimate of 2.5e-19
+        code, out, err = run_main(capsys, ["integrate", "--function", "invsum", "--rect", "1", "1.000000001",
+                                           "2", "2.000000001", "--p", "inf"])
+        assert code == USAGE_ERROR
+        assert out == ""
+        assert err.startswith("error: integrand 'invsum' (")
+
     def test_overflowing_exact_integral_is_usage_error(self):
         code, _, err = invoke(["integrate", "--function", "expsum", "--rect", "1000", "1001", "0", "1",
                                "--p", "2"])
@@ -170,6 +180,16 @@ class TestExitCodes:
         args = build_parser().parse_args(["integrate", "--function", "xy", "--p", "2"])
         assert run(args) == CERT_VIOLATION
         capsys.readouterr()
+
+
+def test_certificate_margin_follows_the_scale():
+    # the margin is max(tol, CERT_MARGIN_REL) * (scale + |bound|): an error of
+    # 2.5e-19 against a bound of 3e-29 violates on an integral of size 1e-18;
+    # the default scale of 1 makes the margin absolute
+    assert not certificate_ok(2.5e-19, 3.125e-29, 1e-8, 1e-18)
+    assert certificate_ok(2.5e-19, 3.125e-29, 1e-8)
+    assert certificate_ok(1.0 + 1e-9, 1.0, 1e-8, 1.0)
+    assert not certificate_ok(1.0 + 1e-11, 1.0, 0.0, 0.0) and certificate_ok(1.0 + 1e-13, 1.0, 0.0, 0.0)
 
 
 class TestReportedPartition:

@@ -14,6 +14,7 @@ from certquad.gauss import (
     graded_nodes,
     merge_breaks,
     panel_nodes,
+    tensor_norms,
     zero_breaks,
 )
 from certquad.norms import partial_evaluators
@@ -111,6 +112,32 @@ class TestDerivativeNorms:
     def test_constant_all_zero(self, unit):
         nb = cq.derivative_norms(integrand("one", unit), unit, 2)
         assert (*nb.x_lines, *nb.y_lines, nb.fxy) == (0.0,) * 5
+
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 3, cq.INF])
+    def test_zero_mixed_partial_takes_no_floor(self, unit, p):
+        # the area norm's floating-point floor is relative to its value
+        nb = cq.derivative_norms(integrand("cubes", unit), unit, p)
+        assert nb.fxy == 0.0
+        assert max(nb.x_lines) > 0.0
+
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 3])
+    def test_fxy_covers_the_deep_grading(self, p):
+        # fxy is the (4, 5)-level area norm plus its error estimate: never
+        # below the (9, 10)-level grading, good to rounding, of the same scan
+        rects = (cq.Rectangle(0.1, 1.3, -0.2, 0.9), cq.Rectangle(0.0, np.pi, 0.0, np.pi),
+                 cq.Rectangle(-1.0, 0.5, -0.7, 0.8))
+        cases = 0
+        for rect in rects:
+            for name in cq.names():
+                entry = cq.get_entry(name)
+                if not entry.domain_ok(rect):
+                    continue
+                f = entry.integrand(rect)
+                deep = tensor_norms(as_grid_fn(f.fxy), rect, float(p), 192, ((9, 1 / 8), (10, 1 / 16)))[1]
+                fxy = cq.derivative_norms(f, rect, p).fxy
+                assert deep <= fxy <= deep * (1.0 + 1e-5), (name, rect)
+                cases += 1
+        assert cases == 29
 
     def test_xy_l1(self, unit):
         nb = cq.derivative_norms(integrand("xy", unit), unit, 1)
@@ -281,7 +308,8 @@ class TestZeroBreaks:
         assert np.allclose(degenerate[1:-1], roots[24:], rtol=0.0, atol=1e-14)
 
     def test_bracket_stops_at_exact_zero(self):
-        # the root is the midpoint of its scan bracket: one halving finds it
+        # the root is the midpoint of its scan bracket: one refinement round,
+        # 15 points per bracket, finds it
         calls = []
 
         def g(x, y):
@@ -290,7 +318,29 @@ class TestZeroBreaks:
 
         rows = zero_breaks(g, "y", [0.25, 0.75], 0.0, 1.0, 256)
         assert all(np.array_equal(r, [0.0, 129.0 / 512.0, 1.0]) for r in rows)
-        assert calls == [2 * 257, 2]
+        assert calls == [2 * 257, 2 * 15]
+
+    def test_three_sign_changes_in_one_bracket_give_one(self):
+        # all three roots lie in the scan bracket [0.5, 0.5625]
+        roots = np.array([0.51, 0.52, 0.53])
+        g = lambda x, y: (x - roots[0]) * (x - roots[1]) * (x - roots[2]) + 0.0 * y
+        (row,) = zero_breaks(g, "x", [0.0], 0.0, 1.0, 16)
+        assert row.size == 3
+        assert np.abs(row[1] - roots).min() <= 1e-15
+
+    def test_root_to_the_scan_width_guarantee(self):
+        # 15 rounds of sixteenths leave 2^-60 of the 2/256 scan step, finer
+        # than the float spacing at the root
+        calls = []
+
+        def g(x, y):
+            calls.append(np.broadcast(x, y).size)
+            return np.asarray(x) - 1e-3 + 0.0 * np.asarray(y)
+
+        (row,) = zero_breaks(g, "x", [0.0], -1.0, 1.0, 256)
+        assert row.size == 3
+        assert abs(row[1] - 1e-3) <= max(2.0**-60 * 2.0 / 256, np.spacing(1e-3))
+        assert len(calls) <= 1 + 15
 
     def test_tiny_values_keep_their_sign_change(self):
         # neighbouring samples ~1e-163 apart: their product underflows to -0.0
@@ -376,38 +426,48 @@ class TestBatchedLines:
 class TestEvaluationCounts:
     """Deterministic evaluation counters of one 32 x 32 trapezoid bundle at p = 2.
 
-    The f_x and f_y lines of a partial are scanned in one call, bisected
+    The f_x and f_y lines of a partial are scanned in one call, refined
     together and sampled in one call for both Gauss passes, whatever their
-    breakpoints: at most 1 + 60 + 1 vector calls per partial.  The call
+    breakpoints: at most 1 + 15 + 1 vector calls per partial.  The call
     count grows neither with the line count nor with the number of
     distinct breakpoint sets (sinsum's f_x = cos(x + y) has its own zero
     on every line), while the sampled points stay what a line-by-line
     evaluation samples.
     """
 
+    @staticmethod
+    def counted(fn, rec):
+        def wrapper(x, y):
+            n = np.broadcast(np.asarray(x), np.asarray(y)).size
+            rec["vector" if n > 1 else "single"] += 1
+            rec["points"] += n
+            return fn(x, y)
+
+        return wrapper
+
     @pytest.mark.parametrize("name, rect, points, max_vector_calls", [
-        ("sinsin", cq.Rectangle(0.0, np.pi, 0.0, np.pi), 70850, 140),
+        ("sinsin", cq.Rectangle(0.0, np.pi, 0.0, np.pi), 81410, 34),
         ("expsum", UNIT, 46530, 8),
-        ("sinsum", cq.Rectangle(0.0, np.pi, 0.0, np.pi), 73946, 126),
+        ("sinsum", cq.Rectangle(0.0, np.pi, 0.0, np.pi), 84836, 34),
     ])
     def test_counts(self, name, rect, points, max_vector_calls):
         rec = {"vector": 0, "single": 0, "points": 0}
-
-        def counted(fn):
-            def wrapper(x, y):
-                n = np.broadcast(np.asarray(x), np.asarray(y)).size
-                rec["vector" if n > 1 else "single"] += 1
-                rec["points"] += n
-                return fn(x, y)
-
-            return wrapper
-
         f = integrand(name, rect)
-        f = dataclasses.replace(f, fx=counted(f.fx), fy=counted(f.fy))
+        f = dataclasses.replace(f, fx=self.counted(f.fx, rec), fy=self.counted(f.fy, rec))
         cq.derivative_norms(f, rect, 2, partition=cq.PartitionSpec(rect, 32, 32))
         assert rec["single"] == 0
         assert rec["points"] == points
         assert rec["vector"] <= max_vector_calls
+
+    def test_area_norm_counts(self):
+        # per axis one scan of two lines and 15 refinement rounds, then the
+        # two (4, 5)-level tensor passes
+        rect = cq.Rectangle(0.0, np.pi, 0.0, np.pi)
+        rec = {"vector": 0, "single": 0, "points": 0}
+        f = integrand("sinsin", rect)
+        f = dataclasses.replace(f, fxy=self.counted(f.fxy, rec))
+        cq.derivative_norms(f, rect, 2, partition=cq.PartitionSpec(rect, 32, 32))
+        assert rec == {"vector": 34, "single": 0, "points": 54920}
 
 
 def graded_breaks(lo, hi, levels):

@@ -59,6 +59,16 @@ def test_norm_digest():
     assert run_script("norm_digest.py", *args) == first
 
 
+def test_norm_digest_against_its_own_dump(tmp_path):
+    args = ("--functions", "sinsin", "--rects", "offset", "--p", "1.5", "--m", "1", "3")
+    dump = tmp_path / "norms.json"
+    first = run_script("norm_digest.py", *args, "--dump", str(dump))
+    again = run_script("norm_digest.py", *args, "--against", str(dump)).splitlines()
+    assert again[0] == first.strip()
+    assert again[1] == ("against 4 bundles: line norms max rel dev 0, fxy max rel dev 0, "
+                        "fxy below reference 0")
+
+
 def test_cli_digest():
     args = ("--functions", "xy", "--rects", "unit", "--p", "2", "--formats", "json")
     first = run_script("cli_digest.py", *args)
