@@ -21,9 +21,10 @@ The options shrink the grid (the default is the full one, ~4 s on a
 2-vCPU x86_64 VM).  A change meant to alter norm values is checked by
 value instead: ``--dump FILE`` writes every bundle's ``fxy``, ``x_lines``
 and ``y_lines`` as JSON, and ``--against FILE`` compares this tree's
-bundles with such a dump from another tree, printing one more line: the
-largest relative deviation of the line norms and of ``fxy``, and how
-many ``fxy`` values fall below the reference's:
+bundles with such a dump from another tree, printing two more lines: the
+largest relative deviation of the line norms and of ``fxy`` and how many
+``fxy`` values fall below the reference's, then how many line norms fall
+below the reference's and their largest relative shortfall:
 
     PYTHONPATH=src python3 scripts/norm_digest.py --dump old.json      # on the old tree
     PYTHONPATH=src python3 scripts/norm_digest.py --against old.json   # on the new tree
@@ -57,21 +58,31 @@ def relative_deviation(value: float, reference: float) -> float:
 
 
 def compare(bundles: dict, reference: dict) -> str:
-    """One line comparing bundle values with a reference dump of the same keys."""
+    """Two lines comparing bundle values with a reference dump of the same keys.
+
+    The first gives the largest relative deviation of the line norms and of
+    ``fxy`` and how many ``fxy`` values fall below the reference's; the
+    second how many line norms fall below the reference's and the largest
+    relative shortfall among them.
+    """
     missing = sorted(set(reference) ^ set(bundles))
     if missing:
         raise SystemExit(f"the dumps hold different bundles, for example {missing[0]!r}")
-    lines = fxy = 0.0
-    below = 0
+    lines = fxy = shortfall = 0.0
+    below = lines_below = 0
     for key, ref in reference.items():
         got = bundles[key]
         for name in ("x_lines", "y_lines"):
             for value, old in zip(got[name], ref[name], strict=True):
                 lines = max(lines, relative_deviation(value, old))
+                if value < old:
+                    lines_below += 1
+                    shortfall = max(shortfall, relative_deviation(value, old))
         fxy = max(fxy, relative_deviation(got["fxy"], ref["fxy"]))
         below += got["fxy"] < ref["fxy"]
     return (f"against {len(reference)} bundles: line norms max rel dev {lines:.3g}, "
-            f"fxy max rel dev {fxy:.3g}, fxy below reference {below}")
+            f"fxy max rel dev {fxy:.3g}, fxy below reference {below}\n"
+            f"line norms below reference {lines_below}, max rel shortfall {shortfall:.3g}")
 
 
 def main() -> int:

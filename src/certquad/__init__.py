@@ -42,7 +42,6 @@ from .minimizer import (
     verify_q2_identity,
 )
 from .norms import (
-    area_norm,
     area_norm_with_error,
     derivative_norms,
     finite_difference_partials,

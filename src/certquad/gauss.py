@@ -5,8 +5,8 @@ for the line norms (``norms``), the ramp norms (``weights``) and the
 minimizer's grid (``minimizer``); ``tensor_norms`` for the f_xy area
 norm (``norms``) and the custom weight norm (``weights``).  The oracle
 uses ``panel_nodes``.  All routines are deterministic: fixed node counts
-and fixed summation order (numpy dot products), so repeated runs
-reproduce bit-identical values.
+and fixed summation order, so repeated runs reproduce bit-identical
+values.
 """
 
 from __future__ import annotations
@@ -174,7 +174,12 @@ def tensor_norms(g, rect, p: float, scan: int, passes: Sequence[tuple[int, float
     (``zero_breaks`` on scan + 1 points), which captures the axis-aligned
     kink lines of separable integrands.  A pass (levels, cap) is one
     ``graded_nodes`` build of both axes, panels at most cap times the axis
-    span wide, and one tensor sample of g, a broadcasting callable.
+    span wide, and one tensor sample of g, a broadcasting callable.  The
+    norm of a pass is the contraction s (wx . |v/s|^p . wy)^(1/p) of the
+    sample grid v with the two axes' weights, s the largest |v|: no
+    grid-sized weight array is built, and as |v/s| <= 1 no power
+    overflows and the maximum's own term keeps the sum from underflowing
+    to zero, for any finite p.
     """
     offsets = np.asarray([0.155, -0.237])
     bx = merge_breaks(*zero_breaks(g, "x", rect.m2 + offsets * rect.height, rect.a, rect.b, scan))
@@ -187,8 +192,15 @@ def tensor_norms(g, rect, p: float, scan: int, passes: Sequence[tuple[int, float
     for x, y, wx, wy in zip(xs[0::2], xs[1::2], ws[0::2], ws[1::2]):
         vals = g(x[:, None], y[None, :])
         require_finite(vals, (x[:, None], y[None, :]))
-        out.append(p_norm_from_samples(vals, np.outer(wx, wy), p))
+        u = np.abs(vals)
         del vals  # before the next pass samples: a second live grid array faults in fresh pages
+        s = float(u.max())
+        if s == 0.0:
+            out.append(0.0)
+            continue
+        u /= s
+        u **= p
+        out.append(s * float(wx @ u @ wy) ** (1.0 / p))
     return out
 
 
@@ -225,13 +237,14 @@ def p_norm_from_samples(values, weights, p: float) -> float:
 def segment_p_norms(magnitudes: np.ndarray, weights, offsets, sizes, p: float) -> np.ndarray:
     """``p_norm_from_samples`` of consecutive segments of sample magnitudes.
 
-    ``magnitudes`` holds |samples| as a float array, which this scales and
-    raises to p in place (it is the largest array of a line batch).  The
-    segments tile it in flattened order; segment i has sizes[i] samples
-    and takes weights[offsets[i]:offsets[i] + sizes[i]].  Each result
-    equals the one-segment call bit for bit: the scaling and powers run on
-    the whole array, the weighted sum stays one dot product of two
-    contiguous slices per segment.
+    ``magnitudes`` holds |samples| as a float array, which this scales,
+    raises to p and weights in place (it is the largest array of a line
+    batch).  The segments tile it in flattened order; segment i has
+    sizes[i] >= 1 samples and takes weights[offsets[i]:offsets[i] + sizes[i]].
+    Up to p = 64 every segment's weights are gathered with one index array
+    and every weighted sum is one ``np.add.reduceat``, so a result can
+    differ from the one-segment call by summation order; beyond it each
+    segment is one log-domain ``p_norm_from_samples`` call.
     """
     v = magnitudes.reshape(-1)
     w = np.asarray(weights, dtype=float)
@@ -240,16 +253,10 @@ def segment_p_norms(magnitudes: np.ndarray, weights, offsets, sizes, p: float) -
         return np.asarray([p_norm_from_samples(v[a:a + n], w[o:o + n], p)
                            for a, o, n in zip(starts, offsets, sizes)])
     s = np.maximum.reduceat(v, starts)
-    nonzero = s > 0.0
-    v /= np.repeat(np.where(nonzero, s, 1.0), sizes)
+    v /= np.repeat(np.where(s > 0.0, s, 1.0), sizes)
     v **= p
-    out = np.zeros(s.size)
-    for i in np.flatnonzero(nonzero):
-        a, o, n = starts[i], offsets[i], sizes[i]
-        t = float(np.dot(w[o:o + n], v[a:a + n]))
-        if t > 0.0:
-            out[i] = float(s[i]) * t ** (1.0 / p)
-    return out
+    v *= w[np.repeat(offsets - starts, sizes) + np.arange(v.size)]
+    return s * np.add.reduceat(v, starts) ** (1.0 / p)
 
 
 def line_coords(axis: str, t, fixed):

@@ -7,11 +7,12 @@ the reported error estimate.  p = infinity norms are grid maxima with
 local refinement around the argmax; they are lower bounds of the
 essential supremum that tighten under refinement.
 
-The f_xy area norm is graded only 4 and 5 levels deep, good to ~1e-9
-relative rather than to rounding: its term is a small share of a bound,
-and ``derivative_norms`` adds the area norm's error estimate to it.  The
-estimate's floating-point floor is relative (1e-15 of the value), so a
-zero f_xy stays exactly zero.
+No norm is graded to rounding: the line norms are graded 5 and 6 levels
+deep (good to ~1e-7 relative), the f_xy area norm 4 and 5 levels deep
+(~1e-9), and ``derivative_norms`` adds every norm's error estimate to its
+value, so the shallow grading never lowers a bound.  The estimates'
+floating-point floors are relative (1e-15 of the value), so a zero
+partial's norms stay exactly zero.
 
 Line norms come in batches: ``line_norms_with_error`` takes every line
 of one axis at once, scans them in one call, refines all their sign
@@ -19,7 +20,8 @@ changes together (``gauss.zero_breaks``), builds the graded nodes of
 every distinct breakpoint set for both Gauss passes in one call
 (``gauss.graded_nodes``), and samples every line in one integrand call:
 as one (lines x nodes) array when all lines share their breakpoints, as
-one flat array of each line's own nodes otherwise.  It is the only
+one flat array of each line's own nodes otherwise; one
+``gauss.segment_p_norms`` call reduces them all.  It is the only
 line-norm entry point: one line is a one-element ``fixed``, and
 ``derivative_norms`` makes one call per partial.
 """
@@ -82,9 +84,13 @@ def line_norms_with_error(g, axis: str, fixed, lo: float, hi: float, p,
 
     Line k runs along ``axis`` ("x" or "y") over [lo, hi] at transverse
     coordinate fixed[k]; g is a two-variable callable.  Returns arrays
-    (values, errors), one entry per line.  The estimate is the change under
-    one panel-refinement halving (plus a floating-point floor); the sup
-    norm reports its refinement gain.  Every line is sampled in one
+    (values, errors), one entry per line.  A finite-p value is the finer
+    of two Gauss passes graded 5 and 6 levels toward every panel end, good
+    to ~1e-7 relative rather than to rounding; its estimate is the change
+    between the passes, under one panel-cap halving.  The sup norm reports
+    its refinement gain.  Both estimates add a floating-point floor of
+    1e-15 of the value, so a zero line reports (0, 0); callers add the
+    estimate to the value.  Every line is sampled in one
     integrand call at the nodes of its breakpoint set; lines whose zero
     scan gives the same breakpoints share their nodes.  An empty ``fixed``
     gives two empty arrays, and an interval too narrow for the
@@ -103,7 +109,7 @@ def line_norms_with_error(g, axis: str, fixed, lo: float, hi: float, p,
         return np.zeros(0), np.zeros(0)
     if p.is_infinite:
         value, gain = _sup_lines(gv, axis, c, lo, hi, resolution)
-        return value, np.abs(gain) + 1e-15 * (1.0 + value)
+        return value, np.abs(gain) + 1e-15 * value
     max_frac = _pass_fraction(resolution)
     require_resolvable(lo, hi, max_frac / 2.0)
     # the distinct breakpoint sets, and the set of each line
@@ -116,7 +122,7 @@ def line_norms_with_error(g, axis: str, fixed, lo: float, hi: float, p,
             sets.append(breaks)
     spans = np.asarray([s[-1] - s[0] for s in sets])
     nodes, weights, bounds = graded_nodes(
-        sets, ((11, spans * max_frac), (12, spans * (max_frac / 2.0)))
+        sets, ((5, spans * max_frac), (6, spans * (max_frac / 2.0)))
     )
     # each line is two segments, its coarse then its fine samples, with the
     # nodes and weights of its set's two passes
@@ -130,7 +136,7 @@ def line_norms_with_error(g, axis: str, fixed, lo: float, hi: float, p,
     magnitudes = np.abs(gv(*coords))
     require_finite(magnitudes, coords)
     coarse, fine = segment_p_norms(magnitudes, weights, offsets, sizes, p.value).reshape(-1, 2).T
-    return fine, np.abs(fine - coarse) + 1e-15 * (1.0 + np.abs(fine))
+    return fine, np.abs(fine - coarse) + 1e-15 * fine
 
 
 def area_norm_with_error(g, rect: Rectangle, p, resolution: int = DEFAULT_RESOLUTION):
@@ -157,11 +163,6 @@ def area_norm_with_error(g, rect: Rectangle, p, resolution: int = DEFAULT_RESOLU
     passes = ((4, max_frac), (5, max_frac / 2.0))
     coarse, fine = tensor_norms(fv, rect, p.value, min(resolution, 192), passes)
     return fine, abs(fine - coarse) + 1e-15 * abs(fine)
-
-
-def area_norm(g, rect: Rectangle, p, resolution: int = DEFAULT_RESOLUTION) -> float:
-    """Two-variable L^p norm of g over the rectangle."""
-    return area_norm_with_error(g, rect, p, resolution)[0]
 
 
 def finite_difference_partials(f, rect: Rectangle):
@@ -224,11 +225,11 @@ def derivative_norms(
     the rule's weight jumps, ``y_lines`` the f_y norms along every such
     x = x_k (see ``weights.ramp_jumps``): the boundary and interior grid
     lines for the trapezoid family, the cell midlines for the midpoint
-    family.  ``fxy`` is ||f_xy||_p over the rectangle plus its error
-    estimate, so the bound does not rest on the area norm's shallow
-    grading.  ``cache`` memoizes the area norm and every line norm of one
-    integrand per (rectangle, p, resolution), so calls for other
-    partitions, rules or rectangles can share it.
+    family.  Every line and ``fxy``, ||f_xy||_p over the rectangle, is
+    the norm plus its error estimate, so the bound does not rest on the
+    shallow gradings.  ``cache`` memoizes the area norm and every line
+    norm of one integrand per (rectangle, p, resolution), so calls for
+    other partitions, rules or rectangles can share it.
     """
     p = Exponent.coerce(p)
     if rule_family not in FAMILIES:
@@ -252,8 +253,8 @@ def derivative_norms(
             if key not in store:
                 todo.setdefault(key, float(c))
         if todo:
-            values, _ = line_norms_with_error(g, axis, list(todo.values()), lo, hi, p, resolution)
-            store.update(zip(todo, map(float, values)))
+            values, errors = line_norms_with_error(g, axis, list(todo.values()), lo, hi, p, resolution)
+            store.update(zip(todo, map(float, values + errors)))
         return [store[key] for key in keys]
 
     if "fxy" not in store:

@@ -271,8 +271,11 @@ def custom_phi_rule(
     estimate = float(np.dot(signs, fvals * phis))
 
     bundle = derivative_norms(f, rect, p, rule_family="trapezoid", resolution=resolution)
-    edges_x, _ = line_norms_with_error(w.eval_grid, "x", [rect.c, rect.d], rect.a, rect.b, q, resolution)
-    edges_y, _ = line_norms_with_error(w.eval_grid, "y", [rect.a, rect.b], rect.c, rect.d, q, resolution)
+    # the weight's edge norms, each inflated by its own error estimate
+    edges_x = np.add(*line_norms_with_error(w.eval_grid, "x", [rect.c, rect.d], rect.a, rect.b, q,
+                                            resolution))
+    edges_y = np.add(*line_norms_with_error(w.eval_grid, "y", [rect.a, rect.b], rect.c, rect.d, q,
+                                            resolution))
     fx_term = sum(v * e for v, e in zip(bundle.x_lines, edges_x))
     fy_term = sum(v * e for v, e in zip(bundle.y_lines, edges_y))
     fxy_term = bundle.fxy * phi_norm_numeric(w, q, resolution)

@@ -8,12 +8,16 @@ import pytest
 
 import certquad as cq
 from certquad.core import FAMILIES
+from certquad import gauss
 from certquad.gauss import (
     as_grid_fn,
     as_vector_fn,
     graded_nodes,
+    line_coords,
     merge_breaks,
+    p_norm_from_samples,
     panel_nodes,
+    segment_p_norms,
     tensor_norms,
     zero_breaks,
 )
@@ -75,15 +79,15 @@ class TestLineNorm:
 
 class TestAreaNorm:
     def test_constant(self, unit):
-        assert cq.area_norm(lambda x, y: 1.0 + 0 * x + 0 * y, unit, 3) == pytest.approx(
+        assert cq.area_norm_with_error(lambda x, y: 1.0 + 0 * x + 0 * y, unit, 3)[0] == pytest.approx(
             1.0, rel=1e-12)
 
     def test_sup(self, unit):
-        assert cq.area_norm(lambda x, y: 4.0 * x * y, unit, cq.INF) == pytest.approx(
+        assert cq.area_norm_with_error(lambda x, y: 4.0 * x * y, unit, cq.INF)[0] == pytest.approx(
             4.0, abs=1e-12)
 
     def test_bilinear_l1(self, sym):
-        assert cq.area_norm(lambda x, y: x * y, sym, 1) == pytest.approx(1.0, rel=1e-10)
+        assert cq.area_norm_with_error(lambda x, y: x * y, sym, 1)[0] == pytest.approx(1.0, rel=1e-10)
 
     @pytest.mark.parametrize("p", [1, 1.5])
     def test_axis_aligned_kinks(self, p):
@@ -93,7 +97,7 @@ class TestAreaNorm:
         from scipy.integrate import quad
 
         rect = cq.Rectangle(0.0, np.pi, 0.0, np.pi)
-        got = cq.area_norm(lambda x, y: np.cos(x) * np.cos(y), rect, p)
+        got = cq.area_norm_with_error(lambda x, y: np.cos(x) * np.cos(y), rect, p)[0]
         factor, _ = quad(lambda t: abs(np.cos(t)) ** p, 0.0, np.pi, limit=200)
         expect = (factor * factor) ** (1.0 / p)
         assert got == pytest.approx(expect, rel=1e-8)
@@ -138,6 +142,50 @@ class TestDerivativeNorms:
                 assert deep <= fxy <= deep * (1.0 + 1e-5), (name, rect)
                 cases += 1
         assert cases == 29
+
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 3])
+    def test_lines_cover_the_deep_grading(self, p):
+        # every line is the (5, 6)-level line norm plus its error estimate:
+        # never below the 12-level grading, good to rounding, of the same breakpoints
+        rects = (cq.Rectangle(0.1, 1.3, -0.2, 0.9), cq.Rectangle(0.0, np.pi, 0.0, np.pi),
+                 cq.Rectangle(-1.0, 0.5, -0.7, 0.8))
+
+        def deep(g, axis, fixed, lo, hi):
+            out = []
+            for c, breaks in zip(fixed, zero_breaks(g, axis, fixed, lo, hi, 256)):
+                x, w, _ = graded_nodes([breaks], [(12, np.array([(breaks[-1] - breaks[0]) / 16]))])
+                out.append(p_norm_from_samples(g(*line_coords(axis, x, c)), w, float(p)))
+            return out
+
+        cases = 0
+        for rect in rects:
+            part = cq.PartitionSpec(rect, 3, 3)
+            (xs, _), (ys, _) = ramp_jumps(part, "trapezoid")
+            for name in cq.names():
+                entry = cq.get_entry(name)
+                if not entry.domain_ok(rect):
+                    continue
+                f = entry.integrand(rect)
+                fx, fy, _, _ = partial_evaluators(f, rect)
+                nb = cq.derivative_norms(f, rect, p, partition=part)
+                for got, ref in ((nb.x_lines, deep(fx, "x", ys, rect.a, rect.b)),
+                                 (nb.y_lines, deep(fy, "y", xs, rect.c, rect.d))):
+                    for line, exact in zip(got, ref, strict=True):
+                        assert exact <= line <= exact * (1.0 + 1e-6), (name, rect)
+                cases += 1
+        assert cases == 29
+
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 3, cq.INF])
+    @pytest.mark.parametrize("name, partial", [("one", "fx"), ("one", "fy"), ("one", "fxy"), ("cubes", "fxy")])
+    def test_zero_partial_lines_take_no_floor(self, unit, p, name, partial):
+        # the line norms' floating-point floor is relative to their value too
+        g = getattr(integrand(name, unit), partial)
+        for axis in ("x", "y"):
+            values, errors = cq.line_norms_with_error(g, axis, [0.0, 0.25, 1.0], 0.0, 1.0, p)
+            assert (*values, *errors) == (0.0,) * 6
+        if name == "one":
+            nb = cq.derivative_norms(integrand(name, unit), unit, p, partition=cq.PartitionSpec(unit, 4, 4))
+            assert (*nb.x_lines, *nb.y_lines) == (0.0,) * 10
 
     def test_xy_l1(self, unit):
         nb = cq.derivative_norms(integrand("xy", unit), unit, 1)
@@ -224,7 +272,7 @@ class TestProperties:
             lambda x, y: np.cos(3 * x) * np.cos(2 * y),
         ]
         for g in fns:
-            vals = [cq.area_norm(g, unit, p, resolution=96) for p in (1, 1.5, 2, 3, 8)]
+            vals = [cq.area_norm_with_error(g, unit, p, resolution=96)[0] for p in (1, 1.5, 2, 3, 8)]
             assert all(a <= b + 1e-9 for a, b in zip(vals, vals[1:])), vals
 
     def test_refinement_within_error_estimate(self, unit):
@@ -358,16 +406,17 @@ class TestZeroBreaks:
 
 
 class TestBatchedLines:
-    """derivative_norms batches every line of a partial; each value must equal the
-    one-line ``line_norms_with_error`` call of that line."""
+    """derivative_norms batches every line of a partial; each value must equal
+    value + error estimate of the one-line ``line_norms_with_error`` call of
+    that line."""
 
     @staticmethod
     def per_line(f, rect, p, part, family):
         fx, fy, _, _ = partial_evaluators(f, rect)
         (xs, _), (ys, _) = ramp_jumps(part, family)
         return (
-            tuple(one_line(fx, rect.a, rect.b, p, fixed=y)[0] for y in ys),
-            tuple(one_line(fy, rect.c, rect.d, p, fixed=x, axis="y")[0] for x in xs),
+            tuple(sum(one_line(fx, rect.a, rect.b, p, fixed=y)) for y in ys),
+            tuple(sum(one_line(fy, rect.c, rect.d, p, fixed=x, axis="y")) for x in xs),
         )
 
     def check(self, f, rect, p, m, family):
@@ -446,10 +495,10 @@ class TestEvaluationCounts:
         return wrapper
 
     @pytest.mark.parametrize("name, rect, points, max_vector_calls", [
-        ("sinsin", cq.Rectangle(0.0, np.pi, 0.0, np.pi), 81410, 34),
-        ("expsum", UNIT, 46530, 8),
-        ("sinsum", cq.Rectangle(0.0, np.pi, 0.0, np.pi), 84836, 34),
-    ])
+        ("sinsin", cq.Rectangle(0.0, np.pi, 0.0, np.pi), 56450, 34),
+        ("expsum", UNIT, 33858, 8),
+        ("sinsum", cq.Rectangle(0.0, np.pi, 0.0, np.pi), 59876, 34),
+    ], ids=["sinsin", "expsum", "sinsum"])
     def test_counts(self, name, rect, points, max_vector_calls):
         rec = {"vector": 0, "single": 0, "points": 0}
         f = integrand(name, rect)
@@ -526,10 +575,12 @@ class TestGradedNodes:
                 assert np.array_equal(w[seg], ref_w), (levels, s)
 
     @pytest.mark.parametrize("passes", [
-        [(11, 1 / 8), (12, 1 / 16)],  # the line norms
-        [(9, 1 / 8), (10, 1 / 16)],  # the area norm
+        [(11, 1 / 8), (12, 1 / 16)],  # the deep line-norm reference
+        [(9, 1 / 8), (10, 1 / 16)],  # the deep area-norm reference
         [(10, 1 / 4)],  # the custom weight norm
         [(12, 1 / 64), (3, 1 / 2)],  # uneven depths, the deeper pass first
+        [(5, 1 / 8), (6, 1 / 16)],  # the line norms
+        [(4, 1 / 8), (5, 1 / 16)],  # the area norm
     ])
     def test_sets_of_different_lengths_match_reference(self, passes):
         self.check(self.SETS, passes)
@@ -559,6 +610,58 @@ class TestGradedNodes:
             graded_nodes([np.array([0.0, 1.0]), np.array([0.0, 1e-14])], [(11, np.array([0.1, 1e-15]))])
         with pytest.raises(ValueError, match="two breakpoints"):
             graded_nodes([np.array([0.5])], [(11, np.array([0.1]))])
+
+
+class TestReductions:
+    """``segment_p_norms`` and ``tensor_norms`` reduce in one call what
+    ``p_norm_from_samples`` reduces per segment or over a grid-sized weight
+    array; they agree up to summation order."""
+
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 3, 64, 100])
+    def test_segments_match_per_segment_norms(self, p):
+        rng = np.random.default_rng(7)
+        sizes = np.array([8, 1, 40, 16, 200, 3])
+        starts = np.cumsum(sizes) - sizes
+        mags = np.abs(rng.standard_normal(sizes.sum())) * np.repeat(10.0 ** np.arange(-2, 4), sizes)
+        mags[starts[3]:starts[3] + sizes[3]] = 0.0
+        weights = rng.uniform(1e-3, 1e-1, size=300)
+        offsets = np.array([90, 0, 20, 5, 60, 280])
+        got = segment_p_norms(mags.copy(), weights, offsets, sizes, float(p))
+        ref = [p_norm_from_samples(mags[a:a + n], weights[o:o + n], float(p))
+               for a, o, n in zip(starts, offsets, sizes)]
+        assert got[3] == ref[3] == 0.0
+        assert got == pytest.approx(ref, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 3, 100])
+    def test_tensor_contraction_matches_the_weight_grid(self, monkeypatch, p):
+        # each pass's norm against p_norm_from_samples of the same samples with
+        # np.outer(wx, wy); the nodes are taken from the pass's graded_nodes build
+        builds = []
+
+        def recorded(*args):
+            builds.append(graded_nodes(*args))
+            return builds[-1]
+
+        monkeypatch.setattr(gauss, "graded_nodes", recorded)
+        rects = (cq.Rectangle(0.1, 1.3, -0.2, 0.9), cq.Rectangle(0.0, np.pi, 0.0, np.pi))
+        cases = 0
+        for rect in rects:
+            for name in cq.names():
+                entry = cq.get_entry(name)
+                if not entry.domain_ok(rect):
+                    continue
+                for g in (as_grid_fn(entry.integrand(rect).fxy), as_grid_fn(entry.integrand(rect).fx)):
+                    builds.clear()
+                    got = tensor_norms(g, rect, float(p), 64, ((4, 1 / 8), (5, 1 / 16)))
+                    nodes, weights, bounds = builds[0]
+                    xs, ws = np.split(nodes, bounds[1:-1]), np.split(weights, bounds[1:-1])
+                    for value, x, y, wx, wy in zip(got, xs[0::2], xs[1::2], ws[0::2], ws[1::2]):
+                        ref = p_norm_from_samples(g(x[:, None], y[None, :]), np.outer(wx, wy), float(p))
+                        # a constant on [0, pi]^2 at p = 1 sums ~10^4 equal terms:
+                        # the two summation orders differ by 1.8e-15 there
+                        assert value == pytest.approx(ref, rel=2e-15, abs=0.0), (name, rect)
+                    cases += 1
+        assert cases == 40
 
 
 class TestAsGridFn:

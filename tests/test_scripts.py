@@ -67,6 +67,7 @@ def test_norm_digest_against_its_own_dump(tmp_path):
     assert again[0] == first.strip()
     assert again[1] == ("against 4 bundles: line norms max rel dev 0, fxy max rel dev 0, "
                         "fxy below reference 0")
+    assert again[2] == "line norms below reference 0, max rel shortfall 0"
 
 
 def test_cli_digest():
