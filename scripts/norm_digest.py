@@ -20,11 +20,13 @@ one command on each tree:
 The options shrink the grid (the default is the full one, ~4 s on a
 2-vCPU x86_64 VM).  A change meant to alter norm values is checked by
 value instead: ``--dump FILE`` writes every bundle's ``fxy``, ``x_lines``
-and ``y_lines`` as JSON, and ``--against FILE`` compares this tree's
-bundles with such a dump from another tree, printing two more lines: the
-largest relative deviation of the line norms and of ``fxy`` and how many
-``fxy`` values fall below the reference's, then how many line norms fall
-below the reference's and their largest relative shortfall:
+and ``y_lines`` and every ``phi_norm_numeric`` value the digest takes as
+JSON, and ``--against FILE`` compares this tree's values with such a dump
+from another tree, printing three more lines: the largest relative
+deviation of the line norms and of ``fxy`` and how many ``fxy`` values
+fall below the reference's; how many line norms fall below the
+reference's and their largest relative shortfall; how many weight norms
+differ from the reference's and their largest relative deviation:
 
     PYTHONPATH=src python3 scripts/norm_digest.py --dump old.json      # on the old tree
     PYTHONPATH=src python3 scripts/norm_digest.py --against old.json   # on the new tree
@@ -57,6 +59,12 @@ def relative_deviation(value: float, reference: float) -> float:
     return abs(value - reference) / abs(reference) if reference else float("inf")
 
 
+def require_same_keys(values: dict, reference: dict, what: str) -> None:
+    missing = sorted(set(reference) ^ set(values))
+    if missing:
+        raise SystemExit(f"the dumps hold different {what}, for example {missing[0]!r}")
+
+
 def compare(bundles: dict, reference: dict) -> str:
     """Two lines comparing bundle values with a reference dump of the same keys.
 
@@ -65,9 +73,7 @@ def compare(bundles: dict, reference: dict) -> str:
     second how many line norms fall below the reference's and the largest
     relative shortfall among them.
     """
-    missing = sorted(set(reference) ^ set(bundles))
-    if missing:
-        raise SystemExit(f"the dumps hold different bundles, for example {missing[0]!r}")
+    require_same_keys(bundles, reference, "bundles")
     lines = fxy = shortfall = 0.0
     below = lines_below = 0
     for key, ref in reference.items():
@@ -83,6 +89,14 @@ def compare(bundles: dict, reference: dict) -> str:
     return (f"against {len(reference)} bundles: line norms max rel dev {lines:.3g}, "
             f"fxy max rel dev {fxy:.3g}, fxy below reference {below}\n"
             f"line norms below reference {lines_below}, max rel shortfall {shortfall:.3g}")
+
+
+def compare_weights(norms: dict, reference: dict) -> str:
+    """One line: how many weight norms differ from a reference dump of the same keys, and by how much."""
+    require_same_keys(norms, reference, "weight norms")
+    deviations = [relative_deviation(norms[key], ref) for key, ref in reference.items()]
+    return (f"against {len(reference)} weight norms: {sum(d > 0.0 for d in deviations)} differ, "
+            f"max rel dev {max(deviations, default=0.0):.3g}")
 
 
 def main() -> int:
@@ -101,15 +115,21 @@ def main() -> int:
         for item in items:
             digest.update(repr(np.asarray(item).tolist()).encode())
 
-    bundles = {}
+    bundles, weights = {}, {}
+
+    def weight_norm(key, w, q):
+        weights[key] = cq.phi_norm_numeric(w, q)
+        update(weights[key])
+
     for rect_name in args.rects:
         rect = cq.Rectangle(*RECTS[rect_name])
         for ptext in args.p:
             q = cq.conjugate(cq.Exponent.parse(ptext))
-            update(cq.phi_norm_numeric(custom_phi(rect), q))
+            weight_norm(f"custom {rect_name} p={ptext}", custom_phi(rect), q)
             for family in cq.FAMILIES:
                 for m in args.m:
-                    update(cq.phi_norm_numeric(WEIGHTS[family](rect, cq.PartitionSpec(rect, m, m)), q))
+                    weight_norm(f"{family} {rect_name} p={ptext} m={m}",
+                                WEIGHTS[family](rect, cq.PartitionSpec(rect, m, m)), q)
     for name in args.functions:
         for rect_name in args.rects:
             rect = cq.Rectangle(*RECTS[rect_name])
@@ -135,10 +155,12 @@ def main() -> int:
     print(f"{len(bundles)} bundles sha256 {digest.hexdigest()}")
     if args.dump:
         with open(args.dump, "w") as handle:
-            json.dump(bundles, handle)
+            json.dump({"bundles": bundles, "weights": weights}, handle)
     if args.against:
         with open(args.against) as handle:
-            print(compare(bundles, json.load(handle)))
+            reference = json.load(handle)
+        print(compare(bundles, reference["bundles"]))
+        print(compare_weights(weights, reference["weights"]))
     return 0
 
 

@@ -3,10 +3,12 @@
 Every graded rule and tensor-product norm is built here: ``graded_nodes``
 for the line norms (``norms``), the ramp norms (``weights``) and the
 minimizer's grid (``minimizer``); ``tensor_norms`` for the f_xy area
-norm (``norms``) and the custom weight norm (``weights``).  The oracle
-uses ``panel_nodes``.  All routines are deterministic: fixed node counts
-and fixed summation order, so repeated runs reproduce bit-identical
-values.
+norm (``norms``) and the custom weight norm (``weights``).
+``segment_p_norms`` reduces the samples of the line norms and the ramp
+norms with the scaled power sum ``tensor_norms`` uses, at every finite
+p.  The oracle uses ``panel_nodes``.  All routines are deterministic:
+fixed node counts and fixed summation order, so repeated runs reproduce
+bit-identical values.
 """
 
 from __future__ import annotations
@@ -204,54 +206,22 @@ def tensor_norms(g, rect, p: float, scan: int, passes: Sequence[tuple[int, float
     return out
 
 
-def p_norm_from_samples(values, weights, p: float) -> float:
-    """(sum_i w_i |v_i|^p)^(1/p), overflow-safe for very large finite p.
-
-    The maximum is factored out; for p beyond 64 the power sum is formed
-    in the log domain, so exponents like 1e6 neither overflow nor
-    underflow to a spurious zero.
-    """
-    v = np.abs(np.asarray(values, dtype=float)).ravel()
-    w = np.asarray(weights, dtype=float).ravel()
-    if v.size == 0:
-        return 0.0
-    s = float(v.max())
-    if s == 0.0:
-        return 0.0
-    u = v  # v is a fresh array: scale and raise it in place
-    u /= s
-    if p <= 64.0:
-        u **= p
-        t = float(np.dot(w, u))
-        if t <= 0.0:
-            return 0.0
-        return s * t ** (1.0 / p)
-    mask = (u > 0.0) & (w > 0.0)
-    if not mask.any():
-        return 0.0
-    logs = p * np.log(u[mask]) + np.log(w[mask])
-    top = float(logs.max())
-    return s * float(np.exp((top + np.log(np.sum(np.exp(logs - top)))) / p))
-
-
 def segment_p_norms(magnitudes: np.ndarray, weights, offsets, sizes, p: float) -> np.ndarray:
-    """``p_norm_from_samples`` of consecutive segments of sample magnitudes.
+    """L^p norms (sum_i w_i |v_i|^p)^(1/p) of consecutive segments of sample magnitudes.
 
     ``magnitudes`` holds |samples| as a float array, which this scales,
     raises to p and weights in place (it is the largest array of a line
     batch).  The segments tile it in flattened order; segment i has
     sizes[i] >= 1 samples and takes weights[offsets[i]:offsets[i] + sizes[i]].
-    Up to p = 64 every segment's weights are gathered with one index array
-    and every weighted sum is one ``np.add.reduceat``, so a result can
-    differ from the one-segment call by summation order; beyond it each
-    segment is one log-domain ``p_norm_from_samples`` call.
+    Every finite p takes one formula, s (sum_i w_i (|v_i|/s)^p)^(1/p) with
+    s the segment's maximum: as |v_i|/s <= 1 no power overflows, and the
+    maximum's own term is its weight, so the sum never underflows to zero
+    (an all-zero segment has norm 0).  The weights are gathered with one
+    index array and every weighted sum is one ``np.add.reduceat``.
     """
     v = magnitudes.reshape(-1)
     w = np.asarray(weights, dtype=float)
     starts = np.cumsum(sizes) - sizes
-    if p > 64.0:
-        return np.asarray([p_norm_from_samples(v[a:a + n], w[o:o + n], p)
-                           for a, o, n in zip(starts, offsets, sizes)])
     s = np.maximum.reduceat(v, starts)
     v /= np.repeat(np.where(s > 0.0, s, 1.0), sizes)
     v **= p

@@ -247,15 +247,16 @@ def derivative_norms(
         # distinct however small the rectangle is
         lo, hi = (rect.a, rect.b) if axis == "x" else (rect.c, rect.d)
         c0, c1 = (rect.c, rect.d) if axis == "x" else (rect.a, rect.b)
-        keys = [(name, round((float(c) - c0) / (c1 - c0), 12)) for c in coords]
-        todo: dict[tuple, float] = {}
-        for c, key in zip(coords, keys):
-            if key not in store:
-                todo.setdefault(key, float(c))
+        known = store.setdefault(name, {})
+        keys = np.round((coords - c0) / (c1 - c0), 12).tolist()
+        todo: dict[float, float] = {}
+        for c, key in zip(coords.tolist(), keys):
+            if key not in known:
+                todo.setdefault(key, c)
         if todo:
             values, errors = line_norms_with_error(g, axis, list(todo.values()), lo, hi, p, resolution)
-            store.update(zip(todo, map(float, values + errors)))
-        return [store[key] for key in keys]
+            known.update(zip(todo, (values + errors).tolist()))
+        return [known[key] for key in keys]
 
     if "fxy" not in store:
         value, error = area_norm_with_error(fxy, rect, p, resolution)

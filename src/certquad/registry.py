@@ -49,7 +49,7 @@ class RegistryEntry:
 
 
 def _zero(x, y):
-    return 0.0 * np.asarray(x, dtype=float) + 0.0 * np.asarray(y, dtype=float)
+    return 0.0 * x + 0.0 * y
 
 
 def _one(x, y):
@@ -64,37 +64,37 @@ _ENTRIES = (
     ),
     RegistryEntry(
         "x", "f(x, y) = x",
-        f=lambda x, y: np.asarray(x, dtype=float) + _zero(x, y),
+        f=lambda x, y: x + _zero(x, y),
         fx=_one, fy=_zero, fxy=_zero,
         exact=lambda r: 0.5 * (r.b**2 - r.a**2) * r.height,
     ),
     RegistryEntry(
         "y", "f(x, y) = y",
-        f=lambda x, y: np.asarray(y, dtype=float) + _zero(x, y),
+        f=lambda x, y: y + _zero(x, y),
         fx=_zero, fy=_one, fxy=_zero,
         exact=lambda r: 0.5 * (r.d**2 - r.c**2) * r.width,
     ),
     RegistryEntry(
         "xy", "bilinear x*y",
-        f=lambda x, y: np.asarray(x, dtype=float) * np.asarray(y, dtype=float),
-        fx=lambda x, y: np.asarray(y, dtype=float) + _zero(x, y),
-        fy=lambda x, y: np.asarray(x, dtype=float) + _zero(x, y),
+        f=lambda x, y: x * y,
+        fx=lambda x, y: y + _zero(x, y),
+        fy=lambda x, y: x + _zero(x, y),
         fxy=_one,
         exact=lambda r: 0.25 * (r.b**2 - r.a**2) * (r.d**2 - r.c**2),
     ),
     RegistryEntry(
         "poly22", "x^2 * y^2",
-        f=lambda x, y: np.asarray(x, dtype=float) ** 2 * np.asarray(y, dtype=float) ** 2,
-        fx=lambda x, y: 2.0 * np.asarray(x, dtype=float) * np.asarray(y, dtype=float) ** 2,
-        fy=lambda x, y: 2.0 * np.asarray(x, dtype=float) ** 2 * np.asarray(y, dtype=float),
-        fxy=lambda x, y: 4.0 * np.asarray(x, dtype=float) * np.asarray(y, dtype=float),
+        f=lambda x, y: x ** 2 * y ** 2,
+        fx=lambda x, y: 2.0 * x * y ** 2,
+        fy=lambda x, y: 2.0 * x ** 2 * y,
+        fxy=lambda x, y: 4.0 * x * y,
         exact=lambda r: (r.b**3 - r.a**3) * (r.d**3 - r.c**3) / 9.0,
     ),
     RegistryEntry(
         "cubes", "x^3 + y^3 (zero mixed partial)",
-        f=lambda x, y: np.asarray(x, dtype=float) ** 3 + np.asarray(y, dtype=float) ** 3,
-        fx=lambda x, y: 3.0 * np.asarray(x, dtype=float) ** 2 + _zero(x, y),
-        fy=lambda x, y: 3.0 * np.asarray(y, dtype=float) ** 2 + _zero(x, y),
+        f=lambda x, y: x ** 3 + y ** 3,
+        fx=lambda x, y: 3.0 * x ** 2 + _zero(x, y),
+        fy=lambda x, y: 3.0 * y ** 2 + _zero(x, y),
         fxy=_zero,
         exact=lambda r: 0.25 * (r.b**4 - r.a**4) * r.height + 0.25 * (r.d**4 - r.c**4) * r.width,
     ),
@@ -108,27 +108,27 @@ _ENTRIES = (
     ),
     RegistryEntry(
         "expsum", "exp(x + y)",
-        f=lambda x, y: np.exp(np.asarray(x, dtype=float) + np.asarray(y, dtype=float)),
-        fx=lambda x, y: np.exp(np.asarray(x, dtype=float) + np.asarray(y, dtype=float)),
-        fy=lambda x, y: np.exp(np.asarray(x, dtype=float) + np.asarray(y, dtype=float)),
-        fxy=lambda x, y: np.exp(np.asarray(x, dtype=float) + np.asarray(y, dtype=float)),
+        f=lambda x, y: np.exp(x + y),
+        fx=lambda x, y: np.exp(x + y),
+        fy=lambda x, y: np.exp(x + y),
+        fxy=lambda x, y: np.exp(x + y),
         exact=lambda r: _exp_integral(r.a, r.b) * _exp_integral(r.c, r.d),
     ),
     RegistryEntry(
         "invsum", "1 / (1 + x + y), needs 1 + a + c > 0 and a rectangle its closed form resolves",
-        f=lambda x, y: 1.0 / (1.0 + np.asarray(x, dtype=float) + np.asarray(y, dtype=float)),
-        fx=lambda x, y: -1.0 / (1.0 + np.asarray(x, dtype=float) + np.asarray(y, dtype=float)) ** 2,
-        fy=lambda x, y: -1.0 / (1.0 + np.asarray(x, dtype=float) + np.asarray(y, dtype=float)) ** 2,
-        fxy=lambda x, y: 2.0 / (1.0 + np.asarray(x, dtype=float) + np.asarray(y, dtype=float)) ** 3,
+        f=lambda x, y: 1.0 / (1.0 + x + y),
+        fx=lambda x, y: -1.0 / (1.0 + x + y) ** 2,
+        fy=lambda x, y: -1.0 / (1.0 + x + y) ** 2,
+        fxy=lambda x, y: 2.0 / (1.0 + x + y) ** 3,
         exact=lambda r: _invsum_exact(r),
         domain_ok=lambda r: _invsum_ok(r),
     ),
     RegistryEntry(
         "sinsum", "sin(x + y)",
-        f=lambda x, y: np.sin(np.asarray(x, dtype=float) + np.asarray(y, dtype=float)),
-        fx=lambda x, y: np.cos(np.asarray(x, dtype=float) + np.asarray(y, dtype=float)),
-        fy=lambda x, y: np.cos(np.asarray(x, dtype=float) + np.asarray(y, dtype=float)),
-        fxy=lambda x, y: -np.sin(np.asarray(x, dtype=float) + np.asarray(y, dtype=float)),
+        f=lambda x, y: np.sin(x + y),
+        fx=lambda x, y: np.cos(x + y),
+        fy=lambda x, y: np.cos(x + y),
+        fxy=lambda x, y: -np.sin(x + y),
         exact=lambda r: 4.0 * math.sin(0.5 * (r.b - r.a)) * math.sin(0.5 * (r.d - r.c))
         * math.sin(0.5 * (r.a + r.b + r.c + r.d)),
     ),

@@ -43,7 +43,7 @@ from .core import (
     Rectangle,
     UnsupportedVariantError,
 )
-from .gauss import as_vector_fn, graded_nodes, p_norm_from_samples, tensor_norms, zoomed_sup
+from .gauss import as_vector_fn, graded_nodes, segment_p_norms, tensor_norms, zoomed_sup
 
 
 @dataclass(frozen=True)
@@ -326,7 +326,7 @@ def phi_edge_norm_closed(w: WeightFunction, q, edge: str) -> float:
 def _axis_ramp_norm(breaks: np.ndarray, roots: np.ndarray, qq: float, cap: float) -> float:
     """L^q norm of one axis ramp |t - root_k|: each piece is its own set of one graded Gauss build."""
     x, wts, bounds = graded_nodes(np.stack((breaks[:-1], breaks[1:]), axis=1), [(12, np.diff(breaks) * cap)])
-    return p_norm_from_samples(x - np.repeat(roots, np.diff(bounds)), wts, qq)
+    return float(segment_p_norms(np.abs(x - np.repeat(roots, np.diff(bounds))), wts, [0], [x.size], qq)[0])
 
 
 def _axis_sup(breaks: np.ndarray, roots: np.ndarray) -> float:

@@ -3,6 +3,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,7 +16,6 @@ from certquad.gauss import (
     graded_nodes,
     line_coords,
     merge_breaks,
-    p_norm_from_samples,
     panel_nodes,
     segment_p_norms,
     tensor_norms,
@@ -154,7 +154,8 @@ class TestDerivativeNorms:
             out = []
             for c, breaks in zip(fixed, zero_breaks(g, axis, fixed, lo, hi, 256)):
                 x, w, _ = graded_nodes([breaks], [(12, np.array([(breaks[-1] - breaks[0]) / 16]))])
-                out.append(p_norm_from_samples(g(*line_coords(axis, x, c)), w, float(p)))
+                mags = np.abs(g(*line_coords(axis, x, c)))
+                out.append(segment_p_norms(mags, w, [0], [x.size], float(p))[0])
             return out
 
         cases = 0
@@ -612,37 +613,55 @@ class TestGradedNodes:
             graded_nodes([np.array([0.5])], [(11, np.array([0.1]))])
 
 
-class TestReductions:
-    """``segment_p_norms`` and ``tensor_norms`` reduce in one call what
-    ``p_norm_from_samples`` reduces per segment or over a grid-sized weight
-    array; they agree up to summation order."""
+def mp_p_norm(values, weights, p: float) -> float:
+    """(sum_i w_i |v_i|^p)^(1/p) in 200-bit mpmath arithmetic: a reference free of any float scaling."""
+    with mpmath.workprec(200):
+        p = mpmath.mpf(p)
+        total = mpmath.fsum(mpmath.mpf(float(w)) * abs(mpmath.mpf(float(v))) ** p
+                            for v, w in zip(np.ravel(values), np.ravel(weights)))
+        return float(total ** (1 / p)) if total else 0.0
 
-    @pytest.mark.parametrize("p", [1, 1.5, 2, 3, 64, 100])
+
+class TestReductions:
+    """``segment_p_norms`` and ``tensor_norms`` reduce with one scaled power
+    sum at every finite p; they agree with a 200-bit reference to rounding,
+    however large p or the samples."""
+
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 3, 64, 65, 100, 1e3, 1e6, 1e9])
     def test_segments_match_per_segment_norms(self, p):
         rng = np.random.default_rng(7)
         sizes = np.array([8, 1, 40, 16, 200, 3])
         starts = np.cumsum(sizes) - sizes
-        mags = np.abs(rng.standard_normal(sizes.sum())) * np.repeat(10.0 ** np.arange(-2, 4), sizes)
+        scales = np.repeat(10.0 ** np.array([-200, 200, 0, 0, -100, 100]), sizes)
+        mags = np.abs(rng.standard_normal(sizes.sum())) * scales
+        # one segment spans every magnitude from 1e-200 to 1e200, one is all zeros
+        mags[starts[2]:starts[2] + sizes[2]] = 10.0 ** rng.uniform(-200, 200, sizes[2])
         mags[starts[3]:starts[3] + sizes[3]] = 0.0
         weights = rng.uniform(1e-3, 1e-1, size=300)
         offsets = np.array([90, 0, 20, 5, 60, 280])
         got = segment_p_norms(mags.copy(), weights, offsets, sizes, float(p))
-        ref = [p_norm_from_samples(mags[a:a + n], weights[o:o + n], float(p))
+        ref = [mp_p_norm(mags[a:a + n], weights[o:o + n], float(p))
                for a, o, n in zip(starts, offsets, sizes)]
         assert got[3] == ref[3] == 0.0
         assert got == pytest.approx(ref, rel=1e-15, abs=0.0)
 
-    @pytest.mark.parametrize("p", [1, 1.5, 2, 3, 100])
-    def test_tensor_contraction_matches_the_weight_grid(self, monkeypatch, p):
-        # each pass's norm against p_norm_from_samples of the same samples with
-        # np.outer(wx, wy); the nodes are taken from the pass's graded_nodes build
-        builds = []
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Every ``graded_nodes`` build that ``tensor_norms`` makes, in order."""
+        out = []
 
         def recorded(*args):
-            builds.append(graded_nodes(*args))
-            return builds[-1]
+            out.append(graded_nodes(*args))
+            return out[-1]
 
         monkeypatch.setattr(gauss, "graded_nodes", recorded)
+        return out
+
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 3, 100])
+    def test_tensor_contraction_matches_the_weight_grid(self, builds, p):
+        # each pass's norm against the scaled power sum of the same samples with
+        # the weight grid np.outer(wx, wy); the nodes are taken from the pass's
+        # graded_nodes build
         rects = (cq.Rectangle(0.1, 1.3, -0.2, 0.9), cq.Rectangle(0.0, np.pi, 0.0, np.pi))
         cases = 0
         for rect in rects:
@@ -656,12 +675,27 @@ class TestReductions:
                     nodes, weights, bounds = builds[0]
                     xs, ws = np.split(nodes, bounds[1:-1]), np.split(weights, bounds[1:-1])
                     for value, x, y, wx, wy in zip(got, xs[0::2], xs[1::2], ws[0::2], ws[1::2]):
-                        ref = p_norm_from_samples(g(x[:, None], y[None, :]), np.outer(wx, wy), float(p))
+                        u = np.abs(g(x[:, None], y[None, :])).ravel()
+                        s = u.max()
+                        ref = s * float(np.outer(wx, wy).ravel() @ (u / s) ** p) ** (1.0 / p) if s else 0.0
                         # a constant on [0, pi]^2 at p = 1 sums ~10^4 equal terms:
                         # the two summation orders differ by 1.8e-15 there
                         assert value == pytest.approx(ref, rel=2e-15, abs=0.0), (name, rect)
                     cases += 1
         assert cases == 40
+
+    @pytest.mark.parametrize("p", [100, 1e6])
+    def test_tensor_norms_match_the_reference_at_large_p(self, builds, p):
+        # sin(x + y) changes sign inside the rectangle, so both axes are split;
+        # at 1e100 its unscaled powers overflow at either p
+        rect = cq.Rectangle(-1.0, 0.5, -0.7, 0.8)
+        g = as_grid_fn(lambda x, y: 1e100 * np.sin(x + y))
+        got = tensor_norms(g, rect, float(p), 16, ((1, 1 / 2), (2, 1 / 2)))
+        nodes, weights, bounds = builds[0]
+        xs, ws = np.split(nodes, bounds[1:-1]), np.split(weights, bounds[1:-1])
+        for value, x, y, wx, wy in zip(got, xs[0::2], xs[1::2], ws[0::2], ws[1::2], strict=True):
+            ref = mp_p_norm(g(x[:, None], y[None, :]), np.outer(wx, wy), float(p))
+            assert value == pytest.approx(ref, rel=1e-15, abs=0.0)
 
 
 class TestAsGridFn:
