@@ -10,14 +10,18 @@ integrand, rectangle and p, the value and error estimate of
 ``area_norm_with_error`` on f_xy; per rectangle, p, family and m,
 ``phi_norm_numeric`` of the family's composite weight at the conjugate
 q; per rectangle and p, ``phi_norm_numeric`` of one ``CustomPhi`` at the
-conjugate q; and ``search_min`` at q = 1.5, 2, 3 with two starts.  Two
-source trees whose digests agree computed every one of those numbers
-bit for bit, so a change meant to alter no number can be checked with
-one command on each tree:
+conjugate q; per rectangle, ``eval_phi`` of each of those weights on the
+grid X x Y, where X holds every x-break of the weight, the midpoint of
+every two neighbouring breaks and 17 evenly spaced points (Y likewise;
+``CustomPhi`` has the rectangle's edges as its only breaks); and
+``search_min`` at q = 1.5, 2, 3 with two starts.  Two source trees whose
+digests agree computed every one of those numbers bit for bit, so a
+change meant to alter no number can be checked with one command on each
+tree:
 
     PYTHONPATH=src python3 scripts/norm_digest.py
 
-The options shrink the grid (the default is the full one, ~4 s on a
+The options shrink the grid (the default is the full one, ~5 s on a
 2-vCPU x86_64 VM).  A change meant to alter norm values is checked by
 value instead: ``--dump FILE`` writes every bundle's ``fxy``, ``x_lines``
 and ``y_lines`` and every ``phi_norm_numeric`` value the digest takes as
@@ -51,6 +55,20 @@ def custom_phi(rect):
     """(x - m1)(y - m2) plus a curved term: its zero set crosses both scan lines."""
     return cq.CustomPhi(lambda s: 0.25 * (s - rect.a) ** 2 - rect.m2 * s,
                         lambda t: rect.m1 * (rect.m2 - t) - 0.02, rect)
+
+
+def probe_axis(breaks, lo: float, hi: float) -> np.ndarray:
+    """Every break, the midpoint of every two neighbouring breaks and 17 evenly spaced points, sorted."""
+    breaks = np.asarray(breaks, dtype=float)
+    return np.unique(np.concatenate((breaks, 0.5 * (breaks[:-1] + breaks[1:]), np.linspace(lo, hi, 17))))
+
+
+def weight_values(w) -> list:
+    """``eval_phi`` of a weight at every point of its probe grid."""
+    r = w.rect
+    xs = probe_axis(getattr(w, "x_breaks", (r.a, r.b)), r.a, r.b).tolist()
+    ys = probe_axis(getattr(w, "y_breaks", (r.c, r.d)), r.c, r.d).tolist()
+    return [cq.eval_phi(w, x, y) for x in xs for y in ys]
 
 
 def relative_deviation(value: float, reference: float) -> float:
@@ -123,13 +141,18 @@ def main() -> int:
 
     for rect_name in args.rects:
         rect = cq.Rectangle(*RECTS[rect_name])
+        built = {"custom": custom_phi(rect)}
+        for family in cq.FAMILIES:
+            for m in args.m:
+                built[family, m] = WEIGHTS[family](rect, cq.PartitionSpec(rect, m, m))
+        for w in built.values():
+            update(weight_values(w))
         for ptext in args.p:
             q = cq.conjugate(cq.Exponent.parse(ptext))
-            weight_norm(f"custom {rect_name} p={ptext}", custom_phi(rect), q)
+            weight_norm(f"custom {rect_name} p={ptext}", built["custom"], q)
             for family in cq.FAMILIES:
                 for m in args.m:
-                    weight_norm(f"{family} {rect_name} p={ptext} m={m}",
-                                WEIGHTS[family](rect, cq.PartitionSpec(rect, m, m)), q)
+                    weight_norm(f"{family} {rect_name} p={ptext} m={m}", built[family, m], q)
     for name in args.functions:
         for rect_name in args.rects:
             rect = cq.Rectangle(*RECTS[rect_name])

@@ -70,11 +70,8 @@ from .weights import (
     CompositeTrapezoidPhi,
     CustomPhi,
     MidpointPhi,
-    PhiPiece,
     TrapezoidPhi,
-    WeightFunction,
     eval_phi,
-    phi_edge_norm_closed,
     phi_norm_closed,
     phi_norm_numeric,
     ramp_norm_closed,

@@ -314,14 +314,6 @@ class PartitionSpec:
         nodes[-1] = self.rect.d
         return nodes
 
-    def x_mids(self) -> np.ndarray:
-        nodes = self.x_nodes()
-        return 0.5 * (nodes[:-1] + nodes[1:])
-
-    def y_mids(self) -> np.ndarray:
-        nodes = self.y_nodes()
-        return 0.5 * (nodes[:-1] + nodes[1:])
-
 
 @dataclass(frozen=True)
 class DerivativeNorms:

@@ -21,7 +21,6 @@ from .core import (
     Rectangle,
 )
 from .gauss import as_grid_fn, panel_nodes, require_finite
-from .weights import WeightFunction
 
 MAX_PANELS_PER_AXIS = 1024  # 1024^2 = 2^20 two-dimensional panels
 
@@ -62,7 +61,7 @@ def oracle_integrate(f: Integrand, rect: Rectangle, target_tol: float = 1e-12):
 
 
 def parts_identity_sides(
-    f: Integrand, w: WeightFunction, rect: Rectangle, resolution: int = 64
+    f: Integrand, w, rect: Rectangle, resolution: int = 64
 ) -> tuple[float, float]:
     """(LHS, RHS) of the integration-by-parts identity for phi_xy = 1.
 
@@ -92,24 +91,24 @@ def parts_identity_sides(
     per_axis = max(1, int(round(len(pieces) ** 0.5)))
     panels = max(4, resolution // per_axis)
     rhs = 0.0
-    for piece in pieces:
-        xs, wx = panel_nodes(np.linspace(piece.xlo, piece.xhi, panels + 1), 8)
-        ys, wy = panel_nodes(np.linspace(piece.ylo, piece.yhi, panels + 1), 8)
-        cx = np.asarray([piece.xlo, piece.xhi, piece.xlo, piece.xhi])
-        cy = np.asarray([piece.ylo, piece.yhi, piece.yhi, piece.ylo])
+    for xlo, xhi, ylo, yhi, phi in pieces:
+        xs, wx = panel_nodes(np.linspace(xlo, xhi, panels + 1), 8)
+        ys, wy = panel_nodes(np.linspace(ylo, yhi, panels + 1), 8)
+        cx = np.asarray([xlo, xhi, xlo, xhi])
+        cy = np.asarray([ylo, yhi, yhi, ylo])
         signs = np.asarray([1.0, 1.0, -1.0, -1.0])
-        quad = float(np.dot(signs, fv(cx, cy) * piece.eval(cx, cy)))
-        bottom = float(wx @ (fxv(xs, piece.ylo) * piece.eval(xs, piece.ylo)))
-        top = float(wx @ (fxv(xs, piece.yhi) * piece.eval(xs, piece.yhi)))
-        left = float(wy @ (fyv(piece.xlo, ys) * piece.eval(piece.xlo, ys)))
-        right = float(wy @ (fyv(piece.xhi, ys) * piece.eval(piece.xhi, ys)))
-        cross = float(wx @ (fxyv(xs[:, None], ys[None, :]) * piece.eval(xs[:, None], ys[None, :])) @ wy)
+        quad = float(np.dot(signs, fv(cx, cy) * phi(cx, cy)))
+        bottom = float(wx @ (fxv(xs, ylo) * phi(xs, ylo)))
+        top = float(wx @ (fxv(xs, yhi) * phi(xs, yhi)))
+        left = float(wy @ (fyv(xlo, ys) * phi(xlo, ys)))
+        right = float(wy @ (fyv(xhi, ys) * phi(xhi, ys)))
+        cross = float(wx @ (fxyv(xs[:, None], ys[None, :]) * phi(xs[:, None], ys[None, :])) @ wy)
         rhs += quad + (bottom - top) + (left - right) + cross
     return lhs, rhs
 
 
 def parts_identity_residual(
-    f: Integrand, w: WeightFunction, rect: Rectangle, resolution: int = 64
+    f: Integrand, w, rect: Rectangle, resolution: int = 64
 ) -> float:
     """|LHS - RHS| of the integration-by-parts identity; see parts_identity_sides."""
     lhs, rhs = parts_identity_sides(f, w, rect, resolution)

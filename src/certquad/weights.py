@@ -16,6 +16,12 @@ by how much; ``rules`` reads every rule's sample points, sample weights
 and bound coefficients off those jumps.  ``CustomPhi`` covers the
 general solution phi = xy + alpha(x) + beta(y).
 
+Every weight has one evaluator, the broadcasting ``eval_grid(x, y)``
+(on a seam the piece with larger coordinates applies), and ``pieces()``,
+its smooth pieces as ``(xlo, xhi, ylo, yhi, phi)`` tuples with each
+``phi`` exact on the closure of its piece.  ``eval_phi`` is the
+domain-checked scalar view of ``eval_grid``.
+
 Closed-form L^q norms follow from the one-dimensional ramp integral
 
     || ramp ||_q = (2 m / (q+1))^(1/q) * (delta/2)^(1 + 1/q),
@@ -30,7 +36,6 @@ independent audit of the closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -44,47 +49,6 @@ from .core import (
     UnsupportedVariantError,
 )
 from .gauss import as_vector_fn, graded_nodes, segment_p_norms, tensor_norms, zoomed_sup
-
-
-@dataclass(frozen=True)
-class PhiPiece:
-    """One smooth piece of a weight function.
-
-    Built-in pieces evaluate as ``(x - x_root)(y - y_root)``; a custom
-    piece carries its own evaluator.  ``eval`` accepts points on the
-    closure of the piece, which makes seam values unambiguous per piece.
-    """
-
-    xlo: float
-    xhi: float
-    ylo: float
-    yhi: float
-    x_root: float | None = None
-    y_root: float | None = None
-    fn: Callable | None = None
-
-    def eval(self, x, y):
-        if self.x_root is not None:
-            return (np.asarray(x, dtype=float) - self.x_root) * (
-                np.asarray(y, dtype=float) - self.y_root
-            )
-        return self.fn(x, y)
-
-
-class WeightFunction:
-    """Base class; concrete variants populate rect and the piece layout."""
-
-    variant: str = "abstract"
-    rect: Rectangle
-
-    def pieces(self) -> tuple[PhiPiece, ...]:
-        raise NotImplementedError
-
-    def value_at(self, x: float, y: float) -> float:
-        raise NotImplementedError
-
-    def __call__(self, x: float, y: float) -> float:
-        return eval_phi(self, x, y)
 
 
 def _ramp(nodes: np.ndarray, family: str) -> tuple[np.ndarray, np.ndarray]:
@@ -138,7 +102,19 @@ def ramp_jumps(part: PartitionSpec, family: str):
     return out
 
 
-class _SeparableWeight(WeightFunction):
+def _ramp_at(breaks: np.ndarray, roots: np.ndarray, t) -> np.ndarray:
+    """t minus the root of its interval: counting the interior breaks <= t gives that interval,
+    the one above on a seam, clamped to the axis."""
+    t = np.asarray(t, dtype=float)
+    return t - roots[np.searchsorted(breaks[1:-1], t, side="right")]
+
+
+def _bilinear(x_root: float, y_root: float) -> Callable:
+    """(x - x_root)(y - y_root), one built-in piece's weight on its closure."""
+    return lambda x, y: (np.asarray(x, dtype=float) - x_root) * (np.asarray(y, dtype=float) - y_root)
+
+
+class _SeparableWeight:
     """Product ramp_x(x) ramp_y(y) of two ``_ramp`` axes.
 
     ``x_breaks`` has one more entry than ``x_roots``; interval i is
@@ -157,30 +133,15 @@ class _SeparableWeight(WeightFunction):
         self.x_breaks, self.x_roots = _sawtooth_ramp(partition.x_nodes(), self.family)
         self.y_breaks, self.y_roots = _sawtooth_ramp(partition.y_nodes(), self.family)
 
-    def _index(self, breaks: np.ndarray, t: float) -> int:
-        i = int(np.searchsorted(breaks, t, side="right")) - 1
-        return min(max(i, 0), breaks.size - 2)
+    def eval_grid(self, x, y) -> np.ndarray:
+        """Vectorized evaluation with broadcasting."""
+        return _ramp_at(self.x_breaks, self.x_roots, x) * _ramp_at(self.y_breaks, self.y_roots, y)
 
-    def value_at(self, x: float, y: float) -> float:
-        i = self._index(self.x_breaks, x)
-        j = self._index(self.y_breaks, y)
-        return (x - self.x_roots[i]) * (y - self.y_roots[j])
-
-    def pieces(self) -> tuple[PhiPiece, ...]:
-        out = []
-        for i in range(self.x_roots.size):
-            for j in range(self.y_roots.size):
-                out.append(
-                    PhiPiece(
-                        xlo=float(self.x_breaks[i]),
-                        xhi=float(self.x_breaks[i + 1]),
-                        ylo=float(self.y_breaks[j]),
-                        yhi=float(self.y_breaks[j + 1]),
-                        x_root=float(self.x_roots[i]),
-                        y_root=float(self.y_roots[j]),
-                    )
-                )
-        return tuple(out)
+    def pieces(self) -> tuple:
+        """(xlo, xhi, ylo, yhi, phi) per smooth piece, phi exact on the piece's closure."""
+        xb, yb = self.x_breaks.tolist(), self.y_breaks.tolist()
+        return tuple((xb[i], xb[i + 1], yb[j], yb[j + 1], _bilinear(xr, yr))
+                     for i, xr in enumerate(self.x_roots.tolist()) for j, yr in enumerate(self.y_roots.tolist()))
 
 
 class CompositeTrapezoidPhi(_SeparableWeight):
@@ -219,7 +180,7 @@ class MidpointPhi(CompositeMidpointPhi):
         super().__init__(rect, PartitionSpec(rect, 1, 1))
 
 
-class CustomPhi(WeightFunction):
+class CustomPhi:
     """phi(x, y) = xy + alpha(x) + beta(y) for user-supplied alpha, beta.
 
     alpha and beta are asserted absolutely continuous by the caller; no
@@ -236,30 +197,27 @@ class CustomPhi(WeightFunction):
         self._alpha_v = as_vector_fn(alpha)
         self._beta_v = as_vector_fn(beta)
 
-    def value_at(self, x: float, y: float) -> float:
-        return x * y + float(self._alpha_v(np.asarray([x]))[0]) + float(
-            self._beta_v(np.asarray([y]))[0]
-        )
-
     def eval_grid(self, x, y) -> np.ndarray:
         """Vectorized evaluation with broadcasting."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         return x * y + self._alpha_v(x) + self._beta_v(y)
 
-    def pieces(self) -> tuple[PhiPiece, ...]:
+    def pieces(self) -> tuple:
+        """One piece, the whole rectangle: (a, b, c, d, eval_grid)."""
         r = self.rect
-        return (PhiPiece(r.a, r.b, r.c, r.d, fn=self.eval_grid),)
+        return ((r.a, r.b, r.c, r.d, self.eval_grid),)
 
 
-def eval_phi(w: WeightFunction, x: float, y: float) -> float:
-    """Value of phi at (x, y); on a seam, the piece with larger coordinates.
+def eval_phi(w, x: float, y: float) -> float:
+    """Value of phi at (x, y): ``w.eval_grid`` at one point of its rectangle.
 
-    Raises DomainError for points outside the rectangle.
+    On a seam the piece with larger coordinates applies.  Raises
+    DomainError for points outside the rectangle.
     """
     if not w.rect.contains(x, y):
         raise DomainError(f"point ({x}, {y}) outside rectangle {w.rect}")
-    return float(w.value_at(float(x), float(y)))
+    return float(w.eval_grid(float(x), float(y)))
 
 
 def ramp_norm_closed(length: float, cells: int, q) -> float:
@@ -281,15 +239,15 @@ def ramp_norm_closed(length: float, cells: int, q) -> float:
     return norm
 
 
-def _cells_of(w: WeightFunction) -> tuple[int, int]:
+def _cells_of(w) -> tuple[int, int]:
     if not isinstance(w, _SeparableWeight):
         raise UnsupportedVariantError(
-            f"closed-form norms are unavailable for {w.variant}; use phi_norm_numeric"
+            f"closed-form norms are unavailable for {type(w).__name__}; use phi_norm_numeric"
         )
     return w.partition.m, w.partition.n
 
 
-def phi_norm_closed(w: WeightFunction, q) -> float:
+def phi_norm_closed(w, q) -> float:
     """Exact L^q norm of a built-in weight over its rectangle.
 
     All built-in variants separate into per-axis ramps, so the norm is the
@@ -298,29 +256,6 @@ def phi_norm_closed(w: WeightFunction, q) -> float:
     q = Exponent.coerce(q)
     mx, my = _cells_of(w)
     return ramp_norm_closed(w.rect.width, mx, q) * ramp_norm_closed(w.rect.height, my, q)
-
-
-_EDGES = ("bottom", "top", "left", "right")
-
-
-def phi_edge_norm_closed(w: WeightFunction, q, edge: str) -> float:
-    """Exact L^q norm of a built-in weight restricted to one boundary edge.
-
-    On an edge the transverse ramp is frozen at its boundary value, e.g.
-    ||phi(., c)||_q = |c - y_root| * ||x-ramp||_q; the boundary-vanishing
-    variants give 0.
-    """
-    q = Exponent.coerce(q)
-    if edge not in _EDGES:
-        raise ValueError(f"edge must be one of {_EDGES}")
-    mx, my = _cells_of(w)
-    if edge in ("bottom", "top"):
-        fixed = w.rect.c if edge == "bottom" else w.rect.d
-        root = w.y_roots[0] if edge == "bottom" else w.y_roots[-1]
-        return abs(fixed - root) * ramp_norm_closed(w.rect.width, mx, q)
-    fixed = w.rect.a if edge == "left" else w.rect.b
-    root = w.x_roots[0] if edge == "left" else w.x_roots[-1]
-    return abs(fixed - root) * ramp_norm_closed(w.rect.height, my, q)
 
 
 def _axis_ramp_norm(breaks: np.ndarray, roots: np.ndarray, qq: float, cap: float) -> float:
@@ -336,7 +271,7 @@ def _axis_sup(breaks: np.ndarray, roots: np.ndarray) -> float:
     return float(max(lo_vals.max(), hi_vals.max()))
 
 
-def phi_norm_numeric(w: WeightFunction, q, resolution: int = 256) -> float:
+def phi_norm_numeric(w, q, resolution: int = 256) -> float:
     """L^q norm of a weight by piecewise-aware quadrature.
 
     Panels never straddle a piece seam.  Built-in variants separate, so
@@ -353,7 +288,7 @@ def phi_norm_numeric(w: WeightFunction, q, resolution: int = 256) -> float:
             return zoomed_sup(w.eval_grid, w.rect, max(64, resolution))[0]
         return tensor_norms(w.eval_grid, w.rect, q.value, 128, [(10, cap)])[0]
     if not isinstance(w, _SeparableWeight):
-        raise UnsupportedVariantError(f"unknown weight variant {w.variant}")
+        raise UnsupportedVariantError(f"unknown weight type {type(w).__name__}")
     if q.is_infinite:
         return _axis_sup(w.x_breaks, w.x_roots) * _axis_sup(w.y_breaks, w.y_roots)
     return _axis_ramp_norm(w.x_breaks, w.x_roots, q.value, cap) * _axis_ramp_norm(

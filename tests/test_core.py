@@ -117,10 +117,6 @@ class TestPartitionSpec:
         with pytest.raises(ValueError):
             cq.PartitionSpec(r, 2.5, 1)
 
-    def test_midpoints(self):
-        part = cq.PartitionSpec(cq.Rectangle.unit(), 2, 2)
-        assert np.allclose(part.x_mids(), [0.25, 0.75])
-
 
 class TestDerivativeNorms:
     def test_trapezoid_shape_enforced(self):

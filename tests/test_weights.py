@@ -49,6 +49,37 @@ class TestEvalPhi:
             assert cq.eval_phi(w, x, y) == pytest.approx(cq.eval_phi(ref, x, y), abs=1e-15)
 
 
+def _probe_axis(breaks, lo, hi):
+    """Every break, every midpoint between two breaks and a uniform grid, sorted."""
+    breaks = np.asarray(breaks)
+    return np.unique(np.concatenate((breaks, 0.5 * (breaks[:-1] + breaks[1:]), np.linspace(lo, hi, 17))))
+
+
+class TestSingleEvaluator:
+    """``eval_grid`` is the one evaluator: ``eval_phi`` and every piece's phi agree with it."""
+
+    @pytest.mark.parametrize("rect", RECT_SET, ids=[str(i) for i in range(len(RECT_SET))])
+    def test_eval_grid_eval_phi_and_pieces_agree(self, rect):
+        custom = cq.CustomPhi(lambda s: 0.25 * (s - rect.a) ** 2 - rect.m2 * s,
+                              lambda t: rect.m1 * (rect.m2 - t), rect)
+        for w in make_variants(rect) + [custom]:
+            pieces = w.pieces()
+            X = _probe_axis(getattr(w, "x_breaks", [rect.a, rect.b]), rect.a, rect.b)
+            Y = _probe_axis(getattr(w, "y_breaks", [rect.c, rect.d]), rect.c, rect.d)
+            grid = w.eval_grid(X[:, None], Y[None, :])
+            assert grid.shape == (X.size, Y.size)
+            scalar = np.array([[cq.eval_phi(w, x, y) for y in Y] for x in X])
+            assert np.array_equal(grid, scalar), w.variant
+            area = 0.0
+            for xlo, xhi, ylo, yhi, phi in pieces:
+                xs = X[(X > xlo) & (X < xhi)][:, None]
+                ys = Y[(Y > ylo) & (Y < yhi)][None, :]
+                assert xs.size and ys.size
+                assert np.array_equal(phi(xs, ys), w.eval_grid(xs, ys)), w.variant
+                area += (xhi - xlo) * (yhi - ylo)
+            assert area == pytest.approx(rect.area, rel=1e-14)
+
+
 class TestBoundaryVanishing:
     @pytest.mark.parametrize("composite", [False, True])
     def test_thousand_random_boundary_points(self, composite):
@@ -97,12 +128,11 @@ class TestClosedNorms:
         scale = (rect.width / 2.0) ** (1 + 1 / 3.0) * (rect.height / 2.0) ** (1 + 1 / 3.0)
         assert cq.phi_norm_closed(cq.TrapezoidPhi(rect), 3) == pytest.approx(base * scale, rel=1e-13)
 
-    def test_edge_norms(self, unit):
-        w = cq.TrapezoidPhi(unit)
-        # ||phi(., c)||_2 = (H/2) * (W/2)^(3/2) * (2/3)^(1/2)
-        expect = 0.5 * 0.5**1.5 * (2.0 / 3.0) ** 0.5
-        assert cq.phi_edge_norm_closed(w, 2, "bottom") == pytest.approx(expect, rel=1e-14)
-        assert cq.phi_edge_norm_closed(cq.MidpointPhi(unit), 2, "bottom") == 0.0
+    @pytest.mark.parametrize("norm", [cq.phi_norm_closed, cq.phi_norm_numeric],
+                             ids=["closed", "numeric"])
+    def test_non_weight_rejected(self, norm):
+        with pytest.raises(cq.UnsupportedVariantError, match="object"):
+            norm(object(), 2)
 
 
 class TestNumericAudit:
