@@ -6,7 +6,8 @@ minimizer's grid (``minimizer``); ``tensor_norms`` for the f_xy area
 norm (``norms``) and the custom weight norm (``weights``).
 ``segment_p_norms`` reduces the samples of the line norms and the ramp
 norms with the scaled power sum ``tensor_norms`` uses, at every finite
-p.  The oracle uses ``panel_nodes``.  All routines are deterministic:
+p.  The oracle uses ``panel_nodes``; per-call uniform grids come from
+``uniform_grid``.  All routines are deterministic:
 fixed node counts and fixed summation order, so repeated runs reproduce
 bit-identical values.
 """
@@ -23,12 +24,40 @@ from .core import EvaluationError
 
 _MERGE_RTOL = 1e-14
 _SIXTEENTHS = np.arange(1.0, 16.0) / 16.0
+# offsets of the secant cluster, in bracket widths and in increasing order:
+# -2^-8 .. -2^-56, 0, 2^-56 .. 2^-8
+_CLUSTER = np.concatenate((-(2.0 ** -(8.0 * np.arange(1, 8))), [0.0], 2.0 ** -(8.0 * np.arange(7, 0, -1))))
 
 
 @lru_cache(maxsize=64)
 def _leggauss(k: int) -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = np.polynomial.legendre.leggauss(k)
     return nodes, weights
+
+
+@lru_cache(maxsize=16)
+def _counting(n: int) -> np.ndarray:
+    out = np.arange(float(n))
+    out.flags.writeable = False
+    return out
+
+
+def uniform_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """``np.linspace(lo, hi, n)`` for float ends, bit for bit, without its set-up.
+
+    The points are j * step + lo with step (hi - lo) / (n - 1) and the
+    last point set to hi, as ``np.linspace`` computes them; a zero step
+    (or n < 2) takes ``np.linspace`` itself, which rescales subnormal
+    spans differently.
+    """
+    lo, hi = float(lo), float(hi)
+    step = (hi - lo) / (n - 1) if n > 1 else 0.0
+    if step == 0.0:
+        return np.linspace(lo, hi, n)
+    out = _counting(n) * step
+    out += lo
+    out[-1] = hi
+    return out
 
 
 def panel_nodes(breaks, nodes_per_panel: int = 8) -> tuple[np.ndarray, np.ndarray]:
@@ -192,11 +221,10 @@ def tensor_norms(g, rect, p: float, scan: int, passes: Sequence[tuple[int, float
     xs, ws = np.split(nodes, bounds[1:-1]), np.split(weights, bounds[1:-1])
     out = []
     for x, y, wx, wy in zip(xs[0::2], xs[1::2], ws[0::2], ws[1::2]):
-        vals = g(x[:, None], y[None, :])
-        require_finite(vals, (x[:, None], y[None, :]))
-        u = np.abs(vals)
-        del vals  # before the next pass samples: a second live grid array faults in fresh pages
+        u = np.abs(g(x[:, None], y[None, :]))
         s = float(u.max())
+        if not np.isfinite(s):
+            require_finite(u, (x[:, None], y[None, :]))
         if s == 0.0:
             out.append(0.0)
             continue
@@ -239,25 +267,34 @@ def zero_breaks(g, axis: str, fixed, lo: float, hi: float, resolution: int) -> l
 
     Line k runs along ``axis`` over [lo, hi] at transverse coordinate
     fixed[k]; g is a broadcasting two-variable callable.  All lines are
-    scanned in one call on resolution + 1 uniform points.  A line's exact
-    zeros inside (lo, hi) are taken first, unless they fill more than half
-    its scan (a degenerate line); then its sign changes in scan order,
-    stopping after the one that brings its list to 32 or more.  Every
-    chosen bracket of every line is refined together in at most 15 rounds
-    of one vector call each: a round samples the 15 interior points
-    a + (b - a) j/16 of every live bracket and keeps the first sixteenth
-    whose right end changes sign against the left end of the bracket; an
-    exact zero there collapses the bracket onto it.  The final width is
-    16^-15 = 2^-60 of the scan step, what 60 halvings leave.  Returns one
+    scanned in one call on resolution + 1 uniform points; a batch whose
+    scan is all > 0 or all < 0 returns [lo, hi] for every line.  A line's
+    exact zeros inside (lo, hi) are taken first, unless they fill more
+    than half its scan (a degenerate line); then its sign changes in scan
+    order, stopping after the one that brings its list to 32 or more.
+    Every chosen bracket [a, b] of every line is refined together by a
+    bracketed secant search (Dekker-Brent), one vector call per round: a
+    round samples the 15 interior sixteenths a + (b - a) j/16 and 15
+    points clustered at the secant root r, at r and r +- (b - a) 2^-8j
+    for j = 1 .. 7, and keeps the first sign change of the sorted 30
+    against the left end.  A simple root typically reaches adjacent floats
+    in 1-4 rounds; the sixteenths alone shrink a bracket 16x, so none
+    takes more than 15.  A bracket retires on an exact zero, which is its
+    root, or once it is at most 2^-60 of the scan step wide or holds no
+    float strictly inside; its root is then its midpoint.  Returns one
     breakpoint array per line.
     """
     c = np.asarray(fixed, dtype=float).ravel()
     if c.size == 0:
         return []
-    t = np.linspace(lo, hi, resolution + 1)
+    t = uniform_grid(lo, hi, resolution + 1)
     coords = line_coords(axis, t[None, :], c[:, None])
     vals = g(*coords)
-    require_finite(vals, coords)
+    low, high = vals.min(), vals.max()
+    if not (np.isfinite(low) and np.isfinite(high)):
+        require_finite(vals, coords)
+    if (low > 0.0 or high < 0.0) and hi - lo > merge_tol(lo, hi):
+        return list(np.tile([float(lo), float(hi)], (c.size, 1)))
     exact = vals == 0.0
     degenerate = exact.sum(axis=1) > resolution // 2
     exact &= ((t > lo) & (t < hi))[None, :] & ~degenerate[:, None]
@@ -268,27 +305,36 @@ def zero_breaks(g, axis: str, fixed, lo: float, hi: float, resolution: int) -> l
     rank = np.arange(rows.size) - np.searchsorted(rows, rows)
     keep = rank < np.maximum(32 - exact.sum(axis=1)[rows], 1)
     rows, idx = rows[keep], idx[keep]
-    # the live brackets as compact arrays: ends, left value and line; zeros
-    # gets each bracket's root as it collapses or after the last round
-    a, b, fa, line_of = t[idx], t[idx + 1], vals[rows, idx], c[rows]
+    # the live brackets as compact arrays: ends, end values and line; zeros
+    # gets each bracket's root as it retires or after the last round
+    a, b, fa, fb, line_of = t[idx], t[idx + 1], vals[rows, idx], vals[rows, idx + 1], c[rows]
+    narrowest = 2.0**-60 * (hi - lo) / resolution
     zeros = np.empty(rows.size)
     live = np.arange(rows.size)
     for _ in range(15):
         if live.size == 0:
             break
-        x = a[:, None] + (b - a)[:, None] * _SIXTEENTHS
+        w = b - a
+        with np.errstate(over="ignore", invalid="ignore"):  # huge or non-finite ends: r is NaN or clipped
+            r = a - fa * w / (fb - fa)
+        r = np.where(np.isnan(r), 0.5 * (a + b), r)
+        cluster = np.clip(r[:, None] + w[:, None] * _CLUSTER, a[:, None], b[:, None])
+        x = np.concatenate((a[:, None] + w[:, None] * _SIXTEENTHS, cluster), axis=1)
+        x.sort(axis=1)
         fs = g(*line_coords(axis, x, line_of[:, None]))
-        # k: the first sixteenth whose right end does not share fa's sign; 15
-        # when only b does
+        # k: the first sample that does not share fa's sign; 30 when only b does
         flip = (fs == 0.0) | ((fs < 0.0) != (fa < 0.0)[:, None])
-        k = np.where(flip.any(axis=1), np.argmax(flip, axis=1), 15)
+        k = np.where(flip.any(axis=1), np.argmax(flip, axis=1), 30)
         n = np.arange(live.size)
-        right = np.minimum(k, 14)
-        hit = (k < 15) & (fs[n, right] == 0.0)
+        right = np.minimum(k, 29)
+        hit = (k < 30) & (fs[n, right] == 0.0)
         a, fa = np.where(k > 0, x[n, k - 1], a), np.where(k > 0, fs[n, k - 1], fa)
-        b = np.where(k < 15, x[n, right], b)
+        b, fb = np.where(k < 30, x[n, right], b), np.where(k < 30, fs[n, right], fb)
+        narrow = ~hit & ((b - a <= narrowest) | (b <= np.nextafter(a, np.inf)))
         zeros[live[hit]] = b[hit]
-        live, a, b, fa, line_of = live[~hit], a[~hit], b[~hit], fa[~hit], line_of[~hit]
+        zeros[live[narrow]] = 0.5 * (a[narrow] + b[narrow])
+        more = ~(hit | narrow)
+        live, a, b, fa, fb, line_of = live[more], a[more], b[more], fa[more], fb[more], line_of[more]
     zeros[live] = 0.5 * (a + b)
     # every line's merge_breaks([lo, hi], exact zeros, refined zeros) at
     # once: sort by (line, value), collapse near-duplicates within a line
@@ -317,17 +363,19 @@ def zoomed_sup(g, rect, size: int) -> tuple[float, float]:
     """
     best = 0.0
     first = None
-    xs = np.linspace(rect.a, rect.b, size + 1)
-    ys = np.linspace(rect.c, rect.d, size + 1)
+    xs = uniform_grid(rect.a, rect.b, size + 1)
+    ys = uniform_grid(rect.c, rect.d, size + 1)
     for _ in range(3):
         vals = np.abs(g(xs[:, None], ys[None, :]))
-        require_finite(vals, (xs[:, None], ys[None, :]))
         i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        best = max(best, float(vals[i, j]))
+        top = float(vals[i, j])
+        if not np.isfinite(top):  # the argmax of an array holding NaN or inf is one
+            require_finite(vals, (xs[:, None], ys[None, :]))
+        best = max(best, top)
         if first is None:
             first = best
-        xs = np.linspace(xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)], 33)
-        ys = np.linspace(ys[max(j - 1, 0)], ys[min(j + 1, ys.size - 1)], 33)
+        xs = uniform_grid(xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)], 33)
+        ys = uniform_grid(ys[max(j - 1, 0)], ys[min(j + 1, ys.size - 1)], 33)
     return best, best - first
 
 

@@ -358,7 +358,7 @@ class TestZeroBreaks:
 
     def test_bracket_stops_at_exact_zero(self):
         # the root is the midpoint of its scan bracket: one refinement round,
-        # 15 points per bracket, finds it
+        # 30 points per bracket, finds it
         calls = []
 
         def g(x, y):
@@ -367,7 +367,7 @@ class TestZeroBreaks:
 
         rows = zero_breaks(g, "y", [0.25, 0.75], 0.0, 1.0, 256)
         assert all(np.array_equal(r, [0.0, 129.0 / 512.0, 1.0]) for r in rows)
-        assert calls == [2 * 257, 2 * 15]
+        assert calls == [2 * 257, 2 * 30]
 
     def test_three_sign_changes_in_one_bracket_give_one(self):
         # all three roots lie in the scan bracket [0.5, 0.5625]
@@ -390,6 +390,42 @@ class TestZeroBreaks:
         assert row.size == 3
         assert abs(row[1] - 1e-3) <= max(2.0**-60 * 2.0 / 256, np.spacing(1e-3))
         assert len(calls) <= 1 + 15
+
+    @staticmethod
+    def refine(fn, lo, hi, fixed=0.0):
+        """The one line's breaks and the number of refinement rounds after the scan."""
+        calls = []
+
+        def g(x, y):
+            calls.append(1)
+            return fn(np.asarray(x, dtype=float)) + 0.0 * np.asarray(y)
+
+        (row,) = zero_breaks(g, "x", [fixed], lo, hi, 256)
+        return row, len(calls) - 1
+
+    def test_simple_root_in_four_rounds(self):
+        # the secant cluster brackets a simple root between adjacent floats in
+        # a few rounds, where sixteenths alone take all 15
+        row, rounds = self.refine(np.cos, 0.0, np.pi)
+        assert row.size == 3 and row[1] == np.pi / 2
+        assert rounds <= 4
+
+    def test_jump_within_fifteen_rounds(self):
+        # a jump gives the secant nothing to fit: the sixteenths alone bring it
+        # down to adjacent floats, the midpoint of which rounds to the lower
+        row, rounds = self.refine(lambda x: np.where(x < 0.6123, -1.0, 1.0), 0.0, 1.0)
+        assert row.size == 3 and row[1] == 0.6122999999999998 == np.nextafter(0.6123, 0.0)
+        assert rounds <= 15
+
+    def test_root_at_zero_is_exact(self):
+        # a 2^-60 scan-step bracket around 0 still holds ~1e-21 wide floats;
+        # the secant root lands on the exact zero
+        row, _ = self.refine(lambda x: 4.0 * x * (0.3 + 0.7), -0.137, 1.2)
+        assert row.size == 3 and row[1] == 0.0
+
+    def test_tiny_root_is_exact(self):
+        row, _ = self.refine(lambda x: x - 1e-300, -0.5, 0.5)
+        assert row.size == 3 and row[1] == 1e-300
 
     def test_tiny_values_keep_their_sign_change(self):
         # neighbouring samples ~1e-163 apart: their product underflows to -0.0
@@ -473,12 +509,72 @@ class TestBatchedLines:
         assert err.value.coordinate[1] == 0.5
 
 
+def _lines(p):
+    return lambda g: cq.line_norms_with_error(g, "x", [0.2, 0.7], 0.0, 1.0, p)
+
+
+def _area(p):
+    return lambda g: cq.area_norm_with_error(g, UNIT, p)
+
+
+class TestNonfiniteSamples:
+    """A NaN or inf in any sample array raises EvaluationError at its coordinate.
+
+    The checks run on a reduction each stage computes anyway (a minimum and
+    maximum, an argmax, a weighted sum) and call ``require_finite`` only when
+    that is not finite, so each stage is hit in turn: the k-th vector call
+    of the integrand (counted from the end when negative) returns one bad
+    value, and the error must carry that sample's coordinate.
+    """
+
+    STAGES = [
+        ("line zero scan", _lines(2), 0),
+        ("line Gauss samples", _lines(2), -1),
+        ("tensor zero scan", _area(2), 0),
+        ("tensor pass 1", _area(2), -2),
+        ("tensor pass 2", _area(2), -1),
+        *((f"zoomed_sup grid {k}", _area(cq.INF), k) for k in range(3)),
+        *((f"sup line grid {k}", _lines(cq.INF), k) for k in range(4)),
+        *((f"oracle grid {k}", lambda g: cq.oracle_integrate(cq.Integrand(f=g), UNIT), k) for k in range(2)),
+    ]
+
+    @staticmethod
+    def poisoned(k, bad=None):
+        """sin(3x + 2y) - 0.2, whose k-th vector call returns ``bad`` at one sample."""
+        seen = {"calls": 0, "coordinate": None}
+
+        def g(x, y):
+            x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+            out = np.sin(3.0 * x + 2.0 * y) - 0.2
+            if seen["calls"] == k and bad is not None:
+                i = 2 * out.size // 3
+                out.flat[i] = bad
+                seen["coordinate"] = (float(x.flat[i]), float(y.flat[i]))
+            seen["calls"] += out.size > 1
+            return out
+
+        return g, seen
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("run, k", [stage[1:] for stage in STAGES], ids=[stage[0] for stage in STAGES])
+    def test_stage_reports_the_coordinate(self, run, k, bad):
+        clean, seen = self.poisoned(-1)
+        run(clean)
+        assert seen["calls"] > max(k, -k - 1)
+        g, seen = self.poisoned(k % seen["calls"], bad)
+        with pytest.raises(cq.EvaluationError) as err:
+            run(g)
+        assert seen["coordinate"] is not None
+        assert err.value.coordinate == seen["coordinate"]
+
+
 class TestEvaluationCounts:
     """Deterministic evaluation counters of one 32 x 32 trapezoid bundle at p = 2.
 
     The f_x and f_y lines of a partial are scanned in one call, refined
     together and sampled in one call for both Gauss passes, whatever their
-    breakpoints: at most 1 + 15 + 1 vector calls per partial.  The call
+    breakpoints: 1 + at most 15 + 1 vector calls per partial, and as every
+    root here is simple, the secant search needs at most 5 rounds.  The call
     count grows neither with the line count nor with the number of
     distinct breakpoint sets (sinsum's f_x = cos(x + y) has its own zero
     on every line), while the sampled points stay what a line-by-line
@@ -496,9 +592,9 @@ class TestEvaluationCounts:
         return wrapper
 
     @pytest.mark.parametrize("name, rect, points, max_vector_calls", [
-        ("sinsin", cq.Rectangle(0.0, np.pi, 0.0, np.pi), 56450, 34),
-        ("expsum", UNIT, 33858, 8),
-        ("sinsum", cq.Rectangle(0.0, np.pi, 0.0, np.pi), 59876, 34),
+        ("sinsin", cq.Rectangle(0.0, np.pi, 0.0, np.pi), 47810, 10),
+        ("expsum", UNIT, 33858, 4),
+        ("sinsum", cq.Rectangle(0.0, np.pi, 0.0, np.pi), 50666, 14),
     ], ids=["sinsin", "expsum", "sinsum"])
     def test_counts(self, name, rect, points, max_vector_calls):
         rec = {"vector": 0, "single": 0, "points": 0}
@@ -510,14 +606,14 @@ class TestEvaluationCounts:
         assert rec["vector"] <= max_vector_calls
 
     def test_area_norm_counts(self):
-        # per axis one scan of two lines and 15 refinement rounds, then the
-        # two (4, 5)-level tensor passes
+        # per axis one scan of two lines and 3 secant rounds, then the two
+        # (4, 5)-level tensor passes
         rect = cq.Rectangle(0.0, np.pi, 0.0, np.pi)
         rec = {"vector": 0, "single": 0, "points": 0}
         f = integrand("sinsin", rect)
         f = dataclasses.replace(f, fxy=self.counted(f.fxy, rec))
         cq.derivative_norms(f, rect, 2, partition=cq.PartitionSpec(rect, 32, 32))
-        assert rec == {"vector": 34, "single": 0, "points": 54920}
+        assert rec == {"vector": 10, "single": 0, "points": 54380}
 
 
 def graded_breaks(lo, hi, levels):
@@ -696,6 +792,22 @@ class TestReductions:
         for value, x, y, wx, wy in zip(got, xs[0::2], xs[1::2], ws[0::2], ws[1::2], strict=True):
             ref = mp_p_norm(g(x[:, None], y[None, :]), np.outer(wx, wy), float(p))
             assert value == pytest.approx(ref, rel=1e-15, abs=0.0)
+
+
+class TestUniformGrid:
+    @pytest.mark.parametrize("lo, hi", [
+        (0.0, 1.0), (0.0, np.pi), (-0.137, 1.2), (1.3, 0.1), (-1e300, 1e300), (1e15, 1e15 + 3.0),
+        (2.0, 2.0), (0.0, 5e-324), (-5e-324, 1e-322),
+    ])
+    @pytest.mark.parametrize("n", [1, 2, 17, 193, 257])
+    def test_matches_linspace_bit_for_bit(self, lo, hi, n):
+        got, want = gauss.uniform_grid(lo, hi, n), np.linspace(lo, hi, n)
+        assert got.tobytes() == want.tobytes()
+
+    def test_grids_are_independent(self):
+        first = gauss.uniform_grid(0.0, 1.0, 33)
+        first[0] = 7.0
+        assert gauss.uniform_grid(0.0, 1.0, 33)[0] == 0.0
 
 
 class TestAsGridFn:
