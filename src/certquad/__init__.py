@@ -57,20 +57,14 @@ from .rules import (
     composite_trapezoid_estimate,
     custom_phi_rule,
     midpoint_1d,
-    midpoint_bound,
-    midpoint_estimate,
     rule_report,
     trapezoid_1d,
-    trapezoid_bound,
-    trapezoid_estimate,
     uniform_bound,
 )
 from .weights import (
     CompositeMidpointPhi,
     CompositeTrapezoidPhi,
     CustomPhi,
-    MidpointPhi,
-    TrapezoidPhi,
     eval_phi,
     phi_norm_closed,
     phi_norm_numeric,

@@ -55,7 +55,7 @@ class EvaluationError(CertquadError, ArithmeticError):
 
 
 class ConfigurationError(CertquadError, ValueError):
-    """Analytic partials are required but missing, and the fallback is off."""
+    """An operation that needs analytic partials got an integrand without them."""
 
 
 class NormMismatchError(CertquadError, ValueError):
@@ -117,10 +117,6 @@ class Exponent:
         if v < 1.0:
             raise ValueError(f"exponent must satisfy p >= 1, got {v!r}")
         object.__setattr__(self, "value", v)
-
-    @classmethod
-    def infinity(cls) -> "Exponent":
-        return cls(None)
 
     @classmethod
     def coerce(cls, p) -> "Exponent":

@@ -34,7 +34,6 @@ import numpy as np
 
 from .core import (
     FAMILIES,
-    ConfigurationError,
     DerivativeNorms,
     Exponent,
     Integrand,
@@ -202,15 +201,13 @@ def finite_difference_partials(f, rect: Rectangle):
     return fx, fy, fxy
 
 
-def partial_evaluators(f: Integrand, rect: Rectangle, fd_fallback: bool = True):
-    """Vectorized (fx, fy, fxy, analytic_flag) for an integrand."""
+def partial_evaluators(f: Integrand, rect: Rectangle):
+    """Vectorized (fx, fy, fxy, analytic_flag) for an integrand.
+
+    An integrand without analytic partials gets finite differences of f.
+    """
     if f.has_partials:
         return as_grid_fn(f.fx), as_grid_fn(f.fy), as_grid_fn(f.fxy), True
-    if not fd_fallback:
-        raise ConfigurationError(
-            f"integrand {f.label or '<anonymous>'} lacks analytic partials "
-            "and the finite-difference fallback is disabled"
-        )
     fx, fy, fxy = finite_difference_partials(f.f, rect)
     return fx, fy, fxy, False
 
@@ -222,7 +219,6 @@ def derivative_norms(
     partition: PartitionSpec | None = None,
     rule_family: str = "trapezoid",
     resolution: int = DEFAULT_RESOLUTION,
-    fd_fallback: bool = True,
     cache: dict | None = None,
 ) -> DerivativeNorms:
     """Build the norm bundle a certified bound needs.
@@ -243,7 +239,7 @@ def derivative_norms(
     part = partition if partition is not None else PartitionSpec(rect, 1, 1)
     if part.rect != rect:
         raise ValueError("partition was built for a different rectangle")
-    fx, fy, fxy, analytic = partial_evaluators(f, rect, fd_fallback)
+    fx, fy, fxy, analytic = partial_evaluators(f, rect)
     # one sub-cache per setup: a line or area norm depends on the rectangle
     # through its extent and the finite-difference steps, not only on p
     store = {} if cache is None else cache.setdefault((rect, str(p), resolution), {})

@@ -23,7 +23,8 @@ grid lines (dx/2 on the boundary, dx inside): the cell-summed corner
 rule.  The midpoint family's ramps vanish at the grid lines and jump by
 dx at the cell midlines: the cell-midpoint rule.  The simple rules are
 the 1 x 1 partition of the composite ones (``core.BUILTIN_RULES``), so
-m = n = 1 reduces the composite bounds to the simple ones bit for bit.
+they have no functions of their own: a simple rule's estimate or bound
+alone is the ``composite_*`` function on ``PartitionSpec(rect, 1, 1)``.
 
 ``rule_report`` runs any built-in rule by name.  ``uniform_bound`` is
 the same bound on a bundle built from pointwise derivative bounds, and
@@ -118,16 +119,6 @@ def _jump_bound(norms: DerivativeNorms, part: PartitionSpec, family: str) -> Bou
     )
 
 
-def trapezoid_estimate(f: Integrand, rect: Rectangle) -> float:
-    """Corner average times area: [f(a,c)+f(b,d)+f(a,d)+f(b,c)] W H / 4."""
-    return _jump_estimate(f, PartitionSpec(rect, 1, 1), "trapezoid")
-
-
-def midpoint_estimate(f: Integrand, rect: Rectangle) -> float:
-    """Center sample times area: f(m1, m2) W H."""
-    return _jump_estimate(f, PartitionSpec(rect, 1, 1), "midpoint")
-
-
 def composite_trapezoid_estimate(f: Integrand, rect: Rectangle, part: PartitionSpec) -> float:
     """Cell-summed corner rule on the m x n partition.
 
@@ -145,16 +136,6 @@ def composite_midpoint_estimate(f: Integrand, rect: Rectangle, part: PartitionSp
     if part.rect != rect:
         raise ValueError("partition was built for a different rectangle")
     return _jump_estimate(f, part, "midpoint")
-
-
-def trapezoid_bound(norms: DerivativeNorms, rect: Rectangle) -> BoundComponents:
-    """Certified bound for the simple corner rule (m = n = 1 bundle)."""
-    return _jump_bound(norms, PartitionSpec(rect, 1, 1), "trapezoid")
-
-
-def midpoint_bound(norms: DerivativeNorms, rect: Rectangle) -> BoundComponents:
-    """Certified bound for the simple center rule (m = n = 1 bundle)."""
-    return _jump_bound(norms, PartitionSpec(rect, 1, 1), "midpoint")
 
 
 def composite_trapezoid_bound(

@@ -1,15 +1,16 @@
 """Weight functions with unit mixed partial, and their L^q norms.
 
 Every rule in this package comes from a choice of phi with phi_xy = 1.
-The built-in variants are all piecewise products of two linear ramps:
+The two built-in weights are products of sawtooth ramps on a uniform
+m x n partition, one class per rule family:
 
-- corner-product weight (trapezoid rule): phi = (x - m1)(y - m2);
-- boundary-vanishing weight (midpoint rule): phi = omega1(x) * omega2(y)
-  where omega1 = x - a left of m1 and x - b right of it, and similarly
-  omega2, so phi = 0 on the whole boundary;
-- their composite analogues on a uniform m x n partition: sawtooth ramps
-  per cell, centered on the cell (trapezoid) or split at the cell
-  midpoint and vanishing at cell edges (midpoint).
+- ``CompositeTrapezoidPhi``: per-cell ramps centered on the cell; on
+  the 1 x 1 partition the corner-product weight (x - m1)(y - m2) of the
+  simple trapezoid rule;
+- ``CompositeMidpointPhi``: per-cell ramps split at the cell midpoint
+  and vanishing at the cell edges; on the 1 x 1 partition the
+  boundary-vanishing weight omega1(x) omega2(y) of the simple midpoint
+  rule, with omega1 = x - a left of m1 and x - b right of it.
 
 ``ramp_jumps`` lists where the two ramps of a built-in weight jump and
 by how much; ``rules`` reads every rule's sample points, sample weights
@@ -145,39 +146,25 @@ class _SeparableWeight:
 
 
 class CompositeTrapezoidPhi(_SeparableWeight):
-    """Sawtooth product U_i(x) V_j(y): per-cell ramps centered on the cell."""
+    """Sawtooth product U_i(x) V_j(y): per-cell ramps centered on the cell.
 
-    variant = "composite-trapezoid-phi"
+    On the 1 x 1 partition phi = (x - m1)(y - m2), which vanishes on the
+    two midlines.
+    """
+
     family = "trapezoid"
 
 
 class CompositeMidpointPhi(_SeparableWeight):
-    """Sawtooth product of per-cell ramps vanishing at the cell edges."""
+    """Sawtooth product of per-cell ramps vanishing at the cell edges.
 
-    variant = "composite-midpoint-phi"
-    family = "midpoint"
-
-
-class TrapezoidPhi(CompositeTrapezoidPhi):
-    """phi(x, y) = (x - m1)(y - m2); vanishes on the two midlines."""
-
-    variant = "trapezoid-phi"
-
-    def __init__(self, rect: Rectangle):
-        super().__init__(rect, PartitionSpec(rect, 1, 1))
-
-
-class MidpointPhi(CompositeMidpointPhi):
-    """Four-piece product vanishing on the rectangle boundary.
-
-    The ramp in x is x - a left of the midline and x - b right of it
-    (value at the midline itself is taken from the right piece).
+    In each cell the ramp in x is x - x_i left of the cell midline and
+    x - x_(i+1) right of it; the value at the midline itself is taken
+    from the right piece.  On the 1 x 1 partition phi vanishes on the
+    whole rectangle boundary.
     """
 
-    variant = "midpoint-phi"
-
-    def __init__(self, rect: Rectangle):
-        super().__init__(rect, PartitionSpec(rect, 1, 1))
+    family = "midpoint"
 
 
 class CustomPhi:
@@ -187,8 +174,6 @@ class CustomPhi:
     symbolic derivative is carried, so operations needing phi-derivatives
     are restricted to the built-in variants.
     """
-
-    variant = "custom-phi"
 
     def __init__(self, alpha: Callable, beta: Callable, rect: Rectangle):
         self.rect = rect

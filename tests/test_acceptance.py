@@ -38,11 +38,12 @@ def test_criterion_1_certificate_validity_matrix():
 def test_criterion_2_exactness_for_low_degree_span():
     worst = 0.0
     for rect in (UNIT, SKEW):
-        parts = (cq.PartitionSpec(rect, 3, 2), cq.PartitionSpec(rect, 4, 4))
+        # the simple rules are the composite ones on 1 x 1
+        parts = [cq.PartitionSpec(rect, m, n) for m, n in ((1, 1), (3, 2), (4, 4))]
         for name in ("one", "x", "y", "xy"):
             f = integrand(name, rect)
             exact = f.exact_integral
-            values = [cq.trapezoid_estimate(f, rect), cq.midpoint_estimate(f, rect)]
+            values = []
             for part in parts:
                 values.append(cq.composite_trapezoid_estimate(f, rect, part))
                 values.append(cq.composite_midpoint_estimate(f, rect, part))
@@ -55,7 +56,7 @@ def test_criterion_3_weight_norm_audit():
     worst = 0.0
     count = 0
     for rect in RECT_SET:
-        variants = [cq.TrapezoidPhi(rect), cq.MidpointPhi(rect)]
+        variants = []
         for m in (1, 2, 4):
             for n in (1, 2, 4):
                 part = cq.PartitionSpec(rect, m, n)
@@ -78,13 +79,14 @@ def test_criterion_4_worked_bound_values():
     f = integrand("poly22", UNIT)
     oracle_value, _ = cq.oracle_integrate(f, UNIT)
 
+    one = cq.PartitionSpec(UNIT, 1, 1)
     trap_bundle = cq.derivative_norms(f, UNIT, cq.INF)
-    trap_bound = cq.trapezoid_bound(trap_bundle, UNIT).total
-    trap_err = abs(cq.trapezoid_estimate(f, UNIT) - oracle_value)
+    trap_bound = cq.composite_trapezoid_bound(trap_bundle, UNIT, one).total
+    trap_err = abs(cq.composite_trapezoid_estimate(f, UNIT, one) - oracle_value)
 
     mid_bundle = cq.derivative_norms(f, UNIT, cq.INF, rule_family="midpoint")
-    mid_bound = cq.midpoint_bound(mid_bundle, UNIT).total
-    mid_err = abs(cq.midpoint_estimate(f, UNIT) - oracle_value)
+    mid_bound = cq.composite_midpoint_bound(mid_bundle, UNIT, one).total
+    mid_err = abs(cq.composite_midpoint_estimate(f, UNIT, one) - oracle_value)
 
     ok = (
         abs(trap_bound - 0.75) <= 1e-9
@@ -129,10 +131,10 @@ def test_criterion_6_parts_identity():
     worst = 0.0
     count = 0
     for rect in rects:
-        part = cq.PartitionSpec(rect, 2, 2)
+        one, part = cq.PartitionSpec(rect, 1, 1), cq.PartitionSpec(rect, 2, 2)
         weights = (
-            cq.TrapezoidPhi(rect),
-            cq.MidpointPhi(rect),
+            cq.CompositeTrapezoidPhi(rect, one),
+            cq.CompositeMidpointPhi(rect, one),
             cq.CompositeTrapezoidPhi(rect, part),
         )
         for name in functions:
@@ -178,26 +180,25 @@ def test_criterion_7_convergence_rates():
 
 
 def test_criterion_8_bound_branch_continuity():
-    part = cq.PartitionSpec(UNIT, 2, 2)
+    one, part = cq.PartitionSpec(UNIT, 1, 1), cq.PartitionSpec(UNIT, 2, 2)
     configs = (
-        ("trapezoid", "trapezoid", None, cq.trapezoid_bound),
-        ("midpoint", "midpoint", None, cq.midpoint_bound),
-        ("composite-trapezoid", "trapezoid", part, cq.composite_trapezoid_bound),
-        ("composite-midpoint", "midpoint", part, cq.composite_midpoint_bound),
+        ("trapezoid", one, cq.composite_trapezoid_bound),
+        ("midpoint", one, cq.composite_midpoint_bound),
+        ("trapezoid", part, cq.composite_trapezoid_bound),
+        ("midpoint", part, cq.composite_midpoint_bound),
     )
     pairs = ((cq.Exponent(1e6), cq.INF), (cq.Exponent(1.0 + 1e-6), cq.Exponent(1.0)))
     worst = 0.0
     for name in cq.names():
         f = integrand(name, UNIT)
         cache = {}
-        for rule, family, prt, op in configs:
+        for family, prt, op in configs:
             for pa, pb in pairs:
                 totals = []
                 for p in (pa, pb):
                     nb = cq.derivative_norms(f, UNIT, p, partition=prt, rule_family=family,
                                              resolution=128, cache=cache)
-                    args = (nb, UNIT) if prt is None else (nb, UNIT, prt)
-                    totals.append(op(*args).total)
+                    totals.append(op(nb, UNIT, prt).total)
                 ta, tb = totals
                 if tb == 0.0:
                     assert ta == 0.0

@@ -14,9 +14,9 @@ class TestClosedMinimum:
 
     def test_matches_corner_product_norm(self, sym):
         # the claimed minimum is exactly the norm of the corner-product weight
+        w = cq.CompositeTrapezoidPhi(sym, cq.PartitionSpec(sym, 1, 1))
         for q in (1.5, 2, 3, 4):
-            assert cq.min_phi_norm_value(q) == pytest.approx(
-                cq.phi_norm_closed(cq.TrapezoidPhi(sym), q), rel=1e-13)
+            assert cq.min_phi_norm_value(q) == pytest.approx(cq.phi_norm_closed(w, q), rel=1e-13)
 
 
 class TestBasis:
@@ -125,9 +125,10 @@ class TestMinimizerMapsToTrapezoidWeight:
         rect = cq.Rectangle(0.0, 3.0, -1.0, 0.5)
         q = 2.0
         scale = (rect.width / 2) ** (1 + 1 / q) * (rect.height / 2) ** (1 + 1 / q)
-        target = cq.phi_norm_closed(cq.TrapezoidPhi(rect), q)
+        w = cq.CompositeTrapezoidPhi(rect, cq.PartitionSpec(rect, 1, 1))
+        target = cq.phi_norm_closed(w, q)
         assert res.achieved_norm * scale == pytest.approx(target, rel=1e-6)
-        numeric = cq.phi_norm_numeric(cq.TrapezoidPhi(rect), q, 256)
+        numeric = cq.phi_norm_numeric(w, q, 256)
         assert numeric == pytest.approx(target, rel=1e-9)
 
 

@@ -228,11 +228,6 @@ class TestDerivativeNorms:
         assert cq.derivative_norms(cached, wide, 2, cache=cache) == fresh
         assert cq.derivative_norms(cached, unit, 2, cache=cache) == cq.derivative_norms(f, unit, 2)
 
-    def test_missing_partials_without_fallback(self, unit):
-        bare = cq.Integrand(f=lambda x, y: x + y)
-        with pytest.raises(cq.ConfigurationError):
-            cq.derivative_norms(bare, unit, 2, fd_fallback=False)
-
     def test_analytic_vs_finite_difference(self, unit):
         for name in ("poly22", "sinsin", "expsum", "invsum"):
             entry = cq.get_entry(name)

@@ -74,7 +74,8 @@ SMOOTH = ("xy", "poly22", "cubes", "sinsin", "expsum", "sinsum")
 
 class TestPartsIdentity:
     def test_poly22_trapezoid(self, unit):
-        res = cq.parts_identity_residual(integrand("poly22", unit), cq.TrapezoidPhi(unit), unit)
+        w = cq.CompositeTrapezoidPhi(unit, cq.PartitionSpec(unit, 1, 1))
+        res = cq.parts_identity_residual(integrand("poly22", unit), w, unit)
         assert res <= 1e-8
 
     def test_zero_function(self, unit):
@@ -83,10 +84,12 @@ class TestPartsIdentity:
             fy=lambda x, y: 0.0 * x, fxy=lambda x, y: 0.0 * x,
             exact_integral=0.0,
         )
-        assert cq.parts_identity_residual(zero, cq.MidpointPhi(unit), unit) == 0.0
+        w = cq.CompositeMidpointPhi(unit, cq.PartitionSpec(unit, 1, 1))
+        assert cq.parts_identity_residual(zero, w, unit) == 0.0
 
     def test_expsum_midpoint_seams(self, unit):
-        res = cq.parts_identity_residual(integrand("expsum", unit), cq.MidpointPhi(unit), unit)
+        w = cq.CompositeMidpointPhi(unit, cq.PartitionSpec(unit, 1, 1))
+        res = cq.parts_identity_residual(integrand("expsum", unit), w, unit)
         assert res <= 1e-8
 
     @pytest.mark.parametrize("name", SMOOTH)
@@ -95,14 +98,14 @@ class TestPartsIdentity:
         rect = unit if rect_id == 0 else cq.Rectangle(-1.0, 2.0, 0.5, 2.5)
         f = integrand(name, rect)
         lhs, _ = cq.oracle_integrate(f, rect)
-        part = cq.PartitionSpec(rect, 2, 2)
+        one, part = cq.PartitionSpec(rect, 1, 1), cq.PartitionSpec(rect, 2, 2)
         for w in (
-            cq.TrapezoidPhi(rect),
-            cq.MidpointPhi(rect),
+            cq.CompositeTrapezoidPhi(rect, one),
+            cq.CompositeMidpointPhi(rect, one),
             cq.CompositeTrapezoidPhi(rect, part),
         ):
             res = cq.parts_identity_residual(f, w, rect)
-            assert res <= 1e-8 * (1.0 + abs(lhs)), (name, w.variant, res)
+            assert res <= 1e-8 * (1.0 + abs(lhs)), (name, type(w).__name__, res)
 
     def test_custom_phi_admissible(self, unit):
         w = cq.CustomPhi(lambda x: np.sin(x), lambda y: y**3, unit)
@@ -113,9 +116,11 @@ class TestPartsIdentity:
     def test_missing_partials_rejected(self, unit):
         bare = cq.Integrand(f=lambda x, y: x * y)
         with pytest.raises(cq.ConfigurationError):
-            cq.parts_identity_residual(bare, cq.TrapezoidPhi(unit), unit)
+            w = cq.CompositeTrapezoidPhi(unit, cq.PartitionSpec(unit, 1, 1))
+            cq.parts_identity_residual(bare, w, unit)
 
     def test_sides_exposed(self, unit):
-        lhs, rhs = cq.parts_identity_sides(integrand("xy", unit), cq.TrapezoidPhi(unit), unit)
+        w = cq.CompositeTrapezoidPhi(unit, cq.PartitionSpec(unit, 1, 1))
+        lhs, rhs = cq.parts_identity_sides(integrand("xy", unit), w, unit)
         assert lhs == pytest.approx(0.25)
         assert rhs == pytest.approx(0.25)

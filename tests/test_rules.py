@@ -21,15 +21,19 @@ def bundle(name, rect, p, family="trapezoid", part=None, resolution=128):
 class TestEstimates:
     def test_trapezoid(self, unit):
         r23 = cq.Rectangle(0, 2, 0, 3)
-        assert cq.trapezoid_estimate(integrand("one", r23), r23) == pytest.approx(6.0)
-        assert cq.trapezoid_estimate(integrand("xy", unit), unit) == pytest.approx(0.25)
-        assert cq.trapezoid_estimate(integrand("poly22", unit), unit) == pytest.approx(0.25)
+        one, one23 = cq.PartitionSpec(unit, 1, 1), cq.PartitionSpec(r23, 1, 1)
+        est = cq.composite_trapezoid_estimate
+        assert est(integrand("one", r23), r23, one23) == pytest.approx(6.0)
+        assert est(integrand("xy", unit), unit, one) == pytest.approx(0.25)
+        assert est(integrand("poly22", unit), unit, one) == pytest.approx(0.25)
 
     def test_midpoint(self, unit):
         r23 = cq.Rectangle(0, 2, 0, 3)
-        assert cq.midpoint_estimate(integrand("one", r23), r23) == pytest.approx(6.0)
-        assert cq.midpoint_estimate(integrand("poly22", unit), unit) == pytest.approx(1.0 / 16.0)
-        assert cq.midpoint_estimate(integrand("xy", unit), unit) == pytest.approx(0.25)
+        one, one23 = cq.PartitionSpec(unit, 1, 1), cq.PartitionSpec(r23, 1, 1)
+        est = cq.composite_midpoint_estimate
+        assert est(integrand("one", r23), r23, one23) == pytest.approx(6.0)
+        assert est(integrand("poly22", unit), unit, one) == pytest.approx(1.0 / 16.0)
+        assert est(integrand("xy", unit), unit, one) == pytest.approx(0.25)
 
     def test_composite_midpoint(self, unit):
         part = cq.PartitionSpec(unit, 2, 2)
@@ -52,7 +56,7 @@ class TestEstimates:
     def test_nonfinite_corner(self, unit):
         bad = cq.Integrand(f=lambda x, y: np.where(x > 0.5, np.inf, 1.0))
         with pytest.raises(cq.EvaluationError):
-            cq.trapezoid_estimate(bad, unit)
+            cq.composite_trapezoid_estimate(bad, unit, cq.PartitionSpec(unit, 1, 1))
 
     @given(
         st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3),
@@ -69,58 +73,65 @@ class TestEstimates:
             + c3 * 0.25 * (rect.b**2 - rect.a**2) * (rect.d**2 - rect.c**2)
         )
         scale = 1.0 + abs(exact)
-        assert abs(cq.trapezoid_estimate(f, rect) - exact) <= 1e-11 * scale
-        assert abs(cq.midpoint_estimate(f, rect) - exact) <= 1e-11 * scale
+        one = cq.PartitionSpec(rect, 1, 1)
+        assert abs(cq.composite_trapezoid_estimate(f, rect, one) - exact) <= 1e-11 * scale
+        assert abs(cq.composite_midpoint_estimate(f, rect, one) - exact) <= 1e-11 * scale
 
 
 class TestSimpleBounds:
+    # a simple rule is its composite rule on the 1 x 1 partition
     def test_trapezoid_sup_example(self, unit):
+        one = cq.PartitionSpec(unit, 1, 1)
         nb = bundle("poly22", unit, cq.INF)
-        comps = cq.trapezoid_bound(nb, unit)
+        comps = cq.composite_trapezoid_bound(nb, unit, one)
         assert comps.total == pytest.approx(0.75, abs=1e-9)
-        est = cq.trapezoid_estimate(integrand("poly22", unit), unit)
+        est = cq.composite_trapezoid_estimate(integrand("poly22", unit), unit, one)
         actual = abs(est - 1.0 / 9.0)
         assert actual == pytest.approx(5.0 / 36.0, abs=1e-12)
         assert actual <= comps.total
 
     def test_midpoint_sup_example(self, unit):
+        one = cq.PartitionSpec(unit, 1, 1)
         nb = bundle("poly22", unit, cq.INF, family="midpoint")
-        comps = cq.midpoint_bound(nb, unit)
+        comps = cq.composite_midpoint_bound(nb, unit, one)
         assert comps.total == pytest.approx(0.5, abs=1e-9)
-        est = cq.midpoint_estimate(integrand("poly22", unit), unit)
+        est = cq.composite_midpoint_estimate(integrand("poly22", unit), unit, one)
         assert abs(est - 1.0 / 9.0) == pytest.approx(7.0 / 144.0, abs=1e-12)
 
     def test_xy_sup_bounds(self, unit):
+        one = cq.PartitionSpec(unit, 1, 1)
         nb = bundle("xy", unit, cq.INF)
-        assert cq.trapezoid_bound(nb, unit).total == pytest.approx(0.3125, abs=1e-9)
+        assert cq.composite_trapezoid_bound(nb, unit, one).total == pytest.approx(0.3125, abs=1e-9)
         nbm = bundle("xy", unit, cq.INF, family="midpoint")
-        assert cq.midpoint_bound(nbm, unit).total == pytest.approx(0.3125, abs=1e-9)
+        assert cq.composite_midpoint_bound(nbm, unit, one).total == pytest.approx(0.3125, abs=1e-9)
 
     def test_zero_norms_zero_bound(self, unit):
-        nb = cq.DerivativeNorms(p=cq.INF, family="trapezoid", partition=cq.PartitionSpec(unit, 1, 1),
+        one = cq.PartitionSpec(unit, 1, 1)
+        nb = cq.DerivativeNorms(p=cq.INF, family="trapezoid", partition=one,
                                 fxy=0.0, x_lines=(0, 0), y_lines=(0, 0))
-        assert cq.trapezoid_bound(nb, unit).total == 0.0
+        assert cq.composite_trapezoid_bound(nb, unit, one).total == 0.0
 
     def test_plain_exponent_bundle(self, unit):
         # a bundle built with p = 1 as a plain number bounds like Exponent(1),
         # midline note included
-        lines = dict(family="midpoint", partition=cq.PartitionSpec(unit, 1, 1), fxy=1.25,
-                     x_lines=(0.5,), y_lines=(2.0,))
-        plain = cq.midpoint_bound(cq.DerivativeNorms(p=1, **lines), unit)
-        typed = cq.midpoint_bound(cq.DerivativeNorms(p=cq.Exponent(1), **lines), unit)
+        one = cq.PartitionSpec(unit, 1, 1)
+        lines = dict(family="midpoint", partition=one, fxy=1.25, x_lines=(0.5,), y_lines=(2.0,))
+        plain = cq.composite_midpoint_bound(cq.DerivativeNorms(p=1, **lines), unit, one)
+        typed = cq.composite_midpoint_bound(
+            cq.DerivativeNorms(p=cq.Exponent(1), **lines), unit, one)
         assert plain == typed
         assert plain.notes == (cq.rules.NOTE_MIDLINE_P1,)
 
     def test_family_mismatch_rejected(self, unit):
         nb = bundle("xy", unit, cq.INF, family="midpoint")
         with pytest.raises(cq.NormMismatchError):
-            cq.trapezoid_bound(nb, unit)
+            cq.composite_trapezoid_bound(nb, unit, cq.PartitionSpec(unit, 1, 1))
 
     def test_partition_mismatch_rejected(self, unit):
         part = cq.PartitionSpec(unit, 2, 2)
         nb = bundle("xy", unit, 2, part=part)
         with pytest.raises(cq.NormMismatchError):
-            cq.trapezoid_bound(nb, unit)
+            cq.composite_trapezoid_bound(nb, unit, cq.PartitionSpec(unit, 1, 1))
         with pytest.raises(cq.NormMismatchError):
             cq.composite_trapezoid_bound(nb, unit, cq.PartitionSpec(unit, 4, 4))
 
@@ -130,22 +141,24 @@ class TestSimpleBounds:
         small, large = cq.Rectangle(0.0, 0.01, 0.0, 0.01), cq.Rectangle(0.0, 3.0, 0.0, 3.0)
         nb = bundle("sinsin", small, 2)
         with pytest.raises(cq.NormMismatchError, match="Rectangle"):
-            cq.trapezoid_bound(nb, large)
-        assert cq.trapezoid_bound(nb, small).total == cq.rule_report(
+            cq.composite_trapezoid_bound(nb, large, cq.PartitionSpec(large, 1, 1))
+        one = cq.PartitionSpec(small, 1, 1)
+        assert cq.composite_trapezoid_bound(nb, small, one).total == cq.rule_report(
             integrand("sinsin", small), small, "trapezoid", 2, resolution=128).bound
 
 
 class TestCompositeBounds:
     def test_reduction_bit_for_bit(self, unit):
+        # the simple rules by name are the composite bounds on 1 x 1
+        f = integrand("expsum", unit)
         part = cq.PartitionSpec(unit, 1, 1)
         for p in P_GRID:
-            nb = bundle("expsum", unit, p)
-            simple = cq.trapezoid_bound(nb, unit)
-            comp = cq.composite_trapezoid_bound(nb, unit, part)
+            simple = cq.rule_report(f, unit, "trapezoid", p, resolution=128)
+            comp = cq.composite_trapezoid_bound(bundle("expsum", unit, p), unit, part)
             assert (simple.fx_term, simple.fy_term, simple.fxy_term) == (
                 comp.fx_term, comp.fy_term, comp.fxy_term)
+            simple_m = cq.rule_report(f, unit, "midpoint", p, resolution=128)
             nbm = bundle("expsum", unit, p, family="midpoint")
-            simple_m = cq.midpoint_bound(nbm, unit)
             comp_m = cq.composite_midpoint_bound(nbm, unit, part)
             assert (simple_m.fx_term, simple_m.fy_term, simple_m.fxy_term) == (
                 comp_m.fx_term, comp_m.fy_term, comp_m.fxy_term)
@@ -256,7 +269,8 @@ class TestRuleReport:
         assert (report.fx_term, report.fy_term, report.fxy_term, report.notes) == (
             comps.fx_term, comps.fy_term, comps.fxy_term, comps.notes)
         simple = cq.rule_report(f, unit, "trapezoid", 2, part)
-        assert simple.estimate == cq.trapezoid_estimate(f, unit)
+        one = cq.PartitionSpec(unit, 1, 1)
+        assert simple.estimate == cq.composite_trapezoid_estimate(f, unit, one)
         assert (simple.partition.m, simple.partition.n) == (1, 1)
 
     def test_validation(self, unit):
@@ -337,14 +351,17 @@ class TestCustomPhiRule:
         w = cq.CustomPhi(lambda x: -unit.m2 * x + unit.m1 * unit.m2,
                          lambda y: -unit.m1 * y, unit)
         f = integrand("expsum", unit)
+        one = cq.PartitionSpec(unit, 1, 1)
         report = cq.custom_phi_rule(f, w, unit, cq.INF, resolution=96)
-        assert report.estimate == pytest.approx(cq.trapezoid_estimate(f, unit), rel=1e-13)
+        trap = cq.composite_trapezoid_estimate(f, unit, one)
+        assert report.estimate == pytest.approx(trap, rel=1e-13)
         err = abs(report.estimate - f.exact_integral)
         assert err <= report.bound
         # the five-term bound with these phi norms reproduces the
         # dedicated trapezoid coefficients
         nb = cq.derivative_norms(f, unit, cq.INF, resolution=96)
-        assert report.bound == pytest.approx(cq.trapezoid_bound(nb, unit).total, rel=1e-6)
+        trap_bound = cq.composite_trapezoid_bound(nb, unit, one).total
+        assert report.bound == pytest.approx(trap_bound, rel=1e-6)
 
     def test_plain_xy_corner_combination(self, unit):
         w = cq.CustomPhi(lambda x: 0.0 * x, lambda y: 0.0 * y, unit)
@@ -364,7 +381,8 @@ class TestCustomPhiRule:
 
     def test_builtin_rejected(self, unit):
         with pytest.raises(cq.UnsupportedVariantError):
-            cq.custom_phi_rule(integrand("one", unit), cq.TrapezoidPhi(unit), unit, 2)
+            w = cq.CompositeTrapezoidPhi(unit, cq.PartitionSpec(unit, 1, 1))
+            cq.custom_phi_rule(integrand("one", unit), w, unit, 2)
 
 
 class TestOneDimensionalRules:

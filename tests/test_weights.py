@@ -10,7 +10,7 @@ Q_GRID = (1, 1.5, 2, 3, cq.INF)
 
 
 def make_variants(rect):
-    out = [cq.TrapezoidPhi(rect), cq.MidpointPhi(rect)]
+    out = []
     for m, n in ((1, 1), (1, 2), (2, 1), (2, 2), (4, 2), (4, 4)):
         part = cq.PartitionSpec(rect, m, n)
         out.append(cq.CompositeTrapezoidPhi(rect, part))
@@ -20,31 +20,33 @@ def make_variants(rect):
 
 class TestEvalPhi:
     def test_trapezoid_corner(self, unit):
-        assert cq.eval_phi(cq.TrapezoidPhi(unit), 0.0, 0.0) == pytest.approx(0.25)
+        w = cq.CompositeTrapezoidPhi(unit, cq.PartitionSpec(unit, 1, 1))
+        assert cq.eval_phi(w, 0.0, 0.0) == pytest.approx(0.25)
 
     def test_midpoint_interior(self, sym):
         # piece for 0 < s, t <= 1 is (s-1)(t-1)
-        assert cq.eval_phi(cq.MidpointPhi(sym), 0.5, 0.5) == pytest.approx(0.25)
+        w = cq.CompositeMidpointPhi(sym, cq.PartitionSpec(sym, 1, 1))
+        assert cq.eval_phi(w, 0.5, 0.5) == pytest.approx(0.25)
 
     def test_midpoint_boundary_vanishes(self, sym):
-        w = cq.MidpointPhi(sym)
+        w = cq.CompositeMidpointPhi(sym, cq.PartitionSpec(sym, 1, 1))
         for t in np.linspace(-1, 1, 7):
             assert cq.eval_phi(w, 1.0, t) == 0.0
 
     def test_seam_uses_larger_coordinate_piece(self, sym):
         # at s = 0 the piece 0 < s <= 1 applies: (0-1)(t-1) = 1-t
-        w = cq.MidpointPhi(sym)
+        w = cq.CompositeMidpointPhi(sym, cq.PartitionSpec(sym, 1, 1))
         assert cq.eval_phi(w, 0.0, 0.5) == pytest.approx(0.5)
         assert cq.eval_phi(w, 0.0, 0.0) == pytest.approx(1.0)
 
     def test_outside_rect_rejected(self, unit):
         with pytest.raises(cq.DomainError):
-            cq.eval_phi(cq.TrapezoidPhi(unit), 1.5, 0.5)
+            cq.eval_phi(cq.CompositeTrapezoidPhi(unit, cq.PartitionSpec(unit, 1, 1)), 1.5, 0.5)
 
     def test_custom_reduces_to_product(self, unit):
         w = cq.CustomPhi(lambda x: -unit.m2 * x + unit.m1 * unit.m2,
                          lambda y: -unit.m1 * y, unit)
-        ref = cq.TrapezoidPhi(unit)
+        ref = cq.CompositeTrapezoidPhi(unit, cq.PartitionSpec(unit, 1, 1))
         for x, y in ((0.2, 0.7), (0.0, 1.0), (0.5, 0.5)):
             assert cq.eval_phi(w, x, y) == pytest.approx(cq.eval_phi(ref, x, y), abs=1e-15)
 
@@ -69,13 +71,13 @@ class TestSingleEvaluator:
             grid = w.eval_grid(X[:, None], Y[None, :])
             assert grid.shape == (X.size, Y.size)
             scalar = np.array([[cq.eval_phi(w, x, y) for y in Y] for x in X])
-            assert np.array_equal(grid, scalar), w.variant
+            assert np.array_equal(grid, scalar), type(w).__name__
             area = 0.0
             for xlo, xhi, ylo, yhi, phi in pieces:
                 xs = X[(X > xlo) & (X < xhi)][:, None]
                 ys = Y[(Y > ylo) & (Y < yhi)][None, :]
                 assert xs.size and ys.size
-                assert np.array_equal(phi(xs, ys), w.eval_grid(xs, ys)), w.variant
+                assert np.array_equal(phi(xs, ys), w.eval_grid(xs, ys)), type(w).__name__
                 area += (xhi - xlo) * (yhi - ylo)
             assert area == pytest.approx(rect.area, rel=1e-14)
 
@@ -85,10 +87,8 @@ class TestBoundaryVanishing:
     def test_thousand_random_boundary_points(self, composite):
         rng = np.random.default_rng(42)
         rect = cq.Rectangle(-2.0, 3.0, 1.0, 4.0)
-        if composite:
-            w = cq.CompositeMidpointPhi(rect, cq.PartitionSpec(rect, 3, 2))
-        else:
-            w = cq.MidpointPhi(rect)
+        w = cq.CompositeMidpointPhi(rect, cq.PartitionSpec(rect, 3, 2) if composite else
+                                    cq.PartitionSpec(rect, 1, 1))
         for _ in range(1000):
             edge = rng.integers(4)
             t = rng.uniform()
@@ -105,7 +105,7 @@ class TestBoundaryVanishing:
 
 class TestClosedNorms:
     def test_psi_values(self, sym):
-        w = cq.TrapezoidPhi(sym)
+        w = cq.CompositeTrapezoidPhi(sym, cq.PartitionSpec(sym, 1, 1))
         assert cq.phi_norm_closed(w, 2) == pytest.approx(2.0 / 3.0, rel=1e-14)
         assert cq.phi_norm_closed(w, 1) == pytest.approx(1.0, rel=1e-14)
         assert cq.phi_norm_closed(w, cq.INF) == pytest.approx(1.0, rel=1e-14)
@@ -123,10 +123,11 @@ class TestClosedNorms:
     def test_scaling_covariance(self):
         # mapping [-1,1]^2 -> rect multiplies the q-norm by
         # (W/2)^(1+1/q) (H/2)^(1+1/q)
-        base = cq.phi_norm_closed(cq.TrapezoidPhi(cq.Rectangle.symmetric()), 3)
-        rect = cq.Rectangle(0.0, 3.0, -1.0, 1.5)
+        sym, rect = cq.Rectangle.symmetric(), cq.Rectangle(0.0, 3.0, -1.0, 1.5)
+        base = cq.phi_norm_closed(cq.CompositeTrapezoidPhi(sym, cq.PartitionSpec(sym, 1, 1)), 3)
         scale = (rect.width / 2.0) ** (1 + 1 / 3.0) * (rect.height / 2.0) ** (1 + 1 / 3.0)
-        assert cq.phi_norm_closed(cq.TrapezoidPhi(rect), 3) == pytest.approx(base * scale, rel=1e-13)
+        w = cq.CompositeTrapezoidPhi(rect, cq.PartitionSpec(rect, 1, 1))
+        assert cq.phi_norm_closed(w, 3) == pytest.approx(base * scale, rel=1e-13)
 
     @pytest.mark.parametrize("norm", [cq.phi_norm_closed, cq.phi_norm_numeric],
                              ids=["closed", "numeric"])
@@ -143,18 +144,21 @@ class TestNumericAudit:
                 closed = cq.phi_norm_closed(w, q)
                 numeric = cq.phi_norm_numeric(w, q, resolution=128)
                 assert abs(closed - numeric) <= 1e-6 * (1.0 + closed), (
-                    w.variant, q, closed, numeric)
+                    type(w).__name__, q, closed, numeric)
 
     def test_numeric_examples(self, sym):
-        assert cq.phi_norm_numeric(cq.TrapezoidPhi(sym), 2, 256) == pytest.approx(
+        one = cq.PartitionSpec(sym, 1, 1)
+        assert cq.phi_norm_numeric(cq.CompositeTrapezoidPhi(sym, one), 2, 256) == pytest.approx(
             2.0 / 3.0, abs=1e-8)
-        assert cq.phi_norm_numeric(cq.MidpointPhi(sym), cq.INF) == pytest.approx(1.0, abs=1e-12)
+        assert cq.phi_norm_numeric(cq.CompositeMidpointPhi(sym, one), cq.INF) == pytest.approx(
+            1.0, abs=1e-12)
         psi = cq.CustomPhi(lambda s: 0.0 * s, lambda t: 0.0 * t, sym)
         assert cq.phi_norm_numeric(psi, 1) == pytest.approx(1.0, abs=1e-9)
 
     def test_resolution_validated(self, sym):
         with pytest.raises(ValueError):
-            cq.phi_norm_numeric(cq.TrapezoidPhi(sym), 2, resolution=4)
+            w = cq.CompositeTrapezoidPhi(sym, cq.PartitionSpec(sym, 1, 1))
+            cq.phi_norm_numeric(w, 2, resolution=4)
 
 
 def _custom_trapezoid(rect):
@@ -169,7 +173,8 @@ class TestCustomNumericNorm:
                              ids=["unit", "four"])
     def test_huge_q_matches_trapezoid(self, rect):
         custom = cq.phi_norm_numeric(_custom_trapezoid(rect), 1e6)
-        builtin = cq.phi_norm_numeric(cq.TrapezoidPhi(rect), 1e6)
+        w = cq.CompositeTrapezoidPhi(rect, cq.PartitionSpec(rect, 1, 1))
+        builtin = cq.phi_norm_numeric(w, 1e6)
         assert custom == pytest.approx(builtin, rel=1e-4)
 
     def test_nonfinite_weight_rejected_at_every_q(self, unit):
