@@ -1,15 +1,17 @@
 """Gauss-Legendre panel quadrature with graded subdivision.
 
-Every graded rule and tensor-product norm is built here: ``graded_nodes``
-for the line norms (``norms``), the ramp norms (``weights``) and the
-minimizer's grid (``minimizer``); ``tensor_norms`` for the f_xy area
-norm (``norms``) and the custom weight norm (``weights``).
-``segment_p_norms`` reduces the samples of the line norms and the ramp
-norms with the scaled power sum ``tensor_norms`` uses, at every finite
-p.  The oracle uses ``panel_nodes``; per-call uniform grids come from
-``uniform_grid``.  All routines are deterministic:
-fixed node counts and fixed summation order, so repeated runs reproduce
-bit-identical values.
+Every graded rule and tensor-product norm is built here.  ``graded_nodes``
+serves ``norms._norms_with_error`` (one build per report: the line sets
+and the f_xy area axes, each at its own depth), the ramp norms
+(``weights``) and the minimizer's grid (``minimizer``).  The f_xy area
+norm splits its axes with ``area_breaks`` and reduces each pass with
+``tensor_p_norm``; ``tensor_norms`` holds the same three steps for the
+custom weight norm (``weights``).  ``segment_p_norms`` reduces the
+samples of the line norms and the ramp norms with the scaled power sum
+``tensor_p_norm`` uses, at every finite p.  The oracle uses
+``panel_nodes``; per-call uniform grids come from ``uniform_grid``.  All
+routines are deterministic: fixed node counts and fixed summation order,
+so repeated runs reproduce bit-identical values.
 """
 
 from __future__ import annotations
@@ -42,22 +44,36 @@ def _counting(n: int) -> np.ndarray:
     return out
 
 
-def uniform_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    """``np.linspace(lo, hi, n)`` for float ends, bit for bit, without its set-up.
+def uniform_grid(lo, hi, n: int) -> np.ndarray:
+    """``np.linspace(lo, hi, n, axis=-1)`` for float ends, bit for bit, without its set-up.
 
+    Scalar ends give n points; 1-D arrays of ends give one row per end
+    pair, in the memory layout ``np.linspace(..., axis=1)`` gives them.
     The points are j * step + lo with step (hi - lo) / (n - 1) and the
-    last point set to hi, as ``np.linspace`` computes them; a zero step
-    (or n < 2) takes ``np.linspace`` itself, which rescales subnormal
-    spans differently.
+    last point set to hi, as ``np.linspace`` computes them; when any pair
+    has a zero step (subnormal spans) every pair takes (j / (n - 1)) *
+    (hi - lo) + lo instead, and n < 2 takes j * (hi - lo) + lo, again as
+    ``np.linspace`` does.
     """
-    lo, hi = float(lo), float(hi)
-    step = (hi - lo) / (n - 1) if n > 1 else 0.0
-    if step == 0.0:
-        return np.linspace(lo, hi, n)
-    out = _counting(n) * step
+    if isinstance(lo, (float, int)) and isinstance(hi, (float, int)) and n > 1:
+        lo, hi = float(lo), float(hi)
+        step = (hi - lo) / (n - 1)
+        if step != 0.0:
+            out = _counting(n) * step
+            out += lo
+            out[-1] = hi
+            return out
+    delta = np.subtract(hi, lo, dtype=float)
+    j = _counting(n).reshape((-1,) + (1,) * delta.ndim)
+    if n < 2:
+        out = j * delta
+    else:
+        step = delta / (n - 1)
+        out = j / (n - 1) * delta if (step == 0.0).any() else j * step
     out += lo
-    out[-1] = hi
-    return out
+    if n > 1:
+        out[-1] = hi
+    return out.T
 
 
 def panel_nodes(breaks, nodes_per_panel: int = 8) -> tuple[np.ndarray, np.ndarray]:
@@ -69,9 +85,10 @@ def panel_nodes(breaks, nodes_per_panel: int = 8) -> tuple[np.ndarray, np.ndarra
     t, w = _leggauss(nodes_per_panel)
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    x = (mid[:, None] + half[:, None] * t[None, :]).ravel()
-    wts = (half[:, None] * w[None, :]).ravel()
-    return x, wts
+    x = half[:, None] * t[None, :]
+    x += mid[:, None]  # in place: the build holds no node-sized temporary
+    wts = half[:, None] * w[None, :]
+    return x.ravel(), wts.ravel()
 
 
 def merge_tol(lo, hi):
@@ -120,39 +137,53 @@ def require_resolvable(lo: float, hi: float, frac: float) -> None:
 
 
 @lru_cache(maxsize=16)
-def _graded_fracs(levels: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets of the graded rows of a panel, one row per level count.
+def _graded_fracs(top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets of the graded rows of a panel, row c for c = 0 .. top levels.
 
-    A panel [lo, hi] of width w gets the row ends + w * fracs: lo (twice)
-    up to lo + w/2 by the fractions 2^-levels .. 1/2, then hi - w/4 down
-    to hi.  ``hi_end`` marks the entries offset from hi, whose fractions
-    are negated (hi + w * -f equals hi - w * f bit for bit).  Shallower
-    level counts are padded with fraction 0, i.e. with copies of the panel
-    ends.
+    A panel [lo, hi] of width w gets the row ends + w * fracs[c]: lo
+    (twice) up to lo + w/2 by the fractions 2^-c .. 1/2, then hi - w/4
+    down to hi.  ``hi_end`` marks the entries offset from hi, whose
+    fractions are negated (hi + w * -f equals hi - w * f bit for bit).
+    Rows of fewer than ``top`` levels are padded with fraction 0, i.e.
+    with copies of the panel ends.
     """
-    top = max(levels)
-    lo_side = np.zeros((len(levels), top + 1))
-    for row, count in zip(lo_side, levels):
+    lo_side = np.zeros((top + 1, top + 1))
+    for count, row in enumerate(lo_side):
         row[top + 1 - count:] = 0.5 ** np.arange(count, 0, -1)
-    hi_side = np.concatenate((lo_side[:, :0:-1][:, 1:], np.zeros((len(levels), 1))), axis=1)
-    fracs = np.concatenate((np.zeros((len(levels), 1)), lo_side, -hi_side), axis=1)[:, None, :]
+    hi_side = np.concatenate((lo_side[:, :0:-1][:, 1:], np.zeros((top + 1, 1))), axis=1)
+    fracs = np.concatenate((np.zeros((top + 1, 1)), lo_side, -hi_side), axis=1)
     hi_end = np.arange(fracs.shape[-1]) > top + 1
     fracs.flags.writeable = hi_end.flags.writeable = False
     return fracs, hi_end
 
 
-def graded_nodes(sets: Sequence[np.ndarray], passes: Sequence[tuple[int, np.ndarray]], k: int = 8):
+def graded_nodes(sets: Sequence[np.ndarray], passes: Sequence[tuple], k: int = 8):
     """Graded composite Gauss nodes of several breakpoint sets and passes in one vectorised build.
 
-    Each pass is (levels, max_width), max_width an array of one width per
-    set.  In set b of a pass every panel [lo, hi] of width w is graded
-    toward both its ends, with breaks at lo + w 2^-j and hi - w 2^-j for
-    j = 1 .. levels; every gap is split into equal parts at most
-    max_width wide; a break within the set's merge tolerance of its
-    predecessor is dropped; each remaining panel gets k Gauss-Legendre
-    nodes (``panel_nodes``).  Segment arithmetic runs every (pass, set)
-    pair at once.  Returns flat (nodes, weights, bounds); pass i of set s
-    owns nodes[bounds[i * len(sets) + s]:bounds[i * len(sets) + s + 1]].
+    Each pass is (levels, max_width): max_width an array of one width per
+    set, levels one count for every set or an array of one count per set,
+    so sets of different depths share one build.  In set b of a pass every
+    panel [lo, hi] of width w is graded toward both its ends, with breaks
+    at lo + w 2^-j and hi - w 2^-j for j = 1 .. levels; every gap is split
+    into equal parts at most max_width wide; a break within the set's
+    merge tolerance of its predecessor is dropped; each remaining panel
+    gets k Gauss-Legendre nodes (``panel_nodes``).  Segment arithmetic runs
+    every (pass, set) pair at once.  Returns flat (nodes, weights, bounds);
+    pass i of set s owns nodes[bounds[i * len(sets) + s]:bounds[i * len(sets) + s + 1]].
+    """
+    merged, kept = _graded_breaks(sets, passes)
+    # panels: consecutive kept breaks of one (pass, set) pair; masking the panel
+    # ends rather than the nodes keeps the build free of a node-sized copy
+    inner = np.ones(merged.size - 1, dtype=bool)
+    inner[np.cumsum(kept)[:-1] - 1] = False
+    x, wts = panel_nodes((merged[:-1][inner], merged[1:][inner]), k)
+    return x, wts, np.concatenate(([0], np.cumsum((kept - 1) * k)))
+
+
+def _graded_breaks(sets: Sequence[np.ndarray], passes: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """The merged graded breaks of ``graded_nodes``: every (pass, set) pair's, flat, and their counts.
+
+    Its working arrays are freed on return, before the nodes are built.
     """
     nset, npass = len(sets), len(passes)
     panels = np.array([len(s) - 1 for s in sets])
@@ -162,9 +193,14 @@ def graded_nodes(sets: Sequence[np.ndarray], passes: Sequence[tuple[int, np.ndar
     hi = np.concatenate([s[1:] for s in sets])
     cap = np.repeat(np.array([width for _, width in passes], dtype=float), panels, axis=1)[..., None]
     # graded rows of every panel in every pass, each led by a copy of the
-    # panel's lo; a shallower pass's row is padded with copies of the panel
-    # ends, which the merge drops again
-    fracs, hi_end = _graded_fracs(tuple(levels for levels, _ in passes))
+    # panel's lo, at the deepest level count of the build; a shallower
+    # (pass, set) pair's rows are padded with copies of the panel ends,
+    # which the merge drops again
+    depth = np.empty((npass, nset), dtype=np.int64)
+    for row, (levels, _) in zip(depth, passes):
+        row[:] = levels
+    fracs, hi_end = _graded_fracs(int(depth.max()))
+    fracs = fracs[np.repeat(depth, panels, axis=1)]
     rows = np.where(hi_end, hi[:, None], lo[:, None]) + (hi - lo)[:, None] * fracs
     # refine: the gap ending at each break splits into `parts` equal panels;
     # a row's first break closes the zero-width gap from its leading lo
@@ -190,48 +226,57 @@ def graded_nodes(sets: Sequence[np.ndarray], passes: Sequence[tuple[int, np.ndar
         i, s = divmod(int(np.argmin(kept)), nset)
         lo, hi = float(sets[s][0]), float(sets[s][-1])
         raise _too_narrow(lo, hi, float(passes[i][1][s]) / (hi - lo))
-    # panels: consecutive kept breaks of one (pass, set) pair; masking the panel
-    # ends rather than the nodes keeps the build free of a node-sized copy
-    inner = np.ones(merged.size - 1, dtype=bool)
-    inner[np.cumsum(kept)[:-1] - 1] = False
-    x, wts = panel_nodes((merged[:-1][inner], merged[1:][inner]), k)
-    return x, wts, np.concatenate(([0], np.cumsum((kept - 1) * k)))
+    return merged, kept
+
+
+def area_breaks(g, rect, scan: int) -> list[np.ndarray]:
+    """Breakpoints of both axes of a rectangle: [bx, by], each split at the sign changes of g.
+
+    Each axis takes the sign changes of g along two scan lines (offsets
+    0.155 and -0.237 of the transverse span from the centre; ``zero_breaks``
+    on scan + 1 points), which captures the axis-aligned kink lines of
+    separable integrands.  The x axis is scanned first.
+    """
+    offsets = np.asarray([0.155, -0.237])
+    bx = merge_breaks(*zero_breaks(g, "x", rect.m2 + offsets * rect.height, rect.a, rect.b, scan))
+    by = merge_breaks(*zero_breaks(g, "y", rect.m1 + offsets * rect.width, rect.c, rect.d, scan))
+    return [bx, by]
+
+
+def tensor_p_norm(g, x, y, wx, wy, p: float) -> float:
+    """L^p norm of g by the tensor Gauss rule of the axis nodes and weights (x, wx) and (y, wy).
+
+    The norm is the contraction s (wx . |v/s|^p . wy)^(1/p) of the sample
+    grid v = g(x, y) with the two axes' weights, s the largest |v|: no
+    grid-sized weight array is built, and as |v/s| <= 1 no power
+    overflows and the maximum's own term keeps the sum from underflowing
+    to zero, for any finite p.
+    """
+    u = np.abs(g(x[:, None], y[None, :]))
+    s = float(u.max())
+    if not np.isfinite(s):
+        require_finite(u, (x[:, None], y[None, :]))
+    if s == 0.0:
+        return 0.0
+    u /= s
+    u **= p
+    return s * float(wx @ u @ wy) ** (1.0 / p)
 
 
 def tensor_norms(g, rect, p: float, scan: int, passes: Sequence[tuple[int, float]]) -> list[float]:
     """L^p norms of g over a rectangle by graded tensor Gauss, one per pass.
 
-    Each axis is split at the sign changes of g along two scan lines
-    (``zero_breaks`` on scan + 1 points), which captures the axis-aligned
-    kink lines of separable integrands.  A pass (levels, cap) is one
-    ``graded_nodes`` build of both axes, panels at most cap times the axis
-    span wide, and one tensor sample of g, a broadcasting callable.  The
-    norm of a pass is the contraction s (wx . |v/s|^p . wy)^(1/p) of the
-    sample grid v with the two axes' weights, s the largest |v|: no
-    grid-sized weight array is built, and as |v/s| <= 1 no power
-    overflows and the maximum's own term keeps the sum from underflowing
-    to zero, for any finite p.
+    The axes are split at ``area_breaks(g, rect, scan)``.  A pass (levels,
+    cap) is one ``graded_nodes`` build of both axes, panels at most cap
+    times the axis span wide, and one ``tensor_p_norm`` sample of g, a
+    broadcasting callable.
     """
-    offsets = np.asarray([0.155, -0.237])
-    bx = merge_breaks(*zero_breaks(g, "x", rect.m2 + offsets * rect.height, rect.a, rect.b, scan))
-    by = merge_breaks(*zero_breaks(g, "y", rect.m1 + offsets * rect.width, rect.c, rect.d, scan))
-    spans = np.asarray([bx[-1] - bx[0], by[-1] - by[0]])
-    nodes, weights, bounds = graded_nodes([bx, by], [(levels, spans * cap) for levels, cap in passes])
+    sets = area_breaks(g, rect, scan)
+    spans = np.asarray([b[-1] - b[0] for b in sets])
+    nodes, weights, bounds = graded_nodes(sets, [(levels, spans * cap) for levels, cap in passes])
     # segments: x then y of each pass
     xs, ws = np.split(nodes, bounds[1:-1]), np.split(weights, bounds[1:-1])
-    out = []
-    for x, y, wx, wy in zip(xs[0::2], xs[1::2], ws[0::2], ws[1::2]):
-        u = np.abs(g(x[:, None], y[None, :]))
-        s = float(u.max())
-        if not np.isfinite(s):
-            require_finite(u, (x[:, None], y[None, :]))
-        if s == 0.0:
-            out.append(0.0)
-            continue
-        u /= s
-        u **= p
-        out.append(s * float(wx @ u @ wy) ** (1.0 / p))
-    return out
+    return [tensor_p_norm(g, x, y, wx, wy, p) for x, y, wx, wy in zip(xs[0::2], xs[1::2], ws[0::2], ws[1::2])]
 
 
 def segment_p_norms(magnitudes: np.ndarray, weights, offsets, sizes, p: float) -> np.ndarray:
@@ -244,17 +289,29 @@ def segment_p_norms(magnitudes: np.ndarray, weights, offsets, sizes, p: float) -
     Every finite p takes one formula, s (sum_i w_i (|v_i|/s)^p)^(1/p) with
     s the segment's maximum: as |v_i|/s <= 1 no power overflows, and the
     maximum's own term is its weight, so the sum never underflows to zero
-    (an all-zero segment has norm 0).  The weights are gathered with one
-    index array and every weighted sum is one ``np.add.reduceat``.
+    (an all-zero segment has norm 0).  The weights are gathered by
+    ``gather_segments`` and every weighted sum is one ``np.add.reduceat``.
     """
     v = magnitudes.reshape(-1)
-    w = np.asarray(weights, dtype=float)
     starts = np.cumsum(sizes) - sizes
     s = np.maximum.reduceat(v, starts)
     v /= np.repeat(np.where(s > 0.0, s, 1.0), sizes)
     v **= p
-    v *= w[np.repeat(offsets - starts, sizes) + np.arange(v.size)]
+    v *= gather_segments(np.asarray(weights, dtype=float), offsets, sizes)
     return s * np.add.reduceat(v, starts) ** (1.0 / p)
+
+
+def gather_segments(values: np.ndarray, offsets, sizes, out: np.ndarray | None = None) -> np.ndarray:
+    """The segments values[offsets[i]:offsets[i] + sizes[i]], concatenated in order, into ``out`` if given.
+
+    The one index array is filled in place, so the gather holds one index
+    and one value per output entry; the indices are in range by
+    construction, and mode "clip" spares ``np.take`` a buffered copy of
+    ``out``.
+    """
+    index = np.repeat(np.asarray(offsets) - (np.cumsum(sizes) - sizes), sizes)
+    index += np.arange(index.size)
+    return np.take(values, index, out=out, mode="clip")
 
 
 def line_coords(axis: str, t, fixed):

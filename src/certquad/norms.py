@@ -14,18 +14,24 @@ value, so the shallow grading never lowers a bound.  The estimates'
 floating-point floors are relative (1e-15 of the value), so a zero
 partial's norms stay exactly zero.
 
-Line norms come in batches: ``line_norms_with_error`` takes every line
-of one axis at once, scans them in one call, refines all their sign
-changes together by a bracketed secant search of one call per round
-(``gauss.zero_breaks``; a simple root typically takes 1-4 rounds, none
-more than 15), builds the graded nodes of
-every distinct breakpoint set for both Gauss passes in one call
-(``gauss.graded_nodes``), and samples every line in one integrand call:
-as one (lines x nodes) array when all lines share their breakpoints, as
-one flat array of each line's own nodes otherwise; one
-``gauss.segment_p_norms`` call reduces them all.  It is the only
-line-norm entry point: one line is a one-element ``fixed``, and
-``derivative_norms`` makes one call per partial.
+A finite-p report builds its norms in four steps, each once per report
+(``_norms_with_error``, the core that ``derivative_norms`` runs): the
+zero scans, f_xy's two axes (``gauss.area_breaks``) first, then each
+partial's lines, all lines of a partial in one call with their sign
+changes refined together by a bracketed secant search of one call per
+round (``gauss.zero_breaks``; a simple root typically takes 1-4 rounds,
+none more than 15); one ``gauss.graded_nodes`` build of every distinct
+breakpoint set for both Gauss passes, the area axes 4 and 5 levels deep
+and the line sets 5 and 6; the samples, f_xy's two tensor passes
+(``gauss.tensor_p_norm``) first, then each partial's lines in one
+integrand call, as one (lines x nodes) array when all its lines share
+their breakpoints and as one flat array of each line's own nodes
+otherwise, both partials into one magnitude buffer; and one
+``gauss.segment_p_norms`` call that reduces every line.  f_xy comes
+first in the scans and in the samples, so a non-finite value of f_xy is
+reported before any of the lines'.  ``line_norms_with_error`` (every
+line of one axis; one line is a one-element ``fixed``) and
+``area_norm_with_error`` are one-request views of the same core.
 """
 
 from __future__ import annotations
@@ -41,13 +47,15 @@ from .core import (
     Rectangle,
 )
 from .gauss import (
+    area_breaks,
     as_grid_fn,
+    gather_segments,
     graded_nodes,
     line_coords,
     require_finite,
     require_resolvable,
     segment_p_norms,
-    tensor_norms,
+    tensor_p_norm,
     uniform_grid,
     zero_breaks,
     zoomed_sup,
@@ -78,8 +86,103 @@ def _sup_lines(g, axis: str, c: np.ndarray, lo: float, hi: float, resolution: in
         if step == 0:
             first = best
         n = t.shape[1]
-        t = np.linspace(t[rows, np.maximum(i - 1, 0)], t[rows, np.minimum(i + 1, n - 1)], 65, axis=1)
+        t = uniform_grid(t[rows, np.maximum(i - 1, 0)], t[rows, np.minimum(i + 1, n - 1)], 65)
     return best, best - first
+
+
+def _norms_with_error(p: Exponent, resolution: int, area=None, lines=()):
+    """The area norm and the line norms of one report, each with its error estimate.
+
+    ``area`` is None or (g, rect); ``lines`` is a sequence of line batches
+    (g, axis, c, lo, hi), c a non-empty float array of transverse
+    coordinates; every g is a grid callable.  Returns None or (value,
+    error) for the area, and a list of (values, errors) arrays, one pair
+    per batch.  A finite p scans, builds, samples and reduces once each,
+    the area before the lines (see the module docstring); p = inf takes
+    grid maxima, which need no build.
+    """
+    if resolution < 16:
+        raise ValueError("resolution must be >= 16")
+    if p.is_infinite:
+        area_norm = None
+        if area is not None:
+            value, gain = zoomed_sup(*area, min(resolution, 256))
+            area_norm = value, abs(gain) + 1e-15 * value
+        line_norms = []
+        for batch in lines:
+            value, gain = _sup_lines(*batch, resolution)
+            line_norms.append((value, np.abs(gain) + 1e-15 * value))
+        return area_norm, line_norms
+
+    max_frac = _pass_fraction(resolution)
+    if area is not None:
+        require_resolvable(area[1].a, area[1].b, max_frac / 2.0)
+        require_resolvable(area[1].c, area[1].d, max_frac / 2.0)
+    for _, _, _, lo, hi in lines:
+        require_resolvable(lo, hi, max_frac / 2.0)
+    # scan: the area's two axes are the first sets, then come the distinct
+    # breakpoint sets of the lines, shared across batches, and each line's set
+    sets = [] if area is None else area_breaks(*area, min(resolution, 192))
+    axes = len(sets)
+    index: dict[bytes, int] = {}
+    owners = []
+    for g, axis, c, lo, hi in lines:
+        owner = np.empty(c.size, dtype=np.int64)
+        for k, breaks in enumerate(zero_breaks(g, axis, c, lo, hi, resolution)):
+            owner[k] = index.setdefault(breaks.tobytes(), len(sets))
+            if owner[k] == len(sets):
+                sets.append(breaks)
+        owners.append(owner)
+    # build: a coarse and a fine pass of every set, the area axes a level shallower
+    depth = np.full(len(sets), 5)
+    depth[:axes] = 4
+    spans = np.asarray([s[-1] - s[0] for s in sets])
+    nodes, weights, bounds = graded_nodes(
+        sets, ((depth, spans * max_frac), (depth + 1, spans * (max_frac / 2.0)))
+    )
+    area_norm = None
+    if area is not None:
+        passes = []
+        for i in (0, len(sets)):  # x then y of the coarse pass, then of the fine pass
+            x, y = slice(bounds[i], bounds[i + 1]), slice(bounds[i + 1], bounds[i + 2])
+            passes.append(tensor_p_norm(area[0], nodes[x], nodes[y], weights[x], weights[y], p.value))
+        coarse, fine = passes
+        area_norm = fine, abs(fine - coarse) + 1e-15 * abs(fine)
+    if not lines:
+        return area_norm, []
+    # the lines' segments: each line's coarse then its fine samples, with the
+    # nodes and weights of its set's two passes
+    line_set = np.concatenate(owners)
+    seg = np.empty(2 * line_set.size, dtype=np.int64)
+    seg[0::2], seg[1::2] = line_set, line_set + len(sets)
+    offsets, sizes = bounds[seg], np.diff(bounds)[seg]
+    # gather, before the nodes are dropped: a batch whose lines share one set
+    # samples that set's row against every line, any other batch each line's
+    # own nodes, gathered into its part of the magnitude buffer
+    magnitudes = np.empty(int(sizes.sum()))
+    batches, first, end = [], 0, 0
+    for (g, axis, c, _, _), owner in zip(lines, owners):
+        off, size = offsets[2 * first:2 * (first + c.size)], sizes[2 * first:2 * (first + c.size)]
+        out = magnitudes[end:end + size.sum()]
+        first, end = first + c.size, end + out.size
+        if (owner == owner[0]).all():
+            batches.append((g, axis, gather_segments(nodes, off[:2], size[:2])[None, :], c[:, None], None, out))
+        else:
+            batches.append((g, axis, gather_segments(nodes, off, size, out), c, size[0::2] + size[1::2], out))
+    del nodes
+    # sample: one integrand call per batch, checked, then stored as |g| over
+    # the batch's part of the buffer
+    for g, axis, t, c, repeats, out in batches:
+        coords = line_coords(axis, t, c if repeats is None else np.repeat(c, repeats))
+        vals = g(*coords)
+        if not (np.isfinite(vals.min()) and np.isfinite(vals.max())):
+            require_finite(vals, coords)
+        np.abs(vals, out=out.reshape(vals.shape))
+    del batches, coords, vals  # the reduction needs only the buffer and the weights
+    coarse, fine = segment_p_norms(magnitudes, weights, offsets, sizes, p.value).reshape(-1, 2).T
+    errors = np.abs(fine - coarse) + 1e-15 * fine
+    ends = np.cumsum([0] + [c.size for _, _, c, _, _ in lines]).tolist()
+    return area_norm, [(fine[a:b], errors[a:b]) for a, b in zip(ends, ends[1:])]
 
 
 def line_norms_with_error(g, axis: str, fixed, lo: float, hi: float, p,
@@ -99,6 +202,7 @@ def line_norms_with_error(g, axis: str, fixed, lo: float, hi: float, p,
     scan gives the same breakpoints share their nodes.  An empty ``fixed``
     gives two empty arrays, and an interval too narrow for the
     breakpoint merge tolerance raises ValueError before any sampling.
+    This is the one-batch view of the core ``derivative_norms`` runs.
     """
     p = Exponent.coerce(p)
     if resolution < 16:
@@ -107,67 +211,28 @@ def line_norms_with_error(g, axis: str, fixed, lo: float, hi: float, p,
         raise ValueError("axis must be 'x' or 'y'")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    gv = as_grid_fn(g)
     c = np.asarray(fixed, dtype=float).ravel()
     if c.size == 0:
         return np.zeros(0), np.zeros(0)
-    if p.is_infinite:
-        value, gain = _sup_lines(gv, axis, c, lo, hi, resolution)
-        return value, np.abs(gain) + 1e-15 * value
-    max_frac = _pass_fraction(resolution)
-    require_resolvable(lo, hi, max_frac / 2.0)
-    # the distinct breakpoint sets, and the set of each line
-    sets: list[np.ndarray] = []
-    index: dict[bytes, int] = {}
-    owner = np.empty(c.size, dtype=np.int64)
-    for k, breaks in enumerate(zero_breaks(gv, axis, c, lo, hi, resolution)):
-        owner[k] = index.setdefault(breaks.tobytes(), len(sets))
-        if owner[k] == len(sets):
-            sets.append(breaks)
-    spans = np.asarray([s[-1] - s[0] for s in sets])
-    nodes, weights, bounds = graded_nodes(
-        sets, ((5, spans * max_frac), (6, spans * (max_frac / 2.0)))
-    )
-    # each line is two segments, its coarse then its fine samples, with the
-    # nodes and weights of its set's two passes
-    seg = np.stack((owner, owner + len(sets)), axis=1).ravel()
-    offsets, sizes = bounds[seg], np.diff(bounds)[seg]
-    if len(sets) == 1:
-        coords = line_coords(axis, nodes[None, :], c[:, None])
-    else:
-        t = nodes[np.repeat(offsets - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())]
-        coords = line_coords(axis, t, np.repeat(c, sizes[0::2] + sizes[1::2]))
-    magnitudes = np.abs(gv(*coords))
-    if not np.isfinite(magnitudes.max()):
-        require_finite(magnitudes, coords)
-    coarse, fine = segment_p_norms(magnitudes, weights, offsets, sizes, p.value).reshape(-1, 2).T
-    return fine, np.abs(fine - coarse) + 1e-15 * fine
+    _, (norms,) = _norms_with_error(p, resolution, lines=[(as_grid_fn(g), axis, c, lo, hi)])
+    return norms
 
 
 def area_norm_with_error(g, rect: Rectangle, p, resolution: int = DEFAULT_RESOLUTION):
     """(int int |g|^p)^(1/p) over the rectangle, plus an error estimate.
 
-    Two passes of ``gauss.tensor_norms`` (panels split at the sign changes
-    of g along two scan lines per axis), graded 4 and 5 levels deep toward
-    every panel end; the estimate is their difference plus a floor of
-    1e-15 of the value, so an identically zero g reports (0, 0).  The
-    grading is shallow: the value is good to ~1e-9, not to rounding, and
-    ``derivative_norms`` adds the estimate to it.
+    Two graded tensor Gauss passes (``gauss.tensor_p_norm``), panels split
+    at the sign changes of g along two scan lines per axis
+    (``gauss.area_breaks``), graded 4 and 5 levels deep toward every panel
+    end; the estimate is their difference plus a floor of 1e-15 of the
+    value, so an identically zero g reports (0, 0).  The grading is
+    shallow: the value is good to ~1e-9, not to rounding, and
+    ``derivative_norms`` adds the estimate to it.  This is the area-only
+    view of the core ``derivative_norms`` runs, whose one ``graded_nodes``
+    build grades the area axes alongside the lines.
     """
-    p = Exponent.coerce(p)
-    if resolution < 16:
-        raise ValueError("resolution must be >= 16")
-    fv = as_grid_fn(g)
-    if p.is_infinite:
-        value, gain = zoomed_sup(fv, rect, min(resolution, 256))
-        return value, abs(gain) + 1e-15 * value
-
-    max_frac = _pass_fraction(resolution)
-    require_resolvable(rect.a, rect.b, max_frac / 2.0)
-    require_resolvable(rect.c, rect.d, max_frac / 2.0)
-    passes = ((4, max_frac), (5, max_frac / 2.0))
-    coarse, fine = tensor_norms(fv, rect, p.value, min(resolution, 192), passes)
-    return fine, abs(fine - coarse) + 1e-15 * abs(fine)
+    area_norm, _ = _norms_with_error(Exponent.coerce(p), resolution, area=(as_grid_fn(g), rect))
+    return area_norm
 
 
 def finite_difference_partials(f, rect: Rectangle):
@@ -229,9 +294,13 @@ def derivative_norms(
     lines for the trapezoid family, the cell midlines for the midpoint
     family.  Every line and ``fxy``, ||f_xy||_p over the rectangle, is
     the norm plus its error estimate, so the bound does not rest on the
-    shallow gradings.  ``cache`` memoizes the area norm and every line
-    norm of one integrand per (rectangle, p, resolution), so calls for
-    other partitions, rules or rectangles can share it.
+    shallow gradings.  The norms not yet known are built together: at
+    finite p one ``graded_nodes`` build and one ``segment_p_norms``
+    reduction per report, f_xy sampled before the lines (see the module
+    docstring).  ``cache`` memoizes the area norm and every line norm of
+    one integrand per (rectangle, p, resolution), so calls for other
+    partitions, rules or rectangles can share it; a report whose norms
+    are all cached builds nothing.
     """
     p = Exponent.coerce(p)
     if rule_family not in FAMILIES:
@@ -243,31 +312,35 @@ def derivative_norms(
     # one sub-cache per setup: a line or area norm depends on the rectangle
     # through its extent and the finite-difference steps, not only on p
     store = {} if cache is None else cache.setdefault((rect, str(p), resolution), {})
-
-    def lines(name: str, g, axis: str, coords: np.ndarray) -> list[float]:
-        # a line's key is its position across the rectangle, so lines stay
-        # distinct however small the rectangle is
-        lo, hi = (rect.a, rect.b) if axis == "x" else (rect.c, rect.d)
-        c0, c1 = (rect.c, rect.d) if axis == "x" else (rect.a, rect.b)
+    (xs, _), (ys, _) = ramp_jumps(part, rule_family)
+    # a line's key is its position across the rectangle, so lines stay
+    # distinct however small the rectangle is; the lines not yet known
+    # form one batch per partial
+    keys, batches, todos = {}, [], []
+    for name, g, axis, coords, (lo, hi), (c0, c1) in (
+        ("fx", fx, "x", ys, (rect.a, rect.b), (rect.c, rect.d)),
+        ("fy", fy, "y", xs, (rect.c, rect.d), (rect.a, rect.b)),
+    ):
         known = store.setdefault(name, {})
-        keys = np.round((coords - c0) / (c1 - c0), 12).tolist()
+        keys[name] = np.round((coords - c0) / (c1 - c0), 12).tolist()
         todo: dict[float, float] = {}
-        for c, key in zip(coords.tolist(), keys):
+        for c, key in zip(coords.tolist(), keys[name]):
             if key not in known:
                 todo.setdefault(key, c)
         if todo:
-            values, errors = line_norms_with_error(g, axis, list(todo.values()), lo, hi, p, resolution)
+            batches.append((g, axis, np.asarray(list(todo.values()), dtype=float), lo, hi))
+            todos.append((known, todo))
+    area = None if "fxy" in store else (fxy, rect)
+    if area is not None or batches:
+        area_norm, line_norms = _norms_with_error(p, resolution, area, batches)
+        if area_norm is not None:
+            store["fxy"] = area_norm[0] + area_norm[1]
+        for (known, todo), (values, errors) in zip(todos, line_norms):
             known.update(zip(todo, (values + errors).tolist()))
-        return [known[key] for key in keys]
-
-    if "fxy" not in store:
-        value, error = area_norm_with_error(fxy, rect, p, resolution)
-        store["fxy"] = value + error
-    (xs, _), (ys, _) = ramp_jumps(part, rule_family)
     source = "analytic" if analytic else "numeric"
     return DerivativeNorms(
         p=p, family=rule_family, partition=part, fxy=store["fxy"],
-        x_lines=lines("fx", fx, "x", ys),
-        y_lines=lines("fy", fy, "y", xs),
+        x_lines=[store["fx"][key] for key in keys["fx"]],
+        y_lines=[store["fy"][key] for key in keys["fy"]],
         provenance=dict.fromkeys(("fxy", "x_lines", "y_lines"), source),
     )

@@ -611,6 +611,92 @@ class TestEvaluationCounts:
         assert rec == {"vector": 10, "single": 0, "points": 54380}
 
 
+class TestOneBuildPerReport:
+    """A finite-p report scans f_xy's axes, the f_x lines and the f_y lines,
+    then makes one ``graded_nodes`` build of every breakpoint set and one
+    ``segment_p_norms`` reduction of both partials' lines; p = inf takes
+    grid maxima and makes neither.  The counts are of the names ``norms``
+    binds."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        out = {"graded_nodes": 0, "segment_p_norms": 0}
+
+        def counted(name):
+            fn = getattr(cq.norms, name)
+
+            def wrapper(*args, **kwargs):
+                out[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in out:
+            monkeypatch.setattr(cq.norms, name, counted(name))
+        return out
+
+    @pytest.mark.parametrize("name", ["sinsin", "sinsum", "expsum", "poly22"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_cold_finite_report(self, calls, name, family):
+        rect = cq.Rectangle(0.1, 1.3, -0.2, 0.9)
+        cq.derivative_norms(integrand(name, rect), rect, 2, cq.PartitionSpec(rect, 4, 4), family)
+        assert calls == {"graded_nodes": 1, "segment_p_norms": 1}
+
+    def test_sup_report(self, calls):
+        rect = cq.Rectangle(0.1, 1.3, -0.2, 0.9)
+        cq.derivative_norms(integrand("sinsum", rect), rect, cq.INF, cq.PartitionSpec(rect, 4, 4))
+        assert calls == {"graded_nodes": 0, "segment_p_norms": 0}
+
+    CONVERGE = ((1, "trapezoid"), (2, "trapezoid"), (4, "trapezoid"), (2, "midpoint"))
+
+    @staticmethod
+    def warm_and_cold(p):
+        """converge's reports on one cache, as certificate_matrix shares it, each beside its cold build."""
+        rect = cq.Rectangle(0.1, 1.3, -0.2, 0.9)
+        f = integrand("sinsum", rect)
+        cache: dict = {}
+        for m, family in TestOneBuildPerReport.CONVERGE:
+            part = cq.PartitionSpec(rect, m, m)
+            yield (cq.derivative_norms(f, rect, p, part, family, cache=cache),
+                   cq.derivative_norms(f, rect, p, part, family))
+
+    @pytest.mark.parametrize("p", [1.5, 2, cq.INF])
+    def test_warm_cache_hits_match_cold_builds(self, calls, p):
+        # the trapezoid lines of m = 2 and 4 include those of m = 1 and 2, so
+        # each warm report builds only its new lines; the midpoint report's
+        # lines and f_xy are all cached, so it builds nothing
+        (w1, c1), (w2, c2), (w4, c4), (wmid, cmid) = self.warm_and_cold(p)
+        assert (w1, w2, w4) == (c1, c2, c4)
+        assert wmid.fxy == cmid.fxy
+        assert wmid.x_lines + wmid.y_lines == pytest.approx(cmid.x_lines + cmid.y_lines, rel=1e-15, abs=0.0)
+        builds = 0 if p == cq.INF else 3 + 4
+        assert calls == {"graded_nodes": builds, "segment_p_norms": builds}
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "the line cache keys a line by its position across the rectangle rounded to 12 digits, so a midpoint "
+        "midline takes the cached norm of the trapezoid grid line 1 ulp away (x = 0x1.9999999999999p-2 against "
+        "0x1.999999999999ap-2 here)"))
+    def test_midpoint_cache_hits_match_cold_builds(self):
+        *_, (warm, cold) = self.warm_and_cold(1.5)
+        assert warm == cold
+
+    def test_fully_cached_report_builds_nothing(self, calls):
+        rect = cq.Rectangle(0.1, 1.3, -0.2, 0.9)
+        f, part, cache = integrand("sinsum", rect), cq.PartitionSpec(rect, 4, 4), {}
+        first = cq.derivative_norms(f, rect, 2, part, cache=cache)
+        assert cq.derivative_norms(f, rect, 2, part, cache=cache) == first
+        assert calls == {"graded_nodes": 1, "segment_p_norms": 1}
+
+    def test_area_is_evaluated_first(self):
+        # exp(x + y) overflows on the f_xy scan line y = 0.3275 at x = 709.5
+        # before the f_x line y = 0.5 overflows near x = 709.28: the report
+        # must name the f_xy scan's point
+        rect = cq.Rectangle(700.0, 709.5, 0.0, 0.5)
+        with np.errstate(over="ignore"), pytest.raises(cq.EvaluationError) as err:
+            cq.derivative_norms(integrand("expsum", rect), rect, 2)
+        assert err.value.coordinate == (709.5, pytest.approx(0.3275, abs=1e-12))
+
+
 def graded_breaks(lo, hi, levels):
     """Breakpoints of [lo, hi] accumulating geometrically toward both ends, one row per end pair."""
     lo = np.asarray(lo, dtype=float)[..., None]
@@ -655,13 +741,14 @@ class TestGradedNodes:
         return panel_nodes(panels, k)
 
     def check(self, sets, passes):
+        # a pass's levels are one count for every set or one count per set
         spans = np.asarray([s[-1] - s[0] for s in sets])
         x, w, bounds = graded_nodes(sets, [(levels, spans * frac) for levels, frac in passes])
         assert bounds.size == len(passes) * len(sets) + 1
         assert bounds[0] == 0 and bounds[-1] == x.size == w.size
         for i, (levels, frac) in enumerate(passes):
             for s, b in enumerate(sets):
-                ref_x, ref_w = self.reference(b, levels, spans[s] * frac)
+                ref_x, ref_w = self.reference(b, np.broadcast_to(levels, len(sets))[s], spans[s] * frac)
                 seg = slice(bounds[i * len(sets) + s], bounds[i * len(sets) + s + 1])
                 assert np.array_equal(x[seg], ref_x), (levels, s)
                 assert np.array_equal(w[seg], ref_w), (levels, s)
@@ -676,6 +763,17 @@ class TestGradedNodes:
     ])
     def test_sets_of_different_lengths_match_reference(self, passes):
         self.check(self.SETS, passes)
+
+    @pytest.mark.parametrize("depth", [
+        np.array([4, 4, 5, 5, 5]),  # two area axes, then three line sets, as derivative_norms builds them
+        np.array([5, 4, 5, 4, 5]),  # the depths interleaved
+    ], ids=["axes-first", "interleaved"])
+    def test_per_set_depths_match_reference(self, depth):
+        # one build with the line sets at (5, 6) levels and the area axes at
+        # (4, 5): a shallower set is padded with copies of its panel ends,
+        # which the merge drops, so every (pass, set) pair equals the
+        # reference at its own depth
+        self.check(self.SETS, [(depth, 1 / 8), (depth + 1, 1 / 16)])
 
     @pytest.mark.parametrize("s", range(len(SETS)))
     def test_one_set_matches_reference(self, s):
@@ -798,6 +896,34 @@ class TestUniformGrid:
     def test_matches_linspace_bit_for_bit(self, lo, hi, n):
         got, want = gauss.uniform_grid(lo, hi, n), np.linspace(lo, hi, n)
         assert got.tobytes() == want.tobytes()
+
+    # one row per end pair; the rows hold every scalar case above, a zero
+    # span and a subnormal one
+    ARRAY_ENDS = {
+        "rows": ([-0.137, 0.0, 1e15, 1.3, -1e300], [1.2, np.pi, 1e15 + 3.0, 0.1, 1e300]),
+        "one row": ([0.3], [0.3 + 1e-9]),
+        "zero step": ([-0.137, 0.0, 2.0], [1.2, np.pi, 2.0]),
+        "subnormal step": ([-0.137, 0.0, 0.0], [1.2, np.pi, 5e-324]),
+        "no rows": ([], []),
+    }
+
+    @pytest.mark.parametrize("ends", ARRAY_ENDS.values(), ids=ARRAY_ENDS)
+    @pytest.mark.parametrize("n", [1, 2, 11, 65, 100])
+    def test_array_ends_match_linspace_bit_for_bit(self, ends, n):
+        lo, hi = (np.asarray(e, dtype=float) for e in ends)
+        got, want = gauss.uniform_grid(lo, hi, n), np.linspace(lo, hi, n, axis=1)
+        assert got.shape == want.shape and got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+
+    def test_one_zero_step_moves_every_row(self):
+        # numpy computes every row as (j / (n - 1)) * (hi - lo) + lo once any
+        # row's step is zero; at n = 100 that differs from j * step + lo in
+        # the first two rows
+        lo, hi = (np.asarray(e) for e in self.ARRAY_ENDS["zero step"])
+        j = np.arange(100.0)[:, None]
+        assert ((j * ((hi - lo) / 99) + lo != j / 99 * (hi - lo) + lo).sum(axis=0) > 0).tolist() == [
+            True, True, False]
+        assert gauss.uniform_grid(lo, hi, 100).tobytes() == np.linspace(lo, hi, 100, axis=1).tobytes()
 
     def test_grids_are_independent(self):
         first = gauss.uniform_grid(0.0, 1.0, 33)
