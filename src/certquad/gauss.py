@@ -55,14 +55,6 @@ def uniform_grid(lo, hi, n: int) -> np.ndarray:
     (hi - lo) + lo instead, and n < 2 takes j * (hi - lo) + lo, again as
     ``np.linspace`` does.
     """
-    if isinstance(lo, (float, int)) and isinstance(hi, (float, int)) and n > 1:
-        lo, hi = float(lo), float(hi)
-        step = (hi - lo) / (n - 1)
-        if step != 0.0:
-            out = _counting(n) * step
-            out += lo
-            out[-1] = hi
-            return out
     delta = np.subtract(hi, lo, dtype=float)
     j = _counting(n).reshape((-1,) + (1,) * delta.ndim)
     if n < 2:
@@ -86,7 +78,7 @@ def panel_nodes(breaks, nodes_per_panel: int = 8) -> tuple[np.ndarray, np.ndarra
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     x = half[:, None] * t[None, :]
-    x += mid[:, None]  # in place: the build holds no node-sized temporary
+    x += mid[:, None]  # in place: a node-sized temporary raises the peak RSS
     wts = half[:, None] * w[None, :]
     return x.ravel(), wts.ravel()
 
@@ -181,9 +173,11 @@ def graded_nodes(sets: Sequence[np.ndarray], passes: Sequence[tuple], k: int = 8
 
 
 def _graded_breaks(sets: Sequence[np.ndarray], passes: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
-    """The merged graded breaks of ``graded_nodes``: every (pass, set) pair's, flat, and their counts.
+    """The merged graded breaks of ``graded_nodes``, every (pass, set) pair's in one flat array, and their counts.
 
-    Its working arrays are freed on return, before the nodes are built.
+    A function of its own so that its working arrays are freed before the
+    nodes are built: held through the build, they raise the peak RSS of a
+    report with many lines.
     """
     nset, npass = len(sets), len(passes)
     panels = np.array([len(s) - 1 for s in sets])
@@ -301,17 +295,9 @@ def segment_p_norms(magnitudes: np.ndarray, weights, offsets, sizes, p: float) -
     return s * np.add.reduceat(v, starts) ** (1.0 / p)
 
 
-def gather_segments(values: np.ndarray, offsets, sizes, out: np.ndarray | None = None) -> np.ndarray:
-    """The segments values[offsets[i]:offsets[i] + sizes[i]], concatenated in order, into ``out`` if given.
-
-    The one index array is filled in place, so the gather holds one index
-    and one value per output entry; the indices are in range by
-    construction, and mode "clip" spares ``np.take`` a buffered copy of
-    ``out``.
-    """
-    index = np.repeat(np.asarray(offsets) - (np.cumsum(sizes) - sizes), sizes)
-    index += np.arange(index.size)
-    return np.take(values, index, out=out, mode="clip")
+def gather_segments(values: np.ndarray, offsets, sizes) -> np.ndarray:
+    """The segments values[offsets[i]:offsets[i] + sizes[i]], concatenated in order."""
+    return values[np.repeat(np.asarray(offsets) - (np.cumsum(sizes) - sizes), sizes) + np.arange(np.sum(sizes))]
 
 
 def line_coords(axis: str, t, fixed):

@@ -26,12 +26,16 @@ and the line sets 5 and 6; the samples, f_xy's two tensor passes
 (``gauss.tensor_p_norm``) first, then each partial's lines in one
 integrand call, as one (lines x nodes) array when all its lines share
 their breakpoints and as one flat array of each line's own nodes
-otherwise, both partials into one magnitude buffer; and one
-``gauss.segment_p_norms`` call that reduces every line.  f_xy comes
-first in the scans and in the samples, so a non-finite value of f_xy is
-reported before any of the lines'.  ``line_norms_with_error`` (every
-line of one axis; one line is a one-element ``fixed``) and
-``area_norm_with_error`` are one-request views of the same core.
+otherwise, every line's nodes gathered into one buffer that its
+magnitudes overwrite; and one ``gauss.segment_p_norms`` call that
+reduces every line.  f_xy's scans come before the line scans and f_xy's
+samples before the line samples, so a non-finite f_xy value on a scan
+line is reported before any line's; but every scan runs before any
+sample, so a non-finite value on a line scan is reported before a
+non-finite f_xy value that only the tensor nodes hit.
+``line_norms_with_error`` (every line of one axis; one line is a
+one-element ``fixed``) and ``area_norm_with_error`` are one-request views
+of the same core.
 """
 
 from __future__ import annotations
@@ -88,6 +92,19 @@ def _sup_lines(g, axis: str, c: np.ndarray, lo: float, hi: float, resolution: in
         n = t.shape[1]
         t = uniform_grid(t[rows, np.maximum(i - 1, 0)], t[rows, np.minimum(i + 1, n - 1)], 65)
     return best, best - first
+
+
+def _sample_abs(out, g, axis: str, t, fixed) -> None:
+    """Store |g| at the points t of the lines at ``fixed`` in ``out``, which t may share.
+
+    The samples are checked for finiteness before ``out`` is written, so a
+    non-finite sample is reported at its own coordinate.
+    """
+    coords = line_coords(axis, t, fixed)
+    vals = g(*coords)
+    if not np.isfinite(vals).all():
+        require_finite(vals, coords)
+    np.abs(vals, out=out.reshape(vals.shape))
 
 
 def _norms_with_error(p: Exponent, resolution: int, area=None, lines=()):
@@ -156,29 +173,21 @@ def _norms_with_error(p: Exponent, resolution: int, area=None, lines=()):
     seg = np.empty(2 * line_set.size, dtype=np.int64)
     seg[0::2], seg[1::2] = line_set, line_set + len(sets)
     offsets, sizes = bounds[seg], np.diff(bounds)[seg]
-    # gather, before the nodes are dropped: a batch whose lines share one set
-    # samples that set's row against every line, any other batch each line's
-    # own nodes, gathered into its part of the magnitude buffer
-    magnitudes = np.empty(int(sizes.sum()))
-    batches, first, end = [], 0, 0
+    # sample: every line's nodes are gathered into one buffer, which each
+    # batch's integrand call overwrites with |g|; a batch whose lines share
+    # one set samples that set's row against every line, any other batch
+    # each line's own nodes
+    magnitudes = gather_segments(nodes, offsets, sizes)
+    del nodes  # held through the sampling, it raises the peak RSS
+    first = end = 0
     for (g, axis, c, _, _), owner in zip(lines, owners):
-        off, size = offsets[2 * first:2 * (first + c.size)], sizes[2 * first:2 * (first + c.size)]
-        out = magnitudes[end:end + size.sum()]
-        first, end = first + c.size, end + out.size
+        size = sizes[2 * first:2 * (first + c.size)]
+        t = magnitudes[end:end + size.sum()]
         if (owner == owner[0]).all():
-            batches.append((g, axis, gather_segments(nodes, off[:2], size[:2])[None, :], c[:, None], None, out))
+            _sample_abs(t, g, axis, t.reshape(c.size, -1)[:1], c[:, None])
         else:
-            batches.append((g, axis, gather_segments(nodes, off, size, out), c, size[0::2] + size[1::2], out))
-    del nodes
-    # sample: one integrand call per batch, checked, then stored as |g| over
-    # the batch's part of the buffer
-    for g, axis, t, c, repeats, out in batches:
-        coords = line_coords(axis, t, c if repeats is None else np.repeat(c, repeats))
-        vals = g(*coords)
-        if not (np.isfinite(vals.min()) and np.isfinite(vals.max())):
-            require_finite(vals, coords)
-        np.abs(vals, out=out.reshape(vals.shape))
-    del batches, coords, vals  # the reduction needs only the buffer and the weights
+            _sample_abs(t, g, axis, t, np.repeat(c, size[0::2] + size[1::2]))
+        first, end = first + c.size, end + t.size
     coarse, fine = segment_p_norms(magnitudes, weights, offsets, sizes, p.value).reshape(-1, 2).T
     errors = np.abs(fine - coarse) + 1e-15 * fine
     ends = np.cumsum([0] + [c.size for _, _, c, _, _ in lines]).tolist()
