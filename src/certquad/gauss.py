@@ -8,10 +8,15 @@ norm splits its axes with ``area_breaks`` and reduces each pass with
 ``tensor_p_norm``; ``tensor_norms`` holds the same three steps for the
 custom weight norm (``weights``).  ``segment_p_norms`` reduces the
 samples of the line norms and the ramp norms with the scaled power sum
-``tensor_p_norm`` uses, at every finite p.  The oracle uses
-``panel_nodes``; per-call uniform grids come from ``uniform_grid``.  All
-routines are deterministic: fixed node counts and fixed summation order,
-so repeated runs reproduce bit-identical values.
+``tensor_p_norm`` uses, at every finite p, in the array that holds them:
+a flat array against weights aligned with it, or a (lines x nodes) block
+against one weight row that every line shares; a caller whose segments
+are scattered through a build gathers them with ``gather_segments``.
+Grid maxima (``zoomed_sup``, and the line maxima of ``norms``) find
+their argmax with ``abs_argmax``, which only reads the samples.  The
+oracle uses ``panel_nodes``; per-call uniform grids come from
+``uniform_grid``.  All routines are deterministic: fixed node counts and
+fixed summation order, so repeated runs reproduce bit-identical values.
 """
 
 from __future__ import annotations
@@ -273,31 +278,45 @@ def tensor_norms(g, rect, p: float, scan: int, passes: Sequence[tuple[int, float
     return [tensor_p_norm(g, x, y, wx, wy, p) for x, y, wx, wy in zip(xs[0::2], xs[1::2], ws[0::2], ws[1::2])]
 
 
-def segment_p_norms(magnitudes: np.ndarray, weights, offsets, sizes, p: float) -> np.ndarray:
+def segment_p_norms(magnitudes: np.ndarray, weights, sizes, p: float) -> np.ndarray:
     """L^p norms (sum_i w_i |v_i|^p)^(1/p) of consecutive segments of sample magnitudes.
 
-    ``magnitudes`` holds |samples| as a float array, which this scales,
-    raises to p and weights in place (it is the largest array of a line
-    batch).  The segments tile it in flattened order; segment i has
-    sizes[i] >= 1 samples and takes weights[offsets[i]:offsets[i] + sizes[i]].
-    Every finite p takes one formula, s (sum_i w_i (|v_i|/s)^p)^(1/p) with
-    s the segment's maximum: as |v_i|/s <= 1 no power overflows, and the
-    maximum's own term is its weight, so the sum never underflows to zero
-    (an all-zero segment has norm 0).  The weights are gathered by
-    ``gather_segments`` and every weighted sum is one ``np.add.reduceat``.
+    ``magnitudes`` holds |samples| as a float array, 1-D or one row per
+    line, which this scales, raises to p and weights in place (it is the
+    largest array of a line batch).  The segments tile its last axis in
+    order; segment i has sizes[i] >= 1 samples.  ``weights`` is aligned
+    with the samples, or one row that every line shares, broadcast
+    against the rows.  Returns the norms in the shape of the segment
+    maxima: one per segment, per row of a 2-D array.  Every finite p takes
+    one formula, s (sum_i w_i (|v_i|/s)^p)^(1/p) with s the segment's
+    maximum: as |v_i|/s <= 1 no power overflows, and the maximum's own
+    term is its weight, so the sum never underflows to zero (an all-zero
+    segment has norm 0).  Maxima and weighted sums are one
+    ``np.maximum.reduceat`` and one ``np.add.reduceat`` along the last
+    axis, so a segment sums alike in either layout; only a 1-D array's
+    scales are spread to its samples by ``np.repeat``, a 2-D array's few
+    segments per row take theirs by broadcasting.
     """
-    v = magnitudes.reshape(-1)
+    v = magnitudes
     starts = np.cumsum(sizes) - sizes
-    s = np.maximum.reduceat(v, starts)
-    v /= np.repeat(np.where(s > 0.0, s, 1.0), sizes)
+    s = np.maximum.reduceat(v, starts, axis=-1)
+    scale = np.where(s > 0.0, s, 1.0)
+    if v.ndim == 1:
+        v /= np.repeat(scale, sizes)
+    else:
+        for k, (a, n) in enumerate(zip(starts.tolist(), np.asarray(sizes).tolist())):
+            v[:, a:a + n] /= scale[:, k, None]
     v **= p
-    v *= gather_segments(np.asarray(weights, dtype=float), offsets, sizes)
-    return s * np.add.reduceat(v, starts) ** (1.0 / p)
+    v *= weights
+    return s * np.add.reduceat(v, starts, axis=-1) ** (1.0 / p)
 
 
 def gather_segments(values: np.ndarray, offsets, sizes) -> np.ndarray:
-    """The segments values[offsets[i]:offsets[i] + sizes[i]], concatenated in order."""
-    return values[np.repeat(np.asarray(offsets) - (np.cumsum(sizes) - sizes), sizes) + np.arange(np.sum(sizes))]
+    """The segments values[offsets[i]:offsets[i] + sizes[i]], concatenated in order.
+
+    One slice per segment, so the gather builds no sample-sized index array.
+    """
+    return np.concatenate([values[o:o + n] for o, n in zip(np.asarray(offsets).tolist(), np.asarray(sizes).tolist())])
 
 
 def line_coords(axis: str, t, fixed):
@@ -396,24 +415,41 @@ def zero_breaks(g, axis: str, fixed, lo: float, hi: float, resolution: int) -> l
     return [point[a:b] for a, b in zip([0, *bounds], bounds)]
 
 
+def abs_argmax(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.argmax(np.abs(v), axis=1)`` of a 2-D array and the |v| it picks, without an |v| copy.
+
+    A row's largest |v| is |v| at its argmax or at its argmin; on a tie
+    the earlier index wins, as in ``np.argmax``.  ``np.argmax`` and
+    ``np.argmin`` both stop at a row's first NaN, and a row holding inf
+    has it at one of the two, so a row with a non-finite sample has a
+    non-finite maximum.  v is only read.
+    """
+    rows = np.arange(v.shape[0])
+    hi, lo = np.argmax(v, axis=1), np.argmin(v, axis=1)
+    top, bottom = np.abs(v[rows, hi]), np.abs(v[rows, lo])
+    return np.where(top > bottom, hi, np.where(bottom > top, lo, np.minimum(hi, lo))), np.maximum(top, bottom)
+
+
 def zoomed_sup(g, rect, size: int) -> tuple[float, float]:
     """Grid maximum of |g| over a rectangle, zoomed twice around its argmax.
 
     g is a broadcasting two-variable callable, sampled on a (size + 1)^2
     grid of ``rect``, then twice on a 33 x 33 grid spanning the neighbours
-    of the last argmax.  Returns the maximum and its gain over the first
-    grid; non-finite samples raise EvaluationError.
+    of the last argmax (``abs_argmax``, which reads g's samples in place).
+    Returns the maximum and its gain over the first grid; non-finite
+    samples raise EvaluationError.
     """
     best = 0.0
     first = None
     xs = uniform_grid(rect.a, rect.b, size + 1)
     ys = uniform_grid(rect.c, rect.d, size + 1)
     for _ in range(3):
-        vals = np.abs(g(xs[:, None], ys[None, :]))
-        i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        top = float(vals[i, j])
-        if not np.isfinite(top):  # the argmax of an array holding NaN or inf is one
+        vals = g(xs[:, None], ys[None, :])
+        k, top = abs_argmax(vals.reshape(1, -1))
+        top = float(top[0])
+        if not np.isfinite(top):
             require_finite(vals, (xs[:, None], ys[None, :]))
+        i, j = np.unravel_index(int(k[0]), vals.shape)
         best = max(best, top)
         if first is None:
             first = best

@@ -4,7 +4,8 @@ Finite-p norms use composite Gauss-Legendre with panels split at detected
 sign changes of the integrand (|g|^p has a kink wherever g crosses zero)
 and graded toward panel ends, plus one refinement halving whose delta is
 the reported error estimate.  p = infinity norms are grid maxima with
-local refinement around the argmax; they are lower bounds of the
+local refinement around the argmax (``gauss.abs_argmax``, which reads the
+samples g returns without an |g| copy); they are lower bounds of the
 essential supremum that tighten under refinement.
 
 No norm is graded to rounding: the line norms are graded 5 and 6 levels
@@ -14,21 +15,23 @@ value, so the shallow grading never lowers a bound.  The estimates'
 floating-point floors are relative (1e-15 of the value), so a zero
 partial's norms stay exactly zero.
 
-A finite-p report builds its norms in four steps, each once per report
-(``_norms_with_error``, the core that ``derivative_norms`` runs): the
-zero scans, f_xy's two axes (``gauss.area_breaks``) first, then each
-partial's lines, all lines of a partial in one call with their sign
-changes refined together by a bracketed secant search of one call per
-round (``gauss.zero_breaks``; a simple root typically takes 1-4 rounds,
-none more than 15); one ``gauss.graded_nodes`` build of every distinct
-breakpoint set for both Gauss passes, the area axes 4 and 5 levels deep
-and the line sets 5 and 6; the samples, f_xy's two tensor passes
+A finite-p report builds its norms in three steps (``_norms_with_error``,
+the core that ``derivative_norms`` runs): the zero scans, f_xy's two axes
+(``gauss.area_breaks``) first, then each partial's lines, all lines of a
+partial in one call with their sign changes refined together by a
+bracketed secant search of one call per round (``gauss.zero_breaks``; a
+simple root typically takes 1-4 rounds, none more than 15); one
+``gauss.graded_nodes`` build of every distinct breakpoint set for both
+Gauss passes, the area axes 4 and 5 levels deep and the line sets 5 and
+6; then the samples and their reductions, f_xy's two tensor passes
 (``gauss.tensor_p_norm``) first, then each partial's lines in one
-integrand call, as one (lines x nodes) array when all its lines share
-their breakpoints and as one flat array of each line's own nodes
-otherwise, every line's nodes gathered into one buffer that its
-magnitudes overwrite; and one ``gauss.segment_p_norms`` call that
-reduces every line.  f_xy's scans come before the line scans and f_xy's
+integrand call and one ``gauss.segment_p_norms`` reduction
+(``_batch_norms``).  A partial whose lines share one breakpoint set
+(every break-free partial) samples that set's coarse-then-fine node row
+against the lines' coordinates and reduces the (lines x nodes) block
+against the set's weight row, with no gather; any other partial samples
+each line's own nodes, gathered flat, and reduces them against its
+gathered weights.  f_xy's scans come before the line scans and f_xy's
 samples before the line samples, so a non-finite f_xy value on a scan
 line is reported before any line's; but every scan runs before any
 sample, so a non-finite value on a line scan is reported before a
@@ -51,6 +54,7 @@ from .core import (
     Rectangle,
 )
 from .gauss import (
+    abs_argmax,
     area_breaks,
     as_grid_fn,
     gather_segments,
@@ -75,16 +79,15 @@ def _pass_fraction(resolution: int) -> float:
 
 
 def _sup_lines(g, axis: str, c: np.ndarray, lo: float, hi: float, resolution: int):
-    """Grid maxima of |g| along every line, each zoomed four times around its argmax."""
+    """Grid maxima of |g| along every line, each zoomed four times around its argmax (``abs_argmax``)."""
     rows = np.arange(c.size)
     t = np.broadcast_to(uniform_grid(lo, hi, resolution + 1), (c.size, resolution + 1))
     best = np.zeros(c.size)
     for step in range(4):
         coords = line_coords(axis, t, c[:, None])
-        vals = np.abs(g(*coords))
-        i = np.argmax(vals, axis=1)
-        top = vals[rows, i]
-        if not np.isfinite(top).all():  # a row's argmax is its first NaN or inf, if any
+        vals = g(*coords)
+        i, top = abs_argmax(vals)
+        if not np.isfinite(top).all():
             require_finite(vals, coords)
         best = np.maximum(best, top)
         if step == 0:
@@ -94,17 +97,18 @@ def _sup_lines(g, axis: str, c: np.ndarray, lo: float, hi: float, resolution: in
     return best, best - first
 
 
-def _sample_abs(out, g, axis: str, t, fixed) -> None:
-    """Store |g| at the points t of the lines at ``fixed`` in ``out``, which t may share.
+def _sample_abs(g, axis: str, t, fixed, out=None) -> np.ndarray:
+    """|g| at the points t of the lines at ``fixed``, in ``out`` (which t may be) or a new array.
 
     The samples are checked for finiteness before ``out`` is written, so a
-    non-finite sample is reported at its own coordinate.
+    non-finite sample is reported at its own coordinate.  The array g
+    returns is only read: g may hold on to it.
     """
     coords = line_coords(axis, t, fixed)
     vals = g(*coords)
     if not np.isfinite(vals).all():
         require_finite(vals, coords)
-    np.abs(vals, out=out.reshape(vals.shape))
+    return np.abs(vals, out=out)
 
 
 def _norms_with_error(p: Exponent, resolution: int, area=None, lines=()):
@@ -114,9 +118,9 @@ def _norms_with_error(p: Exponent, resolution: int, area=None, lines=()):
     (g, axis, c, lo, hi), c a non-empty float array of transverse
     coordinates; every g is a grid callable.  Returns None or (value,
     error) for the area, and a list of (values, errors) arrays, one pair
-    per batch.  A finite p scans, builds, samples and reduces once each,
-    the area before the lines (see the module docstring); p = inf takes
-    grid maxima, which need no build.
+    per batch.  A finite p scans and builds once, then samples and
+    reduces the area and each batch in turn (see the module docstring);
+    p = inf takes grid maxima, which need no build.
     """
     if resolution < 16:
         raise ValueError("resolution must be >= 16")
@@ -165,33 +169,37 @@ def _norms_with_error(p: Exponent, resolution: int, area=None, lines=()):
             passes.append(tensor_p_norm(area[0], nodes[x], nodes[y], weights[x], weights[y], p.value))
         coarse, fine = passes
         area_norm = fine, abs(fine - coarse) + 1e-15 * abs(fine)
-    if not lines:
-        return area_norm, []
-    # the lines' segments: each line's coarse then its fine samples, with the
-    # nodes and weights of its set's two passes
-    line_set = np.concatenate(owners)
-    seg = np.empty(2 * line_set.size, dtype=np.int64)
-    seg[0::2], seg[1::2] = line_set, line_set + len(sets)
-    offsets, sizes = bounds[seg], np.diff(bounds)[seg]
-    # sample: every line's nodes are gathered into one buffer, which each
-    # batch's integrand call overwrites with |g|; a batch whose lines share
-    # one set samples that set's row against every line, any other batch
-    # each line's own nodes
-    magnitudes = gather_segments(nodes, offsets, sizes)
-    del nodes  # held through the sampling, it raises the peak RSS
-    first = end = 0
-    for (g, axis, c, _, _), owner in zip(lines, owners):
-        size = sizes[2 * first:2 * (first + c.size)]
-        t = magnitudes[end:end + size.sum()]
-        if (owner == owner[0]).all():
-            _sample_abs(t, g, axis, t.reshape(c.size, -1)[:1], c[:, None])
-        else:
-            _sample_abs(t, g, axis, t, np.repeat(c, size[0::2] + size[1::2]))
-        first, end = first + c.size, end + t.size
-    coarse, fine = segment_p_norms(magnitudes, weights, offsets, sizes, p.value).reshape(-1, 2).T
-    errors = np.abs(fine - coarse) + 1e-15 * fine
-    ends = np.cumsum([0] + [c.size for _, _, c, _, _ in lines]).tolist()
-    return area_norm, [(fine[a:b], errors[a:b]) for a, b in zip(ends, ends[1:])]
+    build = nodes, weights, bounds, len(sets)
+    return area_norm, [_batch_norms(p, build, *batch[:3], owner) for batch, owner in zip(lines, owners)]
+
+
+def _batch_norms(p: Exponent, build, g, axis: str, c: np.ndarray, owner: np.ndarray):
+    """The (values, errors) of one line batch: its samples and their reduction.
+
+    ``build`` is the report's (nodes, weights, bounds, number of sets) and
+    owner[k] the set of line k.  A batch whose lines share one set samples
+    that set's coarse-then-fine node row against every line and reduces
+    the (lines x nodes) block against the set's weight row; any other
+    batch samples each line's own nodes, gathered flat into the buffer
+    that then holds their magnitudes, against its gathered weights.  A
+    function of its own so that a batch's arrays are freed before the
+    next batch samples.
+    """
+    nodes, weights, bounds, nsets = build
+    if (owner == owner[0]).all():
+        passes = [slice(bounds[i], bounds[i + 1]) for i in (owner[0], owner[0] + nsets)]
+        magnitudes = _sample_abs(g, axis, np.concatenate([nodes[i] for i in passes])[None, :], c[:, None])
+        w = np.concatenate([weights[i] for i in passes])
+        sizes = [i.stop - i.start for i in passes]
+    else:
+        seg = np.empty(2 * c.size, dtype=np.int64)
+        seg[0::2], seg[1::2] = owner, owner + nsets
+        offsets, sizes = bounds[seg], np.diff(bounds)[seg]
+        t = gather_segments(nodes, offsets, sizes)
+        magnitudes = _sample_abs(g, axis, t, np.repeat(c, sizes[0::2] + sizes[1::2]), out=t)
+        w = gather_segments(weights, offsets, sizes)
+    coarse, fine = segment_p_norms(magnitudes, w, sizes, p.value).reshape(-1, 2).T
+    return fine, np.abs(fine - coarse) + 1e-15 * fine
 
 
 def line_norms_with_error(g, axis: str, fixed, lo: float, hi: float, p,
@@ -304,9 +312,9 @@ def derivative_norms(
     family.  Every line and ``fxy``, ||f_xy||_p over the rectangle, is
     the norm plus its error estimate, so the bound does not rest on the
     shallow gradings.  The norms not yet known are built together: at
-    finite p one ``graded_nodes`` build and one ``segment_p_norms``
-    reduction per report, f_xy sampled before the lines (see the module
-    docstring).  ``cache`` memoizes the area norm and every line norm of
+    finite p one ``graded_nodes`` build per report and one
+    ``segment_p_norms`` reduction per partial with lines not yet known,
+    f_xy sampled before the lines (see the module docstring).  ``cache`` memoizes the area norm and every line norm of
     one integrand per (rectangle, p, resolution), so calls for other
     partitions, rules or rectangles can share it; a report whose norms
     are all cached builds nothing.

@@ -246,7 +246,7 @@ def phi_norm_closed(w, q) -> float:
 def _axis_ramp_norm(breaks: np.ndarray, roots: np.ndarray, qq: float, cap: float) -> float:
     """L^q norm of one axis ramp |t - root_k|: each piece is its own set of one graded Gauss build."""
     x, wts, bounds = graded_nodes(np.stack((breaks[:-1], breaks[1:]), axis=1), [(12, np.diff(breaks) * cap)])
-    return float(segment_p_norms(np.abs(x - np.repeat(roots, np.diff(bounds))), wts, [0], [x.size], qq)[0])
+    return float(segment_p_norms(np.abs(x - np.repeat(roots, np.diff(bounds))), wts, [x.size], qq)[0])
 
 
 def _axis_sup(breaks: np.ndarray, roots: np.ndarray) -> float:
