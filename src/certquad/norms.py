@@ -330,22 +330,18 @@ def derivative_norms(
     # through its extent and the finite-difference steps, not only on p
     store = {} if cache is None else cache.setdefault((rect, str(p), resolution), {})
     (xs, _), (ys, _) = ramp_jumps(part, rule_family)
-    # a line's key is its position across the rectangle, so lines stay
-    # distinct however small the rectangle is; the lines not yet known
-    # form one batch per partial
+    # a line's key is its transverse coordinate, exactly; the lines not yet
+    # known form one batch per partial
     keys, batches, todos = {}, [], []
-    for name, g, axis, coords, (lo, hi), (c0, c1) in (
-        ("fx", fx, "x", ys, (rect.a, rect.b), (rect.c, rect.d)),
-        ("fy", fy, "y", xs, (rect.c, rect.d), (rect.a, rect.b)),
+    for name, g, axis, coords, (lo, hi) in (
+        ("fx", fx, "x", ys, (rect.a, rect.b)),
+        ("fy", fy, "y", xs, (rect.c, rect.d)),
     ):
         known = store.setdefault(name, {})
-        keys[name] = np.round((coords - c0) / (c1 - c0), 12).tolist()
-        todo: dict[float, float] = {}
-        for c, key in zip(coords.tolist(), keys[name]):
-            if key not in known:
-                todo.setdefault(key, c)
+        keys[name] = coords.tolist()
+        todo = [c for c in dict.fromkeys(keys[name]) if c not in known]
         if todo:
-            batches.append((g, axis, np.asarray(list(todo.values()), dtype=float), lo, hi))
+            batches.append((g, axis, np.asarray(todo), lo, hi))
             todos.append((known, todo))
     area = None if "fxy" in store else (fxy, rect)
     if area is not None or batches:
