@@ -148,12 +148,12 @@ def _norms_with_error(p: Exponent, resolution: int, area=None, lines=()):
     index: dict[bytes, int] = {}
     owners = []
     for g, axis, c, lo, hi in lines:
-        owner = np.empty(c.size, dtype=np.int64)
-        for k, breaks in enumerate(zero_breaks(g, axis, c, lo, hi, resolution)):
-            owner[k] = index.setdefault(breaks.tobytes(), len(sets))
-            if owner[k] == len(sets):
+        owner = []
+        for breaks in zero_breaks(g, axis, c, lo, hi, resolution):
+            owner.append(index.setdefault(breaks.tobytes(), len(sets)))
+            if owner[-1] == len(sets):
                 sets.append(breaks)
-        owners.append(owner)
+        owners.append(np.asarray(owner))
     # build: a coarse and a fine pass of every set, the area axes a level shallower
     depth = np.full(len(sets), 5)
     depth[:axes] = 4
@@ -181,9 +181,9 @@ def _batch_norms(p: Exponent, build, g, axis: str, c: np.ndarray, owner: np.ndar
     that set's coarse-then-fine node row against every line and reduces
     the (lines x nodes) block against the set's weight row; any other
     batch samples each line's own nodes, gathered flat into the buffer
-    that then holds their magnitudes, against its gathered weights.  A
-    function of its own so that a batch's arrays are freed before the
-    next batch samples.
+    that then holds their magnitudes, and reduces them against its
+    gathered weights.  A function of its own so that a batch's arrays are
+    freed before the next batch samples.
     """
     nodes, weights, bounds, nsets = build
     if (owner == owner[0]).all():
@@ -314,10 +314,11 @@ def derivative_norms(
     shallow gradings.  The norms not yet known are built together: at
     finite p one ``graded_nodes`` build per report and one
     ``segment_p_norms`` reduction per partial with lines not yet known,
-    f_xy sampled before the lines (see the module docstring).  ``cache`` memoizes the area norm and every line norm of
-    one integrand per (rectangle, p, resolution), so calls for other
-    partitions, rules or rectangles can share it; a report whose norms
-    are all cached builds nothing.
+    f_xy sampled before the lines (see the module docstring).  ``cache``
+    memoizes the area norm and every line norm of one integrand per
+    (rectangle, p, resolution), a line keyed by its exact coordinate, so
+    calls for other partitions, rules or rectangles can share it; a
+    report whose norms are all cached builds nothing.
     """
     p = Exponent.coerce(p)
     if rule_family not in FAMILIES:
