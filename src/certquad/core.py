@@ -346,9 +346,10 @@ class DerivativeNorms:
             if len(values) != count:
                 raise ValueError(f"expected {count} {name} norms, got {len(values)}")
             object.__setattr__(self, name, values)
-        for v in (self.fxy, *self.x_lines, *self.y_lines):
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"norm entries must be finite and >= 0, got {v!r}")
+        entries = (self.fxy, *self.x_lines, *self.y_lines)
+        if not (all(map(math.isfinite, entries)) and min(entries) >= 0.0):
+            bad = next(v for v in entries if not (math.isfinite(v) and v >= 0.0))
+            raise ValueError(f"norm entries must be finite and >= 0, got {bad!r}")
 
     def matches(self, family: str, part: PartitionSpec) -> bool:
         return self.family == family and self.partition == part

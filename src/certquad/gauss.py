@@ -1,26 +1,31 @@
 """Gauss-Legendre panel quadrature with graded subdivision.
 
-Every graded rule and tensor-product norm is built here.  ``graded_nodes``
-serves ``norms._norms_with_error`` (one build per report: the line sets
-and the f_xy area axes, each at its own depth), the ramp norms
-(``weights``) and the minimizer's grid (``minimizer``).  The f_xy area
-norm splits its axes with ``area_breaks`` and reduces each pass with
-``tensor_p_norm``; ``tensor_norms`` holds the same three steps for the
-custom weight norm (``weights``).  ``segment_p_norms`` reduces the
-samples of the line norms and the ramp norms with the scaled power sum
-``tensor_p_norm`` uses, at every finite p, in the array that holds them:
-a flat array against weights aligned with it, or a (lines x nodes) block
-against one weight row that every line shares; a caller whose segments
-are scattered through a build gathers them with ``gather_segments``.
-Grid maxima (``zoomed_sup``, and the line maxima of ``norms``) find
-their argmax with ``abs_argmax``, which only reads the samples.  The
-oracle uses ``panel_nodes``; per-call uniform grids come from
-``uniform_grid``.  All routines are deterministic: fixed node counts and
-fixed summation order, so repeated runs reproduce bit-identical values.
+Every graded rule and tensor-product norm is built here.  A report's
+breakpoints come from one ``scan_breaks`` call over all its zero scans:
+the f_xy axes (``area_scans``, merged per axis by ``axis_breaks``) and
+each partial's lines; ``zero_breaks`` and ``area_breaks`` are its
+one-scan and one-rectangle views.  ``graded_nodes`` serves
+``norms._norms_with_error`` (one build per report: the line sets and the
+f_xy area axes, each at its own depth), the ramp norms (``weights``) and
+the minimizer's grid (``minimizer``).  The f_xy area norm reduces each
+pass with ``tensor_p_norm``; ``tensor_norms`` holds the scan, the build
+and the reduction for the custom weight norm (``weights``).
+``segment_p_norms`` reduces the samples of the line norms and the ramp
+norms with the scaled power sum ``tensor_p_norm`` uses, at every finite
+p, in the array that holds them: a flat array against weights aligned
+with it, or a (lines x nodes) block against one weight row that every
+line shares; a caller whose segments are scattered through a build
+gathers them with ``gather_segments``.  Grid maxima (``zoomed_sup``, and
+the line maxima of ``norms``) find their argmax with ``abs_argmax``,
+which only reads the samples.  The oracle uses ``panel_nodes``; per-call
+uniform grids come from ``uniform_grid``.  All routines are
+deterministic: fixed node counts and fixed summation order, so repeated
+runs reproduce bit-identical values.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -58,8 +63,16 @@ def uniform_grid(lo, hi, n: int) -> np.ndarray:
     last point set to hi, as ``np.linspace`` computes them; when any pair
     has a zero step (subnormal spans) every pair takes (j / (n - 1)) *
     (hi - lo) + lo instead, and n < 2 takes j * (hi - lo) + lo, again as
-    ``np.linspace`` does.
+    ``np.linspace`` does.  Float ends take the step as a Python float: the
+    same operations, without numpy's set-up of a scalar array.
     """
+    if isinstance(lo, float) and isinstance(hi, float) and n > 1:
+        delta = float(hi) - float(lo)
+        step = delta / (n - 1)
+        out = _counting(n) / (n - 1) * delta if step == 0.0 else _counting(n) * step
+        out += lo
+        out[-1] = hi
+        return out
     delta = np.subtract(hi, lo, dtype=float)
     j = _counting(n).reshape((-1,) + (1,) * delta.ndim)
     if n < 2:
@@ -92,8 +105,11 @@ def merge_tol(lo, hi):
     """Breakpoint merge tolerance of [lo, hi], elementwise for array ends.
 
     Breaks of [lo, hi] closer than 1e-14 * max(1, |lo|, |hi|) collapse
-    into one; every breakpoint merge uses this tolerance.
+    into one; every breakpoint merge uses this tolerance.  Float ends take
+    Python's ``max``, which picks the same value.
     """
+    if isinstance(lo, float) and isinstance(hi, float):
+        return _MERGE_RTOL * max(1.0, abs(lo), abs(hi))
     return _MERGE_RTOL * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
 
 
@@ -228,20 +244,6 @@ def _graded_breaks(sets: Sequence[np.ndarray], passes: Sequence[tuple]) -> tuple
     return merged, kept
 
 
-def area_breaks(g, rect, scan: int) -> list[np.ndarray]:
-    """Breakpoints of both axes of a rectangle: [bx, by], each split at the sign changes of g.
-
-    Each axis takes the sign changes of g along two scan lines (offsets
-    0.155 and -0.237 of the transverse span from the centre; ``zero_breaks``
-    on scan + 1 points), which captures the axis-aligned kink lines of
-    separable integrands.  The x axis is scanned first.
-    """
-    offsets = np.asarray([0.155, -0.237])
-    bx = merge_breaks(*zero_breaks(g, "x", rect.m2 + offsets * rect.height, rect.a, rect.b, scan))
-    by = merge_breaks(*zero_breaks(g, "y", rect.m1 + offsets * rect.width, rect.c, rect.d, scan))
-    return [bx, by]
-
-
 def tensor_p_norm(g, x, y, wx, wy, p: float) -> float:
     """L^p norm of g by the tensor Gauss rule of the axis nodes and weights (x, wx) and (y, wy).
 
@@ -324,55 +326,68 @@ def line_coords(axis: str, t, fixed):
     return (t, fixed) if axis == "x" else (fixed, t)
 
 
-def zero_breaks(g, axis: str, fixed, lo: float, hi: float, resolution: int) -> list[np.ndarray]:
-    """Breakpoints [lo, hi] plus the sign changes of g along each of several lines.
+def scan_breaks(scans: Sequence[tuple]) -> list[tuple]:
+    """Breakpoints [lo, hi] plus the sign changes of g on the lines of several scans, in one bracket search.
 
-    Line k runs along ``axis`` over [lo, hi] at transverse coordinate
-    fixed[k]; g is a broadcasting two-variable callable.  All lines are
-    scanned in one call on resolution + 1 uniform points; a batch whose
-    scan is all > 0 or all < 0 returns [lo, hi] for every line.  A line's
-    exact zeros inside (lo, hi) are taken first, unless they fill more
-    than half its scan (a degenerate line); then its sign changes in scan
-    order, stopping after the one that brings its list to 32 or more.
-    Every chosen bracket [a, b] of every line is refined together by a
-    bracketed secant search (Dekker-Brent), one vector call per round: a
-    round samples the 15 interior sixteenths a + (b - a) j/16 and 15
-    points clustered at the secant root r, at r and r +- (b - a) 2^-8j
-    for j = 1 .. 7, and keeps the first sign change of the sorted 30
-    against the left end.  A simple root typically reaches adjacent floats
-    in 1-4 rounds; the sixteenths alone shrink a bracket 16x, so none
-    takes more than 15.  A bracket retires on an exact zero, which is its
-    root, or once it is at most 2^-60 of the scan step wide or holds no
-    float strictly inside; its root is then its midpoint.  Returns one
-    breakpoint array per line.
+    Scan s is (g, axis, fixed, lo, hi, resolution): line k runs along
+    ``axis`` over [lo, hi] at transverse coordinate fixed[k]; g is a
+    broadcasting two-variable callable.  Each scan samples all its lines
+    in one call on resolution + 1 uniform points, and checks them for
+    finiteness, before the next scan samples (``_scan``).  A line's exact
+    zeros inside (lo, hi) are taken first, unless they fill more than half
+    its scan (a degenerate line); then its sign changes in scan order,
+    stopping after the one that brings its list to 32 or more.
+
+    Then every chosen bracket [a, b] of every scan is refined by one
+    bracketed secant search (Dekker-Brent), one vector call per round of
+    each scan with live brackets: a round samples the 15 interior
+    sixteenths a + (b - a) j/16 and 15 points at the secant root r and
+    r +- (b - a) 2^-8j, j = 1 .. 7, and keeps the first sign change of the
+    sorted 30 against the left end.  A simple root typically reaches
+    adjacent floats in 1-4 rounds; none takes more than 15.  A bracket
+    retires on an exact zero, which is its root, or once it is at most
+    2^-60 of its scan's step wide or holds no float strictly inside; its
+    root is then its midpoint.  Its path depends on its own samples
+    alone, so each scan finds the breaks it would find alone.  One sort
+    merges every line's breaks, dropping each within its scan's
+    ``merge_tol`` of its predecessor.
+
+    Returns per scan (points, sizes): every line's sorted breaks
+    concatenated in line order, and each line's count.  A scan that finds
+    no zero (and spans more than ``merge_tol``) returns ([lo, hi], None),
+    one set that all its lines share.
     """
-    c = np.asarray(fixed, dtype=float).ravel()
-    if c.size == 0:
-        return []
-    t = uniform_grid(lo, hi, resolution + 1)
-    coords = line_coords(axis, t[None, :], c[:, None])
-    vals = g(*coords)
-    low, high = vals.min(), vals.max()
-    if not (np.isfinite(low) and np.isfinite(high)):
-        require_finite(vals, coords)
-    if (low > 0.0 or high < 0.0) and hi - lo > merge_tol(lo, hi):
-        return list(np.tile([float(lo), float(hi)], (c.size, 1)))
-    exact = vals == 0.0
-    degenerate = exact.sum(axis=1) > resolution // 2
-    exact &= ((t > lo) & (t < hi))[None, :] & ~degenerate[:, None]
-    neg, pos = vals < 0.0, vals > 0.0  # signs, not products: those can underflow to -0.0 or overflow
-    rows, idx = np.nonzero(neg[:, :-1] & pos[:, 1:] | pos[:, :-1] & neg[:, 1:])
-    if rows.size == 0 and not exact.any() and hi - lo > merge_tol(lo, hi):
-        return list(np.tile([float(lo), float(hi)], (c.size, 1)))
-    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
-    keep = rank < np.maximum(32 - exact.sum(axis=1)[rows], 1)
-    rows, idx = rows[keep], idx[keep]
-    # the live brackets as compact arrays: ends, end values and line; zeros
+    found: list = []
+    # the scans that found a zero: their (g, axis), their brackets, their lines'
+    # other breaks, and (position in found, first line, line count)
+    calls, brackets, merges, pending = [], [], [], []
+    lines = 0
+    for g, axis, fixed, lo, hi, resolution in scans:
+        c = np.asarray(fixed, dtype=float).ravel()
+        if c.size == 0:
+            found.append((np.zeros(0), np.zeros(0, dtype=np.int64)))
+            continue
+        scanned = _scan(g, axis, c, lo, hi, resolution)
+        if scanned is None:
+            found.append((np.array([float(lo), float(hi)]), None))
+            continue
+        a, b, fa, fb, rows, exact_rows, exact_points = scanned
+        brackets.append((a, b, fa, fb, c[rows], np.full(rows.size, 2.0**-60 * (hi - lo) / resolution),
+                         np.full(rows.size, len(calls)), rows + lines))
+        merges.append((np.full(c.size, float(lo)), np.full(c.size, float(hi)), np.full(c.size, merge_tol(lo, hi)),
+                       exact_rows + lines, exact_points))
+        pending.append((len(found), lines, c.size))
+        found.append(None)
+        calls.append((g, axis))
+        lines += c.size
+    if not calls:
+        return found
+    # the live brackets of every scan as compact arrays, scan by scan: ends,
+    # end values, transverse coordinate, retirement width and scan; zeros
     # gets each bracket's root as it retires or after the last round
-    a, b, fa, fb, line_of = t[idx], t[idx + 1], vals[rows, idx], vals[rows, idx + 1], c[rows]
-    narrowest = 2.0**-60 * (hi - lo) / resolution
-    zeros = np.empty(rows.size)
-    live = np.arange(rows.size)
+    a, b, fa, fb, line_of, narrowest, scan_of, line = map(np.concatenate, zip(*brackets))
+    zeros = np.empty(a.size)
+    live = np.arange(a.size)
     for _ in range(15):
         if live.size == 0:
             break
@@ -383,36 +398,131 @@ def zero_breaks(g, axis: str, fixed, lo: float, hi: float, resolution: int) -> l
         cluster = np.clip(r[:, None] + w[:, None] * _CLUSTER, a[:, None], b[:, None])
         x = np.concatenate((a[:, None] + w[:, None] * _SIXTEENTHS, cluster), axis=1)
         x.sort(axis=1)
-        fs = g(*line_coords(axis, x, line_of[:, None]))
-        # k: the first sample that does not share fa's sign; 30 when only b does
-        flip = (fs == 0.0) | ((fs < 0.0) != (fa < 0.0)[:, None])
-        k = np.where(flip.any(axis=1), np.argmax(flip, axis=1), 30)
-        n = np.arange(live.size)
-        right = np.minimum(k, 29)
-        hit = (k < 30) & (fs[n, right] == 0.0)
-        a, fa = np.where(k > 0, x[n, k - 1], a), np.where(k > 0, fs[n, k - 1], fa)
-        b, fb = np.where(k < 30, x[n, right], b), np.where(k < 30, fs[n, right], fb)
+        # one call per scan with live brackets, which are consecutive
+        if len(calls) == 1:
+            ends = [live.size]
+        else:
+            ends = np.cumsum(np.bincount(scan_of, minlength=len(calls))).tolist()
+        fs = [g(*line_coords(axis, x[i:j], line_of[i:j, None]))
+              for (g, axis), i, j in zip(calls, [0, *ends], ends) if i < j]
+        fs = fs[0] if len(fs) == 1 else np.concatenate(fs)
+        # k: the first sample that does not share fa's sign; 30, a column of
+        # True past the samples, when only b does
+        flip = np.empty((live.size, 31), dtype=bool)
+        flip[:, 30] = True
+        np.logical_or(fs == 0.0, (fs < 0.0) != (fa < 0.0)[:, None], out=flip[:, :30])
+        k = flip.argmax(axis=1)
+        # the samples left and right of the change, by flat index
+        offset = np.arange(0, 30 * live.size, 30)
+        left, right = offset + (k - 1), offset + np.minimum(k, 29)
+        x, fs = x.ravel(), fs.ravel()
+        f_right = fs[right]
+        inside, changed = k > 0, k < 30
+        hit = changed & (f_right == 0.0)
+        a, fa = np.where(inside, x[left], a), np.where(inside, fs[left], fa)
+        b, fb = np.where(changed, x[right], b), np.where(changed, f_right, fb)
         narrow = ~hit & ((b - a <= narrowest) | (b <= np.nextafter(a, np.inf)))
         zeros[live[hit]] = b[hit]
         zeros[live[narrow]] = 0.5 * (a[narrow] + b[narrow])
         more = ~(hit | narrow)
-        live, a, b, fa, fb, line_of = live[more], a[more], b[more], fa[more], fb[more], line_of[more]
+        live, a, b, fa, fb = live[more], a[more], b[more], fa[more], fb[more]
+        line_of, narrowest, scan_of = line_of[more], narrowest[more], scan_of[more]
     zeros[live] = 0.5 * (a + b)
-    # every line's merge_breaks([lo, hi], exact zeros, refined zeros) at
-    # once: sort by (line, value), collapse near-duplicates within a line
-    exact_rows, exact_idx = np.nonzero(exact)
-    lines = np.arange(c.size)
-    line = np.concatenate((lines, lines, exact_rows, rows))
-    point = np.concatenate((np.full(c.size, float(lo)), np.full(c.size, float(hi)),
-                            t[exact_idx], zeros))
+    # every line's merge_breaks([lo, hi], exact zeros, roots) at once: sort by
+    # (line, value), collapse near-duplicates within a line
+    lows, highs, tols, exact_line, exact_point = map(np.concatenate, zip(*merges))
+    ids = np.arange(lines)
+    line = np.concatenate((ids, ids, exact_line, line))
+    point = np.concatenate((lows, highs, exact_point, zeros))
     order = np.lexsort((point, line))
     line, point = line[order], point[order]
     keep = np.empty(point.size, dtype=bool)
     keep[0] = True
-    keep[1:] = (np.diff(point) > merge_tol(lo, hi)) | (line[1:] != line[:-1])
+    keep[1:] = (np.diff(point) > tols[line[1:]]) | (line[1:] != line[:-1])
     point = point[keep]
-    bounds = np.searchsorted(line[keep], lines, side="right").tolist()
-    return [point[a:b] for a, b in zip([0, *bounds], bounds)]
+    sizes = np.bincount(line[keep], minlength=lines)
+    starts = np.concatenate(([0], np.cumsum(sizes))).tolist()
+    for s, first, count in pending:
+        found[s] = point[starts[first]:starts[first + count]], sizes[first:first + count]
+    return found
+
+
+def _scan(g, axis: str, c: np.ndarray, lo: float, hi: float, resolution: int):
+    """One scan of ``scan_breaks``: None if it finds no zero, else its brackets and exact zeros.
+
+    Returns (a, b, fa, fb, rows, exact_rows, exact_points): the chosen
+    brackets' ends, end values and lines, and the lines and points of the
+    exact zeros.  A function of its own so that a scan's samples are freed
+    before the next scan samples.
+    """
+    t = uniform_grid(lo, hi, resolution + 1)
+    coords = line_coords(axis, t[None, :], c[:, None])
+    vals = g(*coords)
+    low, high = vals.min(), vals.max()
+    if not (math.isfinite(low) and math.isfinite(high)):
+        require_finite(vals, coords)
+    wide = hi - lo > merge_tol(lo, hi)
+    if wide and (low > 0.0 or high < 0.0):
+        return None
+    exact = vals == 0.0
+    if exact.any():  # a line's exact zeros inside (lo, hi), unless degenerate
+        exact &= ((t > lo) & (t < hi))[None, :] & (exact.sum(axis=1) <= resolution // 2)[:, None]
+    # rows and columns from flat indices: np.nonzero of a 2-D mask is several times slower
+    exact_rows, exact_idx = np.divmod(exact.ravel().nonzero()[0], resolution + 1)
+    neg, pos = vals < 0.0, vals > 0.0  # signs, not products: those can underflow to -0.0 or overflow
+    cross = neg[:, :-1] & pos[:, 1:] | pos[:, :-1] & neg[:, 1:]
+    rows, idx = np.divmod(cross.ravel().nonzero()[0], resolution)
+    if wide and rows.size == 0 and exact_rows.size == 0:
+        return None
+    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+    keep = rank < np.maximum(32 - np.bincount(exact_rows, minlength=c.size)[rows], 1)
+    rows, idx = rows[keep], idx[keep]
+    return t[idx], t[idx + 1], vals[rows, idx], vals[rows, idx + 1], rows, exact_rows, t[exact_idx]
+
+
+def zero_breaks(g, axis: str, fixed, lo: float, hi: float, resolution: int) -> list[np.ndarray]:
+    """Breakpoints [lo, hi] plus the sign changes of g along each of several lines, one array per line.
+
+    The one-scan view of ``scan_breaks``: line k runs along ``axis`` over
+    [lo, hi] at transverse coordinate fixed[k].
+    """
+    c = np.asarray(fixed, dtype=float).ravel()
+    (found,) = scan_breaks([(g, axis, c, lo, hi, resolution)])
+    points, sizes = found
+    if sizes is None:
+        return list(np.tile(points, (c.size, 1)))
+    ends = np.cumsum(sizes).tolist()
+    return [points[a:b] for a, b in zip([0, *ends], ends)]
+
+
+_AREA_OFFSETS = np.asarray([0.155, -0.237])
+
+
+def area_scans(g, rect, scan: int) -> list[tuple]:
+    """The two ``scan_breaks`` scans of a rectangle's axes, x first.
+
+    Each axis is scanned along two lines, at offsets 0.155 and -0.237 of
+    the transverse span from the centre, on scan + 1 points, which
+    captures the axis-aligned kink lines of separable integrands.
+    """
+    return [(g, "x", rect.m2 + _AREA_OFFSETS * rect.height, rect.a, rect.b, scan),
+            (g, "y", rect.m1 + _AREA_OFFSETS * rect.width, rect.c, rect.d, scan)]
+
+
+def axis_breaks(found) -> np.ndarray:
+    """The breakpoints of one area axis from its ``scan_breaks`` result: its two lines' breaks, merged."""
+    points, sizes = found
+    return points if sizes is None else merge_breaks(points)
+
+
+def area_breaks(g, rect, scan: int) -> list[np.ndarray]:
+    """Breakpoints of both axes of a rectangle: [bx, by], each split at the sign changes of g.
+
+    The one-rectangle view of ``scan_breaks`` on ``area_scans``; a report
+    runs the same two scans in its own ``scan_breaks`` call, beside its
+    lines, and merges each axis with ``axis_breaks``.
+    """
+    return [axis_breaks(found) for found in scan_breaks(area_scans(g, rect, scan))]
 
 
 def abs_argmax(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

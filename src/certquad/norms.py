@@ -16,11 +16,14 @@ floating-point floors are relative (1e-15 of the value), so a zero
 partial's norms stay exactly zero.
 
 A finite-p report builds its norms in three steps (``_norms_with_error``,
-the core that ``derivative_norms`` runs): the zero scans, f_xy's two axes
-(``gauss.area_breaks``) first, then each partial's lines, all lines of a
-partial in one call with their sign changes refined together by a
-bracketed secant search of one call per round (``gauss.zero_breaks``; a
-simple root typically takes 1-4 rounds, none more than 15); one
+the core that ``derivative_norms`` runs): the zero scans, one
+``gauss.scan_breaks`` call, in which f_xy's two axes (``gauss.area_scans``)
+and then each partial's lines sample all their lines in one call each,
+after which every sign change of every scan is refined by one bracketed
+secant search, one call per round of each scan with live brackets (a
+simple root typically takes 1-4 rounds, none more than 15); a scan with
+no zero gives one set that all its lines share, and any lines whose
+breaks agree bit for bit share a set, across partials too; one
 ``gauss.graded_nodes`` build of every distinct breakpoint set for both
 Gauss passes, the area axes 4 and 5 levels deep and the line sets 5 and
 6; then the samples and their reductions, f_xy's two tensor passes
@@ -43,6 +46,8 @@ of the same core.
 
 from __future__ import annotations
 
+from itertools import filterfalse
+
 import numpy as np
 
 from .core import (
@@ -55,17 +60,18 @@ from .core import (
 )
 from .gauss import (
     abs_argmax,
-    area_breaks,
+    area_scans,
     as_grid_fn,
+    axis_breaks,
     gather_segments,
     graded_nodes,
     line_coords,
     require_finite,
     require_resolvable,
+    scan_breaks,
     segment_p_norms,
     tensor_p_norm,
     uniform_grid,
-    zero_breaks,
     zoomed_sup,
 )
 from .weights import ramp_jumps
@@ -141,19 +147,14 @@ def _norms_with_error(p: Exponent, resolution: int, area=None, lines=()):
         require_resolvable(area[1].c, area[1].d, max_frac / 2.0)
     for _, _, _, lo, hi in lines:
         require_resolvable(lo, hi, max_frac / 2.0)
-    # scan: the area's two axes are the first sets, then come the distinct
-    # breakpoint sets of the lines, shared across batches, and each line's set
-    sets = [] if area is None else area_breaks(*area, min(resolution, 192))
-    axes = len(sets)
-    index: dict[bytes, int] = {}
-    owners = []
-    for g, axis, c, lo, hi in lines:
-        owner = []
-        for breaks in zero_breaks(g, axis, c, lo, hi, resolution):
-            owner.append(index.setdefault(breaks.tobytes(), len(sets)))
-            if owner[-1] == len(sets):
-                sets.append(breaks)
-        owners.append(np.asarray(owner))
+    # scan: f_xy's two axes and every batch's lines in one bracket search; the
+    # area axes are the first sets
+    scans = [] if area is None else area_scans(*area, min(resolution, 192))
+    axes = len(scans)
+    found = scan_breaks(scans + [(g, axis, c, lo, hi, resolution) for g, axis, c, lo, hi in lines])
+    sets = [axis_breaks(f) for f in found[:axes]]
+    owners = _line_sets(found[axes:], sets)
+    del found  # the build needs only the sets: free the lines' breaks before it
     # build: a coarse and a fine pass of every set, the area axes a level shallower
     depth = np.full(len(sets), 5)
     depth[:axes] = 4
@@ -173,17 +174,45 @@ def _norms_with_error(p: Exponent, resolution: int, area=None, lines=()):
     return area_norm, [_batch_norms(p, build, *batch[:3], owner) for batch, owner in zip(lines, owners)]
 
 
+def _line_sets(found, sets: list) -> list:
+    """Each batch's owners, appending the distinct breakpoint sets of its lines to ``sets``.
+
+    ``found`` holds the batches' ``scan_breaks`` results.  Sets are shared
+    in first-seen order across batches, by their exact bytes; a batch's
+    owners are the set of each line, or the one set all its lines share.
+    A function of its own so that the bytes keys are freed before the build.
+    """
+    index: dict[bytes, int] = {}
+    owners = []
+    for points, sizes in found:
+        if sizes is None:  # no zero: one set for all the batch's lines
+            k = index.setdefault(points.tobytes(), len(sets))
+            if k == len(sets):
+                sets.append(points)
+            owners.append(np.array([k]))
+            continue
+        buf = points.tobytes()
+        ends = (8 * np.cumsum(sizes)).tolist()
+        keys = [buf[a:b] for a, b in zip([0, *ends], ends)]
+        fresh = list(filterfalse(index.__contains__, dict.fromkeys(keys)))
+        index.update(zip(fresh, range(len(sets), len(sets) + len(fresh))))
+        sets.extend(map(np.frombuffer, fresh))
+        owners.append(np.fromiter(map(index.__getitem__, keys), np.int64, len(keys)))
+    return owners
+
+
 def _batch_norms(p: Exponent, build, g, axis: str, c: np.ndarray, owner: np.ndarray):
     """The (values, errors) of one line batch: its samples and their reduction.
 
     ``build`` is the report's (nodes, weights, bounds, number of sets) and
-    owner[k] the set of line k.  A batch whose lines share one set samples
-    that set's coarse-then-fine node row against every line and reduces
-    the (lines x nodes) block against the set's weight row; any other
-    batch samples each line's own nodes, gathered flat into the buffer
-    that then holds their magnitudes, and reduces them against its
-    gathered weights.  A function of its own so that a batch's arrays are
-    freed before the next batch samples.
+    ``owner`` the set of each line, or the one set all lines share.  A
+    batch whose lines share one set samples that set's coarse-then-fine
+    node row against every line and reduces the (lines x nodes) block
+    against the set's weight row; any other batch samples each line's own
+    nodes, gathered flat into the buffer that then holds their
+    magnitudes, and reduces them against its gathered weights.  A
+    function of its own so that a batch's arrays are freed before the
+    next batch samples.
     """
     nodes, weights, bounds, nsets = build
     if (owner == owner[0]).all():
@@ -340,7 +369,7 @@ def derivative_norms(
     ):
         known = store.setdefault(name, {})
         keys[name] = coords.tolist()
-        todo = [c for c in dict.fromkeys(keys[name]) if c not in known]
+        todo = list(filterfalse(known.__contains__, dict.fromkeys(keys[name])))
         if todo:
             batches.append((g, axis, np.asarray(todo), lo, hi))
             todos.append((known, todo))
@@ -354,7 +383,7 @@ def derivative_norms(
     source = "analytic" if analytic else "numeric"
     return DerivativeNorms(
         p=p, family=rule_family, partition=part, fxy=store["fxy"],
-        x_lines=[store["fx"][key] for key in keys["fx"]],
-        y_lines=[store["fy"][key] for key in keys["fy"]],
+        x_lines=tuple(map(store["fx"].__getitem__, keys["fx"])),
+        y_lines=tuple(map(store["fy"].__getitem__, keys["fy"])),
         provenance=dict.fromkeys(("fxy", "x_lines", "y_lines"), source),
     )

@@ -34,6 +34,7 @@ the one-variable rules are the same identity on one ramp.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,11 +113,16 @@ def _jump_bound(norms: DerivativeNorms, part: PartitionSpec, family: str) -> Bou
         notes = (NOTE_MIDLINE_P1,) if norms.p.is_one else ()
         notes += (NOTE_COMPOSITE_MIDPOINT,) if composite else ()
     return BoundComponents(
-        float(sum(v * abs(j) for v, j in zip(norms.x_lines, jy))) * rx,
-        float(sum(v * abs(j) for v, j in zip(norms.y_lines, jx))) * ry,
+        _line_sum(norms.x_lines, jy) * rx,
+        _line_sum(norms.y_lines, jx) * ry,
         norms.fxy * rx * ry,
         notes,
     )
+
+
+def _line_sum(values, jumps) -> float:
+    """sum_l values[l] |jumps[l]|, added left to right by ``sum()`` over C-level maps."""
+    return sum(map(operator.mul, values, map(abs, jumps.tolist())))
 
 
 def composite_trapezoid_estimate(f: Integrand, rect: Rectangle, part: PartitionSpec) -> float:

@@ -157,6 +157,30 @@ class TestDerivativeNorms:
                                partition=cq.PartitionSpec(cq.Rectangle.unit(), 1, 1),
                                x_lines=(1.0,), y_lines=(1.0,))
 
+    @pytest.mark.parametrize("fxy, x_lines, y_lines, message", [
+        (1.0, (1.0,) * 3, (1.0,) * 3, "expected 2 x_lines norms, got 3"),
+        (1.0, (1.0,) * 2, (1.0,) * 2, "expected 3 y_lines norms, got 2"),
+        # a count is checked before any entry
+        (math.nan, (math.nan,) * 2, (1.0,) * 4, "expected 3 y_lines norms, got 4"),
+        # the first bad entry in the order fxy, x_lines, y_lines
+        (math.nan, (-1.0, 1.0), (math.inf, 1.0, 1.0), "norm entries must be finite and >= 0, got nan"),
+        (1.0, (1.0, math.inf), (-2.0, 1.0, 1.0), "norm entries must be finite and >= 0, got inf"),
+        (1.0, (1.0, 2.0), (1.0, -math.inf, math.nan), "norm entries must be finite and >= 0, got -inf"),
+        (1.0, (0.0, -0.5), (math.nan, 1.0, 1.0), "norm entries must be finite and >= 0, got -0.5"),
+        (-3.0, (1.0, 1.0), (1.0, 1.0, 1.0), "norm entries must be finite and >= 0, got -3.0"),
+    ])
+    def test_messages(self, fxy, x_lines, y_lines, message):
+        # trapezoid on m = 2, n = 1: two x_lines and three y_lines
+        with pytest.raises(ValueError) as err:
+            cq.DerivativeNorms(p=2, family="trapezoid", partition=cq.PartitionSpec(cq.Rectangle.unit(), 2, 1),
+                               fxy=fxy, x_lines=x_lines, y_lines=y_lines)
+        assert str(err.value) == message
+
+    def test_negative_zero_is_accepted(self):
+        nb = cq.DerivativeNorms(p=2, family="midpoint", partition=cq.PartitionSpec(cq.Rectangle.unit(), 1, 1),
+                                fxy=-0.0, x_lines=(-0.0,), y_lines=(0.0,))
+        assert (nb.fxy, nb.x_lines, nb.y_lines) == (0.0, (0.0,), (0.0,))
+
 
 class TestQuadratureReport:
     def test_bound_is_exact_sum(self):

@@ -437,6 +437,204 @@ class TestZeroBreaks:
         assert np.array_equal(row, [700.0, 701.0])
 
 
+def _per_scan_zero_breaks(g, axis, fixed, lo, hi, resolution):
+    """One scan's search alone, its sampling then its refinement: the reference for ``scan_breaks``."""
+    c = np.asarray(fixed, dtype=float).ravel()
+    if c.size == 0:
+        return []
+    t = gauss.uniform_grid(lo, hi, resolution + 1)
+    coords = line_coords(axis, t[None, :], c[:, None])
+    vals = g(*coords)
+    low, high = vals.min(), vals.max()
+    if not (np.isfinite(low) and np.isfinite(high)):
+        gauss.require_finite(vals, coords)
+    if (low > 0.0 or high < 0.0) and hi - lo > gauss.merge_tol(lo, hi):
+        return list(np.tile([float(lo), float(hi)], (c.size, 1)))
+    exact = vals == 0.0
+    degenerate = exact.sum(axis=1) > resolution // 2
+    exact &= ((t > lo) & (t < hi))[None, :] & ~degenerate[:, None]
+    neg, pos = vals < 0.0, vals > 0.0
+    rows, idx = np.nonzero(neg[:, :-1] & pos[:, 1:] | pos[:, :-1] & neg[:, 1:])
+    if rows.size == 0 and not exact.any() and hi - lo > gauss.merge_tol(lo, hi):
+        return list(np.tile([float(lo), float(hi)], (c.size, 1)))
+    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+    keep = rank < np.maximum(32 - exact.sum(axis=1)[rows], 1)
+    rows, idx = rows[keep], idx[keep]
+    a, b, fa, fb, line_of = t[idx], t[idx + 1], vals[rows, idx], vals[rows, idx + 1], c[rows]
+    narrowest = 2.0**-60 * (hi - lo) / resolution
+    zeros = np.empty(rows.size)
+    live = np.arange(rows.size)
+    for _ in range(15):
+        if live.size == 0:
+            break
+        w = b - a
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = a - fa * w / (fb - fa)
+        r = np.where(np.isnan(r), 0.5 * (a + b), r)
+        cluster = np.clip(r[:, None] + w[:, None] * gauss._CLUSTER, a[:, None], b[:, None])
+        x = np.concatenate((a[:, None] + w[:, None] * gauss._SIXTEENTHS, cluster), axis=1)
+        x.sort(axis=1)
+        fs = g(*line_coords(axis, x, line_of[:, None]))
+        flip = (fs == 0.0) | ((fs < 0.0) != (fa < 0.0)[:, None])
+        k = np.where(flip.any(axis=1), np.argmax(flip, axis=1), 30)
+        n = np.arange(live.size)
+        right = np.minimum(k, 29)
+        hit = (k < 30) & (fs[n, right] == 0.0)
+        a, fa = np.where(k > 0, x[n, k - 1], a), np.where(k > 0, fs[n, k - 1], fa)
+        b, fb = np.where(k < 30, x[n, right], b), np.where(k < 30, fs[n, right], fb)
+        narrow = ~hit & ((b - a <= narrowest) | (b <= np.nextafter(a, np.inf)))
+        zeros[live[hit]] = b[hit]
+        zeros[live[narrow]] = 0.5 * (a[narrow] + b[narrow])
+        more = ~(hit | narrow)
+        live, a, b, fa, fb, line_of = live[more], a[more], b[more], fa[more], fb[more], line_of[more]
+    zeros[live] = 0.5 * (a + b)
+    exact_rows, exact_idx = np.nonzero(exact)
+    lines = np.arange(c.size)
+    line = np.concatenate((lines, lines, exact_rows, rows))
+    point = np.concatenate((np.full(c.size, float(lo)), np.full(c.size, float(hi)), t[exact_idx], zeros))
+    order = np.lexsort((point, line))
+    line, point = line[order], point[order]
+    keep = np.empty(point.size, dtype=bool)
+    keep[0] = True
+    keep[1:] = (np.diff(point) > gauss.merge_tol(lo, hi)) | (line[1:] != line[:-1])
+    point = point[keep]
+    bounds = np.searchsorted(line[keep], lines, side="right").tolist()
+    return [point[a:b] for a, b in zip([0, *bounds], bounds)]
+
+
+def _per_scan_area_breaks(g, rect, scan):
+    """Both axes of a rectangle, each searched alone and its two lines merged: the reference for ``area_breaks``."""
+    offsets = np.asarray([0.155, -0.237])
+    bx = merge_breaks(*_per_scan_zero_breaks(g, "x", rect.m2 + offsets * rect.height, rect.a, rect.b, scan))
+    by = merge_breaks(*_per_scan_zero_breaks(g, "y", rect.m1 + offsets * rect.width, rect.c, rect.d, scan))
+    return [bx, by]
+
+
+class TestReportSearch:
+    """A report's scans, f_xy's two axes at 192 and the lines at 256, run in
+    one ``scan_breaks`` bracket search find, bit for bit, the breaks of one
+    search per scan (``_per_scan_zero_breaks``; ``_per_scan_area_breaks`` for
+    the merged axes), with the same integrand calls per scan: their count
+    and their coordinates, only interleaved across scans."""
+
+    @staticmethod
+    def recorded(fn, calls):
+        def g(x, y):
+            calls.append(np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
+            return fn(x, y)
+
+        return g
+
+    def check(self, area, lines, rect=UNIT):
+        """Compare both searches on f_xy = ``area`` (or None) over rect and the line scans; the reference's breaks."""
+        scans = ([] if area is None else gauss.area_scans(area, rect, 192)) + lines
+        mine, theirs = [[] for _ in scans], [[] for _ in scans]
+        found = gauss.scan_breaks([(self.recorded(g, rec), *rest) for (g, *rest), rec in zip(scans, mine)])
+        refs = []
+        for (g, axis, fixed, lo, hi, res), rec, (points, sizes) in zip(scans, theirs, found):
+            ref = _per_scan_zero_breaks(self.recorded(g, rec), axis, fixed, lo, hi, res)
+            got = [points] * len(ref) if sizes is None else np.split(points, np.cumsum(sizes)[:-1])
+            assert len(got) == len(ref)
+            assert all(np.array_equal(u, v) for u, v in zip(got, ref))
+            assert sizes is not None or all(r.size == 2 for r in ref)
+            refs.append(ref)
+        for s in range(len(scans) - len(lines)):
+            assert np.array_equal(gauss.axis_breaks(found[s]), merge_breaks(*refs[s]))
+        if area is not None:
+            merged = _per_scan_area_breaks(area, rect, 192)
+            assert all(np.array_equal(u, v) for u, v in zip(gauss.area_breaks(area, rect, 192), merged))
+        for got, ref in zip(mine, theirs):
+            assert len(got) == len(ref)
+            for (gx, gy), (rx, ry) in zip(got, ref):
+                assert np.array_equal(gx, rx) and np.array_equal(gy, ry)
+        return refs
+
+    @staticmethod
+    def report_lines(f, rect, m, family="trapezoid"):
+        """The f_x and f_y line scans of an m x m report."""
+        fx, fy, _, _ = partial_evaluators(f, rect)
+        (xs, _), (ys, _) = ramp_jumps(cq.PartitionSpec(rect, m, m), family)
+        return [(fx, "x", ys, rect.a, rect.b, 256), (fy, "y", xs, rect.c, rect.d, 256)]
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_sinsum_brackets_everywhere(self, family):
+        rect = cq.Rectangle(0.1, np.pi + 0.1, 0.0, np.pi)
+        f = integrand("sinsum", rect)
+        refs = self.check(partial_evaluators(f, rect)[2], self.report_lines(f, rect, 8, family), rect)
+        # both area axes and every line have a zero
+        assert all(r.size > 2 for ref in refs for r in ref)
+
+    def test_steep_lines(self):
+        x0 = 0.5 + 0.5 / 256
+
+        def g(x, y):
+            return np.tanh((np.asarray(x) - x0) / 1e-4) * (1.0 + np.asarray(y))
+
+        c = np.linspace(0.0, 1.0, 9)
+        refs = self.check(g, [(g, "x", c, 0.0, 1.0, 256), (lambda x, y: g(y, x), "y", c, 0.0, 1.0, 256)])
+        # one zero on every line and on f_xy's x axis; none along its y axis
+        assert all(r.size == 3 for ref in refs[:1] + refs[2:] for r in ref)
+        assert all(r.size == 2 for r in refs[1])
+
+    def test_exact_zeros_degenerate_lines_and_the_cap(self):
+        # TestZeroBreaks.g's rows: 41 sign changes, 16 and 32 exact zeros, and
+        # a degenerate row; x y has an all-zero line at y = 0; exp(x + y) is a
+        # sign-definite scan between them
+        lines = [
+            (TestZeroBreaks.g, "x", [0.0, 1.0, 2.0, 3.0], 0.0, 1.0, 256),
+            (lambda x, y: np.exp(x + y), "y", [0.2, 0.7], 0.0, 1.0, 256),
+            (lambda x, y: x * y, "x", [0.0, 0.5, 1.0], -1.0, 1.0, 256),
+        ]
+        refs = self.check(lambda x, y: (x - 0.3) * (y - 0.6), lines)
+        assert [r.size - 2 for r in refs[2]] == [32, 32, 33, 41 - 24]
+        assert [r.size for r in refs[4]] == [2, 3, 3]
+
+    def test_tiny_rectangle(self):
+        rect = cq.Rectangle(0.0, 1e-14, 0.0, 1e-14)
+        for name in ("sinsin", "sinsum"):
+            f = integrand(name, rect)
+            self.check(partial_evaluators(f, rect)[2], self.report_lines(f, rect, 4), rect)
+
+    def test_scans_retire_in_different_rounds(self):
+        # the f_xy axes' roots are midpoints of their 193-point scan brackets,
+        # exact zeros found in the first round; the lines' jump takes all of
+        # their 257-point brackets' rounds
+        root = 193.0 / 384.0
+        calls = {"area": 0, "jump": 0}
+
+        def area(x, y):
+            calls["area"] += 1
+            return (x - root) * (y - root)
+
+        def jump(x, y):
+            calls["jump"] += 1
+            return np.where(np.asarray(x) < 0.6123, -1.0, 1.0) + 0.0 * np.asarray(y)
+
+        refs = self.check(area, [(jump, "x", [0.1, 0.4], 0.0, 1.0, 256)])
+        assert all(np.array_equal(r, [0.0, root, 1.0]) for ref in refs[:2] for r in ref)
+        # per search and axis a scan and one round (check runs four searches of
+        # the axes: both searches, then area_breaks and its reference), the
+        # jump a scan and many rounds per search
+        assert calls["area"] == 4 * 2 * 2
+        assert calls["jump"] > 2 * (1 + 8)
+
+    def test_each_scan_keeps_its_own_widths(self):
+        # after f_xy's axes on [0, 1], with their 2^-60 retirement width and
+        # merge tolerance, come a jump near 1e-6 on [0, 0.01], whose bracket
+        # reaches its own scan's 2^-60 of a 256th before adjacent floats, and
+        # a root 5e-12 above lo = 1000, inside that scan's 1e-11 tolerance
+        root = 193.0 / 384.0
+        lines = [
+            (lambda x, y: np.where(np.asarray(x) < 1.2345e-6, -1.0, 1.0) + 0.0 * np.asarray(y),
+             "x", [0.5], 0.0, 0.01, 256),
+            (lambda x, y: np.asarray(x) - (1000.0 + 5e-12) + 0.0 * np.asarray(y), "x", [0.5], 1000.0, 1001.0, 256),
+        ]
+        refs = self.check(lambda x, y: (x - root) * (y - root), lines)
+        (jump,), (near,) = refs[2:]
+        assert jump.size == 3 and abs(jump[1] - 1.2345e-6) < 1e-20
+        assert np.array_equal(near, [1000.0, 1001.0])
+
+
 class TestBatchedLines:
     """derivative_norms batches every line of a partial; each value must equal
     value + error estimate of the one-line ``line_norms_with_error`` call of
@@ -612,15 +810,16 @@ class TestEvaluationCounts:
 
 
 class TestOneBuildPerReport:
-    """A finite-p report scans f_xy's axes, the f_x lines and the f_y lines,
-    then makes one ``graded_nodes`` build of every breakpoint set and one
-    ``segment_p_norms`` reduction per line batch, i.e. per partial with
-    lines not yet known; p = inf takes grid maxima and makes neither.  The
-    counts are of the names ``norms`` binds."""
+    """A finite-p report scans f_xy's axes, the f_x lines and the f_y lines
+    in one ``scan_breaks`` bracket search, then makes one ``graded_nodes``
+    build of every breakpoint set and one ``segment_p_norms`` reduction per
+    line batch, i.e. per partial with lines not yet known; p = inf takes
+    grid maxima and makes none of them.  The counts are of the names
+    ``norms`` binds."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        out = {"graded_nodes": 0, "segment_p_norms": 0}
+        out = {"scan_breaks": 0, "graded_nodes": 0, "segment_p_norms": 0}
 
         def counted(name):
             fn = getattr(cq.norms, name)
@@ -640,12 +839,12 @@ class TestOneBuildPerReport:
     def test_cold_finite_report(self, calls, name, family):
         rect = cq.Rectangle(0.1, 1.3, -0.2, 0.9)
         cq.derivative_norms(integrand(name, rect), rect, 2, cq.PartitionSpec(rect, 4, 4), family)
-        assert calls == {"graded_nodes": 1, "segment_p_norms": 2}
+        assert calls == {"scan_breaks": 1, "graded_nodes": 1, "segment_p_norms": 2}
 
     def test_sup_report(self, calls):
         rect = cq.Rectangle(0.1, 1.3, -0.2, 0.9)
         cq.derivative_norms(integrand("sinsum", rect), rect, cq.INF, cq.PartitionSpec(rect, 4, 4))
-        assert calls == {"graded_nodes": 0, "segment_p_norms": 0}
+        assert calls == {"scan_breaks": 0, "graded_nodes": 0, "segment_p_norms": 0}
 
     CONVERGE = ((1, "trapezoid"), (2, "trapezoid"), (4, "trapezoid"), (2, "midpoint"))
 
@@ -670,7 +869,7 @@ class TestOneBuildPerReport:
         (w1, c1), (w2, c2), (w4, c4), (wmid, cmid) = self.warm_and_cold(p)
         assert (w1, w2, w4, wmid) == (c1, c2, c4, cmid)
         builds, reductions = (0, 0) if p == cq.INF else (4 + 4, 7 + 8)
-        assert calls == {"graded_nodes": builds, "segment_p_norms": reductions}
+        assert calls == {"scan_breaks": builds, "graded_nodes": builds, "segment_p_norms": reductions}
 
     def test_midpoint_cache_hits_match_cold_builds(self):
         *_, (warm, cold) = self.warm_and_cold(1.5)
@@ -681,7 +880,7 @@ class TestOneBuildPerReport:
         f, part, cache = integrand("sinsum", rect), cq.PartitionSpec(rect, 4, 4), {}
         first = cq.derivative_norms(f, rect, 2, part, cache=cache)
         assert cq.derivative_norms(f, rect, 2, part, cache=cache) == first
-        assert calls == {"graded_nodes": 1, "segment_p_norms": 2}
+        assert calls == {"scan_breaks": 1, "graded_nodes": 1, "segment_p_norms": 2}
 
     def test_area_is_evaluated_first(self):
         # exp(x + y) overflows on the f_xy scan line y = 0.3275 at x = 709.5

@@ -1,4 +1,5 @@
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import certquad as cq
+from certquad.core import FAMILIES
+from certquad.rules import _jump_bound
+from certquad.weights import ramp_jumps, ramp_norm_closed
 from conftest import integrand
 
 P_GRID = (1, 1.5, 2, 3, cq.INF)
@@ -256,6 +260,58 @@ class TestCompositeBounds:
         joined = " ".join(comps.notes)
         assert "midline" in joined
         assert "m=n=1 reduction" in joined
+
+
+class TestJumpBoundLineSums:
+    """``_jump_bound`` adds its line terms v_l |J_l| with ``np.cumsum``: bit
+    for bit the ``sum()`` of the terms, left to right, kept here as the
+    reference."""
+
+    @staticmethod
+    def summed(norms, part, family):
+        """(fx_term, fy_term) with the line sums as ``sum()`` adds them."""
+        q = cq.conjugate(norms.p)
+        (_, jx), (_, jy) = ramp_jumps(part, family)
+        rx = ramp_norm_closed(part.rect.width, part.m, q)
+        ry = ramp_norm_closed(part.rect.height, part.n, q)
+        return (float(sum(v * abs(j) for v, j in zip(norms.x_lines, jy))) * rx,
+                float(sum(v * abs(j) for v, j in zip(norms.y_lines, jx))) * ry)
+
+    @staticmethod
+    def norms(p, family, part, x_lines, y_lines):
+        return cq.DerivativeNorms(p=p, family=family, partition=part, fxy=1.3, x_lines=x_lines, y_lines=y_lines)
+
+    @pytest.mark.parametrize("p", [1, 2, cq.INF])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_sum(self, family, p):
+        rng = np.random.default_rng(20)
+        rect = cq.Rectangle(-0.3, 1.1, 0.2, 1.9)
+        extra = 1 if family == "trapezoid" else 0
+        order_shows = 0
+        for m in range(1, 65):
+            part = cq.PartitionSpec(rect, m, m)
+            # line norms over twelve decades, so the order of the additions shows in the last bits
+            x_lines, y_lines = (tuple(10.0 ** rng.uniform(-6.0, 6.0, m + extra)) for _ in range(2))
+            nb = self.norms(p, family, part, x_lines, y_lines)
+            comps = _jump_bound(nb, part, family)
+            assert (comps.fx_term, comps.fy_term) == self.summed(nb, part, family), m
+            (_, jx), _ = ramp_jumps(part, family)
+            terms = [v * abs(j) for v, j in zip(y_lines, jx)]
+            order_shows += sum(terms) != sum(reversed(terms))
+        assert order_shows > 10
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_all_zero_lines_give_positive_zero(self, family, zero):
+        rect = cq.Rectangle(0.0, 2.0, 0.0, 1.0)
+        extra = 1 if family == "trapezoid" else 0
+        for m in (1, 2, 7):
+            part = cq.PartitionSpec(rect, m, m)
+            nb = self.norms(2, family, part, (zero,) * (m + extra), (zero,) * (m + extra))
+            comps = _jump_bound(nb, part, family)
+            for term in (comps.fx_term, comps.fy_term):
+                assert term == 0.0 and math.copysign(1.0, term) == 1.0
+            assert (comps.fx_term, comps.fy_term) == self.summed(nb, part, family)
 
 
 class TestRuleReport:

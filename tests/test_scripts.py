@@ -77,3 +77,13 @@ def test_cli_digest():
     assert (count, label, algorithm) == ("33", "calls", "sha256")
     assert len(digest) == 64 and int(digest, 16) >= 0
     assert run_script("cli_digest.py", *args) == first
+
+
+def test_certify_digest():
+    args = ("--workload", "certify-coarse", "certify-fine", "--seeds", "1", "--ops", "6")
+    first = run_script("certify_digest.py", *args)
+    count, label, algorithm, digest = first.split()
+    assert (count, label, algorithm) == ("12", "ops", "sha256")
+    assert len(digest) == 64 and int(digest, 16) >= 0
+    assert run_script("certify_digest.py", *args) == first
+    assert run_script("certify_digest.py", *args[:4], "2", *args[5:]) != first
