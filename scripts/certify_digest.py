@@ -16,10 +16,25 @@ checked with one command on each tree:
 A certify-fine round of 300 ops takes ~0.6 s and a certify-coarse round
 of 240 ops ~0.3 s on a 2-vCPU x86_64 VM.  ``--ops N`` digests only the
 first N ops of each round.
+
+A change meant to alter numbers at rounding level is checked by value
+instead: ``--dump FILE`` writes every op's numbers (or its error
+message) as JSON, together with whether the benchmark's own check
+(``run_certify``, which also runs the oracle) finds the op ok and its
+bound violated; ``--against FILE`` compares this tree's ops with such a
+dump from another tree and prints one more line per workload: the
+largest relative deviation of the estimates, of ``fxy``, of the line
+norms and of the bound terms, and how many ops changed ``ok``, changed
+``violated`` or raise where the other tree does not (or with another
+message):
+
+    PYTHONPATH=src python3 scripts/certify_digest.py --dump old.json      # on the old tree
+    PYTHONPATH=src python3 scripts/certify_digest.py --against old.json   # on the new tree
 """
 
 import argparse
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -29,7 +44,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import certquad as cq  # noqa: E402
 from certquad import norms, rules  # noqa: E402
-from workloads import CERTIFY_SIZES, build_integrand, certify_round  # noqa: E402
+from norm_digest import relative_deviation, require_same_keys  # noqa: E402
+from workloads import CERTIFY_SIZES, build_integrand, certify_round, run_certify  # noqa: E402
 
 FAMILY = {"composite-trapezoid": "trapezoid", "composite-midpoint": "midpoint"}
 
@@ -46,18 +62,52 @@ def certify(spec) -> tuple:
     return estimate, bundle.fxy, bundle.x_lines, bundle.y_lines, bound.fx_term, bound.fy_term, bound.fxy_term
 
 
+GROUPS = ("estimate", "fxy", "line norms", "bound terms")
+COUNTS = ("ops", "ok", "violated", "refusals")
+
+
+def groups(result) -> dict:
+    """An op's numbers by the groups ``compare`` reports."""
+    estimate, fxy, x_lines, y_lines, *terms = result
+    return dict(zip(GROUPS, ([estimate], [fxy], [*x_lines, *y_lines], terms)))
+
+
+def compare(ops: dict, reference: dict) -> list[str]:
+    """One line per workload comparing every op with a reference dump of the same keys."""
+    require_same_keys(ops, reference, "ops")
+    rows: dict[str, dict] = {}
+    for key, ref in reference.items():
+        got = ops[key]
+        row = rows.setdefault(key.split()[0], dict.fromkeys(GROUPS, 0.0) | dict.fromkeys(COUNTS, 0))
+        row["ops"] += 1
+        row["ok"] += got["ok"] != ref["ok"]
+        row["violated"] += got["violated"] != ref["violated"]
+        if isinstance(got["result"], str) or isinstance(ref["result"], str):
+            row["refusals"] += got["result"] != ref["result"]
+            continue
+        new, old = groups(got["result"]), groups(ref["result"])
+        for name in GROUPS:
+            row[name] = max([row[name], *map(relative_deviation, new[name], old[name])])
+    return [f"{workload} against {row['ops']} ops: max rel dev "
+            + ", ".join(f"{name} {row[name]:.3g}" for name in GROUPS)
+            + f"; ok changed {row['ok']}, violated changed {row['violated']}, refusals changed {row['refusals']}"
+            for workload, row in rows.items()]
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--workload", nargs="+", choices=sorted(CERTIFY_SIZES), default=sorted(CERTIFY_SIZES))
     ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
     ap.add_argument("--ops", type=int, default=None, help="digest only the first OPS ops of each round")
+    ap.add_argument("--dump", metavar="FILE", help="write every op's values and outcome as JSON")
+    ap.add_argument("--against", metavar="FILE", help="compare every op with a --dump of another tree")
     args = ap.parse_args()
 
     digest = hashlib.sha256()
-    count = 0
+    ops, count = {}, 0
     for workload in args.workload:
         for seed in args.seeds:
-            for spec in certify_round(workload, seed)[:args.ops]:
+            for i, spec in enumerate(certify_round(workload, seed)[:args.ops]):
                 try:
                     with np.errstate(all="ignore"):
                         result = certify(spec)
@@ -65,7 +115,18 @@ def main() -> int:
                     result = f"{type(exc).__name__}: {exc}"
                 digest.update(repr((spec, result)).encode())
                 count += 1
+                if args.dump or args.against:
+                    with np.errstate(all="ignore"):
+                        outcome = run_certify(spec)
+                    ops[f"{workload} seed={seed} op={i}"] = {
+                        "result": result, "ok": outcome.ok, "violated": outcome.violated}
     print(count, "ops", "sha256", digest.hexdigest())
+    if args.dump:
+        with open(args.dump, "w") as handle:
+            json.dump(ops, handle)
+    if args.against:
+        with open(args.against) as handle:
+            print(*compare(ops, json.load(handle)), sep="\n")
     return 0
 
 

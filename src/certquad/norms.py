@@ -9,9 +9,13 @@ samples g returns without an |g| copy); they are lower bounds of the
 essential supremum that tighten under refinement.
 
 No norm is graded to rounding: the line norms are graded 5 and 6 levels
-deep (good to ~1e-7 relative), the f_xy area norm 4 and 5 levels deep
+deep (good to ~1e-7 relative), the f_xy area norm 3 to 5 levels deep
 (~1e-9), and ``derivative_norms`` adds every norm's error estimate to its
-value, so the shallow grading never lowers a bound.  The estimates'
+value, so the shallow grading never lowers a bound.  The area norm climbs
+a ladder of three rungs graded 3, 4 and 5 levels deep (``_area_ladder``)
+and stops at the first two that agree to 1e-12 relative: rung 1 with the
+change from rung 0 as its estimate, otherwise rung 2 with the change from
+rung 1, which is the two-pass (4, 5)-level norm.  The estimates'
 floating-point floors are relative (1e-15 of the value), so a zero
 partial's norms stay exactly zero.
 
@@ -25,8 +29,9 @@ simple root typically takes 1-4 rounds, none more than 15); a scan with
 no zero gives one set that all its lines share, and any lines whose
 breaks agree bit for bit share a set, across partials too; one
 ``gauss.graded_nodes`` build of every distinct breakpoint set for both
-Gauss passes, the area axes 4 and 5 levels deep and the line sets 5 and
-6; then the samples and their reductions, f_xy's two tensor passes
+Gauss passes, the line sets 5 and 6 levels deep and the area axes twice,
+once for the ladder's rungs 1 and 2 and once for its rung 0; then the
+samples and their reductions, f_xy's two or three tensor passes
 (``gauss.tensor_p_norm``) first, then each partial's lines in one
 integrand call and one ``gauss.segment_p_norms`` reduction
 (``_batch_norms``).  A partial whose lines share one breakpoint set
@@ -77,6 +82,8 @@ from .gauss import (
 from .weights import ramp_jumps
 
 DEFAULT_RESOLUTION = 256
+#: Relative gap at which two rungs of the area norm's ladder agree (``_area_ladder``).
+_AREA_RTOL = 1e-12
 
 
 def _pass_fraction(resolution: int) -> float:
@@ -152,26 +159,46 @@ def _norms_with_error(p: Exponent, resolution: int, area=None, lines=()):
     scans = [] if area is None else area_scans(*area, min(resolution, 192))
     axes = len(scans)
     found = scan_breaks(scans + [(g, axis, c, lo, hi, resolution) for g, axis, c, lo, hi in lines])
-    sets = [axis_breaks(f) for f in found[:axes]]
+    sets = [axis_breaks(f) for f in found[:axes]] * 2
     owners = _line_sets(found[axes:], sets)
     del found  # the build needs only the sets: free the lines' breaks before it
-    # build: a coarse and a fine pass of every set, the area axes a level shallower
-    depth = np.full(len(sets), 5)
-    depth[:axes] = 4
+    # build: a coarse and a fine pass of every set.  The line sets take 5 and 6
+    # levels; the area axes' second copy 4 and 5 (the ladder's rungs 1 and 2),
+    # their first copy 3 levels at twice the cap (rung 0) and, unused, one
+    # panel per gap
+    levels = np.full((2, len(sets)), [[5], [6]])
+    fracs = np.full((2, len(sets)), [[max_frac], [max_frac / 2.0]])
+    levels[:, axes:2 * axes] = [[4], [5]]
+    levels[:, :axes] = [[3], [0]]
+    fracs[:, :axes] = [[2.0 * max_frac], [1.0]]
     spans = np.asarray([s[-1] - s[0] for s in sets])
-    nodes, weights, bounds = graded_nodes(
-        sets, ((depth, spans * max_frac), (depth + 1, spans * (max_frac / 2.0)))
-    )
-    area_norm = None
-    if area is not None:
-        passes = []
-        for i in (0, len(sets)):  # x then y of the coarse pass, then of the fine pass
-            x, y = slice(bounds[i], bounds[i + 1]), slice(bounds[i + 1], bounds[i + 2])
-            passes.append(tensor_p_norm(area[0], nodes[x], nodes[y], weights[x], weights[y], p.value))
-        coarse, fine = passes
-        area_norm = fine, abs(fine - coarse) + 1e-15 * abs(fine)
+    nodes, weights, bounds = graded_nodes(sets, list(zip(levels, spans * fracs)))
     build = nodes, weights, bounds, len(sets)
+    area_norm = None if area is None else _area_ladder(area[0], p.value, build)
     return area_norm, [_batch_norms(p, build, *batch[:3], owner) for batch, owner in zip(lines, owners)]
+
+
+def _area_ladder(g, p: float, build) -> tuple[float, float]:
+    """(value, error) of the area norm from the first two rungs of its ladder that agree.
+
+    ``build`` is the report's (nodes, weights, bounds, number of sets),
+    whose first four sets are the area axes twice: rung 0 is the tensor
+    pass of the first copy's coarse nodes, rungs 1 and 2 those of the
+    second copy's coarse and fine nodes.  Rung 1 is accepted when it is
+    within ``_AREA_RTOL`` of rung 0, relative to rung 1, so a zero f_xy
+    reports (0, 0) there; otherwise rung 2 is sampled and reported against
+    rung 1.  The error is the last step's change plus a floating-point
+    floor of 1e-15 of the value.
+    """
+    nodes, weights, bounds, nsets = build
+    rungs = []
+    for i in (0, 2, nsets + 2):  # the first of each rung's two axis sets
+        x, y = slice(bounds[i], bounds[i + 1]), slice(bounds[i + 1], bounds[i + 2])
+        rungs.append(tensor_p_norm(g, nodes[x], nodes[y], weights[x], weights[y], p))
+        if len(rungs) > 1 and abs(rungs[-1] - rungs[-2]) <= _AREA_RTOL * abs(rungs[-1]):
+            break
+    prev, value = rungs[-2:]
+    return value, abs(value - prev) + 1e-15 * abs(value)
 
 
 def _line_sets(found, sets: list) -> list:
@@ -267,13 +294,16 @@ def line_norms_with_error(g, axis: str, fixed, lo: float, hi: float, p,
 def area_norm_with_error(g, rect: Rectangle, p, resolution: int = DEFAULT_RESOLUTION):
     """(int int |g|^p)^(1/p) over the rectangle, plus an error estimate.
 
-    Two graded tensor Gauss passes (``gauss.tensor_p_norm``), panels split
-    at the sign changes of g along two scan lines per axis
-    (``gauss.area_breaks``), graded 4 and 5 levels deep toward every panel
-    end; the estimate is their difference plus a floor of 1e-15 of the
-    value, so an identically zero g reports (0, 0).  The grading is
-    shallow: the value is good to ~1e-9, not to rounding, and
-    ``derivative_norms`` adds the estimate to it.  This is the area-only
+    Graded tensor Gauss passes (``gauss.tensor_p_norm``), panels split at
+    the sign changes of g along two scan lines per axis
+    (``gauss.area_breaks``) and graded toward every panel end: rung 0 at 3
+    levels and twice the coarse panel cap, rung 1 at 4 levels, rung 2 at 5
+    levels and half the cap.  Rung 1 is reported when it agrees with rung
+    0 to 1e-12 relative, else rung 2; the estimate is the change from the
+    rung below plus a floor of 1e-15 of the value, so an identically zero
+    g reports (0, 0) after two rungs.  The grading is shallow: the value
+    is good to ~1e-9, not to rounding, and ``derivative_norms`` adds the
+    estimate to it.  This is the area-only
     view of the core ``derivative_norms`` runs, whose one ``graded_nodes``
     build grades the area axes alongside the lines.
     """
@@ -343,7 +373,8 @@ def derivative_norms(
     shallow gradings.  The norms not yet known are built together: at
     finite p one ``graded_nodes`` build per report and one
     ``segment_p_norms`` reduction per partial with lines not yet known,
-    f_xy sampled before the lines (see the module docstring).  ``cache``
+    f_xy sampled before the lines, at two rungs of its ladder or, when
+    they disagree, three (see the module docstring).  ``cache``
     memoizes the area norm and every line norm of one integrand per
     (rectangle, p, resolution), a line keyed by its exact coordinate, so
     calls for other partitions, rules or rectangles can share it; a

@@ -14,7 +14,7 @@ from scipy.integrate import quad
 
 import certquad as cq
 from certquad.cli import certificate_ok
-from conftest import integrand
+from conftest import integrand, two_pass_area_norm
 
 P_FINITE = (1, 1.5, 2, 3)
 
@@ -120,3 +120,87 @@ def test_steep_tanh_certified_or_refused(rule, p):
         return
     error = abs(rep.estimate - f.exact_integral)
     assert certificate_ok(error, rep.bound), (rep.bound, error)
+
+
+# --- tanh product: an f_xy spike between the scan lines -----------------------
+
+SPIKE_RECT = cq.Rectangle(0.2, 1.4, -0.3, 0.6)
+SPIKE_EPS = (0.05, 0.02, 0.01, 0.005)
+# centres as fractions of the sides; (centre, eps, p) where fxy is below the closed form
+SPIKE_CENTRES = {"inner": (0.37, 0.61), "low-right": (0.81, 0.23), "corner": (0.1234, 0.8765)}
+SPIKE_SHORT = {("corner", 0.005, 2)}
+
+
+def _sech2(z):
+    # sech^2 z = 4 t / (1 + t)^2 with t = e^{-2|z|}, which never overflows
+    t = np.exp(-2.0 * np.abs(z))
+    return 4.0 * t / (1.0 + t) ** 2
+
+
+def tanh_spike(rect, centre, eps):
+    """f = tanh(u) tanh(v), u = (x - x0)/ex, v = (y - y0)/ey, with ex, ey = eps of each side.
+
+    Returns the integrand and its (x0, ex, y0, ey); f_xy = sech^2(u) sech^2(v) / (ex ey)
+    is a spike of width ~eps about (x0, y0).
+    """
+    x0, y0 = rect.a + centre[0] * rect.width, rect.c + centre[1] * rect.height
+    ex, ey = eps * rect.width, eps * rect.height
+
+    def parts(x, y):
+        u, v = (np.asarray(x, dtype=float) - x0) / ex, (np.asarray(y, dtype=float) - y0) / ey
+        return np.tanh(u), np.tanh(v), _sech2(u) / ex, _sech2(v) / ey
+
+    def f(x, y):
+        tu, tv, _, _ = parts(x, y)
+        return tu * tv
+
+    def fx(x, y):
+        _, tv, du, _ = parts(x, y)
+        return du * tv
+
+    def fy(x, y):
+        tu, _, _, dv = parts(x, y)
+        return tu * dv
+
+    def fxy(x, y):
+        _, _, du, dv = parts(x, y)
+        return du * dv
+
+    return cq.Integrand(f=f, fx=fx, fy=fy, fxy=fxy), (x0, ex, y0, ey)
+
+
+def tanh_spike_fxy_norm(rect, shape, p):
+    """||f_xy||_p in closed form: a product of one-dimensional factors.
+
+    At p = 1 each factor is |tanh(hi) - tanh(lo)| in the scaled coordinate;
+    at p = 2 it is [t - t^3/3] / eps with t = tanh, as the integral of
+    sech^4(s/eps) / eps^2 is that.
+    """
+    x0, ex, y0, ey = shape
+
+    def factor(lo, hi, c, e):
+        t0, t1 = math.tanh((lo - c) / e), math.tanh((hi - c) / e)
+        return abs(t1 - t0) if p == 1 else ((t1 - t1 ** 3 / 3.0) - (t0 - t0 ** 3 / 3.0)) / e
+
+    return (factor(rect.a, rect.b, x0, ex) * factor(rect.c, rect.d, y0, ey)) ** (1.0 / p)
+
+
+def _spike_cases(short=frozenset()):
+    for key in SPIKE_CENTRES:
+        for eps in SPIKE_EPS:
+            for p in (1, 2):
+                marks = known_defect(1) if (key, eps, p) in short else []
+                yield pytest.param(key, eps, p, id=f"{key}-eps{eps}-p{p}", marks=marks)
+
+
+@pytest.mark.parametrize("key,eps,p", _spike_cases())
+def test_tanh_spike_fxy_escalates_to_the_two_pass_norm(key, eps, p):
+    f, _ = tanh_spike(SPIKE_RECT, SPIKE_CENTRES[key], eps)
+    assert cq.area_norm_with_error(f.fxy, SPIKE_RECT, p) == two_pass_area_norm(f.fxy, SPIKE_RECT, p)
+
+
+@pytest.mark.parametrize("key,eps,p", _spike_cases(SPIKE_SHORT))
+def test_tanh_spike_fxy_not_below_closed_form(key, eps, p):
+    f, shape = tanh_spike(SPIKE_RECT, SPIKE_CENTRES[key], eps)
+    truth = tanh_spike_fxy_norm(SPIKE_RECT, shape, p)
+    assert cq.derivative_norms(f, SPIKE_RECT, p).fxy >= truth

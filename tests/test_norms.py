@@ -23,7 +23,7 @@ from certquad.gauss import (
 )
 from certquad.norms import partial_evaluators
 from certquad.weights import ramp_jumps
-from conftest import RECT_SET, UNIT, integrand
+from conftest import RECT_SET, UNIT, integrand, two_pass_area_norm
 
 
 def one_line(g, lo, hi, p, fixed=0.0, axis="x", **kw):
@@ -101,6 +101,64 @@ class TestAreaNorm:
         factor, _ = quad(lambda t: abs(np.cos(t)) ** p, 0.0, np.pi, limit=200)
         expect = (factor * factor) ** (1.0 / p)
         assert got == pytest.approx(expect, rel=1e-8)
+
+
+class TestAreaLadder:
+    """The area norm stops at the first two rungs of its ladder that agree.
+
+    Rungs 0, 1 and 2 are tensor passes graded 3, 4 and 5 levels deep; an
+    escalated report is the two-pass (4, 5)-level norm (``two_pass_area_norm``)
+    bit for bit, an accepted one rung 1, within rounding of it.
+    """
+
+    @pytest.fixture
+    def rungs(self, monkeypatch):
+        """The number of ``tensor_p_norm`` passes of the last area norm."""
+        out = [0]
+        sample = cq.norms.tensor_p_norm
+
+        def counted(*args):
+            out[0] += 1
+            return sample(*args)
+
+        monkeypatch.setattr(cq.norms, "tensor_p_norm", counted)
+        return out
+
+    @pytest.mark.parametrize("name, p", [("sinsin", 1.5), ("poly22", 1.5), ("sinsum", 1), ("sinsum", 1.5),
+                                         ("sinsum", 3)])
+    def test_escalated_norm_is_the_two_pass_norm(self, rungs, name, p):
+        rect = cq.Rectangle(0.0, np.pi, 0.0, np.pi)
+        fxy = integrand(name, rect).fxy
+        got = cq.area_norm_with_error(fxy, rect, p)
+        assert rungs[0] == 3
+        assert got == two_pass_area_norm(fxy, rect, p)
+
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 3])
+    def test_accepted_norm_is_within_rounding_of_the_two_pass_norm(self, rungs, p):
+        rects = (cq.Rectangle(0.1, 1.3, -0.2, 0.9), cq.Rectangle(0.0, np.pi, 0.0, np.pi),
+                 cq.Rectangle(-1.0, 0.5, -0.7, 0.8), UNIT)
+        counts = {2: 0, 3: 0}
+        for rect in rects:
+            for name in cq.names():
+                entry = cq.get_entry(name)
+                if not entry.domain_ok(rect):
+                    continue
+                fxy = entry.integrand(rect).fxy
+                rungs[0] = 0
+                value, error = cq.area_norm_with_error(fxy, rect, p)
+                ref, ref_error = two_pass_area_norm(fxy, rect, p)
+                counts[rungs[0]] += 1
+                if rungs[0] == 3:
+                    assert (value, error) == (ref, ref_error), (name, rect)
+                else:
+                    assert abs(value - ref) <= 1e-12 * abs(ref), (name, rect)
+                    assert error <= 1e-12 * abs(value) + 1e-15 * abs(value), (name, rect)
+        assert counts[2] + counts[3] == 39 and counts[2] > counts[3]
+
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 3])
+    def test_zero_stops_at_the_first_pair(self, rungs, p):
+        assert cq.area_norm_with_error(lambda x, y: 0.0 * x * y, UNIT, p) == (0.0, 0.0)
+        assert rungs[0] == 2
 
 
 class TestDerivativeNorms:
@@ -799,14 +857,14 @@ class TestEvaluationCounts:
         assert rec["vector"] <= max_vector_calls
 
     def test_area_norm_counts(self):
-        # per axis one scan of two lines and 3 secant rounds, then the two
-        # (4, 5)-level tensor passes
+        # per axis one scan of two lines and 3 secant rounds, then the 3- and
+        # 4-level tensor passes of the area ladder's rungs 0 and 1, which agree
         rect = cq.Rectangle(0.0, np.pi, 0.0, np.pi)
         rec = {"vector": 0, "single": 0, "points": 0}
         f = integrand("sinsin", rect)
         f = dataclasses.replace(f, fxy=self.counted(f.fxy, rec))
         cq.derivative_norms(f, rect, 2, partition=cq.PartitionSpec(rect, 32, 32))
-        assert rec == {"vector": 10, "single": 0, "points": 54380}
+        assert rec == {"vector": 10, "single": 0, "points": 26732}
 
 
 class TestOneBuildPerReport:

@@ -59,6 +59,20 @@ class TestOracleIntegrate:
         value, _ = cq.oracle_integrate(replace(f, exact_integral=None), rect)
         assert f.exact_integral == pytest.approx(value, rel=1e-12, abs=0.0)
 
+    def test_smooth_integrand_converges_at_two_panels(self, unit):
+        # the dyadic ladder starts at one panel of 16 x 16 nodes: a smooth
+        # integrand's one- and two-panel sums already agree
+        sizes = []
+
+        def f(x, y):
+            sizes.append(np.broadcast(x, y).size)
+            return np.sin(x) * np.sin(y)
+
+        value, err = cq.oracle_integrate(cq.Integrand(f=f), unit)
+        assert sizes == [256, 1024]
+        assert value == pytest.approx((1.0 - np.cos(1.0)) ** 2, abs=1e-14)
+        assert err < 1e-12
+
     def test_budget_exhaustion_carries_best_value(self, unit, monkeypatch):
         import certquad.oracle as oracle_mod
 

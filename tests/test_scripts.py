@@ -1,6 +1,7 @@
 """The experiment scripts run end to end as subprocesses on small inputs."""
 
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -87,3 +88,26 @@ def test_certify_digest():
     assert len(digest) == 64 and int(digest, 16) >= 0
     assert run_script("certify_digest.py", *args) == first
     assert run_script("certify_digest.py", *args[:4], "2", *args[5:]) != first
+
+
+def test_certify_digest_against_its_own_dump(tmp_path):
+    args = ("--workload", "certify-coarse", "certify-fine", "--seeds", "1", "--ops", "4")
+    dump = tmp_path / "ops.json"
+    first = run_script("certify_digest.py", *args, "--dump", str(dump))
+    again = run_script("certify_digest.py", *args, "--against", str(dump)).splitlines()
+    assert again[0] == first.strip()
+    assert again[1:] == [
+        f"{workload} against 4 ops: max rel dev estimate 0, fxy 0, line norms 0, bound terms 0; "
+        "ok changed 0, violated changed 0, refusals changed 0"
+        for workload in ("certify-coarse", "certify-fine")
+    ]
+    # a deviating dump: one op's fxy raised by 1e-10 relative and its ok flipped
+    ops = json.loads(dump.read_text())
+    op = ops["certify-fine seed=1 op=0"]
+    op["result"][1] *= 1.0 + 1e-10
+    op["ok"] = not op["ok"]
+    dump.write_text(json.dumps(ops))
+    changed = run_script("certify_digest.py", *args, "--against", str(dump)).splitlines()
+    assert changed[1] == again[1]
+    assert changed[2].startswith("certify-fine against 4 ops: max rel dev estimate 0, fxy 1e-10, line norms 0, ")
+    assert changed[2].endswith("; ok changed 1, violated changed 0, refusals changed 0")
