@@ -3,24 +3,22 @@
 Every graded rule and tensor-product norm is built here.  A report's
 breakpoints come from one ``scan_breaks`` call over all its zero scans:
 the f_xy axes (``area_scans``, merged per axis by ``axis_breaks``) and
-each partial's lines; ``zero_breaks`` and ``area_breaks`` are its
-one-scan and one-rectangle views.  ``graded_nodes`` serves
-``norms._norms_with_error`` (one build per report: the line sets and the
-f_xy area axes, each at its own depth), the ramp norms (``weights``) and
-the minimizer's grid (``minimizer``).  The f_xy area norm reduces each
-pass with ``tensor_p_norm``; ``tensor_norms`` holds the scan, the build
-and the reduction for the custom weight norm (``weights``).
-``segment_p_norms`` reduces the samples of the line norms and the ramp
-norms with the scaled power sum ``tensor_p_norm`` uses, at every finite
-p, in the array that holds them: a flat array against weights aligned
-with it, or a (lines x nodes) block against one weight row that every
-line shares; a caller whose segments are scattered through a build
-gathers them with ``gather_segments``.  Grid maxima (``zoomed_sup``, and
-the line maxima of ``norms``) find their argmax with ``abs_argmax``,
-which only reads the samples.  The oracle uses ``panel_nodes``; per-call
-uniform grids come from ``uniform_grid``.  All routines are
-deterministic: fixed node counts and fixed summation order, so repeated
-runs reproduce bit-identical values.
+each partial's lines; ``area_breaks`` is its one-rectangle view.
+``graded_nodes`` serves ``norms._norms_with_error`` (one build per
+report: one entry per set, depth and cap), the weight norms
+(``weights``) and the minimizer's grid (``minimizer``).  The f_xy area
+norm and the custom weight norm reduce each tensor pass with
+``tensor_p_norm``.  ``segment_p_norms`` reduces the samples of the line
+norms and the ramp norms with the scaled power sum ``tensor_p_norm``
+uses, at every finite p, in the array that holds them: a flat array
+against weights aligned with it, or a (lines x nodes) block against one
+weight row that every line shares; a caller whose segments are scattered
+through a build gathers them with ``gather_segments``.  Grid maxima
+(``zoomed_sup``, and the line maxima of ``norms``) find their argmax
+with ``abs_argmax``, which only reads the samples.  The oracle uses
+``panel_nodes``; per-call uniform grids come from ``uniform_grid``.  All
+routines are deterministic: fixed node counts and fixed summation order,
+so repeated runs reproduce bit-identical values.
 """
 
 from __future__ import annotations
@@ -170,56 +168,52 @@ def _graded_fracs(top: int) -> tuple[np.ndarray, np.ndarray]:
     return fracs, hi_end
 
 
-def graded_nodes(sets: Sequence[np.ndarray], passes: Sequence[tuple], k: int = 8):
-    """Graded composite Gauss nodes of several breakpoint sets and passes in one vectorised build.
+def graded_nodes(sets: Sequence[np.ndarray], levels, caps, k: int = 8):
+    """Graded composite Gauss nodes of several breakpoint-set entries in one vectorised build.
 
-    Each pass is (levels, max_width): max_width an array of one width per
-    set, levels one count for every set or an array of one count per set,
-    so sets of different depths share one build.  In set b of a pass every
-    panel [lo, hi] of width w is graded toward both its ends, with breaks
-    at lo + w 2^-j and hi - w 2^-j for j = 1 .. levels; every gap is split
-    into equal parts at most max_width wide; a break within the set's
-    merge tolerance of its predecessor is dropped; each remaining panel
-    gets k Gauss-Legendre nodes (``panel_nodes``).  Segment arithmetic runs
-    every (pass, set) pair at once.  Returns flat (nodes, weights, bounds);
-    pass i of set s owns nodes[bounds[i * len(sets) + s]:bounds[i * len(sets) + s + 1]].
+    Entry e is the set sets[e], graded levels[e] deep (or ``levels`` deep,
+    one count for every entry) with panels at most caps[e] wide; a set
+    graded twice is listed twice.  In every entry each panel [lo, hi] of
+    width w is graded toward both its ends, with breaks at lo + w 2^-j and
+    hi - w 2^-j for j = 1 .. levels; every gap is split into equal parts
+    at most the cap wide; a break within the set's merge tolerance of its
+    predecessor is dropped; each remaining panel gets k Gauss-Legendre
+    nodes (``panel_nodes``).  Segment arithmetic runs every entry at once.
+    Returns flat (nodes, weights, bounds); entry e owns
+    nodes[bounds[e]:bounds[e + 1]].
     """
-    merged, kept = _graded_breaks(sets, passes)
-    # panels: consecutive kept breaks of one (pass, set) pair; masking the panel
-    # ends rather than the nodes keeps the build free of a node-sized copy
+    merged, kept = _graded_breaks(sets, levels, caps)
+    # panels: consecutive kept breaks of one entry; masking the panel ends
+    # rather than the nodes keeps the build free of a node-sized copy
     inner = np.ones(merged.size - 1, dtype=bool)
     inner[np.cumsum(kept)[:-1] - 1] = False
     x, wts = panel_nodes((merged[:-1][inner], merged[1:][inner]), k)
     return x, wts, np.concatenate(([0], np.cumsum((kept - 1) * k)))
 
 
-def _graded_breaks(sets: Sequence[np.ndarray], passes: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
-    """The merged graded breaks of ``graded_nodes``, every (pass, set) pair's in one flat array, and their counts.
+def _graded_breaks(sets: Sequence[np.ndarray], levels, caps) -> tuple[np.ndarray, np.ndarray]:
+    """The merged graded breaks of ``graded_nodes``, every entry's in one flat array, and their counts.
 
     A function of its own so that its working arrays are freed before the
     nodes are built: held through the build, they raise the peak RSS of a
     report with many lines.
     """
-    nset, npass = len(sets), len(passes)
     panels = np.array([len(s) - 1 for s in sets])
     if panels.min() < 1:
         raise ValueError("need at least two breakpoints")
     lo = np.concatenate([s[:-1] for s in sets])
     hi = np.concatenate([s[1:] for s in sets])
-    cap = np.repeat(np.array([width for _, width in passes], dtype=float), panels, axis=1)[..., None]
-    # graded rows of every panel in every pass, each led by a copy of the
-    # panel's lo, at the deepest level count of the build; a shallower
-    # (pass, set) pair's rows are padded with copies of the panel ends,
-    # which the merge drops again
-    depth = np.empty((npass, nset), dtype=np.int64)
-    for row, (levels, _) in zip(depth, passes):
-        row[:] = levels
+    cap = np.repeat(np.asarray(caps, dtype=float), panels)[:, None]
+    # graded rows of every panel, each led by a copy of the panel's lo, at
+    # the deepest level count of the build; a shallower entry's rows are
+    # padded with copies of the panel ends, which the merge drops again
+    depth = np.broadcast_to(levels, len(sets))
     fracs, hi_end = _graded_fracs(int(depth.max()))
-    fracs = fracs[np.repeat(depth, panels, axis=1)]
+    fracs = fracs[np.repeat(depth, panels)]
     rows = np.where(hi_end, hi[:, None], lo[:, None]) + (hi - lo)[:, None] * fracs
     # refine: the gap ending at each break splits into `parts` equal panels;
     # a row's first break closes the zero-width gap from its leading lo
-    prev, g = rows[..., :-1], rows[..., 1:]
+    prev, g = rows[:, :-1], rows[:, 1:]
     gap = g - prev
     parts = np.maximum(np.ceil(gap / cap), 1.0)
     count = parts.astype(np.int64)
@@ -229,18 +223,18 @@ def _graded_breaks(sets: Sequence[np.ndarray], passes: Sequence[tuple]) -> tuple
     pts = np.repeat(prev, n) + np.repeat(gap, n) * step / np.repeat(parts, n)
     pts[last - 1] = g.ravel()
     # merge: drop each break within its set's tolerance of its predecessor
-    emitted = np.add.reduceat(count.sum(axis=-1), np.cumsum(panels) - panels, axis=1).ravel()
+    emitted = np.add.reduceat(count.sum(axis=1), np.cumsum(panels) - panels)
     start = np.cumsum(emitted) - emitted
     tol = merge_tol(np.array([s[0] for s in sets]), np.array([s[-1] for s in sets]))
     keep = np.empty(pts.size, dtype=bool)
-    keep[1:] = np.diff(pts) > np.repeat(np.concatenate([tol] * npass), emitted)[1:]
+    keep[1:] = np.diff(pts) > np.repeat(tol, emitted)[1:]
     keep[start] = True
     merged = pts[keep]
     kept = np.add.reduceat(keep, start)
     if kept.min() < 2:
-        i, s = divmod(int(np.argmin(kept)), nset)
-        lo, hi = float(sets[s][0]), float(sets[s][-1])
-        raise _too_narrow(lo, hi, float(passes[i][1][s]) / (hi - lo))
+        e = int(np.argmin(kept))
+        lo, hi = float(sets[e][0]), float(sets[e][-1])
+        raise _too_narrow(lo, hi, float(caps[e]) / (hi - lo))
     return merged, kept
 
 
@@ -262,22 +256,6 @@ def tensor_p_norm(g, x, y, wx, wy, p: float) -> float:
     u /= s
     u **= p
     return s * float(wx @ u @ wy) ** (1.0 / p)
-
-
-def tensor_norms(g, rect, p: float, scan: int, passes: Sequence[tuple[int, float]]) -> list[float]:
-    """L^p norms of g over a rectangle by graded tensor Gauss, one per pass.
-
-    The axes are split at ``area_breaks(g, rect, scan)``.  A pass (levels,
-    cap) is one ``graded_nodes`` build of both axes, panels at most cap
-    times the axis span wide, and one ``tensor_p_norm`` sample of g, a
-    broadcasting callable.
-    """
-    sets = area_breaks(g, rect, scan)
-    spans = np.asarray([b[-1] - b[0] for b in sets])
-    nodes, weights, bounds = graded_nodes(sets, [(levels, spans * cap) for levels, cap in passes])
-    # segments: x then y of each pass
-    xs, ws = np.split(nodes, bounds[1:-1]), np.split(weights, bounds[1:-1])
-    return [tensor_p_norm(g, x, y, wx, wy, p) for x, y, wx, wy in zip(xs[0::2], xs[1::2], ws[0::2], ws[1::2])]
 
 
 def segment_p_norms(magnitudes: np.ndarray, weights, sizes, p: float) -> np.ndarray:
@@ -478,21 +456,6 @@ def _scan(g, axis: str, c: np.ndarray, lo: float, hi: float, resolution: int):
     keep = rank < np.maximum(32 - np.bincount(exact_rows, minlength=c.size)[rows], 1)
     rows, idx = rows[keep], idx[keep]
     return t[idx], t[idx + 1], vals[rows, idx], vals[rows, idx + 1], rows, exact_rows, t[exact_idx]
-
-
-def zero_breaks(g, axis: str, fixed, lo: float, hi: float, resolution: int) -> list[np.ndarray]:
-    """Breakpoints [lo, hi] plus the sign changes of g along each of several lines, one array per line.
-
-    The one-scan view of ``scan_breaks``: line k runs along ``axis`` over
-    [lo, hi] at transverse coordinate fixed[k].
-    """
-    c = np.asarray(fixed, dtype=float).ravel()
-    (found,) = scan_breaks([(g, axis, c, lo, hi, resolution)])
-    points, sizes = found
-    if sizes is None:
-        return list(np.tile(points, (c.size, 1)))
-    ends = np.cumsum(sizes).tolist()
-    return [points[a:b] for a, b in zip([0, *ends], ends)]
 
 
 _AREA_OFFSETS = np.asarray([0.155, -0.237])

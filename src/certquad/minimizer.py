@@ -138,7 +138,7 @@ class _NormObjective:
         levels = 12 if fine else 9
         nodes_per_panel = 10 if fine else 6
         max_width = 0.125 if fine else 0.25
-        x, w, _ = graded_nodes([np.array([-1.0, 0.0, 1.0])], [(levels, [max_width])], nodes_per_panel)
+        x, w, _ = graded_nodes([np.array([-1.0, 0.0, 1.0])], levels, [max_width], nodes_per_panel)
         self.w = w
         self.q = q
         self.outer = np.outer(x, x)

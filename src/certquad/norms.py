@@ -28,10 +28,10 @@ secant search, one call per round of each scan with live brackets (a
 simple root typically takes 1-4 rounds, none more than 15); a scan with
 no zero gives one set that all its lines share, and any lines whose
 breaks agree bit for bit share a set, across partials too; one
-``gauss.graded_nodes`` build of every distinct breakpoint set for both
-Gauss passes, the line sets 5 and 6 levels deep and the area axes twice,
-once for the ladder's rungs 1 and 2 and once for its rung 0; then the
-samples and their reductions, f_xy's two or three tensor passes
+``gauss.graded_nodes`` build, one entry per set, depth and cap: the area
+axes at each rung of the ladder, then every distinct line set's coarse
+and fine pass (5 and 6 levels deep) side by side; then the samples and
+their reductions, f_xy's two or three tensor passes
 (``gauss.tensor_p_norm``) first, then each partial's lines in one
 integrand call and one ``gauss.segment_p_norms`` reduction
 (``_batch_norms``).  A partial whose lines share one breakpoint set
@@ -159,40 +159,35 @@ def _norms_with_error(p: Exponent, resolution: int, area=None, lines=()):
     scans = [] if area is None else area_scans(*area, min(resolution, 192))
     axes = len(scans)
     found = scan_breaks(scans + [(g, axis, c, lo, hi, resolution) for g, axis, c, lo, hi in lines])
-    sets = [axis_breaks(f) for f in found[:axes]] * 2
-    owners = _line_sets(found[axes:], sets)
+    axis_sets, line_sets = [axis_breaks(f) for f in found[:axes]], []
+    owners = _line_sets(found[axes:], line_sets)
     del found  # the build needs only the sets: free the lines' breaks before it
-    # build: a coarse and a fine pass of every set.  The line sets take 5 and 6
-    # levels; the area axes' second copy 4 and 5 (the ladder's rungs 1 and 2),
-    # their first copy 3 levels at twice the cap (rung 0) and, unused, one
-    # panel per gap
-    levels = np.full((2, len(sets)), [[5], [6]])
-    fracs = np.full((2, len(sets)), [[max_frac], [max_frac / 2.0]])
-    levels[:, axes:2 * axes] = [[4], [5]]
-    levels[:, :axes] = [[3], [0]]
-    fracs[:, :axes] = [[2.0 * max_frac], [1.0]]
-    spans = np.asarray([s[-1] - s[0] for s in sets])
-    nodes, weights, bounds = graded_nodes(sets, list(zip(levels, spans * fracs)))
-    build = nodes, weights, bounds, len(sets)
+    # build: the area axes at the ladder's rungs 0, 1 and 2, then each line
+    # set's coarse and fine pass side by side, as (levels, cap per unit span)
+    rungs = (3, 2.0 * max_frac), (4, max_frac), (5, max_frac / 2.0)
+    passes = (5, max_frac), (6, max_frac / 2.0)
+    entries = [(s, *rung) for rung in rungs for s in axis_sets] + [(s, *q) for s in line_sets for q in passes]
+    sets, levels, fracs = zip(*entries)
+    build = graded_nodes(sets, levels, np.asarray([s[-1] - s[0] for s in sets]) * fracs)
     area_norm = None if area is None else _area_ladder(area[0], p.value, build)
-    return area_norm, [_batch_norms(p, build, *batch[:3], owner) for batch, owner in zip(lines, owners)]
+    lead = 3 * axes  # each line's coarse entry is lead + 2 * its set
+    return area_norm, [_batch_norms(p, build, *batch[:3], lead + 2 * owner) for batch, owner in zip(lines, owners)]
 
 
 def _area_ladder(g, p: float, build) -> tuple[float, float]:
     """(value, error) of the area norm from the first two rungs of its ladder that agree.
 
-    ``build`` is the report's (nodes, weights, bounds, number of sets),
-    whose first four sets are the area axes twice: rung 0 is the tensor
-    pass of the first copy's coarse nodes, rungs 1 and 2 those of the
-    second copy's coarse and fine nodes.  Rung 1 is accepted when it is
+    ``build`` is the report's (nodes, weights, bounds), whose entries 2r
+    and 2r + 1 are the x and y axes of rung r, for r = 0, 1, 2: rung r is
+    the tensor pass of those two entries.  Rung 1 is accepted when it is
     within ``_AREA_RTOL`` of rung 0, relative to rung 1, so a zero f_xy
     reports (0, 0) there; otherwise rung 2 is sampled and reported against
     rung 1.  The error is the last step's change plus a floating-point
     floor of 1e-15 of the value.
     """
-    nodes, weights, bounds, nsets = build
+    nodes, weights, bounds = build
     rungs = []
-    for i in (0, 2, nsets + 2):  # the first of each rung's two axis sets
+    for i in (0, 2, 4):  # each rung's x entry
         x, y = slice(bounds[i], bounds[i + 1]), slice(bounds[i + 1], bounds[i + 2])
         rungs.append(tensor_p_norm(g, nodes[x], nodes[y], weights[x], weights[y], p))
         if len(rungs) > 1 and abs(rungs[-1] - rungs[-2]) <= _AREA_RTOL * abs(rungs[-1]):
@@ -231,29 +226,27 @@ def _line_sets(found, sets: list) -> list:
 def _batch_norms(p: Exponent, build, g, axis: str, c: np.ndarray, owner: np.ndarray):
     """The (values, errors) of one line batch: its samples and their reduction.
 
-    ``build`` is the report's (nodes, weights, bounds, number of sets) and
-    ``owner`` the set of each line, or the one set all lines share.  A
-    batch whose lines share one set samples that set's coarse-then-fine
-    node row against every line and reduces the (lines x nodes) block
-    against the set's weight row; any other batch samples each line's own
-    nodes, gathered flat into the buffer that then holds their
-    magnitudes, and reduces them against its gathered weights.  A
-    function of its own so that a batch's arrays are freed before the
-    next batch samples.
+    ``build`` is the report's (nodes, weights, bounds) and ``owner`` the
+    coarse entry of each line's set, or of the one set all lines share;
+    the set's fine entry follows it.  A batch whose lines share one set
+    samples that set's coarse-then-fine node row against every line and
+    reduces the (lines x nodes) block against the set's weight row; any
+    other batch samples each line's own nodes, gathered flat into the
+    buffer that then holds their magnitudes, and reduces them against its
+    gathered weights.  A function of its own so that a batch's arrays are
+    freed before the next batch samples.
     """
-    nodes, weights, bounds, nsets = build
+    nodes, weights, bounds = build
     if (owner == owner[0]).all():
-        passes = [slice(bounds[i], bounds[i + 1]) for i in (owner[0], owner[0] + nsets)]
-        magnitudes = _sample_abs(g, axis, np.concatenate([nodes[i] for i in passes])[None, :], c[:, None])
-        w = np.concatenate([weights[i] for i in passes])
-        sizes = [i.stop - i.start for i in passes]
+        lo, mid, hi = bounds[owner[0]:owner[0] + 3]
+        magnitudes = _sample_abs(g, axis, nodes[None, lo:hi], c[:, None])
+        w, sizes = weights[lo:hi], [mid - lo, hi - mid]
     else:
-        seg = np.empty(2 * c.size, dtype=np.int64)
-        seg[0::2], seg[1::2] = owner, owner + nsets
-        offsets, sizes = bounds[seg], np.diff(bounds)[seg]
-        t = gather_segments(nodes, offsets, sizes)
-        magnitudes = _sample_abs(g, axis, t, np.repeat(c, sizes[0::2] + sizes[1::2]), out=t)
-        w = gather_segments(weights, offsets, sizes)
+        offsets, counts = bounds[owner], bounds[owner + 2] - bounds[owner]
+        t = gather_segments(nodes, offsets, counts)
+        magnitudes = _sample_abs(g, axis, t, np.repeat(c, counts), out=t)
+        w = gather_segments(weights, offsets, counts)
+        sizes = np.diff(bounds)[np.stack((owner, owner + 1), axis=1).ravel()]
     coarse, fine = segment_p_norms(magnitudes, w, sizes, p.value).reshape(-1, 2).T
     return fine, np.abs(fine - coarse) + 1e-15 * fine
 

@@ -49,7 +49,15 @@ from .core import (
     Rectangle,
     UnsupportedVariantError,
 )
-from .gauss import as_vector_fn, graded_nodes, segment_p_norms, tensor_norms, zoomed_sup
+from .gauss import (
+    area_breaks,
+    as_vector_fn,
+    graded_nodes,
+    require_resolvable,
+    segment_p_norms,
+    tensor_p_norm,
+    zoomed_sup,
+)
 
 
 def _ramp(nodes: np.ndarray, family: str) -> tuple[np.ndarray, np.ndarray]:
@@ -245,7 +253,7 @@ def phi_norm_closed(w, q) -> float:
 
 def _axis_ramp_norm(breaks: np.ndarray, roots: np.ndarray, qq: float, cap: float) -> float:
     """L^q norm of one axis ramp |t - root_k|: each piece is its own set of one graded Gauss build."""
-    x, wts, bounds = graded_nodes(np.stack((breaks[:-1], breaks[1:]), axis=1), [(12, np.diff(breaks) * cap)])
+    x, wts, bounds = graded_nodes(np.stack((breaks[:-1], breaks[1:]), axis=1), 12, np.diff(breaks) * cap)
     return float(segment_p_norms(np.abs(x - np.repeat(roots, np.diff(bounds))), wts, [x.size], qq)[0])
 
 
@@ -271,7 +279,13 @@ def phi_norm_numeric(w, q, resolution: int = 256) -> float:
     if isinstance(w, CustomPhi):
         if q.is_infinite:
             return zoomed_sup(w.eval_grid, w.rect, max(64, resolution))[0]
-        return tensor_norms(w.eval_grid, w.rect, q.value, 128, [(10, cap)])[0]
+        r = w.rect
+        require_resolvable(r.a, r.b, cap)
+        require_resolvable(r.c, r.d, cap)
+        sets = area_breaks(w.eval_grid, r, 128)
+        nodes, wts, bounds = graded_nodes(sets, 10, [(s[-1] - s[0]) * cap for s in sets])
+        (x, y), (wx, wy) = np.split(nodes, bounds[1:-1]), np.split(wts, bounds[1:-1])
+        return tensor_p_norm(w.eval_grid, x, y, wx, wy, q.value)
     if not isinstance(w, _SeparableWeight):
         raise UnsupportedVariantError(f"unknown weight type {type(w).__name__}")
     if q.is_infinite:

@@ -18,12 +18,10 @@ from certquad.gauss import (
     merge_breaks,
     panel_nodes,
     segment_p_norms,
-    tensor_norms,
-    zero_breaks,
 )
 from certquad.norms import partial_evaluators
 from certquad.weights import ramp_jumps
-from conftest import RECT_SET, UNIT, integrand, two_pass_area_norm
+from conftest import RECT_SET, UNIT, integrand, line_breaks, tensor_norms, two_pass_area_norm
 
 
 def one_line(g, lo, hi, p, fixed=0.0, axis="x", **kw):
@@ -210,8 +208,8 @@ class TestDerivativeNorms:
 
         def deep(g, axis, fixed, lo, hi):
             out = []
-            for c, breaks in zip(fixed, zero_breaks(g, axis, fixed, lo, hi, 256)):
-                x, w, _ = graded_nodes([breaks], [(12, np.array([(breaks[-1] - breaks[0]) / 16]))])
+            for c, breaks in zip(fixed, line_breaks(g, axis, fixed, lo, hi, 256)):
+                x, w, _ = graded_nodes([breaks], 12, [(breaks[-1] - breaks[0]) / 16])
                 mags = np.abs(g(*line_coords(axis, x, c)))
                 out.append(segment_p_norms(mags, w, [x.size], float(p))[0])
             return out
@@ -340,7 +338,7 @@ class TestProperties:
 
 
 def _scalar_zero_breaks(g, lo, hi, resolution):
-    """One line, one bracket and one point at a time: the reference for ``zero_breaks``."""
+    """One line, one bracket and one point at a time: the reference for a one-scan ``scan_breaks``."""
     gv = as_vector_fn(g)
     xs = np.linspace(lo, hi, resolution + 1)
     vals = gv(xs)
@@ -386,13 +384,13 @@ class TestZeroBreaks:
 
     def test_rows_match_scalar_reference(self):
         rows = [0.0, 1.0, 2.0, 3.0]
-        got = zero_breaks(self.g, "x", rows, 0.0, 1.0, 256)
+        got = line_breaks(self.g, "x", rows, 0.0, 1.0, 256)
         for y, breaks in zip(rows, got):
             ref = _scalar_zero_breaks(lambda t: self.g(t, y), 0.0, 1.0, 256)
             assert np.array_equal(breaks, ref), y
 
     def test_cap_takes_exact_zeros_then_crossings_in_order(self):
-        none, sixteen, thirty_two, degenerate = zero_breaks(self.g, "x", [0.0, 1.0, 2.0, 3.0], 0.0, 1.0, 256)
+        none, sixteen, thirty_two, degenerate = line_breaks(self.g, "x", [0.0, 1.0, 2.0, 3.0], 0.0, 1.0, 256)
         roots = (np.pi * np.arange(1, 42) - 0.3) / (41.0 * np.pi)
         # no exact zeros: the first 32 sign changes
         assert np.allclose(none[1:-1], roots[:32], rtol=0.0, atol=1e-14)
@@ -418,7 +416,7 @@ class TestZeroBreaks:
             calls.append(np.broadcast(x, y).size)
             return np.asarray(y) - 129.0 / 512.0 + 0.0 * np.asarray(x)
 
-        rows = zero_breaks(g, "y", [0.25, 0.75], 0.0, 1.0, 256)
+        rows = line_breaks(g, "y", [0.25, 0.75], 0.0, 1.0, 256)
         assert all(np.array_equal(r, [0.0, 129.0 / 512.0, 1.0]) for r in rows)
         assert calls == [2 * 257, 2 * 30]
 
@@ -426,7 +424,7 @@ class TestZeroBreaks:
         # all three roots lie in the scan bracket [0.5, 0.5625]
         roots = np.array([0.51, 0.52, 0.53])
         g = lambda x, y: (x - roots[0]) * (x - roots[1]) * (x - roots[2]) + 0.0 * y
-        (row,) = zero_breaks(g, "x", [0.0], 0.0, 1.0, 16)
+        (row,) = line_breaks(g, "x", [0.0], 0.0, 1.0, 16)
         assert row.size == 3
         assert np.abs(row[1] - roots).min() <= 1e-15
 
@@ -439,7 +437,7 @@ class TestZeroBreaks:
             calls.append(np.broadcast(x, y).size)
             return np.asarray(x) - 1e-3 + 0.0 * np.asarray(y)
 
-        (row,) = zero_breaks(g, "x", [0.0], -1.0, 1.0, 256)
+        (row,) = line_breaks(g, "x", [0.0], -1.0, 1.0, 256)
         assert row.size == 3
         assert abs(row[1] - 1e-3) <= max(2.0**-60 * 2.0 / 256, np.spacing(1e-3))
         assert len(calls) <= 1 + 15
@@ -453,7 +451,7 @@ class TestZeroBreaks:
             calls.append(1)
             return fn(np.asarray(x, dtype=float)) + 0.0 * np.asarray(y)
 
-        (row,) = zero_breaks(g, "x", [fixed], lo, hi, 256)
+        (row,) = line_breaks(g, "x", [fixed], lo, hi, 256)
         return row, len(calls) - 1
 
     def test_simple_root_in_four_rounds(self):
@@ -484,14 +482,14 @@ class TestZeroBreaks:
         # neighbouring samples ~1e-163 apart: their product underflows to -0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            (row,) = zero_breaks(lambda x, y: 1e-160 * (x - 0.3) + 0.0 * y, "x", [0.0], 0.0, 1.0, 256)
+            (row,) = line_breaks(lambda x, y: 1e-160 * (x - 0.3) + 0.0 * y, "x", [0.0], 0.0, 1.0, 256)
         assert row.size == 3 and row[1] == pytest.approx(0.3, abs=1e-15)
 
     def test_huge_values_raise_no_overflow_warning(self):
         # exp(x + y) near x = 700: the products of neighbours overflow
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            (row,) = zero_breaks(lambda x, y: np.exp(x + y), "x", [1.0], 700.0, 701.0, 256)
+            (row,) = line_breaks(lambda x, y: np.exp(x + y), "x", [1.0], 700.0, 701.0, 256)
         assert np.array_equal(row, [700.0, 701.0])
 
 
@@ -899,6 +897,38 @@ class TestOneBuildPerReport:
         cq.derivative_norms(integrand(name, rect), rect, 2, cq.PartitionSpec(rect, 4, 4), family)
         assert calls == {"scan_breaks": 1, "graded_nodes": 1, "segment_p_norms": 2}
 
+    @pytest.mark.parametrize("name, rect, count", [
+        ("sinsum", cq.Rectangle(0.1, 1.3, -0.2, 0.9), 8),  # break-free lines share a set per partial
+        ("sinsum", cq.Rectangle(0.0, 4.0, 0.0, 4.0), 5),  # f_x and f_y lines share sets across partials
+        ("expsum", cq.Rectangle(0.0, 1.0, 0.0, 1.0), 1),  # every line is [0, 1]
+    ])
+    def test_build_entries(self, monkeypatch, name, rect, count):
+        # the report's one build: the area axes at rungs 0, 1 and 2 of its
+        # ladder, then each distinct line set's coarse and fine pass
+        builds = []
+
+        def recorded(sets, levels, caps, *rest):
+            builds.append((sets, levels, caps))
+            return graded_nodes(sets, levels, caps, *rest)
+
+        monkeypatch.setattr(cq.norms, "graded_nodes", recorded)
+        f, part = integrand(name, rect), cq.PartitionSpec(rect, 4, 4)
+        cq.derivative_norms(f, rect, 2, part)
+        fx, fy, fxy, _ = partial_evaluators(f, rect)
+        (xs, _), (ys, _) = ramp_jumps(part, "trapezoid")
+        lines = line_breaks(fx, "x", ys, rect.a, rect.b, 256) + line_breaks(fy, "y", xs, rect.c, rect.d, 256)
+        distinct = list({b.tobytes(): b for b in lines}.values())
+        (sets, levels, caps), = builds
+        assert len(distinct) == count
+        assert len(sets) == 6 + 2 * count
+        assert list(levels) == [3, 3, 4, 4, 5, 5] + [5, 6] * count
+        frac = 1.0 / 8.0
+        fracs = [2 * frac] * 2 + [frac] * 2 + [frac / 2] * 2 + [frac, frac / 2] * count
+        assert list(caps) == [(s[-1] - s[0]) * r for s, r in zip(sets, fracs)]
+        axes = gauss.area_breaks(fxy, rect, 192)
+        expected = axes * 3 + [b for b in distinct for _ in range(2)]
+        assert all(np.array_equal(u, v) for u, v in zip(sets, expected, strict=True))
+
     def test_sup_report(self, calls):
         rect = cq.Rectangle(0.1, 1.3, -0.2, 0.9)
         cq.derivative_norms(integrand("sinsum", rect), rect, cq.INF, cq.PartitionSpec(rect, 4, 4))
@@ -1107,7 +1137,7 @@ class TestLineBatches:
     def test_batch_equals_lines_alone(self, fn, lo, hi, shared, p, axis):
         g = (lambda x, y: fn(y, x)) if axis == "y" else fn
         c = np.linspace(0.1, 0.9, 9)
-        sets = zero_breaks(as_grid_fn(g), axis, c, lo, hi, 256)
+        sets = line_breaks(as_grid_fn(g), axis, c, lo, hi, 256)
         assert all(np.array_equal(s, sets[0]) for s in sets) == shared
         assert shared or len({s.tobytes() for s in sets}) == c.size
         values, errors = cq.line_norms_with_error(g, axis, c, lo, hi, p)
@@ -1166,9 +1196,10 @@ def refine_breaks(breaks, max_width):
 
 
 class TestGradedNodes:
-    """``graded_nodes`` builds every breakpoint set and pass in one call; each
-    (pass, set) pair must equal the one-set build of ``graded_breaks`` and
-    ``refine_breaks`` above, kept here as the reference."""
+    """``graded_nodes`` builds every entry, a breakpoint set at a depth and a
+    panel cap, in one call; each entry must equal the one-set build of
+    ``graded_breaks`` and ``refine_breaks`` above, kept here as the
+    reference, at its own depth and cap."""
 
     SETS = [
         np.array([0.0, 1.0]),  # no interior break
@@ -1184,18 +1215,26 @@ class TestGradedNodes:
         panels = merge_breaks(refine_breaks(graded_breaks(b[:-1], b[1:], levels).ravel(), max_width))
         return panel_nodes(panels, k)
 
-    def check(self, sets, passes):
-        # a pass's levels are one count for every set or one count per set
-        spans = np.asarray([s[-1] - s[0] for s in sets])
-        x, w, bounds = graded_nodes(sets, [(levels, spans * frac) for levels, frac in passes])
-        assert bounds.size == len(passes) * len(sets) + 1
+    @staticmethod
+    def by_pass(sets, passes):
+        """(sets, levels, fracs) of every set at each pass (levels, frac) in turn.
+
+        A pass's levels are one count for every set or one count per set.
+        """
+        entries = [(s, depth, frac) for levels, frac in passes
+                   for s, depth in zip(sets, np.broadcast_to(levels, len(sets)))]
+        return tuple(map(list, zip(*entries)))
+
+    def check(self, sets, levels, fracs):
+        """Build entry e as sets[e] at levels[e] (or ``levels`` for all) with a cap of fracs[e] of its span."""
+        caps = [(s[-1] - s[0]) * frac for s, frac in zip(sets, fracs)]
+        x, w, bounds = graded_nodes(sets, levels, caps)
+        assert bounds.size == len(sets) + 1
         assert bounds[0] == 0 and bounds[-1] == x.size == w.size
-        for i, (levels, frac) in enumerate(passes):
-            for s, b in enumerate(sets):
-                ref_x, ref_w = self.reference(b, np.broadcast_to(levels, len(sets))[s], spans[s] * frac)
-                seg = slice(bounds[i * len(sets) + s], bounds[i * len(sets) + s + 1])
-                assert np.array_equal(x[seg], ref_x), (levels, s)
-                assert np.array_equal(w[seg], ref_w), (levels, s)
+        for e, (b, depth, cap) in enumerate(zip(sets, np.broadcast_to(levels, len(sets)), caps)):
+            ref_x, ref_w = self.reference(b, depth, cap)
+            assert np.array_equal(x[bounds[e]:bounds[e + 1]], ref_x), (e, depth)
+            assert np.array_equal(w[bounds[e]:bounds[e + 1]], ref_w), (e, depth)
 
     @pytest.mark.parametrize("passes", [
         [(11, 1 / 8), (12, 1 / 16)],  # the deep line-norm reference
@@ -1203,25 +1242,36 @@ class TestGradedNodes:
         [(10, 1 / 4)],  # the custom weight norm
         [(12, 1 / 64), (3, 1 / 2)],  # uneven depths, the deeper pass first
         [(5, 1 / 8), (6, 1 / 16)],  # the line norms
-        [(4, 1 / 8), (5, 1 / 16)],  # the area norm
+        [(4, 1 / 8), (5, 1 / 16)],  # the area norm's rungs 1 and 2
     ])
     def test_sets_of_different_lengths_match_reference(self, passes):
-        self.check(self.SETS, passes)
+        self.check(*self.by_pass(self.SETS, passes))
 
     @pytest.mark.parametrize("depth", [
-        np.array([4, 4, 5, 5, 5]),  # two area axes, then three line sets, as derivative_norms builds them
+        np.array([4, 4, 5, 5, 5]),  # two area axes, then three line sets
         np.array([5, 4, 5, 4, 5]),  # the depths interleaved
     ], ids=["axes-first", "interleaved"])
     def test_per_set_depths_match_reference(self, depth):
-        # one build with the line sets at (5, 6) levels and the area axes at
-        # (4, 5): a shallower set is padded with copies of its panel ends,
-        # which the merge drops, so every (pass, set) pair equals the
-        # reference at its own depth
-        self.check(self.SETS, [(depth, 1 / 8), (depth + 1, 1 / 16)])
+        # a shallower entry is padded with copies of its panel ends, which the
+        # merge drops, so every entry equals the reference at its own depth
+        self.check(*self.by_pass(self.SETS, [(depth, 1 / 8), (depth + 1, 1 / 16)]))
+
+    def test_one_count_for_every_entry(self):
+        self.check(self.SETS * 2, 10, [1 / 4] * 5 + [1 / 8] * 5)
+
+    def test_report_layout_matches_reference(self):
+        # the build of _norms_with_error: the area axes (the first two sets) at
+        # the ladder's rungs 0, 1 and 2, then each line set's coarse and fine
+        # pass side by side
+        axes, lines = self.SETS[:2], self.SETS[2:]
+        f = 1 / 8
+        self.check(axes * 3 + [s for s in lines for _ in range(2)],
+                   [3, 3, 4, 4, 5, 5] + [5, 6] * len(lines),
+                   [2 * f, 2 * f, f, f, f / 2, f / 2] + [f, f / 2] * len(lines))
 
     @pytest.mark.parametrize("s", range(len(SETS)))
     def test_one_set_matches_reference(self, s):
-        self.check([self.SETS[s]], [(11, 1 / 8), (12, 1 / 16)])
+        self.check(*self.by_pass([self.SETS[s]], [(11, 1 / 8), (12, 1 / 16)]))
 
     def test_fine_cap_memory_follows_the_node_count(self):
         # a resolution-8192 cap (1/256 and 1/512 of the span) splits each
@@ -1229,21 +1279,21 @@ class TestGradedNodes:
         # stay whole: the build must not pad every gap to the largest split
         sets = [np.concatenate(([0.0], 1e-3 * np.arange(1, 32) + 1e-5 * i, [1.0])) for i in range(16)]
         passes = [(11, 1 / 256), (12, 1 / 512)]
-        spans = np.ones(len(sets))
+        entries, levels, fracs = self.by_pass(sets, passes)
         tracemalloc.start()
         try:
-            x, w, bounds = graded_nodes(sets, [(levels, spans * frac) for levels, frac in passes])
+            x, w, bounds = graded_nodes(entries, levels, fracs)  # every span is 1
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 6 * x.nbytes
-        self.check(sets[:2], passes)
+        self.check(*self.by_pass(sets[:2], passes))
 
     def test_collapsed_set_raises(self):
-        with pytest.raises(ValueError, match="too narrow"):
-            graded_nodes([np.array([0.0, 1.0]), np.array([0.0, 1e-14])], [(11, np.array([0.1, 1e-15]))])
+        with pytest.raises(ValueError, match=r"\[0.0, 1e-14\] is too narrow for quadrature: panels of 1/10 "):
+            graded_nodes([np.array([0.0, 1.0]), np.array([0.0, 1e-14])], 11, np.array([0.1, 1e-15]))
         with pytest.raises(ValueError, match="two breakpoints"):
-            graded_nodes([np.array([0.5])], [(11, np.array([0.1]))])
+            graded_nodes([np.array([0.5])], 11, np.array([0.1]))
 
 
 def mp_p_norm(values, weights, p: float) -> float:
@@ -1256,9 +1306,10 @@ def mp_p_norm(values, weights, p: float) -> float:
 
 
 class TestReductions:
-    """``segment_p_norms`` and ``tensor_norms`` reduce with one scaled power
-    sum at every finite p; they agree with a 200-bit reference to rounding,
-    however large p or the samples."""
+    """``segment_p_norms`` and ``tensor_p_norm`` (through the ``tensor_norms``
+    reference) reduce with one scaled power sum at every finite p; they
+    agree with a 200-bit reference to rounding, however large p or the
+    samples."""
 
     @pytest.mark.parametrize("p", [1, 1.5, 2, 3, 64, 65, 100, 1e3, 1e6, 1e9])
     def test_segments_match_per_segment_norms(self, p):

@@ -183,6 +183,20 @@ class TestCustomNumericNorm:
             with pytest.raises(cq.EvaluationError):
                 cq.phi_norm_numeric(w, q)
 
+    @pytest.mark.parametrize("rect", [cq.Rectangle(1.0, 1.0 + 2e-14, 0.0, 1.0),
+                                      cq.Rectangle(0.0, 1.0, 1.0, 1.0 + 2e-14)], ids=["x", "y"])
+    def test_too_narrow_rectangle_refused_before_sampling(self, rect):
+        calls = []
+
+        def recorded(t):
+            calls.append(np.size(t))
+            return 0.0 * t
+
+        w = cq.CustomPhi(recorded, recorded, rect)
+        with pytest.raises(ValueError, match=r"\[1.0, 1.00000000000002\] is too narrow for quadrature"):
+            cq.phi_norm_numeric(w, 2)
+        assert calls == []
+
     def test_custom_rule_near_p_one_keeps_area_term(self, unit):
         f = cq.get_entry("poly22").integrand(unit)
         report = cq.custom_phi_rule(f, _custom_trapezoid(unit), unit, 1 + 1e-6)
