@@ -110,18 +110,16 @@ def _sup_lines(g, axis: str, c: np.ndarray, lo: float, hi: float, resolution: in
     return best, best - first
 
 
-def _sample_abs(g, axis: str, t, fixed, out=None) -> np.ndarray:
-    """|g| at the points t of the lines at ``fixed``, in ``out`` (which t may be) or a new array.
+def _sample_abs(g, axis: str, t, fixed) -> np.ndarray:
+    """|g| at the points t of the lines at ``fixed``, as a new array, after a finiteness check.
 
-    The samples are checked for finiteness before ``out`` is written, so a
-    non-finite sample is reported at its own coordinate.  The array g
-    returns is only read: g may hold on to it.
+    The array g returns is only read: g may hold on to it.
     """
     coords = line_coords(axis, t, fixed)
     vals = g(*coords)
     if not np.isfinite(vals).all():
         require_finite(vals, coords)
-    return np.abs(vals, out=out)
+    return np.abs(vals)
 
 
 def _norms_with_error(p: Exponent, resolution: int, area=None, lines=()):
@@ -161,7 +159,6 @@ def _norms_with_error(p: Exponent, resolution: int, area=None, lines=()):
     found = scan_breaks(scans + [(g, axis, c, lo, hi, resolution) for g, axis, c, lo, hi in lines])
     axis_sets, line_sets = [axis_breaks(f) for f in found[:axes]], []
     owners = _line_sets(found[axes:], line_sets)
-    del found  # the build needs only the sets: free the lines' breaks before it
     # build: the area axes at the ladder's rungs 0, 1 and 2, then each line
     # set's coarse and fine pass side by side, as (levels, cap per unit span)
     rungs = (3, 2.0 * max_frac), (4, max_frac), (5, max_frac / 2.0)
@@ -207,14 +204,8 @@ def _line_sets(found, sets: list) -> list:
     index: dict[bytes, int] = {}
     owners = []
     for points, sizes in found:
-        if sizes is None:  # no zero: one set for all the batch's lines
-            k = index.setdefault(points.tobytes(), len(sets))
-            if k == len(sets):
-                sets.append(points)
-            owners.append(np.array([k]))
-            continue
         buf = points.tobytes()
-        ends = (8 * np.cumsum(sizes)).tolist()
+        ends = [len(buf)] if sizes is None else (8 * np.cumsum(sizes)).tolist()
         keys = [buf[a:b] for a, b in zip([0, *ends], ends)]
         fresh = list(filterfalse(index.__contains__, dict.fromkeys(keys)))
         index.update(zip(fresh, range(len(sets), len(sets) + len(fresh))))
@@ -230,11 +221,12 @@ def _batch_norms(p: Exponent, build, g, axis: str, c: np.ndarray, owner: np.ndar
     coarse entry of each line's set, or of the one set all lines share;
     the set's fine entry follows it.  A batch whose lines share one set
     samples that set's coarse-then-fine node row against every line and
-    reduces the (lines x nodes) block against the set's weight row; any
-    other batch samples each line's own nodes, gathered flat into the
-    buffer that then holds their magnitudes, and reduces them against its
-    gathered weights.  A function of its own so that a batch's arrays are
-    freed before the next batch samples.
+    reduces the (lines x nodes) block against the set's weight row, with
+    no gather (most batches of a report share a set, and gathering them
+    too runs slower); any other batch samples each line's own nodes,
+    gathered flat, and reduces them against its gathered weights.  A
+    function of its own so that a batch's arrays are freed before the
+    next batch samples.
     """
     nodes, weights, bounds = build
     if (owner == owner[0]).all():
@@ -244,7 +236,7 @@ def _batch_norms(p: Exponent, build, g, axis: str, c: np.ndarray, owner: np.ndar
     else:
         offsets, counts = bounds[owner], bounds[owner + 2] - bounds[owner]
         t = gather_segments(nodes, offsets, counts)
-        magnitudes = _sample_abs(g, axis, t, np.repeat(c, counts), out=t)
+        magnitudes = _sample_abs(g, axis, t, np.repeat(c, counts))
         w = gather_segments(weights, offsets, counts)
         sizes = np.diff(bounds)[np.stack((owner, owner + 1), axis=1).ravel()]
     coarse, fine = segment_p_norms(magnitudes, w, sizes, p.value).reshape(-1, 2).T

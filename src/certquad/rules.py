@@ -54,8 +54,8 @@ from .core import (
     conjugate,
 )
 from .gauss import as_grid_fn, require_finite
-from .norms import derivative_norms, line_norms_with_error
-from .weights import CustomPhi, _ramp, phi_norm_numeric, ramp_jumps, ramp_norm_closed
+from .norms import area_norm_with_error, derivative_norms, line_norms_with_error
+from .weights import CustomPhi, _ramp, ramp_jumps, ramp_norm_closed
 
 NOTE_MIDLINE_P1 = (
     "p=1 y-term uses the midline norm ||f_y(m1,.)||_1, pairing the error "
@@ -239,7 +239,8 @@ def custom_phi_rule(
 
     estimate = f(a,c)phi(a,c) + f(b,d)phi(b,d) - f(a,d)phi(a,d) - f(b,c)phi(b,c);
     |error| <= sum of ||f_x(.,c)||_p ||phi(.,c)||_q + ... + ||f_xy||_p ||phi||_q,
-    with the phi-norms computed numerically.
+    with the phi-norms computed numerically, each inflated by its own
+    error estimate.
     """
     if not isinstance(w, CustomPhi):
         raise UnsupportedVariantError("custom_phi_rule requires a CustomPhi weight")
@@ -258,14 +259,14 @@ def custom_phi_rule(
     estimate = float(np.dot(signs, fvals * phis))
 
     bundle = derivative_norms(f, rect, p, rule_family="trapezoid", resolution=resolution)
-    # the weight's edge norms, each inflated by its own error estimate
+    # the weight's edge norms and area norm, each inflated by its own error estimate
     edges_x = np.add(*line_norms_with_error(w.eval_grid, "x", [rect.c, rect.d], rect.a, rect.b, q,
                                             resolution))
     edges_y = np.add(*line_norms_with_error(w.eval_grid, "y", [rect.a, rect.b], rect.c, rect.d, q,
                                             resolution))
     fx_term = sum(v * e for v, e in zip(bundle.x_lines, edges_x))
     fy_term = sum(v * e for v, e in zip(bundle.y_lines, edges_y))
-    fxy_term = bundle.fxy * phi_norm_numeric(w, q, resolution)
+    fxy_term = bundle.fxy * sum(area_norm_with_error(w.eval_grid, rect, q, resolution))
     return QuadratureReport(
         rule_id="custom-phi",
         estimate=estimate,

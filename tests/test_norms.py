@@ -1153,8 +1153,9 @@ class TestReportMemory:
     their lines share a set, and grid maxima read g's samples without an
     |g| copy.  Measured with Python 3.11 and numpy 2.4: 0.460 MB for sinsin,
     m = 64, p = 3 (0.941 MB with the gathers) and 0.668 MB for m = 1,
-    p = inf (1.063 MB with the copy).  The bounds allow 25% over the
-    measured peaks, under either older figure.
+    p = inf (1.063 MB with the copy).  A batch whose lines own sets of
+    their own gathers them flat: 1.333 MB for sinsum, m = 64, p = 2.  The
+    bounds allow 25% over the measured peaks, under either older figure.
     """
 
     @pytest.mark.parametrize("m, p, bound", [(64, 3, 0.58e6), (1, cq.INF, 0.835e6)], ids=["m64-p3", "m1-inf"])
@@ -1169,6 +1170,25 @@ class TestReportMemory:
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+    def test_gathered_layout_peak(self):
+        rect = cq.Rectangle(0.1, 1.3, -0.2, 0.9)
+        f, part = integrand("sinsum", rect), cq.PartitionSpec(rect, 64, 64)
+        # both partials' lines split into many distinct breakpoint sets, so
+        # both batches sample gathered nodes rather than one shared row
+        fx, fy, _, _ = partial_evaluators(f, rect)
+        (xs, _), (ys, _) = ramp_jumps(part, "trapezoid")
+        distinct = [len({s.tobytes() for s in line_breaks(g, axis, c, lo, hi, 256)})
+                    for g, axis, c, lo, hi in ((fx, "x", ys, rect.a, rect.b), (fy, "y", xs, rect.c, rect.d))]
+        assert distinct == [38, 35]
+        cq.derivative_norms(f, rect, 2, part)  # warm the node caches
+        tracemalloc.start()
+        try:
+            cq.derivative_norms(f, rect, 2, part)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.67e6
 
 
 def graded_breaks(lo, hi, levels):
@@ -1329,18 +1349,23 @@ class TestReductions:
         assert got[3] == ref[3] == 0.0
         assert got == pytest.approx(ref, rel=1e-15, abs=0.0)
 
-    @pytest.mark.parametrize("p", [1, 1.5, 3, 1e6])
-    def test_block_rows_match_flat_segments(self, p):
+    # two segments per row, as a line's coarse and fine pass; one; and four,
+    # one of them a single sample
+    @pytest.mark.parametrize("p, sizes", [
+        *[pytest.param(p, [37, 150], id=str(p)) for p in (1, 1.5, 3, 1e6)],
+        *[pytest.param(p, sizes, id=f"{p}-{name}") for name, sizes in (("one", [187]), ("four", [37, 1, 100, 49]))
+          for p in (1, 1.5, 3, 1e6)],
+    ])
+    def test_block_rows_match_flat_segments(self, p, sizes):
         # a (lines x nodes) block against one broadcast weight row, bit for bit
         # the flat reduction of the same rows against the row's gathered copies
         rng = np.random.default_rng(11)
-        sizes = [37, 150]
         mags = np.abs(rng.standard_normal((9, sum(sizes)))) * 10.0 ** rng.uniform(-50, 50, (9, 1))
         mags[4] = 0.0
         weights = rng.uniform(1e-3, 1e-1, size=sum(sizes))
         block = segment_p_norms(mags.copy(), weights, sizes, float(p))
         flat = segment_p_norms(mags.ravel().copy(), np.tile(weights, 9), sizes * 9, float(p))
-        assert block.shape == (9, 2)
+        assert block.shape == (9, len(sizes))
         assert np.array_equal(block.ravel(), flat)
         assert (block[4] == 0.0).all()
 

@@ -419,6 +419,17 @@ class TestCustomPhiRule:
         trap_bound = cq.composite_trapezoid_bound(nb, unit, one).total
         assert report.bound == pytest.approx(trap_bound, rel=1e-6)
 
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 3, cq.INF])
+    def test_fxy_term_covers_the_exact_weight_norm(self, unit, p):
+        # the weight's area norm enters inflated by its error estimate, so the
+        # f_xy term is not below ||f_xy||_p times the weight's exact norm
+        w = cq.CustomPhi(lambda x: -unit.m2 * x + unit.m1 * unit.m2,
+                         lambda y: -unit.m1 * y, unit)
+        report = cq.custom_phi_rule(integrand("poly22", unit), w, unit, p)
+        trap = cq.CompositeTrapezoidPhi(unit, cq.PartitionSpec(unit, 1, 1))
+        exact = cq.phi_norm_closed(trap, cq.conjugate(cq.Exponent.coerce(p)))
+        assert report.fxy_term >= report.norms_used.fxy * exact
+
     def test_plain_xy_corner_combination(self, unit):
         w = cq.CustomPhi(lambda x: 0.0 * x, lambda y: 0.0 * y, unit)
         f = integrand("one", unit)

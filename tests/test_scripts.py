@@ -111,3 +111,15 @@ def test_certify_digest_against_its_own_dump(tmp_path):
     assert changed[1] == again[1]
     assert changed[2].startswith("certify-fine against 4 ops: max rel dev estimate 0, fxy 1e-10, line norms 0, ")
     assert changed[2].endswith("; ok changed 1, violated changed 0, refusals changed 0")
+
+
+def test_src_lines_categories_sum_to_each_module():
+    rows = [line.split() for line in run_script("src_lines.py").splitlines()]
+    assert rows[0] == ["module", "lines", "code", "docstring", "comment", "blank"]
+    modules, total = rows[1:-1], rows[-1]
+    assert [name for name, *_ in modules] == [str(path.relative_to(ROOT))
+                                              for path in sorted((ROOT / "src" / "certquad").rglob("*.py"))]
+    for name, lines, *parts in modules:
+        assert int(lines) == sum(map(int, parts)) == len((ROOT / name).read_text().splitlines()), name
+    assert total[0] == "total"
+    assert [int(v) for v in total[1:]] == [sum(int(row[k]) for row in modules) for k in range(1, 6)]
