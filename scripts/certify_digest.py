@@ -21,10 +21,12 @@ A change meant to alter numbers at rounding level is checked by value
 instead: ``--dump FILE`` writes every op's numbers (or its error
 message) as JSON, together with whether the benchmark's own check
 (``run_certify``, which also runs the oracle) finds the op ok and its
-bound violated; ``--against FILE`` compares this tree's ops with such a
-dump from another tree and prints one more line per workload: the
-largest relative deviation of the estimates, of ``fxy``, of the line
-norms and of the bound terms, and how many ops changed ``ok``, changed
+bound violated, and its p; ``--against FILE`` compares this tree's ops
+with such a dump from another tree (one without the p as well) and
+prints one more line per workload, then one per workload and p, so that
+a change meant to move one p can show every other p at 0: the largest
+relative deviation of the estimates, of ``fxy``, of the line norms and
+of the bound terms, and how many ops changed ``ok``, changed
 ``violated`` or raise where the other tree does not (or with another
 message):
 
@@ -73,25 +75,35 @@ def groups(result) -> dict:
 
 
 def compare(ops: dict, reference: dict) -> list[str]:
-    """One line per workload comparing every op with a reference dump of the same keys."""
+    """One line per workload, then one per workload and p, comparing every op with a reference dump of the same keys.
+
+    An op's p is read from this tree's ``ops``, so the reference may be a
+    dump that does not record it.
+    """
     require_same_keys(ops, reference, "ops")
-    rows: dict[str, dict] = {}
+    totals: dict[str, dict] = {}
+    per_p: dict[tuple, dict] = {}
     for key, ref in reference.items():
         got = ops[key]
-        row = rows.setdefault(key.split()[0], dict.fromkeys(GROUPS, 0.0) | dict.fromkeys(COUNTS, 0))
-        row["ops"] += 1
-        row["ok"] += got["ok"] != ref["ok"]
-        row["violated"] += got["violated"] != ref["violated"]
-        if isinstance(got["result"], str) or isinstance(ref["result"], str):
-            row["refusals"] += got["result"] != ref["result"]
-            continue
-        new, old = groups(got["result"]), groups(ref["result"])
-        for name in GROUPS:
-            row[name] = max([row[name], *map(relative_deviation, new[name], old[name])])
-    return [f"{workload} against {row['ops']} ops: max rel dev "
+        workload = key.split()[0]
+        for row in (totals.setdefault(workload, dict.fromkeys(GROUPS, 0.0) | dict.fromkeys(COUNTS, 0)),
+                    per_p.setdefault((workload, float(got["p"]), got["p"]),
+                                     dict.fromkeys(GROUPS, 0.0) | dict.fromkeys(COUNTS, 0))):
+            row["ops"] += 1
+            row["ok"] += got["ok"] != ref["ok"]
+            row["violated"] += got["violated"] != ref["violated"]
+            if isinstance(got["result"], str) or isinstance(ref["result"], str):
+                row["refusals"] += got["result"] != ref["result"]
+                continue
+            new, old = groups(got["result"]), groups(ref["result"])
+            for name in GROUPS:
+                row[name] = max([row[name], *map(relative_deviation, new[name], old[name])])
+    labels = list(totals.items())
+    labels += [(f"{workload} p={ptext}", per_p[workload, p, ptext]) for workload, p, ptext in sorted(per_p)]
+    return [f"{label} against {row['ops']} ops: max rel dev "
             + ", ".join(f"{name} {row[name]:.3g}" for name in GROUPS)
             + f"; ok changed {row['ok']}, violated changed {row['violated']}, refusals changed {row['refusals']}"
-            for workload, row in rows.items()]
+            for label, row in labels]
 
 
 def main() -> int:
@@ -119,7 +131,7 @@ def main() -> int:
                     with np.errstate(all="ignore"):
                         outcome = run_certify(spec)
                     ops[f"{workload} seed={seed} op={i}"] = {
-                        "result": result, "ok": outcome.ok, "violated": outcome.violated}
+                        "p": spec.p, "result": result, "ok": outcome.ok, "violated": outcome.violated}
     print(count, "ops", "sha256", digest.hexdigest())
     if args.dump:
         with open(args.dump, "w") as handle:

@@ -5,7 +5,9 @@ For every registry integrand, rectangle, p, weight family and m = n, the
 digest takes the ``repr`` of the bundle's ``fxy``, ``x_lines`` and
 ``y_lines`` and of the values and error estimates of the two
 ``line_norms_with_error`` calls (f_x along the x-lines, f_y along the
-y-lines) that the bundle's lines come from.  It also takes, per
+y-lines) that the bundle's lines come from, except at p = 1: there the
+bundle reads its complete lines off f (``derivative_norms``), and the two
+calls, which have no f, are hashed beside them.  It also takes, per
 integrand, rectangle and p, the value and error estimate of
 ``area_norm_with_error`` on f_xy; per rectangle, p, family and m,
 ``phi_norm_numeric`` of the family's composite weight at the conjugate
@@ -30,7 +32,9 @@ from another tree, printing three more lines: the largest relative
 deviation of the line norms and of ``fxy`` and how many ``fxy`` values
 fall below the reference's; how many line norms fall below the
 reference's and their largest relative shortfall; how many weight norms
-differ from the reference's and their largest relative deviation:
+differ from the reference's and their largest relative deviation.  Then
+one line per p gives the same deviations at that p alone, so a change
+meant to move one p can show every other p at 0:
 
     PYTHONPATH=src python3 scripts/norm_digest.py --dump old.json      # on the old tree
     PYTHONPATH=src python3 scripts/norm_digest.py --against old.json   # on the new tree
@@ -83,6 +87,32 @@ def require_same_keys(values: dict, reference: dict, what: str) -> None:
         raise SystemExit(f"the dumps hold different {what}, for example {missing[0]!r}")
 
 
+def p_of(key: str) -> str:
+    """The "p=..." word of a bundle or weight-norm key."""
+    return next(word for word in key.split() if word.startswith("p="))
+
+
+def bundle_deviations(bundles: dict, reference: dict) -> dict:
+    """How bundle values deviate from a reference dump's.
+
+    The largest relative deviation of the line norms and of ``fxy``, how
+    many of each fall below the reference, and the largest relative
+    shortfall of the line norms.
+    """
+    out = dict(lines=0.0, fxy=0.0, shortfall=0.0, below=0, lines_below=0)
+    for key, ref in reference.items():
+        got = bundles[key]
+        for name in ("x_lines", "y_lines"):
+            for value, old in zip(got[name], ref[name], strict=True):
+                out["lines"] = max(out["lines"], relative_deviation(value, old))
+                if value < old:
+                    out["lines_below"] += 1
+                    out["shortfall"] = max(out["shortfall"], relative_deviation(value, old))
+        out["fxy"] = max(out["fxy"], relative_deviation(got["fxy"], ref["fxy"]))
+        out["below"] += got["fxy"] < ref["fxy"]
+    return out
+
+
 def compare(bundles: dict, reference: dict) -> str:
     """Two lines comparing bundle values with a reference dump of the same keys.
 
@@ -92,29 +122,34 @@ def compare(bundles: dict, reference: dict) -> str:
     relative shortfall among them.
     """
     require_same_keys(bundles, reference, "bundles")
-    lines = fxy = shortfall = 0.0
-    below = lines_below = 0
-    for key, ref in reference.items():
-        got = bundles[key]
-        for name in ("x_lines", "y_lines"):
-            for value, old in zip(got[name], ref[name], strict=True):
-                lines = max(lines, relative_deviation(value, old))
-                if value < old:
-                    lines_below += 1
-                    shortfall = max(shortfall, relative_deviation(value, old))
-        fxy = max(fxy, relative_deviation(got["fxy"], ref["fxy"]))
-        below += got["fxy"] < ref["fxy"]
-    return (f"against {len(reference)} bundles: line norms max rel dev {lines:.3g}, "
-            f"fxy max rel dev {fxy:.3g}, fxy below reference {below}\n"
-            f"line norms below reference {lines_below}, max rel shortfall {shortfall:.3g}")
+    d = bundle_deviations(bundles, reference)
+    return (f"against {len(reference)} bundles: line norms max rel dev {d['lines']:.3g}, "
+            f"fxy max rel dev {d['fxy']:.3g}, fxy below reference {d['below']}\n"
+            f"line norms below reference {d['lines_below']}, max rel shortfall {d['shortfall']:.3g}")
+
+
+def weight_deviations(norms: dict, reference: dict) -> list[float]:
+    return [relative_deviation(norms[key], ref) for key, ref in reference.items()]
 
 
 def compare_weights(norms: dict, reference: dict) -> str:
     """One line: how many weight norms differ from a reference dump of the same keys, and by how much."""
     require_same_keys(norms, reference, "weight norms")
-    deviations = [relative_deviation(norms[key], ref) for key, ref in reference.items()]
+    deviations = weight_deviations(norms, reference)
     return (f"against {len(reference)} weight norms: {sum(d > 0.0 for d in deviations)} differ, "
             f"max rel dev {max(deviations, default=0.0):.3g}")
+
+
+def compare_by_p(bundles: dict, weights: dict, reference: dict) -> list[str]:
+    """One line per p, in the reference's order: the deviations of ``compare`` and ``compare_weights`` at that p."""
+    lines = []
+    for p in dict.fromkeys(map(p_of, reference["bundles"])):
+        d = bundle_deviations(bundles, {k: v for k, v in reference["bundles"].items() if p_of(k) == p})
+        w = weight_deviations(weights, {k: v for k, v in reference["weights"].items() if p_of(k) == p})
+        lines.append(f"{p}: line norms max rel dev {d['lines']:.3g} ({d['lines_below']} below reference), "
+                     f"fxy max rel dev {d['fxy']:.3g} ({d['below']} below reference), "
+                     f"weight norms max rel dev {max(w, default=0.0):.3g}")
+    return lines
 
 
 def main() -> int:
@@ -184,6 +219,7 @@ def main() -> int:
             reference = json.load(handle)
         print(compare(bundles, reference["bundles"]))
         print(compare_weights(weights, reference["weights"]))
+        print(*compare_by_p(bundles, weights, reference), sep="\n")
     return 0
 
 

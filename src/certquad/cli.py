@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -142,6 +143,17 @@ def _emit(payload, fmt: str, text_lines) -> None:
 def _at_least(flag: str, value: int, minimum: int) -> int:
     if value < minimum:
         raise ValueError(f"{flag} must be at least {minimum}, got {value}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """A --tol value: a finite float >= 0; anything else is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
     return value
 
 
@@ -351,7 +363,7 @@ def _shared_flags() -> dict[str, argparse.ArgumentParser]:
     flags["partition"].add_argument("--n", type=int, default=1, help="y subintervals")
     flags["resolution"].add_argument("--resolution", type=int, default=256)
     flags["format"].add_argument("--format", dest="output_format", default="text", choices=("text", "json"))
-    flags["tol"].add_argument("--tol", type=float, default=1e-8)
+    flags["tol"].add_argument("--tol", type=_tolerance, default=1e-8, help="tolerance: finite and >= 0")
     return flags
 
 

@@ -131,9 +131,10 @@ class Exponent:
         if t in ("inf", "infinity"):
             return cls(None)
         try:
-            return cls(float(t))
+            value = float(t)
         except ValueError as exc:
             raise ValueError(f"cannot parse exponent {text!r}") from exc
+        return cls(value)
 
     @property
     def is_infinite(self) -> bool:
@@ -250,7 +251,11 @@ class Integrand:
     """An evaluable f(x, y) with optional analytic partials and known integral.
 
     ``exact_integral``, when set, refers to the rectangle the integrand is
-    being used on (the built-in registry fills it per rectangle).
+    being used on (the built-in registry fills it per rectangle).  At
+    p = 1 the line norms of f_x and f_y are read off f (the variation of
+    f along each line), so analytic ``fx`` and ``fy`` must be the
+    partials of ``f``; the finite-difference partials of an integrand
+    without them are, by construction.
     """
 
     f: TwoVarFn

@@ -3,7 +3,9 @@
 Every graded rule and tensor-product norm is built here.  A report's
 breakpoints come from one ``scan_breaks`` call over all its zero scans:
 the f_xy axes (``area_scans``, merged per axis by ``axis_breaks``) and
-each partial's lines; ``area_breaks`` is its one-rectangle view.
+each partial's lines; ``area_breaks`` is its one-rectangle view.  It
+also marks the lines whose breaks may miss a sign change, the only
+lines ``norms`` still grades at p = 1.
 ``graded_nodes`` serves ``norms._norms_with_error`` (one build per
 report: one entry per set, depth and cap), the weight norms
 (``weights``) and the minimizer's grid (``minimizer``).  The f_xy area
@@ -289,7 +291,7 @@ def line_coords(axis: str, t, fixed):
     return (t, fixed) if axis == "x" else (fixed, t)
 
 
-def scan_breaks(scans: Sequence[tuple]) -> list[tuple]:
+def scan_breaks(scans: Sequence[tuple], incomplete: list | None = None) -> list[tuple]:
     """Breakpoints [lo, hi] plus the sign changes of g on the lines of several scans, in one bracket search.
 
     Scan s is (g, axis, fixed, lo, hi, resolution): line k runs along
@@ -318,7 +320,11 @@ def scan_breaks(scans: Sequence[tuple]) -> list[tuple]:
     Returns per scan (points, sizes): every line's sorted breaks
     concatenated in line order, and each line's count.  A scan that finds
     no zero (and spans more than ``merge_tol``) returns ([lo, hi], None),
-    one set that all its lines share.
+    one set that all its lines share.  A list ``incomplete`` gets one
+    boolean array per scan, True for each line whose breaks may miss a
+    sign change its scan saw: a capped line, and a degenerate line whose
+    samples take both signs (a sign change through its run of exact zeros
+    leaves no break).
     """
     found: list = []
     # the scans that found a zero: their (g, axis), their brackets, their lines'
@@ -329,8 +335,12 @@ def scan_breaks(scans: Sequence[tuple]) -> list[tuple]:
         c = np.asarray(fixed, dtype=float).ravel()
         if c.size == 0:
             found.append((np.zeros(0), np.zeros(0, dtype=np.int64)))
+            if incomplete is not None:
+                incomplete.append(np.zeros(0, dtype=bool))
             continue
-        scanned = _scan(g, axis, c, lo, hi, resolution)
+        scanned, marks = _scan(g, axis, c, lo, hi, resolution)
+        if incomplete is not None:
+            incomplete.append(marks)
         if scanned is None:
             found.append((np.array([float(lo), float(hi)]), None))
             continue
@@ -407,12 +417,14 @@ def scan_breaks(scans: Sequence[tuple]) -> list[tuple]:
 
 
 def _scan(g, axis: str, c: np.ndarray, lo: float, hi: float, resolution: int):
-    """One scan of ``scan_breaks``: None if it finds no zero, else its brackets and exact zeros.
+    """One scan of ``scan_breaks``: its brackets and exact zeros, or None if it finds no zero; and its incomplete lines.
 
-    Returns (a, b, fa, fb, rows, exact_rows, exact_points): the chosen
-    brackets' ends, end values and lines, and the lines and points of the
-    exact zeros.  A function of its own so that a scan's samples are freed
-    before the next scan samples.
+    The first item is (a, b, fa, fb, rows, exact_rows, exact_points): the
+    chosen brackets' ends, end values and lines, and the lines and points
+    of the exact zeros.  The second marks each line whose breaks may miss
+    a sign change: capped, or degenerate with samples of both signs.  A
+    function of its own so that a scan's samples are freed before the
+    next scan samples.
     """
     t = uniform_grid(lo, hi, resolution + 1)
     coords = line_coords(axis, t[None, :], c[:, None])
@@ -421,22 +433,27 @@ def _scan(g, axis: str, c: np.ndarray, lo: float, hi: float, resolution: int):
     if not (math.isfinite(low) and math.isfinite(high)):
         require_finite(vals, coords)
     wide = hi - lo > merge_tol(lo, hi)
+    incomplete = np.zeros(c.size, dtype=bool)
     if wide and (low > 0.0 or high < 0.0):
-        return None
+        return None, incomplete
+    neg, pos = vals < 0.0, vals > 0.0  # signs, not products: those can underflow to -0.0 or overflow
     exact = vals == 0.0
     if exact.any():  # a line's exact zeros inside (lo, hi), unless degenerate
-        exact &= ((t > lo) & (t < hi))[None, :] & (exact.sum(axis=1) <= resolution // 2)[:, None]
+        degenerate = exact.sum(axis=1) > resolution // 2
+        exact &= ((t > lo) & (t < hi))[None, :] & ~degenerate[:, None]
+        if low < 0.0 < high and degenerate.any():
+            incomplete = degenerate & neg.any(axis=1) & pos.any(axis=1)
     # rows and columns from flat indices: np.nonzero of a 2-D mask is several times slower
     exact_rows, exact_idx = np.divmod(exact.ravel().nonzero()[0], resolution + 1)
-    neg, pos = vals < 0.0, vals > 0.0  # signs, not products: those can underflow to -0.0 or overflow
     cross = neg[:, :-1] & pos[:, 1:] | pos[:, :-1] & neg[:, 1:]
     rows, idx = np.divmod(cross.ravel().nonzero()[0], resolution)
     if wide and rows.size == 0 and exact_rows.size == 0:
-        return None
+        return None, incomplete
     rank = np.arange(rows.size) - np.searchsorted(rows, rows)
     keep = rank < np.maximum(32 - np.bincount(exact_rows, minlength=c.size)[rows], 1)
+    incomplete[rows[~keep]] = True
     rows, idx = rows[keep], idx[keep]
-    return t[idx], t[idx + 1], vals[rows, idx], vals[rows, idx + 1], rows, exact_rows, t[exact_idx]
+    return (t[idx], t[idx + 1], vals[rows, idx], vals[rows, idx + 1], rows, exact_rows, t[exact_idx]), incomplete
 
 
 _AREA_OFFSETS = np.asarray([0.155, -0.237])

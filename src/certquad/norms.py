@@ -47,6 +47,19 @@ non-finite f_xy value that only the tensor nodes hit.
 ``line_norms_with_error`` (every line of one axis; one line is a
 one-element ``fixed``) and ``area_norm_with_error`` are one-request views
 of the same core.
+
+At p = 1 ``derivative_norms`` hands the core f as each line batch's
+antiderivative, and a complete line needs no Gauss pass: between its
+breaks f_x keeps one sign, so ||f_x(., y)||_1 is sum_i |f(t_{i+1}, y) -
+f(t_i, y)| over its breaks t_i, exact up to rounding, from one call of f
+per partial at every break of its lines (``_variation_norms``).
+A line is incomplete when ``scan_breaks`` capped its sign changes at 32,
+or its scan is degenerate (exact zeros fill over half of it) with
+samples of both signs: a sign change through that zero run leaves no
+break.  Only incomplete lines enter the build and the Gauss passes, so a
+p = 1 report whose lines are all complete builds only the area axes and
+reduces no line.  ``line_norms_with_error`` has no f and keeps the
+passes at every p.
 """
 
 from __future__ import annotations
@@ -126,12 +139,16 @@ def _norms_with_error(p: Exponent, resolution: int, area=None, lines=()):
     """The area norm and the line norms of one report, each with its error estimate.
 
     ``area`` is None or (g, rect); ``lines`` is a sequence of line batches
-    (g, axis, c, lo, hi), c a non-empty float array of transverse
-    coordinates; every g is a grid callable.  Returns None or (value,
-    error) for the area, and a list of (values, errors) arrays, one pair
-    per batch.  A finite p scans and builds once, then samples and
-    reduces the area and each batch in turn (see the module docstring);
-    p = inf takes grid maxima, which need no build.
+    (g, axis, c, lo, hi, antiderivative), c a non-empty float array of
+    transverse coordinates and antiderivative None or a function whose
+    partial along ``axis`` is g; every function is a grid callable.
+    Returns None or (value, error) for the area, and a list of (values,
+    errors) arrays, one pair per batch.  A finite p scans and builds
+    once, then samples and reduces the area and each batch in turn (see
+    the module docstring); at p = 1 a batch with an antiderivative takes
+    its complete lines' norms from it (``_variation_norms``) and builds
+    only its incomplete lines.  p = inf takes grid maxima, which need no
+    build.
     """
     if resolution < 16:
         raise ValueError("resolution must be >= 16")
@@ -142,7 +159,7 @@ def _norms_with_error(p: Exponent, resolution: int, area=None, lines=()):
             area_norm = value, abs(gain) + 1e-15 * value
         line_norms = []
         for batch in lines:
-            value, gain = _sup_lines(*batch, resolution)
+            value, gain = _sup_lines(*batch[:5], resolution)
             line_norms.append((value, np.abs(gain) + 1e-15 * value))
         return area_norm, line_norms
 
@@ -150,25 +167,81 @@ def _norms_with_error(p: Exponent, resolution: int, area=None, lines=()):
     if area is not None:
         require_resolvable(area[1].a, area[1].b, max_frac / 2.0)
         require_resolvable(area[1].c, area[1].d, max_frac / 2.0)
-    for _, _, _, lo, hi in lines:
+    for _, _, _, lo, hi, _ in lines:
         require_resolvable(lo, hi, max_frac / 2.0)
     # scan: f_xy's two axes and every batch's lines in one bracket search; the
     # area axes are the first sets
     scans = [] if area is None else area_scans(*area, min(resolution, 192))
-    axes = len(scans)
-    found = scan_breaks(scans + [(g, axis, c, lo, hi, resolution) for g, axis, c, lo, hi in lines])
+    axes, incomplete = len(scans), []
+    found = scan_breaks(scans + [(g, axis, c, lo, hi, resolution) for g, axis, c, lo, hi, _ in lines], incomplete)
+    # the lines that take the Gauss passes, per batch: every line (rows None),
+    # or at p = 1 only the incomplete lines of a batch with an antiderivative
+    by_f = [p.is_one and batch[5] is not None for batch in lines]
+    gauss = [(k, rows, _chosen_lines(breaks, rows)) if exact else (k, None, breaks)
+             for k, (exact, breaks, rows) in enumerate(zip(by_f, found[axes:], incomplete[axes:]))
+             if not exact or rows.any()]
     axis_sets, line_sets = [axis_breaks(f) for f in found[:axes]], []
-    owners = _line_sets(found[axes:], line_sets)
+    owners = _line_sets([breaks for _, _, breaks in gauss], line_sets)
     # build: the area axes at the ladder's rungs 0, 1 and 2, then each line
     # set's coarse and fine pass side by side, as (levels, cap per unit span)
     rungs = (3, 2.0 * max_frac), (4, max_frac), (5, max_frac / 2.0)
     passes = (5, max_frac), (6, max_frac / 2.0)
     entries = [(s, *rung) for rung in rungs for s in axis_sets] + [(s, *q) for s in line_sets for q in passes]
-    sets, levels, fracs = zip(*entries)
-    build = graded_nodes(sets, levels, np.asarray([s[-1] - s[0] for s in sets]) * fracs)
+    build = None
+    if entries:
+        sets, levels, fracs = zip(*entries)
+        build = graded_nodes(sets, levels, np.asarray([s[-1] - s[0] for s in sets]) * fracs)
     area_norm = None if area is None else _area_ladder(area[0], p.value, build)
+    # samples: a batch's antiderivative at the breaks of its lines, then the
+    # Gauss passes of the lines that take them, which replace theirs
+    line_norms = [_variation_norms(f, axis, c, breaks) if exact else None
+                  for exact, (_, axis, c, _, _, f), breaks in zip(by_f, lines, found[axes:])]
     lead = 3 * axes  # each line's coarse entry is lead + 2 * its set
-    return area_norm, [_batch_norms(p, build, *batch[:3], lead + 2 * owner) for batch, owner in zip(lines, owners)]
+    for (k, rows, _), owner in zip(gauss, owners):
+        g, axis, c = lines[k][:3]
+        if rows is None:
+            line_norms[k] = _batch_norms(p, build, g, axis, c, lead + 2 * owner)
+        else:
+            values, errors = line_norms[k]
+            values[rows], errors[rows] = _batch_norms(p, build, g, axis, c[rows], lead + 2 * owner)
+    return area_norm, line_norms
+
+
+def _chosen_lines(found, rows: np.ndarray):
+    """The ``scan_breaks`` result of a batch restricted to the lines ``rows`` marks."""
+    points, sizes = found
+    if sizes is None:
+        return found
+    return gather_segments(points, (np.cumsum(sizes) - sizes)[rows], sizes[rows]), sizes[rows]
+
+
+def _variation_norms(f, axis: str, c: np.ndarray, found):
+    """The p = 1 norms of g along a batch's lines from f, whose partial along ``axis`` is g.
+
+    ``found`` is the batch's ``scan_breaks`` result.  Between two
+    neighbouring breaks t_i < t_{i+1} of a complete line g keeps one
+    sign, so ||g||_1 is exactly sum_i |f(t_{i+1}) - f(t_i)|: one call of
+    f at every break of every line.  The error is the rounding of f,
+    2^-51 max(|f(t_i)|, |f(t_{i+1})|) per nonzero step, so a line along
+    which f is constant reports (0, 0).  An incomplete line's sum may
+    miss a sign change; the caller replaces it.
+    """
+    points, sizes = found
+    if sizes is None:  # every line is [lo, hi]
+        sizes = np.full(c.size, points.size)
+        points = np.tile(points, c.size)
+    coords = line_coords(axis, points, np.repeat(c, sizes))
+    v = f(*coords)
+    if not np.isfinite(v).all():
+        require_finite(v, coords)
+    # the steps within each line: drop the step from one line's last break to the next line's first
+    ends = np.cumsum(sizes)
+    inner = np.ones(v.size - 1, dtype=bool)
+    inner[ends[:-1] - 1] = False
+    steps = np.abs(np.diff(v))[inner]
+    floors = np.where(steps > 0.0, 2.0**-51 * np.maximum(np.abs(v[:-1]), np.abs(v[1:]))[inner], 0.0)
+    first = ends - sizes - np.arange(sizes.size)
+    return np.add.reduceat(steps, first), np.add.reduceat(floors, first)
 
 
 def _area_ladder(g, p: float, build) -> tuple[float, float]:
@@ -272,7 +345,7 @@ def line_norms_with_error(g, axis: str, fixed, lo: float, hi: float, p,
     c = np.asarray(fixed, dtype=float).ravel()
     if c.size == 0:
         return np.zeros(0), np.zeros(0)
-    _, (norms,) = _norms_with_error(p, resolution, lines=[(as_grid_fn(g), axis, c, lo, hi)])
+    _, (norms,) = _norms_with_error(p, resolution, lines=[(as_grid_fn(g), axis, c, lo, hi, None)])
     return norms
 
 
@@ -359,7 +432,11 @@ def derivative_norms(
     finite p one ``graded_nodes`` build per report and one
     ``segment_p_norms`` reduction per partial with lines not yet known,
     f_xy sampled before the lines, at two rungs of its ladder or, when
-    they disagree, three (see the module docstring).  ``cache``
+    they disagree, three (see the module docstring).  At p = 1 a line is
+    instead the variation of f along it over its zero-scan breaks, exact
+    up to rounding, plus a rounding floor; only a line whose scan capped
+    its sign changes, or a degenerate scan of both signs, keeps the Gauss
+    passes, so f_x and f_y must be the partials of f.  ``cache``
     memoizes the area norm and every line norm of one integrand per
     (rectangle, p, resolution), a line keyed by its exact coordinate, so
     calls for other partitions, rules or rectangles can share it; a
@@ -372,6 +449,7 @@ def derivative_norms(
     if part.rect != rect:
         raise ValueError("partition was built for a different rectangle")
     fx, fy, fxy, analytic = partial_evaluators(f, rect)
+    fv = as_grid_fn(f.f)
     # one sub-cache per setup: a line or area norm depends on the rectangle
     # through its extent and the finite-difference steps, not only on p
     store = {} if cache is None else cache.setdefault((rect, str(p), resolution), {})
@@ -387,7 +465,7 @@ def derivative_norms(
         keys[name] = coords.tolist()
         todo = list(filterfalse(known.__contains__, dict.fromkeys(keys[name])))
         if todo:
-            batches.append((g, axis, np.asarray(todo), lo, hi))
+            batches.append((g, axis, np.asarray(todo), lo, hi, fv))
             todos.append((known, todo))
     area = None if "fxy" in store else (fxy, rect)
     if area is not None or batches:

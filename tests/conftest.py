@@ -50,6 +50,22 @@ def line_breaks(g, axis, fixed, lo, hi, resolution):
     return [points[a:b] for a, b in zip([0, *ends], ends)]
 
 
+def variation_lines(f, g, axis, fixed, lo, hi, resolution=256):
+    """The exact p = 1 norm of g along each line, plus its rounding floor, from f, whose partial along axis is g.
+
+    A line's ``line_breaks`` hold every sign change of g, so ||g||_1 is
+    sum_i |f(t_{i+1}) - f(t_i)| over its breaks t_i; the floor adds
+    2^-51 max(|f(t_i)|, |f(t_{i+1})|) for each nonzero step.
+    """
+    out = []
+    for c, breaks in zip(fixed, line_breaks(g, axis, fixed, lo, hi, resolution)):
+        v = f(*gauss.line_coords(axis, breaks, c))
+        steps = np.abs(np.diff(v))
+        floors = np.where(steps > 0.0, 2.0**-51 * np.maximum(np.abs(v[:-1]), np.abs(v[1:])), 0.0)
+        out.append(float(np.add.reduce(steps) + np.add.reduce(floors)))
+    return out
+
+
 def tensor_norms(g, rect, p, scan, passes):
     """L^p norms of a grid callable g over a rectangle by graded tensor Gauss, one per pass.
 

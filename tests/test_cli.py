@@ -239,6 +239,32 @@ class TestFlagChecks:
         assert out == ""
         assert err.startswith(f"error: {flag} must be at least ")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["integrate", "--function", "sinsin", "--p", "1"],
+        ["converge", "--rule", "composite-trapezoid", "--levels", "1"],
+        ["verify-identity"],
+        ["minimize-norm"],
+    ], ids=lambda argv: argv[0])
+    def test_meaningless_tol_is_usage_error(self, capsys, argv, value):
+        # a NaN tolerance fails every check, an infinite one passes any, and a
+        # negative one fails an exact identity
+        code, out, err = run_main(capsys, [*argv, f"--tol={value}"])
+        assert code == USAGE_ERROR
+        assert out == ""
+        assert f"argument --tol: must be finite and >= 0, got {value}" in err
+
+    @pytest.mark.parametrize("argv, text", [
+        (["integrate", "--p", "0.5"], "exponent must satisfy p >= 1, got 0.5"),
+        (["minimize-norm", "--q", "0.5"], "exponent must satisfy p >= 1, got 0.5"),
+        (["integrate", "--p", "one"], "cannot parse exponent 'one'"),
+    ])
+    def test_refused_exponent_says_why(self, capsys, argv, text):
+        code, out, err = run_main(capsys, argv)
+        assert code == USAGE_ERROR
+        assert out == ""
+        assert err == f"error: {text}\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -23,6 +23,17 @@ class TestExponent:
         with pytest.raises(ValueError):
             Exponent.parse("zero")
 
+    @pytest.mark.parametrize("text, message", [
+        ("zero", "cannot parse exponent 'zero'"),
+        ("0.5", "exponent must satisfy p >= 1, got 0.5"),
+        ("-inf", "exponent must satisfy p >= 1"),
+        ("nan", "exponent must be finite or infinity, got nan"),
+    ])
+    def test_parse_says_why_it_refuses(self, text, message):
+        with pytest.raises(ValueError) as err:
+            Exponent.parse(text)
+        assert str(err.value) == message
+
     def test_rejects_below_one(self):
         with pytest.raises(ValueError):
             Exponent(0.5)

@@ -107,7 +107,7 @@ def steep_tanh(rect):
 def _steep_cases():
     for rule in ("composite-trapezoid", "composite-midpoint"):
         for p in (*P_FINITE, cq.INF):
-            marks = known_defect(1) if p is not cq.INF else []
+            marks = known_defect(1) if p not in (1, cq.INF) else []
             yield pytest.param(rule, p, id=f"{rule}-p{p}", marks=marks)
 
 
@@ -204,3 +204,57 @@ def test_tanh_spike_fxy_not_below_closed_form(key, eps, p):
     f, shape = tanh_spike(SPIKE_RECT, SPIKE_CENTRES[key], eps)
     truth = tanh_spike_fxy_norm(SPIKE_RECT, shape, p)
     assert cq.derivative_norms(f, SPIKE_RECT, p).fxy >= truth
+
+
+# --- a jump in f_x: slope s1 left of x0, s2 right of it ------------------------
+
+JUMP_RECT = cq.Rectangle(0.1, 1.3, -0.2, 0.9)
+# x0 as fractions of the width
+JUMP_X0 = {"0.5123": 0.5123, "0.3": 0.3, "177.5/256": 177.5 / 256}
+# f as a function of s = x - x0, and its slopes s1 and s2
+JUMPS = {
+    "abs": (np.abs, -1.0, 1.0),
+    "vee": (lambda s: np.maximum(2.0 * s, -s), -1.0, 2.0),
+    "bend": (lambda s: s + np.maximum(0.0, s), 1.0, 2.0),
+}
+# "bend" does not change sign at x0, so no scan splits its lines there
+JUMP_SHORT = {("bend", "0.5123", p) for p in (1.5, 2, 3)}
+
+
+def jump_integrand(name, x0):
+    """f(x, y) = JUMPS[name](x - x0), with f_x = s1 left of x0 and s2 right of it, and f_y = f_xy = 0."""
+    shape, s1, s2 = JUMPS[name]
+
+    def zero(x, y):
+        return 0.0 * np.asarray(x, dtype=float) + 0.0 * np.asarray(y, dtype=float)
+
+    def f(x, y):
+        return shape(np.asarray(x, dtype=float) - x0) + zero(x, y)
+
+    def fx(x, y):
+        return np.where(np.asarray(x, dtype=float) > x0, s2, s1) + zero(x, y)
+
+    return cq.Integrand(f=f, fx=fx, fy=zero, fxy=zero)
+
+
+def _jump_cases():
+    for name in JUMPS:
+        for key in JUMP_X0:
+            for p in (*P_FINITE, cq.INF):
+                marks = known_defect(1) if (name, key, p) in JUMP_SHORT else []
+                yield pytest.param(name, key, p, id=f"{name}-x0={key}-p{p}", marks=marks)
+
+
+@pytest.mark.parametrize("name,key,p", _jump_cases())
+def test_jump_in_fx_not_below_closed_form(name, key, p):
+    # ||f_x(., y)||_p = ((x0 - a) |s1|^p + (b - x0) |s2|^p)^(1/p) on every line,
+    # max(|s1|, |s2|) at p = inf; up to the closed form's own rounding
+    rect = JUMP_RECT
+    x0 = rect.a + JUMP_X0[key] * rect.width
+    _, s1, s2 = JUMPS[name]
+    if p is cq.INF:
+        truth = max(abs(s1), abs(s2))
+    else:
+        truth = ((x0 - rect.a) * abs(s1) ** p + (rect.b - x0) * abs(s2) ** p) ** (1.0 / p)
+    nb = cq.derivative_norms(jump_integrand(name, x0), rect, p, cq.PartitionSpec(rect, 2, 2))
+    assert min(nb.x_lines) >= truth * (1.0 - 1e-14)

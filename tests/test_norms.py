@@ -21,7 +21,8 @@ from certquad.gauss import (
 )
 from certquad.norms import partial_evaluators
 from certquad.weights import ramp_jumps
-from conftest import RECT_SET, UNIT, integrand, line_breaks, tensor_norms, two_pass_area_norm
+from conftest import (RECT_SET, UNIT, integrand, line_breaks, tensor_norms, two_pass_area_norm,
+                      variation_lines)
 
 
 def one_line(g, lo, hi, p, fixed=0.0, axis="x", **kw):
@@ -694,12 +695,17 @@ class TestReportSearch:
 class TestBatchedLines:
     """derivative_norms batches every line of a partial; each value must equal
     value + error estimate of the one-line ``line_norms_with_error`` call of
-    that line."""
+    that line, or at p = 1 the exact norm read off f plus its floor
+    (``variation_lines``)."""
 
     @staticmethod
     def per_line(f, rect, p, part, family):
         fx, fy, _, _ = partial_evaluators(f, rect)
         (xs, _), (ys, _) = ramp_jumps(part, family)
+        if p == 1:
+            fv = as_grid_fn(f.f)
+            return (tuple(variation_lines(fv, fx, "x", ys, rect.a, rect.b)),
+                    tuple(variation_lines(fv, fy, "y", xs, rect.c, rect.d)))
         return (
             tuple(sum(one_line(fx, rect.a, rect.b, p, fixed=y)) for y in ys),
             tuple(sum(one_line(fy, rect.c, rect.d, p, fixed=x, axis="y")) for x in xs),
@@ -721,15 +727,60 @@ class TestBatchedLines:
 
     @pytest.mark.parametrize("p", [1, 2, cq.INF])
     def test_steep_lines(self, p):
-        # a sign change 1e-4 wide on every line, between two scan points
-        x0 = 0.5 + 0.5 / 256
+        # a sign change 1e-4 wide on every line, between two scan points: f is
+        # L(x) L(y) with L(s) = e log cosh((s - x0)/e), so f_x = tanh((x - x0)/e) L(y)
+        # and f_y likewise, as p = 1 reads the line norms off f
+        x0, e = 0.5 + 0.5 / 256, 1e-4
 
-        def g(x, y):
-            return np.tanh((np.asarray(x) - x0) / 1e-4) * (1.0 + np.asarray(y))
+        def steep(s):
+            return np.tanh((np.asarray(s, dtype=float) - x0) / e)
 
-        f = cq.Integrand(f=g, fx=g, fy=lambda x, y: g(y, x), fxy=g)
+        def log_cosh(s):  # e log cosh((s - x0)/e), which never overflows
+            z = np.abs((np.asarray(s, dtype=float) - x0) / e)
+            return e * (z + np.log1p(np.exp(-2.0 * z)) - np.log(2.0))
+
+        f = cq.Integrand(f=lambda x, y: log_cosh(x) * log_cosh(y), fx=lambda x, y: steep(x) * log_cosh(y),
+                         fy=lambda x, y: log_cosh(x) * steep(y), fxy=lambda x, y: steep(x) * steep(y))
         for family in FAMILIES:
             self.check(f, UNIT, p, 8, family)
+
+    @pytest.mark.parametrize("case", ["capped", "degenerate"])
+    def test_incomplete_lines_keep_the_gauss_value(self, case):
+        # f_x = sin(40 pi x) (1 + y) has 39 sign changes on every x-line, past
+        # the cap of 32; f_x = (1 + y) times -1, 0 and 1 on [0, 0.2), [0.2, 0.8]
+        # and (0.8, 1] is a degenerate scan of both signs, with no break at
+        # all, where f(1) - f(0) = 0.  Such lines keep the Gauss passes at
+        # p = 1, bit for bit; the f_y lines have no zero and read f.
+        k = 40.0 * np.pi
+        if case == "capped":
+            def f(x, y):
+                return -np.cos(k * x) / k * (1.0 + y)
+
+            def fx(x, y):
+                return np.sin(k * x) * (1.0 + y)
+        else:
+            def f(x, y):
+                return (np.maximum(x - 0.8, 0.0) - np.minimum(x, 0.2)) * (1.0 + y)
+
+            def fx(x, y):
+                return np.where(x < 0.2, -1.0, np.where(x > 0.8, 1.0, 0.0)) * (1.0 + y)
+
+        def fy(x, y):
+            return f(x, 0.0) + 0.0 * y
+
+        def fxy(x, y):
+            return fx(x, 0.0) + 0.0 * y
+
+        part = cq.PartitionSpec(UNIT, 4, 4)
+        (xs, _), (ys, _) = ramp_jumps(part, "trapezoid")
+        incomplete = []
+        gauss.scan_breaks([(fx, "x", ys, 0.0, 1.0, 256)], incomplete)
+        assert incomplete[0].all()
+        nb = cq.derivative_norms(cq.Integrand(f=f, fx=fx, fy=fy, fxy=fxy), UNIT, 1, partition=part)
+        assert nb.x_lines == tuple(sum(one_line(fx, 0.0, 1.0, 1, fixed=y)) for y in ys)
+        assert nb.y_lines == tuple(variation_lines(f, fy, "y", xs, 0.0, 1.0))
+        if case == "degenerate":  # near the true 0.4 (1 + y), not the variation 0
+            assert nb.x_lines == pytest.approx(0.4 * (1.0 + ys), rel=0.1)
 
     def test_tiny_rectangle_keeps_its_lines_apart(self):
         # grid lines 6.25e-16 apart: each keeps its own norm, ||f_x(., y)||_inf = sin(y)
@@ -854,6 +905,19 @@ class TestEvaluationCounts:
         assert rec["points"] == points
         assert rec["vector"] <= max_vector_calls
 
+    def test_p1_counts(self):
+        # p = 1 reads each line's norm off f at its breaks: 98 per partial (32
+        # lines with a zero at pi/2, and y = 0, where f_x = 0); f_x and f_y are
+        # only scanned and refined, in one call each and 3 secant rounds
+        rect = cq.Rectangle(0.0, np.pi, 0.0, np.pi)
+        recs = {key: {"vector": 0, "single": 0, "points": 0} for key in ("f", "fx", "fy")}
+        f = integrand("sinsin", rect)
+        f = dataclasses.replace(f, **{key: self.counted(getattr(f, key), rec) for key, rec in recs.items()})
+        cq.derivative_norms(f, rect, 1, partition=cq.PartitionSpec(rect, 32, 32))
+        assert recs == {"f": {"vector": 2, "single": 0, "points": 196},
+                        "fx": {"vector": 4, "single": 0, "points": 11361},
+                        "fy": {"vector": 4, "single": 0, "points": 11361}}
+
     def test_area_norm_counts(self):
         # per axis one scan of two lines and 3 secant rounds, then the 3- and
         # 4-level tensor passes of the area ladder's rungs 0 and 1, which agree
@@ -928,6 +992,26 @@ class TestOneBuildPerReport:
         axes = gauss.area_breaks(fxy, rect, 192)
         expected = axes * 3 + [b for b in distinct for _ in range(2)]
         assert all(np.array_equal(u, v) for u, v in zip(sets, expected, strict=True))
+
+    @pytest.mark.parametrize("name", ["sinsin", "sinsum", "expsum", "poly22"])
+    def test_p1_report_builds_only_the_area(self, monkeypatch, calls, name):
+        # at p = 1 every line here is complete and reads its norm off f: the
+        # one build holds the area axes at the ladder's three rungs, and no
+        # line is reduced
+        builds, counted = [], cq.norms.graded_nodes
+
+        def recorded(sets, *rest):
+            builds.append(sets)
+            return counted(sets, *rest)
+
+        monkeypatch.setattr(cq.norms, "graded_nodes", recorded)
+        rect = cq.Rectangle(0.1, 1.3, -0.2, 0.9)
+        f = integrand(name, rect)
+        cq.derivative_norms(f, rect, 1, cq.PartitionSpec(rect, 4, 4))
+        assert calls == {"scan_breaks": 1, "graded_nodes": 1, "segment_p_norms": 0}
+        (sets,) = builds
+        axes = gauss.area_breaks(partial_evaluators(f, rect)[2], rect, 192)
+        assert all(np.array_equal(u, v) for u, v in zip(sets, axes * 3, strict=True))
 
     def test_sup_report(self, calls):
         rect = cq.Rectangle(0.1, 1.3, -0.2, 0.9)

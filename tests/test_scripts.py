@@ -61,14 +61,26 @@ def test_norm_digest():
 
 
 def test_norm_digest_against_its_own_dump(tmp_path):
-    args = ("--functions", "sinsin", "--rects", "offset", "--p", "1.5", "--m", "1", "3")
+    args = ("--functions", "sinsin", "--rects", "offset", "--p", "1", "1.5", "--m", "1", "3")
     dump = tmp_path / "norms.json"
     first = run_script("norm_digest.py", *args, "--dump", str(dump))
     again = run_script("norm_digest.py", *args, "--against", str(dump)).splitlines()
     assert again[0] == first.strip()
-    assert again[1] == ("against 4 bundles: line norms max rel dev 0, fxy max rel dev 0, "
+    assert again[1] == ("against 8 bundles: line norms max rel dev 0, fxy max rel dev 0, "
                         "fxy below reference 0")
     assert again[2] == "line norms below reference 0, max rel shortfall 0"
+    assert again[3] == "against 10 weight norms: 0 differ, max rel dev 0"
+    assert again[4:] == [f"p={p}: line norms max rel dev 0 (0 below reference), fxy max rel dev 0 "
+                         "(0 below reference), weight norms max rel dev 0" for p in ("1", "1.5")]
+    # a deviating dump: one p = 1 line norm raised by 1e-10 relative shows at p = 1 alone
+    reference = json.loads(dump.read_text())
+    reference["bundles"]["sinsin offset p=1 trapezoid m=3"]["x_lines"][0] *= 1.0 + 1e-10
+    dump.write_text(json.dumps(reference))
+    changed = run_script("norm_digest.py", *args, "--against", str(dump)).splitlines()
+    assert changed[2] == "line norms below reference 1, max rel shortfall 1e-10"
+    assert changed[4] == ("p=1: line norms max rel dev 1e-10 (1 below reference), fxy max rel dev 0 "
+                          "(0 below reference), weight norms max rel dev 0")
+    assert changed[5] == again[5]
 
 
 def test_cli_digest():
@@ -96,21 +108,35 @@ def test_certify_digest_against_its_own_dump(tmp_path):
     first = run_script("certify_digest.py", *args, "--dump", str(dump))
     again = run_script("certify_digest.py", *args, "--against", str(dump)).splitlines()
     assert again[0] == first.strip()
-    assert again[1:] == [
+    assert again[1:3] == [
         f"{workload} against 4 ops: max rel dev estimate 0, fxy 0, line norms 0, bound terms 0; "
         "ok changed 0, violated changed 0, refusals changed 0"
         for workload in ("certify-coarse", "certify-fine")
     ]
-    # a deviating dump: one op's fxy raised by 1e-10 relative and its ok flipped
+    # then one line per workload and p, whose ops add up to the workload's
     ops = json.loads(dump.read_text())
+    per_p = [line.split(" against ") for line in again[3:]]
+    assert [label for label, _ in per_p] == sorted(
+        {f"{key.split()[0]} p={op['p']}" for key, op in ops.items()},
+        key=lambda label: (label.split()[0], float(label.split("=")[1])))
+    assert all(rest.endswith("max rel dev estimate 0, fxy 0, line norms 0, bound terms 0; "
+                             "ok changed 0, violated changed 0, refusals changed 0") for _, rest in per_p)
+    assert sum(int(rest.split()[0]) for _, rest in per_p) == 8
+    # a deviating dump: one op's fxy raised by 1e-10 relative and its ok flipped,
+    # and the first line norm of a p = 1 op raised by 1e-10 relative
     op = ops["certify-fine seed=1 op=0"]
     op["result"][1] *= 1.0 + 1e-10
     op["ok"] = not op["ok"]
+    one = ops["certify-coarse seed=1 op=1"]
+    assert one["p"] == "1" and one["result"][2][0] > 0.0
+    one["result"][2][0] *= 1.0 + 1e-10
     dump.write_text(json.dumps(ops))
     changed = run_script("certify_digest.py", *args, "--against", str(dump)).splitlines()
-    assert changed[1] == again[1]
+    assert changed[1].startswith("certify-coarse against 4 ops: max rel dev estimate 0, fxy 0, line norms 1e-10, ")
     assert changed[2].startswith("certify-fine against 4 ops: max rel dev estimate 0, fxy 1e-10, line norms 0, ")
     assert changed[2].endswith("; ok changed 1, violated changed 0, refusals changed 0")
+    moved = [line for line in changed[3:] if line not in again[3:]]
+    assert [line.split(" against ")[0] for line in moved] == ["certify-coarse p=1", f"certify-fine p={op['p']}"]
 
 
 def test_src_lines_categories_sum_to_each_module():
