@@ -156,7 +156,7 @@ class Exponent:
     def __str__(self) -> str:
         if self.value is None:
             return "inf"
-        if self.value == int(self.value):
+        if self.value < 2.0**53 and self.value == int(self.value):
             return str(int(self.value))
         return repr(self.value)
 

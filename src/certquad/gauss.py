@@ -15,9 +15,13 @@ norms and the ramp norms with the scaled power sum ``tensor_p_norm``
 uses, at every finite p, in the array that holds them: a flat array
 against weights aligned with it, or a (lines x nodes) block against one
 weight row that every line shares; a caller whose segments are scattered
-through a build gathers them with ``gather_segments``.  Grid maxima
-(``zoomed_sup``, and the line maxima of ``norms``) find their argmax
-with ``abs_argmax``, which only reads the samples.  The oracle uses
+through a build gathers them with ``gather_segments``.  A zero partial
+costs what its samples cost: a scan of +-0 samples returns its one
+[lo, hi] set before building sign masks, and ``segment_p_norms``
+returns all-zero maxima as the norms before raising any sample to p.
+The area grid maximum (``zoomed_sup``) finds its argmax with
+``abs_argmax``, which only reads the samples; the line maxima of
+``norms`` are small enough to take theirs on an |g| copy.  The oracle uses
 ``panel_nodes``; per-call uniform grids come from ``uniform_grid``.  All
 routines are deterministic: fixed node counts and fixed summation order,
 so repeated runs reproduce bit-identical values.
@@ -265,11 +269,16 @@ def segment_p_norms(magnitudes: np.ndarray, weights, sizes, p: float) -> np.ndar
     segment has norm 0).  Maxima and weighted sums are one
     ``np.maximum.reduceat`` and one ``np.add.reduceat`` along the last
     axis, and the scales reach the samples by one ``np.repeat`` along it,
-    so a segment sums alike in either layout.
+    so a segment sums alike in either layout.  When every maximum is 0
+    the maxima are returned as they are: each is the norm the formula
+    gives (s times a zero sum), and numpy's power of an exact zero takes a
+    scalar path that costs several times a nonzero sample's.
     """
     v = magnitudes
     starts = np.cumsum(sizes) - sizes
     s = np.maximum.reduceat(v, starts, axis=-1)
+    if not s.any():
+        return s
     scale = np.where(s > 0.0, s, 1.0)
     v /= np.repeat(scale, sizes, axis=-1)
     v **= p
@@ -320,11 +329,12 @@ def scan_breaks(scans: Sequence[tuple], incomplete: list | None = None) -> list[
     Returns per scan (points, sizes): every line's sorted breaks
     concatenated in line order, and each line's count.  A scan that finds
     no zero (and spans more than ``merge_tol``) returns ([lo, hi], None),
-    one set that all its lines share.  A list ``incomplete`` gets one
-    boolean array per scan, True for each line whose breaks may miss a
-    sign change its scan saw: a capped line, and a degenerate line whose
-    samples take both signs (a sign change through its run of exact zeros
-    leaves no break).
+    one set that all its lines share; so does a scan whose samples are all
+    +-0, every line of which is degenerate and of no sign.  A list
+    ``incomplete`` gets one boolean array per scan, True for each line
+    whose breaks may miss a sign change its scan saw: a capped line, and a
+    degenerate line whose samples take both signs (a sign change through
+    its run of exact zeros leaves no break).
     """
     found: list = []
     # the scans that found a zero: their (g, axis), their brackets, their lines'
@@ -434,7 +444,9 @@ def _scan(g, axis: str, c: np.ndarray, lo: float, hi: float, resolution: int):
         require_finite(vals, coords)
     wide = hi - lo > merge_tol(lo, hi)
     incomplete = np.zeros(c.size, dtype=bool)
-    if wide and (low > 0.0 or high < 0.0):
+    # one sign, or +-0 everywhere: every line is degenerate and of no sign,
+    # which the masks below also reach, at the cost of building them
+    if wide and (low > 0.0 or high < 0.0 or low == high == 0.0):
         return None, incomplete
     neg, pos = vals < 0.0, vals > 0.0  # signs, not products: those can underflow to -0.0 or overflow
     exact = vals == 0.0
@@ -486,20 +498,20 @@ def area_breaks(g, rect, scan: int) -> list[np.ndarray]:
     return [axis_breaks(found) for found in scan_breaks(area_scans(g, rect, scan))]
 
 
-def abs_argmax(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.argmax(np.abs(v), axis=1)`` of a 2-D array and the |v| it picks, without an |v| copy.
+def abs_argmax(v: np.ndarray) -> tuple[int, float]:
+    """``np.argmax(np.abs(v))`` of an array, a flat index, and the |v| it picks, without an |v| copy.
 
-    A row's largest |v| is |v| at its argmax or at its argmin; on a tie
-    the earlier index wins, as in ``np.argmax``.  ``np.argmax`` and
-    ``np.argmin`` both stop at a row's first NaN, and a row holding inf
-    has it at one of the two, so a row with a non-finite sample has a
-    non-finite maximum.  v is only read: an |v| copy raises the traced
-    peak of a p = inf report by more than half.
+    The largest |v| is |v| at the argmax or at the argmin; on a tie the
+    earlier index wins, as in ``np.argmax``.  ``np.argmax`` and
+    ``np.argmin`` both stop at the first NaN, and an array holding inf has
+    it at one of the two, so an array with a non-finite sample has a
+    non-finite maximum.  v is only read: on the area grid of
+    ``zoomed_sup`` an |v| copy raises the traced peak of a p = inf report
+    by more than half.
     """
-    rows = np.arange(v.shape[0])
-    hi, lo = np.argmax(v, axis=1), np.argmin(v, axis=1)
-    top, bottom = np.abs(v[rows, hi]), np.abs(v[rows, lo])
-    return np.where(top > bottom, hi, np.where(bottom > top, lo, np.minimum(hi, lo))), np.maximum(top, bottom)
+    hi, lo = int(np.argmax(v)), int(np.argmin(v))
+    top, bottom = abs(float(v.flat[hi])), abs(float(v.flat[lo]))
+    return (hi if top > bottom else lo if bottom > top else min(hi, lo)), max(top, bottom)
 
 
 def zoomed_sup(g, rect, size: int) -> tuple[float, float]:
@@ -512,21 +524,20 @@ def zoomed_sup(g, rect, size: int) -> tuple[float, float]:
     samples raise EvaluationError.
     """
     best = 0.0
-    first = None
     xs = uniform_grid(rect.a, rect.b, size + 1)
     ys = uniform_grid(rect.c, rect.d, size + 1)
-    for _ in range(3):
+    for step in range(3):
+        if step:
+            xs = uniform_grid(xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)], 33)
+            ys = uniform_grid(ys[max(j - 1, 0)], ys[min(j + 1, ys.size - 1)], 33)
         vals = g(xs[:, None], ys[None, :])
-        k, top = abs_argmax(vals.reshape(1, -1))
-        top = float(top[0])
-        if not np.isfinite(top):
+        k, top = abs_argmax(vals)
+        if not math.isfinite(top):
             require_finite(vals, (xs[:, None], ys[None, :]))
-        i, j = np.unravel_index(int(k[0]), vals.shape)
+        i, j = np.unravel_index(k, vals.shape)
         best = max(best, top)
-        if first is None:
+        if step == 0:
             first = best
-        xs = uniform_grid(xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)], 33)
-        ys = uniform_grid(ys[max(j - 1, 0)], ys[min(j + 1, ys.size - 1)], 33)
     return best, best - first
 
 

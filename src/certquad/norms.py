@@ -4,9 +4,11 @@ Finite-p norms use composite Gauss-Legendre with panels split at detected
 sign changes of the integrand (|g|^p has a kink wherever g crosses zero)
 and graded toward panel ends, plus one refinement halving whose delta is
 the reported error estimate.  p = infinity norms are grid maxima with
-local refinement around the argmax (``gauss.abs_argmax``, which reads the
-samples g returns without an |g| copy); they are lower bounds of the
-essential supremum that tighten under refinement.
+local refinement around the argmax: the area's (``gauss.zoomed_sup``)
+reads g's samples without an |g| copy (``gauss.abs_argmax``), and the
+lines' (``_sup_lines``) take an |g| copy of their small samples.  They
+are lower bounds of the essential supremum that tighten under
+refinement.
 
 No norm is graded to rounding: the line norms are graded 5 and 6 levels
 deep (good to ~1e-7 relative), the f_xy area norm 3 to 5 levels deep
@@ -26,16 +28,17 @@ and then each partial's lines sample all their lines in one call each,
 after which every sign change of every scan is refined by one bracketed
 secant search, one call per round of each scan with live brackets (a
 simple root typically takes 1-4 rounds, none more than 15); a scan with
-no zero gives one set that all its lines share, and any lines whose
-breaks agree bit for bit share a set, across partials too; one
-``gauss.graded_nodes`` build, one entry per set, depth and cap: the area
-axes at each rung of the ladder, then every distinct line set's coarse
-and fine pass (5 and 6 levels deep) side by side; then the samples and
-their reductions, f_xy's two or three tensor passes
-(``gauss.tensor_p_norm``) first, then each partial's lines in one
-integrand call and one ``gauss.segment_p_norms`` reduction
-(``_batch_norms``).  A partial whose lines share one breakpoint set
-(every break-free partial) samples that set's coarse-then-fine node row
+no zero, or of +-0 samples only, gives one set that all its lines share,
+and any lines whose breaks agree bit for bit share a set, across
+partials too; one ``gauss.graded_nodes`` build, one entry per set,
+depth and cap: the area axes at each rung of the ladder, then every
+distinct line set's coarse and fine pass (5 and 6 levels deep) side by
+side; then the samples and their reductions, f_xy's two or three
+tensor passes (``gauss.tensor_p_norm``) first, then each partial's lines
+in one integrand call and one ``gauss.segment_p_norms`` reduction
+(``_batch_norms``), which skips the powers of a batch whose samples are
+all zero.  A partial whose lines share one breakpoint set (every
+break-free partial) samples that set's coarse-then-fine node row
 against the lines' coordinates and reduces the (lines x nodes) block
 against the set's weight row, with no gather; any other partial samples
 each line's own nodes, gathered flat, and reduces them against its
@@ -77,7 +80,6 @@ from .core import (
     Rectangle,
 )
 from .gauss import (
-    abs_argmax,
     area_scans,
     as_grid_fn,
     axis_breaks,
@@ -105,21 +107,30 @@ def _pass_fraction(resolution: int) -> float:
 
 
 def _sup_lines(g, axis: str, c: np.ndarray, lo: float, hi: float, resolution: int):
-    """Grid maxima of |g| along every line, each zoomed four times around its argmax (``abs_argmax``)."""
+    """Grid maxima of |g| along every line and their gain over the first grid.
+
+    Each line is sampled on resolution + 1 points, then three times on 65
+    points spanning the neighbours of the last argmax.  The argmax is
+    taken on an |g| copy: the line samples are small, so the copy costs
+    less than the extra numpy calls of reading them in place, as
+    ``gauss.abs_argmax`` does for the much larger area grid.
+    """
     rows = np.arange(c.size)
     t = np.broadcast_to(uniform_grid(lo, hi, resolution + 1), (c.size, resolution + 1))
     best = np.zeros(c.size)
     for step in range(4):
+        if step:
+            n = t.shape[1]
+            t = uniform_grid(t[rows, np.maximum(i - 1, 0)], t[rows, np.minimum(i + 1, n - 1)], 65)
         coords = line_coords(axis, t, c[:, None])
-        vals = g(*coords)
-        i, top = abs_argmax(vals)
+        vals = np.abs(g(*coords))
+        i = np.argmax(vals, axis=1)
+        top = vals[rows, i]
         if not np.isfinite(top).all():
             require_finite(vals, coords)
         best = np.maximum(best, top)
         if step == 0:
             first = best
-        n = t.shape[1]
-        t = uniform_grid(t[rows, np.maximum(i - 1, 0)], t[rows, np.minimum(i + 1, n - 1)], 65)
     return best, best - first
 
 

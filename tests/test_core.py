@@ -34,6 +34,15 @@ class TestExponent:
             Exponent.parse(text)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("value, text", [
+        (3.0, "3"), (1.5, "1.5"), (2.0**53 - 1.0, "9007199254740991"),
+        (2.0**53, "9007199254740992.0"), (1e300, "1e+300"), (None, "inf"),
+    ])
+    def test_str_is_short_and_parses_back(self, value, text):
+        # integral values below 2^53 print as ints, every other value as its repr
+        assert str(Exponent(value)) == text
+        assert Exponent.parse(text) == Exponent(value)
+
     def test_rejects_below_one(self):
         with pytest.raises(ValueError):
             Exponent(0.5)

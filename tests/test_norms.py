@@ -486,6 +486,28 @@ class TestZeroBreaks:
             (row,) = line_breaks(lambda x, y: 1e-160 * (x - 0.3) + 0.0 * y, "x", [0.0], 0.0, 1.0, 256)
         assert row.size == 3 and row[1] == pytest.approx(0.3, abs=1e-15)
 
+    @pytest.mark.parametrize("zero", [
+        lambda x, y: np.copysign(0.0, np.sin(20.0 * x + 7.0 * y)),
+        lambda x, y: -0.0 * (x + y),
+    ], ids=["mixed-signs", "minus-zero"])
+    def test_zero_partial_is_one_shared_set(self, zero):
+        # +-0 everywhere: every line is degenerate and of no sign, so the scan
+        # finds no break, marks no line incomplete and refines nothing
+        calls = []
+
+        def g(x, y):
+            calls.append(np.broadcast(x, y).size)
+            return zero(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+
+        c = np.linspace(-0.2, 0.9, 9)
+        incomplete = []
+        ((points, sizes),) = gauss.scan_breaks([(g, "x", c, 0.1, 1.3, 256)], incomplete)
+        assert np.array_equal(points, [0.1, 1.3]) and sizes is None
+        assert incomplete[0].shape == (9,) and not incomplete[0].any()
+        assert calls == [9 * 257]
+        ref = _per_scan_zero_breaks(g, "x", c, 0.1, 1.3, 256)
+        assert all(np.array_equal(r, points) for r in ref)
+
     def test_huge_values_raise_no_overflow_warning(self):
         # exp(x + y) near x = 700: the products of neighbours overflow
         with warnings.catch_warnings():
@@ -918,6 +940,18 @@ class TestEvaluationCounts:
                         "fx": {"vector": 4, "single": 0, "points": 11361},
                         "fy": {"vector": 4, "single": 0, "points": 11361}}
 
+    @pytest.mark.parametrize("name", ["sinsin", "sinsum"])
+    def test_sup_counts(self, name):
+        # p = inf takes grid maxima: each partial's 33 lines on 257 points, then
+        # three 65-point zooms; f_xy on a 257^2 grid, then two 33^2 zooms
+        rect = cq.Rectangle(0.0, np.pi, 0.0, np.pi)
+        recs = {key: {"vector": 0, "single": 0, "points": 0} for key in ("fx", "fy", "fxy")}
+        f = integrand(name, rect)
+        f = dataclasses.replace(f, **{key: self.counted(getattr(f, key), rec) for key, rec in recs.items()})
+        cq.derivative_norms(f, rect, cq.INF, partition=cq.PartitionSpec(rect, 32, 32))
+        line = {"vector": 4, "single": 0, "points": 33 * 257 + 3 * 33 * 65}
+        assert recs == {"fx": line, "fy": line, "fxy": {"vector": 3, "single": 0, "points": 257**2 + 2 * 33**2}}
+
     def test_area_norm_counts(self):
         # per axis one scan of two lines and 3 secant rounds, then the 3- and
         # 4-level tensor passes of the area ladder's rungs 0 and 1, which agree
@@ -1116,12 +1150,13 @@ def copy_sup_lines(g, axis, c, lo, hi, resolution):
 
 
 class TestGridMaxima:
-    """``gauss.zoomed_sup`` and ``norms._sup_lines`` take argmax and argmin of
-    g's samples instead of an |g| copy; they must pick the sample and zoom
-    where ``np.argmax(np.abs(v))`` does, ties included, and report a NaN or
-    inf at its first coordinate.  Each is run beside its |g|-copy reference
-    above on the same recording integrand, whose read-only samples fail any
-    write."""
+    """``gauss.zoomed_sup`` takes argmax and argmin of g's samples instead of
+    an |g| copy (``gauss.abs_argmax``), and ``norms._sup_lines`` the argmax
+    of an |g| copy of its small line samples.  Each must pick the sample and
+    zoom where ``np.argmax(np.abs(v))`` does, ties included, sample the
+    same grids and no other, and report a NaN or inf at its first
+    coordinate.  Each is run beside its |g|-copy reference above on the same
+    recording integrand, whose read-only samples fail any write."""
 
     RECT = cq.Rectangle(0.1, 1.3, -0.2, 0.9)
 
@@ -1203,6 +1238,9 @@ class TestGridMaxima:
         assert area[0] == lines[0] == "error"
 
 
+ZERO_LINE = np.linspace(0.1, 0.9, 9)[4]
+
+
 class TestLineBatches:
     """A line batch reduces to the norms of its lines computed one by one,
     bit for bit, in both layouts: lines sharing one breakpoint set are one
@@ -1213,6 +1251,9 @@ class TestLineBatches:
         ("break-free", lambda x, y: np.exp(x) * (1.5 + np.sin(3.0 * y)), 0.0, 1.0, True),
         ("shared zero", lambda x, y: (x - 0.5) * (2.0 + np.cos(y)), 0.0, 1.0, True),
         ("own zeros", lambda x, y: np.sin(x + y), 0.0, 4.0, False),
+        # one line of each batch below is zero: the batch still reduces the full formula
+        ("zero line, shared", lambda x, y: np.exp(x) * (y - ZERO_LINE), 0.0, 1.0, True),
+        ("zero line, own zeros", lambda x, y: np.sin(x + y) * (y - ZERO_LINE), 0.0, 4.0, False),
     ]
 
     @pytest.mark.parametrize("axis", ["x", "y"])
@@ -1234,12 +1275,13 @@ class TestReportMemory:
     """Traced peak of one warm ``derivative_norms`` call (ROADMAP item 6(g)).
 
     Line batches reduce g's samples without a node or weight gather when
-    their lines share a set, and grid maxima read g's samples without an
-    |g| copy.  Measured with Python 3.11 and numpy 2.4: 0.460 MB for sinsin,
-    m = 64, p = 3 (0.941 MB with the gathers) and 0.668 MB for m = 1,
-    p = inf (1.063 MB with the copy).  A batch whose lines own sets of
-    their own gathers them flat: 1.333 MB for sinsum, m = 64, p = 2.  The
-    bounds allow 25% over the measured peaks, under either older figure.
+    their lines share a set, and the area grid maximum reads g's samples
+    without an |g| copy (the line maxima's copies are small).  Measured
+    with Python 3.11 and numpy 2.4: 0.460 MB for sinsin, m = 64, p = 3
+    (0.941 MB with the gathers) and 0.668 MB for m = 1, p = inf (1.063 MB
+    with the copy).  A batch whose lines own sets of their own gathers
+    them flat: 1.333 MB for sinsum, m = 64, p = 2.  The bounds allow 25%
+    over the measured peaks, under either older figure.
     """
 
     @pytest.mark.parametrize("m, p, bound", [(64, 3, 0.58e6), (1, cq.INF, 0.835e6)], ids=["m64-p3", "m1-inf"])
@@ -1452,6 +1494,30 @@ class TestReductions:
         assert block.shape == (9, len(sizes))
         assert np.array_equal(block.ravel(), flat)
         assert (block[4] == 0.0).all()
+
+    @staticmethod
+    def full_formula(v, weights, sizes, p):
+        """``segment_p_norms`` without its all-zero exit: s (sum_i w_i (|v_i|/s)^p)^(1/p)."""
+        starts = np.cumsum(sizes) - sizes
+        s = np.maximum.reduceat(v, starts, axis=-1)
+        v = v / np.repeat(np.where(s > 0.0, s, 1.0), sizes, axis=-1)
+        return s * np.add.reduceat(v**p * weights, starts, axis=-1) ** (1.0 / p)
+
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 3, 1e6])
+    @pytest.mark.parametrize("layout", ["flat", "block"])
+    def test_all_zero_segments_take_the_full_formula(self, layout, p):
+        # the magnitudes of +0 and -0 samples, in both layouts: the maxima
+        # returned at once are the norms the full formula gives, bit for bit
+        rng = np.random.default_rng(5)
+        sizes = [37, 1, 150]
+        shape = (sum(sizes),) if layout == "flat" else (6, sum(sizes))
+        samples = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+        samples[..., 37] = -0.0  # the one-sample segment
+        weights = rng.uniform(1e-3, 1e-1, size=sum(sizes))
+        got = segment_p_norms(np.abs(samples), weights, sizes, float(p))
+        want = self.full_formula(np.abs(samples), weights, sizes, float(p))
+        assert got.shape == want.shape == shape[:-1] + (3,)
+        assert got.tobytes() == want.tobytes() == np.zeros(shape[:-1] + (3,)).tobytes()
 
     @pytest.fixture
     def builds(self, monkeypatch):

@@ -149,3 +149,24 @@ def test_src_lines_categories_sum_to_each_module():
         assert int(lines) == sum(map(int, parts)) == len((ROOT / name).read_text().splitlines()), name
     assert total[0] == "total"
     assert [int(v) for v in total[1:]] == [sum(int(row[k]) for row in modules) for k in range(1, 6)]
+
+
+def test_phase_times():
+    lines = run_script("phase_times.py", "--workload", "certify-coarse", "--repeats", "1").splitlines()
+    assert lines[0] == "certify-coarse seed 1: 240 ops (0 refused), fastest of 1 repeats, mean us per op"
+    header, ops, *rows, total = (line.split() for line in lines[1:])
+    assert header == ["phase", "p=1", "p=1.5", "p=2", "p=3", "p=inf", "all"]
+    assert ops == ["ops", "48", "48", "48", "48", "48", "240"]
+    phases = {row[0]: [float(v) for v in row[1:]] for row in rows}
+    assert list(phases) == ["estimate", "scan_breaks", "graded_nodes", "_area_ladder", "_batch_norms",
+                            "_variation_norms", "_sup_lines", "zoomed_sup", "norms_rest", "bound", "oracle"]
+    # each norm phase runs at the p that reaches it, and only there
+    for name in ("scan_breaks", "graded_nodes", "_area_ladder"):
+        assert all(v > 0.0 for v in phases[name][:4]) and phases[name][4] == 0.0
+    assert phases["_batch_norms"][0] == 0.0 and all(v > 0.0 for v in phases["_batch_norms"][1:4])
+    assert phases["_variation_norms"][0] > 0.0 and not any(phases["_variation_norms"][1:5])
+    for name in ("_sup_lines", "zoomed_sup"):
+        assert not any(phases[name][:4]) and phases[name][4] > 0.0
+    # the total is the sum of the rows, up to their printed rounding
+    assert total[0] == "total"
+    assert [float(v) for v in total[1:]] == pytest.approx([sum(col) for col in zip(*phases.values())], abs=1.0)
