@@ -252,8 +252,8 @@ class Integrand:
 
     ``exact_integral``, when set, refers to the rectangle the integrand is
     being used on (the built-in registry fills it per rectangle).  At
-    p = 1 the line norms of f_x and f_y are read off f (the variation of
-    f along each line), so analytic ``fx`` and ``fy`` must be the
+    p = 1 every line norm of f_x and f_y is read off f (the variation of
+    f along the line), so analytic ``fx`` and ``fy`` must be the
     partials of ``f``; the finite-difference partials of an integrand
     without them are, by construction.
     """

@@ -3,9 +3,9 @@
 Every graded rule and tensor-product norm is built here.  A report's
 breakpoints come from one ``scan_breaks`` call over all its zero scans:
 the f_xy axes (``area_scans``, merged per axis by ``axis_breaks``) and
-each partial's lines; ``area_breaks`` is its one-rectangle view.  It
-also marks the lines whose breaks may miss a sign change, the only
-lines ``norms`` still grades at p = 1.
+each partial's lines; ``area_breaks`` is its one-rectangle view.  The
+p = 1 lines that ``norms`` reads off f scan exhaustively, with no cap
+on their sign changes.
 ``graded_nodes`` serves ``norms._norms_with_error`` (one build per
 report: one entry per set, depth and cap), the weight norms
 (``weights``) and the minimizer's grid (``minimizer``).  The f_xy area
@@ -300,21 +300,27 @@ def line_coords(axis: str, t, fixed):
     return (t, fixed) if axis == "x" else (fixed, t)
 
 
-def scan_breaks(scans: Sequence[tuple], incomplete: list | None = None) -> list[tuple]:
+def scan_breaks(scans: Sequence[tuple]) -> list[tuple]:
     """Breakpoints [lo, hi] plus the sign changes of g on the lines of several scans, in one bracket search.
 
-    Scan s is (g, axis, fixed, lo, hi, resolution): line k runs along
-    ``axis`` over [lo, hi] at transverse coordinate fixed[k]; g is a
-    broadcasting two-variable callable.  Each scan samples all its lines
-    in one call on resolution + 1 uniform points, and checks them for
-    finiteness, before the next scan samples (``_scan``).  A line's exact
-    zeros inside (lo, hi) are taken first, unless they fill more than half
-    its scan (a degenerate line); then its sign changes in scan order,
-    stopping after the one that brings its list to 32 or more.
+    Scan s is (g, axis, fixed, lo, hi, resolution), or the same with a
+    seventh item, True for an exhaustive scan: line k runs along ``axis``
+    over [lo, hi] at transverse coordinate fixed[k]; g is a broadcasting
+    two-variable callable.  Each scan samples all its lines in one call
+    on resolution + 1 uniform points, and checks them for finiteness,
+    before the next scan samples (``_scan``).  A line's exact zeros inside
+    (lo, hi) are taken first, unless they fill more than half its scan (a
+    degenerate line); then its sign changes in scan order, stopping after
+    the one that brings its list to 32 or more, where each break costs
+    graded Gauss panels.  An exhaustive scan keeps every sign change, and
+    a degenerate line whose samples take both signs keeps its exact zeros
+    too, so that g keeps one sign between any two neighbouring breaks the
+    scan resolves: there a break costs one sample of an antiderivative.
 
     Then every chosen bracket [a, b] of every scan is refined by one
     bracketed secant search (Dekker-Brent), one vector call per round of
-    each scan with live brackets: a round samples the 15 interior
+    each scan with live brackets, whose samples are checked for
+    finiteness before the next call: a round samples the 15 interior
     sixteenths a + (b - a) j/16 and 15 points at the secant root r and
     r +- (b - a) 2^-8j, j = 1 .. 7, and keeps the first sign change of the
     sorted 30 against the left end.  A simple root typically reaches
@@ -330,27 +336,19 @@ def scan_breaks(scans: Sequence[tuple], incomplete: list | None = None) -> list[
     concatenated in line order, and each line's count.  A scan that finds
     no zero (and spans more than ``merge_tol``) returns ([lo, hi], None),
     one set that all its lines share; so does a scan whose samples are all
-    +-0, every line of which is degenerate and of no sign.  A list
-    ``incomplete`` gets one boolean array per scan, True for each line
-    whose breaks may miss a sign change its scan saw: a capped line, and a
-    degenerate line whose samples take both signs (a sign change through
-    its run of exact zeros leaves no break).
+    +-0, every line of which is degenerate and of no sign.
     """
     found: list = []
     # the scans that found a zero: their (g, axis), their brackets, their lines'
     # other breaks, and (position in found, first line, line count)
     calls, brackets, merges, pending = [], [], [], []
     lines = 0
-    for g, axis, fixed, lo, hi, resolution in scans:
+    for g, axis, fixed, lo, hi, resolution, *exhaustive in scans:
         c = np.asarray(fixed, dtype=float).ravel()
         if c.size == 0:
             found.append((np.zeros(0), np.zeros(0, dtype=np.int64)))
-            if incomplete is not None:
-                incomplete.append(np.zeros(0, dtype=bool))
             continue
-        scanned, marks = _scan(g, axis, c, lo, hi, resolution)
-        if incomplete is not None:
-            incomplete.append(marks)
+        scanned = _scan(g, axis, c, lo, hi, resolution, any(exhaustive))
         if scanned is None:
             found.append((np.array([float(lo), float(hi)]), None))
             continue
@@ -383,7 +381,7 @@ def scan_breaks(scans: Sequence[tuple], incomplete: list | None = None) -> list[
         x.sort(axis=1)
         # one call per scan with live brackets, which are consecutive
         ends = np.cumsum(np.bincount(scan_of, minlength=len(calls))).tolist()
-        fs = np.concatenate([g(*line_coords(axis, x[i:j], line_of[i:j, None]))
+        fs = np.concatenate([finite_samples(g, line_coords(axis, x[i:j], line_of[i:j, None]))
                              for (g, axis), i, j in zip(calls, [0, *ends], ends) if i < j])
         # k: the first sample that does not share fa's sign; 30, a column of
         # True past the samples, when only b does
@@ -426,15 +424,13 @@ def scan_breaks(scans: Sequence[tuple], incomplete: list | None = None) -> list[
     return found
 
 
-def _scan(g, axis: str, c: np.ndarray, lo: float, hi: float, resolution: int):
-    """One scan of ``scan_breaks``: its brackets and exact zeros, or None if it finds no zero; and its incomplete lines.
+def _scan(g, axis: str, c: np.ndarray, lo: float, hi: float, resolution: int, exhaustive: bool):
+    """One scan of ``scan_breaks``: its brackets and exact zeros, or None if it finds no zero.
 
-    The first item is (a, b, fa, fb, rows, exact_rows, exact_points): the
-    chosen brackets' ends, end values and lines, and the lines and points
-    of the exact zeros.  The second marks each line whose breaks may miss
-    a sign change: capped, or degenerate with samples of both signs.  A
-    function of its own so that a scan's samples are freed before the
-    next scan samples.
+    Returns (a, b, fa, fb, rows, exact_rows, exact_points): the chosen
+    brackets' ends, end values and lines, and the lines and points of the
+    exact zeros.  A function of its own so that a scan's samples are freed
+    before the next scan samples.
     """
     t = uniform_grid(lo, hi, resolution + 1)
     coords = line_coords(axis, t[None, :], c[:, None])
@@ -443,29 +439,28 @@ def _scan(g, axis: str, c: np.ndarray, lo: float, hi: float, resolution: int):
     if not (math.isfinite(low) and math.isfinite(high)):
         require_finite(vals, coords)
     wide = hi - lo > merge_tol(lo, hi)
-    incomplete = np.zeros(c.size, dtype=bool)
     # one sign, or +-0 everywhere: every line is degenerate and of no sign,
     # which the masks below also reach, at the cost of building them
     if wide and (low > 0.0 or high < 0.0 or low == high == 0.0):
-        return None, incomplete
+        return None
     neg, pos = vals < 0.0, vals > 0.0  # signs, not products: those can underflow to -0.0 or overflow
     exact = vals == 0.0
     if exact.any():  # a line's exact zeros inside (lo, hi), unless degenerate
         degenerate = exact.sum(axis=1) > resolution // 2
+        if exhaustive and low < 0.0 < high:  # then only lines of one sign or none drop their zeros
+            degenerate &= ~(neg.any(axis=1) & pos.any(axis=1))
         exact &= ((t > lo) & (t < hi))[None, :] & ~degenerate[:, None]
-        if low < 0.0 < high and degenerate.any():
-            incomplete = degenerate & neg.any(axis=1) & pos.any(axis=1)
     # rows and columns from flat indices: np.nonzero of a 2-D mask is several times slower
     exact_rows, exact_idx = np.divmod(exact.ravel().nonzero()[0], resolution + 1)
     cross = neg[:, :-1] & pos[:, 1:] | pos[:, :-1] & neg[:, 1:]
     rows, idx = np.divmod(cross.ravel().nonzero()[0], resolution)
     if wide and rows.size == 0 and exact_rows.size == 0:
-        return None, incomplete
-    rank = np.arange(rows.size) - np.searchsorted(rows, rows)
-    keep = rank < np.maximum(32 - np.bincount(exact_rows, minlength=c.size)[rows], 1)
-    incomplete[rows[~keep]] = True
-    rows, idx = rows[keep], idx[keep]
-    return (t[idx], t[idx + 1], vals[rows, idx], vals[rows, idx + 1], rows, exact_rows, t[exact_idx]), incomplete
+        return None
+    if not exhaustive:
+        rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+        keep = rank < np.maximum(32 - np.bincount(exact_rows, minlength=c.size)[rows], 1)
+        rows, idx = rows[keep], idx[keep]
+    return t[idx], t[idx + 1], vals[rows, idx], vals[rows, idx + 1], rows, exact_rows, t[exact_idx]
 
 
 _AREA_OFFSETS = np.asarray([0.155, -0.237])
@@ -589,6 +584,14 @@ def as_grid_fn(f: Callable) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
 
     call._grid_fn = True
     return call
+
+
+def finite_samples(g, coords) -> np.ndarray:
+    """g(*coords), after a check that every sample is finite (``require_finite``)."""
+    vals = g(*coords)
+    if not np.isfinite(vals).all():
+        require_finite(vals, coords)
+    return vals
 
 
 def require_finite(values: np.ndarray, coords) -> None:

@@ -52,17 +52,15 @@ one-element ``fixed``) and ``area_norm_with_error`` are one-request views
 of the same core.
 
 At p = 1 ``derivative_norms`` hands the core f as each line batch's
-antiderivative, and a complete line needs no Gauss pass: between its
-breaks f_x keeps one sign, so ||f_x(., y)||_1 is sum_i |f(t_{i+1}, y) -
-f(t_i, y)| over its breaks t_i, exact up to rounding, from one call of f
-per partial at every break of its lines (``_variation_norms``).
-A line is incomplete when ``scan_breaks`` capped its sign changes at 32,
-or its scan is degenerate (exact zeros fill over half of it) with
-samples of both signs: a sign change through that zero run leaves no
-break.  Only incomplete lines enter the build and the Gauss passes, so a
-p = 1 report whose lines are all complete builds only the area axes and
-reduces no line.  ``line_norms_with_error`` has no f and keeps the
-passes at every p.
+antiderivative, and its lines need no Gauss pass.  They scan
+exhaustively (``gauss.scan_breaks``): every sign change is a break, and
+a degenerate line (exact zeros fill over half of its scan) of both
+signs keeps its exact zeros as breaks too.  Between its breaks f_x
+keeps one sign, so ||f_x(., y)||_1 is sum_i |f(t_{i+1}, y) - f(t_i, y)|
+over its breaks t_i, exact up to rounding, from one call of f per
+partial at every break of its lines (``_variation_norms``).  A p = 1
+report builds only the area axes and reduces no line.
+``line_norms_with_error`` has no f and keeps the passes at every p.
 """
 
 from __future__ import annotations
@@ -83,6 +81,7 @@ from .gauss import (
     area_scans,
     as_grid_fn,
     axis_breaks,
+    finite_samples,
     gather_segments,
     graded_nodes,
     line_coords,
@@ -134,18 +133,6 @@ def _sup_lines(g, axis: str, c: np.ndarray, lo: float, hi: float, resolution: in
     return best, best - first
 
 
-def _sample_abs(g, axis: str, t, fixed) -> np.ndarray:
-    """|g| at the points t of the lines at ``fixed``, as a new array, after a finiteness check.
-
-    The array g returns is only read: g may hold on to it.
-    """
-    coords = line_coords(axis, t, fixed)
-    vals = g(*coords)
-    if not np.isfinite(vals).all():
-        require_finite(vals, coords)
-    return np.abs(vals)
-
-
 def _norms_with_error(p: Exponent, resolution: int, area=None, lines=()):
     """The area norm and the line norms of one report, each with its error estimate.
 
@@ -156,10 +143,9 @@ def _norms_with_error(p: Exponent, resolution: int, area=None, lines=()):
     Returns None or (value, error) for the area, and a list of (values,
     errors) arrays, one pair per batch.  A finite p scans and builds
     once, then samples and reduces the area and each batch in turn (see
-    the module docstring); at p = 1 a batch with an antiderivative takes
-    its complete lines' norms from it (``_variation_norms``) and builds
-    only its incomplete lines.  p = inf takes grid maxima, which need no
-    build.
+    the module docstring); at p = 1 a batch with an antiderivative scans
+    exhaustively, takes its norms from it (``_variation_norms``) and
+    builds nothing.  p = inf takes grid maxima, which need no build.
     """
     if resolution < 16:
         raise ValueError("resolution must be >= 16")
@@ -181,18 +167,16 @@ def _norms_with_error(p: Exponent, resolution: int, area=None, lines=()):
     for _, _, _, lo, hi, _ in lines:
         require_resolvable(lo, hi, max_frac / 2.0)
     # scan: f_xy's two axes and every batch's lines in one bracket search; the
-    # area axes are the first sets
+    # area axes are the first sets, and at p = 1 a batch with an
+    # antiderivative scans exhaustively and takes no Gauss pass
     scans = [] if area is None else area_scans(*area, min(resolution, 192))
-    axes, incomplete = len(scans), []
-    found = scan_breaks(scans + [(g, axis, c, lo, hi, resolution) for g, axis, c, lo, hi, _ in lines], incomplete)
-    # the lines that take the Gauss passes, per batch: every line (rows None),
-    # or at p = 1 only the incomplete lines of a batch with an antiderivative
+    axes = len(scans)
     by_f = [p.is_one and batch[5] is not None for batch in lines]
-    gauss = [(k, rows, _chosen_lines(breaks, rows)) if exact else (k, None, breaks)
-             for k, (exact, breaks, rows) in enumerate(zip(by_f, found[axes:], incomplete[axes:]))
-             if not exact or rows.any()]
+    found = scan_breaks(scans + [(g, axis, c, lo, hi, resolution, exact)
+                                 for (g, axis, c, lo, hi, _), exact in zip(lines, by_f)])
+    gauss = [k for k, exact in enumerate(by_f) if not exact]
     axis_sets, line_sets = [axis_breaks(f) for f in found[:axes]], []
-    owners = _line_sets([breaks for _, _, breaks in gauss], line_sets)
+    owners = _line_sets([found[axes + k] for k in gauss], line_sets)
     # build: the area axes at the ladder's rungs 0, 1 and 2, then each line
     # set's coarse and fine pass side by side, as (levels, cap per unit span)
     rungs = (3, 2.0 * max_frac), (4, max_frac), (5, max_frac / 2.0)
@@ -203,48 +187,32 @@ def _norms_with_error(p: Exponent, resolution: int, area=None, lines=()):
         sets, levels, fracs = zip(*entries)
         build = graded_nodes(sets, levels, np.asarray([s[-1] - s[0] for s in sets]) * fracs)
     area_norm = None if area is None else _area_ladder(area[0], p.value, build)
-    # samples: a batch's antiderivative at the breaks of its lines, then the
-    # Gauss passes of the lines that take them, which replace theirs
+    # samples: a batch's antiderivative at the breaks of its lines, or the
+    # batch's Gauss passes
     line_norms = [_variation_norms(f, axis, c, breaks) if exact else None
                   for exact, (_, axis, c, _, _, f), breaks in zip(by_f, lines, found[axes:])]
     lead = 3 * axes  # each line's coarse entry is lead + 2 * its set
-    for (k, rows, _), owner in zip(gauss, owners):
+    for k, owner in zip(gauss, owners):
         g, axis, c = lines[k][:3]
-        if rows is None:
-            line_norms[k] = _batch_norms(p, build, g, axis, c, lead + 2 * owner)
-        else:
-            values, errors = line_norms[k]
-            values[rows], errors[rows] = _batch_norms(p, build, g, axis, c[rows], lead + 2 * owner)
+        line_norms[k] = _batch_norms(p, build, g, axis, c, lead + 2 * owner)
     return area_norm, line_norms
-
-
-def _chosen_lines(found, rows: np.ndarray):
-    """The ``scan_breaks`` result of a batch restricted to the lines ``rows`` marks."""
-    points, sizes = found
-    if sizes is None:
-        return found
-    return gather_segments(points, (np.cumsum(sizes) - sizes)[rows], sizes[rows]), sizes[rows]
 
 
 def _variation_norms(f, axis: str, c: np.ndarray, found):
     """The p = 1 norms of g along a batch's lines from f, whose partial along ``axis`` is g.
 
-    ``found`` is the batch's ``scan_breaks`` result.  Between two
-    neighbouring breaks t_i < t_{i+1} of a complete line g keeps one
-    sign, so ||g||_1 is exactly sum_i |f(t_{i+1}) - f(t_i)|: one call of
-    f at every break of every line.  The error is the rounding of f,
+    ``found`` is the batch's exhaustive ``scan_breaks`` result.  Between
+    two neighbouring breaks t_i < t_{i+1} of a line g keeps one sign, so
+    ||g||_1 is exactly sum_i |f(t_{i+1}) - f(t_i)|: one call of f at
+    every break of every line.  The error is the rounding of f,
     2^-51 max(|f(t_i)|, |f(t_{i+1})|) per nonzero step, so a line along
-    which f is constant reports (0, 0).  An incomplete line's sum may
-    miss a sign change; the caller replaces it.
+    which f is constant reports (0, 0).
     """
     points, sizes = found
     if sizes is None:  # every line is [lo, hi]
         sizes = np.full(c.size, points.size)
         points = np.tile(points, c.size)
-    coords = line_coords(axis, points, np.repeat(c, sizes))
-    v = f(*coords)
-    if not np.isfinite(v).all():
-        require_finite(v, coords)
+    v = finite_samples(f, line_coords(axis, points, np.repeat(c, sizes)))
     # the steps within each line: drop the step from one line's last break to the next line's first
     ends = np.cumsum(sizes)
     inner = np.ones(v.size - 1, dtype=bool)
@@ -308,19 +276,20 @@ def _batch_norms(p: Exponent, build, g, axis: str, c: np.ndarray, owner: np.ndar
     reduces the (lines x nodes) block against the set's weight row, with
     no gather (most batches of a report share a set, and gathering them
     too runs slower); any other batch samples each line's own nodes,
-    gathered flat, and reduces them against its gathered weights.  A
-    function of its own so that a batch's arrays are freed before the
-    next batch samples.
+    gathered flat, and reduces them against its gathered weights.  The
+    samples g returns are only read (g may hold on to them): the
+    reduction works on an |g| copy.  A function of its own so that a
+    batch's arrays are freed before the next batch samples.
     """
     nodes, weights, bounds = build
     if (owner == owner[0]).all():
         lo, mid, hi = bounds[owner[0]:owner[0] + 3]
-        magnitudes = _sample_abs(g, axis, nodes[None, lo:hi], c[:, None])
+        magnitudes = np.abs(finite_samples(g, line_coords(axis, nodes[None, lo:hi], c[:, None])))
         w, sizes = weights[lo:hi], [mid - lo, hi - mid]
     else:
         offsets, counts = bounds[owner], bounds[owner + 2] - bounds[owner]
         t = gather_segments(nodes, offsets, counts)
-        magnitudes = _sample_abs(g, axis, t, np.repeat(c, counts))
+        magnitudes = np.abs(finite_samples(g, line_coords(axis, t, np.repeat(c, counts))))
         w = gather_segments(weights, offsets, counts)
         sizes = np.diff(bounds)[np.stack((owner, owner + 1), axis=1).ravel()]
     coarse, fine = segment_p_norms(magnitudes, w, sizes, p.value).reshape(-1, 2).T
@@ -443,11 +412,10 @@ def derivative_norms(
     finite p one ``graded_nodes`` build per report and one
     ``segment_p_norms`` reduction per partial with lines not yet known,
     f_xy sampled before the lines, at two rungs of its ladder or, when
-    they disagree, three (see the module docstring).  At p = 1 a line is
-    instead the variation of f along it over its zero-scan breaks, exact
-    up to rounding, plus a rounding floor; only a line whose scan capped
-    its sign changes, or a degenerate scan of both signs, keeps the Gauss
-    passes, so f_x and f_y must be the partials of f.  ``cache``
+    they disagree, three (see the module docstring).  At p = 1 every line
+    is instead the variation of f along it over the breaks of its
+    exhaustive zero scan, exact up to rounding, plus a rounding floor, so
+    f_x and f_y must be the partials of f.  ``cache``
     memoizes the area norm and every line norm of one integrand per
     (rectangle, p, resolution), a line keyed by its exact coordinate, so
     calls for other partitions, rules or rectangles can share it; a

@@ -22,7 +22,7 @@ from .core import (
     QuadratureConvergenceError,
     Rectangle,
 )
-from .gauss import as_grid_fn, panel_nodes, require_finite, uniform_grid
+from .gauss import as_grid_fn, finite_samples, panel_nodes, require_finite, uniform_grid
 
 MAX_PANELS_PER_AXIS = 1024  # 1024^2 = 2^20 two-dimensional panels
 
@@ -81,17 +81,15 @@ def parts_identity_sides(
 
     summed over pieces (seam corner terms cancel where phi is continuous).
     All quadrature respects piece seams, so polynomial panels only ever
-    see smooth integrands.  Requires analytic partials.
+    see smooth integrands.  Requires analytic partials; a non-finite
+    sample of f or of a partial raises EvaluationError at its coordinate.
     """
     if not f.has_partials:
         raise ConfigurationError("parts_identity_residual needs analytic fx, fy, fxy")
     if w.rect != rect:
         raise ValueError("weight was built for a different rectangle")
     lhs, _ = oracle_integrate(f, rect, 1e-13)
-    fv = as_grid_fn(f.f)
-    fxv = as_grid_fn(f.fx)
-    fyv = as_grid_fn(f.fy)
-    fxyv = as_grid_fn(f.fxy)
+    fv, fxv, fyv, fxyv = (_checked(as_grid_fn(g)) for g in (f.f, f.fx, f.fy, f.fxy))
 
     pieces = w.pieces()
     per_axis = max(1, int(round(len(pieces) ** 0.5)))
@@ -111,6 +109,12 @@ def parts_identity_sides(
         cross = float(wx @ (fxyv(xs[:, None], ys[None, :]) * phi(xs[:, None], ys[None, :])) @ wy)
         rhs += quad + (bottom - top) + (left - right) + cross
     return lhs, rhs
+
+
+def _checked(g):
+    """g, raising EvaluationError at the first non-finite sample of each call."""
+
+    return lambda x, y: finite_samples(g, (x, y))
 
 
 def parts_identity_residual(

@@ -408,6 +408,21 @@ class TestZeroBreaks:
         # a line zero on more than half its scan keeps only its sign changes
         assert np.allclose(degenerate[1:-1], roots[24:], rtol=0.0, atol=1e-14)
 
+    def test_exhaustive_scan_keeps_every_sign_change(self):
+        # no cap: all 41 sign changes; the degenerate row takes both signs, so
+        # it keeps its 153 exact zeros in (0, 0.6) before its sign changes
+        ((points, sizes),) = gauss.scan_breaks([(self.g, "x", [0.0, 3.0], 0.0, 1.0, 256, True)])
+        none, degenerate = np.split(points, sizes[:1])
+        roots = (np.pi * np.arange(1, 42) - 0.3) / (41.0 * np.pi)
+        assert np.allclose(none[1:-1], roots, rtol=0.0, atol=1e-14)
+        assert np.array_equal(degenerate[:154], self.SCAN[:154])
+        assert np.allclose(degenerate[154:-1], roots[24:], rtol=0.0, atol=1e-14)
+        # a degenerate row of one sign or none keeps the Gauss scan's breaks:
+        # x y is zero on all of y = 0 and changes sign at x = 0 elsewhere
+        lines = [(lambda x, y: x * y, "x", [0.0, 0.5, 1.0], -1.0, 1.0, 256)]
+        capped, exhaustive = (gauss.scan_breaks([(*scan, flag) for scan in lines]) for flag in (False, True))
+        assert all(np.array_equal(u, v) for u, v in zip(capped[0], exhaustive[0]))
+
     def test_bracket_stops_at_exact_zero(self):
         # the root is the midpoint of its scan bracket: one refinement round,
         # 30 points per bracket, finds it
@@ -492,7 +507,7 @@ class TestZeroBreaks:
     ], ids=["mixed-signs", "minus-zero"])
     def test_zero_partial_is_one_shared_set(self, zero):
         # +-0 everywhere: every line is degenerate and of no sign, so the scan
-        # finds no break, marks no line incomplete and refines nothing
+        # finds no break and refines nothing
         calls = []
 
         def g(x, y):
@@ -500,10 +515,8 @@ class TestZeroBreaks:
             return zero(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
         c = np.linspace(-0.2, 0.9, 9)
-        incomplete = []
-        ((points, sizes),) = gauss.scan_breaks([(g, "x", c, 0.1, 1.3, 256)], incomplete)
+        ((points, sizes),) = gauss.scan_breaks([(g, "x", c, 0.1, 1.3, 256)])
         assert np.array_equal(points, [0.1, 1.3]) and sizes is None
-        assert incomplete[0].shape == (9,) and not incomplete[0].any()
         assert calls == [9 * 257]
         ref = _per_scan_zero_breaks(g, "x", c, 0.1, 1.3, 256)
         assert all(np.array_equal(r, points) for r in ref)
@@ -767,12 +780,15 @@ class TestBatchedLines:
             self.check(f, UNIT, p, 8, family)
 
     @pytest.mark.parametrize("case", ["capped", "degenerate"])
-    def test_incomplete_lines_keep_the_gauss_value(self, case):
+    def test_capped_and_degenerate_lines_read_f_exactly(self, case, monkeypatch):
         # f_x = sin(40 pi x) (1 + y) has 39 sign changes on every x-line, past
-        # the cap of 32; f_x = (1 + y) times -1, 0 and 1 on [0, 0.2), [0.2, 0.8]
-        # and (0.8, 1] is a degenerate scan of both signs, with no break at
-        # all, where f(1) - f(0) = 0.  Such lines keep the Gauss passes at
-        # p = 1, bit for bit; the f_y lines have no zero and read f.
+        # the cap of 32 of a Gauss scan; f_x = (1 + y) times -1, 0 and 1 on
+        # [0, 0.2), [0.2, 0.8] and (0.8, 1] is a degenerate scan of both signs,
+        # with no sign change between neighbouring scan points, where
+        # f(1) - f(0) = 0.  The exhaustive p = 1 scan keeps every sign change
+        # and the degenerate line's exact zeros, so the lines read f and equal
+        # the closed forms (2/pi)(1 + y) and 0.4 (1 + y); the f_y lines have no
+        # zero.  The report builds only the area's 6 entries.
         k = 40.0 * np.pi
         if case == "capped":
             def f(x, y):
@@ -793,16 +809,21 @@ class TestBatchedLines:
         def fxy(x, y):
             return fx(x, 0.0) + 0.0 * y
 
+        entries = []
+        graded_nodes = cq.norms.graded_nodes
+
+        def counted(sets, *args, **kwargs):
+            entries.append(len(sets))
+            return graded_nodes(sets, *args, **kwargs)
+
+        monkeypatch.setattr(cq.norms, "graded_nodes", counted)
         part = cq.PartitionSpec(UNIT, 4, 4)
         (xs, _), (ys, _) = ramp_jumps(part, "trapezoid")
-        incomplete = []
-        gauss.scan_breaks([(fx, "x", ys, 0.0, 1.0, 256)], incomplete)
-        assert incomplete[0].all()
         nb = cq.derivative_norms(cq.Integrand(f=f, fx=fx, fy=fy, fxy=fxy), UNIT, 1, partition=part)
-        assert nb.x_lines == tuple(sum(one_line(fx, 0.0, 1.0, 1, fixed=y)) for y in ys)
+        exact = (2.0 / np.pi if case == "capped" else 0.4) * (1.0 + ys)
+        assert np.allclose(nb.x_lines, exact, rtol=1e-14, atol=0.0)
         assert nb.y_lines == tuple(variation_lines(f, fy, "y", xs, 0.0, 1.0))
-        if case == "degenerate":  # near the true 0.4 (1 + y), not the variation 0
-            assert nb.x_lines == pytest.approx(0.4 * (1.0 + ys), rel=0.1)
+        assert entries == [6]
 
     def test_tiny_rectangle_keeps_its_lines_apart(self):
         # grid lines 6.25e-16 apart: each keeps its own norm, ||f_x(., y)||_inf = sin(y)
@@ -843,16 +864,21 @@ class TestNonfiniteSamples:
     """A NaN or inf in any sample array raises EvaluationError at its coordinate.
 
     The checks run on a reduction each stage computes anyway (a minimum and
-    maximum, an argmax, a weighted sum) and call ``require_finite`` only when
-    that is not finite, so each stage is hit in turn: the k-th vector call
-    of the integrand (counted from the end when negative) returns one bad
-    value, and the error must carry that sample's coordinate.
+    maximum, an argmax, a weighted sum) or on an ``np.isfinite`` test of
+    the samples (a secant round of the zero search, the Gauss samples), and
+    call ``require_finite`` only when that fails, so each stage is hit in
+    turn: the k-th vector call of the integrand (counted from the end when
+    negative) returns one bad value, and the error must carry that sample's
+    coordinate.  A line's first secant round is its second call; the
+    area's is its third, after the scans of both axes.
     """
 
     STAGES = [
         ("line zero scan", _lines(2), 0),
+        ("line secant round", _lines(2), 1),
         ("line Gauss samples", _lines(2), -1),
         ("tensor zero scan", _area(2), 0),
+        ("tensor secant round", _area(2), 2),
         ("tensor pass 1", _area(2), -2),
         ("tensor pass 2", _area(2), -1),
         *((f"zoomed_sup grid {k}", _area(cq.INF), k) for k in range(3)),

@@ -138,3 +138,24 @@ class TestPartsIdentity:
         lhs, rhs = cq.parts_identity_sides(integrand("xy", unit), w, unit)
         assert lhs == pytest.approx(0.25)
         assert rhs == pytest.approx(0.25)
+
+    def test_nonfinite_partial_raises_with_coordinate(self, unit):
+        # f_x of x y is NaN on a strip around x = 0.37, which the bottom edge
+        # integral samples first: the error carries the first NaN it returned
+        seen = []
+
+        def fx(x, y):
+            x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+            out = np.where(np.abs(x - 0.37) < 0.01, np.nan, y)
+            if not seen and np.isnan(out).any():
+                i = int(np.argmax(np.isnan(out).ravel()))
+                seen.append((float(x.flat[i]), float(y.flat[i])))
+            return out
+
+        f = cq.Integrand(f=lambda x, y: x * y, fx=fx, fy=lambda x, y: x + 0.0 * y,
+                         fxy=lambda x, y: 1.0 + 0.0 * x * y)
+        w = cq.CompositeTrapezoidPhi(unit, cq.PartitionSpec(unit, 1, 1))
+        with pytest.raises(cq.EvaluationError) as err:
+            cq.parts_identity_sides(f, w, unit)
+        assert err.value.coordinate == seen[0]
+        assert err.value.coordinate[1] == 0.0 and abs(err.value.coordinate[0] - 0.37) < 0.01
