@@ -21,14 +21,17 @@ A change meant to alter numbers at rounding level is checked by value
 instead: ``--dump FILE`` writes every op's numbers (or its error
 message) as JSON, together with whether the benchmark's own check
 (``run_certify``, which also runs the oracle) finds the op ok and its
-bound violated, and its p; ``--against FILE`` compares this tree's ops
-with such a dump from another tree (one without the p as well) and
-prints one more line per workload, then one per workload and p, so that
-a change meant to move one p can show every other p at 0: the largest
-relative deviation of the estimates, of ``fxy``, of the line norms and
-of the bound terms, and how many ops changed ``ok``, changed
-``violated`` or raise where the other tree does not (or with another
-message):
+bound violated, its p and its op class; ``--against FILE`` compares
+this tree's ops with such a dump from another tree (one without the p
+or the op class as well) and prints one more line per workload, then
+one per workload and op class (``registry`` for the registry
+integrands, ``steep`` for the steep tanh family, whose sech^2 tails
+amplify node rounding about 2e4-fold, so that its deviations do not
+hide the registry's), then one per workload and p, so that a change
+meant to move one p can show every other p at 0: the largest relative
+deviation of the estimates, of ``fxy``, of the line norms and of the
+bound terms, and how many ops changed ``ok``, changed ``violated`` or
+raise where the other tree does not (or with another message):
 
     PYTHONPATH=src python3 scripts/certify_digest.py --dump old.json      # on the old tree
     PYTHONPATH=src python3 scripts/certify_digest.py --against old.json   # on the new tree
@@ -47,7 +50,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import certquad as cq  # noqa: E402
 from certquad import norms, rules  # noqa: E402
 from norm_digest import relative_deviation, require_same_keys  # noqa: E402
-from workloads import CERTIFY_SIZES, build_integrand, certify_round, run_certify  # noqa: E402
+from workloads import CERTIFY_SIZES, STEEP, build_integrand, certify_round, run_certify  # noqa: E402
 
 FAMILY = {"composite-trapezoid": "trapezoid", "composite-midpoint": "midpoint"}
 
@@ -66,6 +69,7 @@ def certify(spec) -> tuple:
 
 GROUPS = ("estimate", "fxy", "line norms", "bound terms")
 COUNTS = ("ops", "ok", "violated", "refusals")
+CLASSES = ("registry", "steep")
 
 
 def groups(result) -> dict:
@@ -75,20 +79,25 @@ def groups(result) -> dict:
 
 
 def compare(ops: dict, reference: dict) -> list[str]:
-    """One line per workload, then one per workload and p, comparing every op with a reference dump of the same keys.
+    """Lines comparing every op with a reference dump of the same keys.
 
-    An op's p is read from this tree's ``ops``, so the reference may be a
-    dump that does not record it.
+    One line per workload, then one per workload and op class, then one
+    per workload and p.  An op's p and class are read from this tree's
+    ``ops``, so the reference may be a dump that does not record them.
     """
     require_same_keys(ops, reference, "ops")
     totals: dict[str, dict] = {}
+    per_class: dict[tuple, dict] = {}
     per_p: dict[tuple, dict] = {}
+
+    def row_of(table: dict, key) -> dict:
+        return table.setdefault(key, dict.fromkeys(GROUPS, 0.0) | dict.fromkeys(COUNTS, 0))
+
     for key, ref in reference.items():
         got = ops[key]
         workload = key.split()[0]
-        for row in (totals.setdefault(workload, dict.fromkeys(GROUPS, 0.0) | dict.fromkeys(COUNTS, 0)),
-                    per_p.setdefault((workload, float(got["p"]), got["p"]),
-                                     dict.fromkeys(GROUPS, 0.0) | dict.fromkeys(COUNTS, 0))):
+        for row in (row_of(totals, workload), row_of(per_class, (workload, CLASSES.index(got["class"]))),
+                    row_of(per_p, (workload, float(got["p"]), got["p"]))):
             row["ops"] += 1
             row["ok"] += got["ok"] != ref["ok"]
             row["violated"] += got["violated"] != ref["violated"]
@@ -99,6 +108,7 @@ def compare(ops: dict, reference: dict) -> list[str]:
             for name in GROUPS:
                 row[name] = max([row[name], *map(relative_deviation, new[name], old[name])])
     labels = list(totals.items())
+    labels += [(f"{workload} {CLASSES[k]}", per_class[workload, k]) for workload, k in sorted(per_class)]
     labels += [(f"{workload} p={ptext}", per_p[workload, p, ptext]) for workload, p, ptext in sorted(per_p)]
     return [f"{label} against {row['ops']} ops: max rel dev "
             + ", ".join(f"{name} {row[name]:.3g}" for name in GROUPS)
@@ -131,7 +141,8 @@ def main() -> int:
                     with np.errstate(all="ignore"):
                         outcome = run_certify(spec)
                     ops[f"{workload} seed={seed} op={i}"] = {
-                        "p": spec.p, "result": result, "ok": outcome.ok, "violated": outcome.violated}
+                        "p": spec.p, "class": CLASSES[spec.family == STEEP], "result": result,
+                        "ok": outcome.ok, "violated": outcome.violated}
     print(count, "ops", "sha256", digest.hexdigest())
     if args.dump:
         with open(args.dump, "w") as handle:

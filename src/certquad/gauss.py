@@ -3,12 +3,14 @@
 Every graded rule and tensor-product norm is built here.  A report's
 breakpoints come from one ``scan_breaks`` call over all its zero scans:
 the f_xy axes (``area_scans``, merged per axis by ``axis_breaks``) and
-each partial's lines; ``area_breaks`` is its one-rectangle view.  The
-p = 1 lines that ``norms`` reads off f scan exhaustively, with no cap
-on their sign changes.
+each partial's lines; ``area_breaks`` is its one-rectangle view.  Every
+line scan of ``norms`` is exhaustive, with no cap on its sign changes;
+only the f_xy area axes keep the cap of 32.
 ``graded_nodes`` serves ``norms._norms_with_error`` (one build per
 report: one entry per set, depth and cap), the weight norms
-(``weights``) and the minimizer's grid (``minimizer``).  The f_xy area
+(``weights``) and the minimizer's grid (``minimizer``); an entry with
+no interior break maps a cached layout of [0, 1] instead of splitting
+and merging its own breaks (``_unit_layout``).  The f_xy area
 norm and the custom weight norm reduce each tensor pass with
 ``tensor_p_norm``.  ``segment_p_norms`` reduces the samples of the line
 norms and the ramp norms with the scaled power sum ``tensor_p_norm``
@@ -21,8 +23,9 @@ costs what its samples cost: a scan of +-0 samples returns its one
 returns all-zero maxima as the norms before raising any sample to p.
 The area grid maximum (``zoomed_sup``) finds its argmax with
 ``abs_argmax``, which only reads the samples; the line maxima of
-``norms`` are small enough to take theirs on an |g| copy.  The oracle uses
-``panel_nodes``; per-call uniform grids come from ``uniform_grid``.  All
+``norms`` are small enough to take theirs on an |g| copy.  The oracle maps
+``panel_nodes`` of [0, 1] that it caches per panel count; per-call
+uniform grids come from ``uniform_grid``.  All
 routines are deterministic: fixed node counts and fixed summation order,
 so repeated runs reproduce bit-identical values.
 """
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -174,6 +178,56 @@ def _graded_fracs(top: int) -> tuple[np.ndarray, np.ndarray]:
     return fracs, hi_end
 
 
+def _split_merge(rows, gap, parts, panels, tol):
+    """Step (b) of ``graded_nodes`` up to the Gauss nodes: split, merge and pair the breaks of entries.
+
+    ``rows`` holds the graded rows of every panel (one row per panel, the
+    panels of each entry in turn), ``gap`` their gaps and ``parts`` the
+    number of equal parts of each gap; entry e has panels[e] rows and
+    merge tolerance tol[e].  Returns the Gauss panels (lo, hi) of every
+    entry in turn and how many breaks each entry keeps.
+    """
+    # refine: the gap ending at each break splits into `parts` equal panels;
+    # a row's first break closes the zero-width gap from its leading lo
+    count = parts.astype(np.int64)
+    n = count.ravel()
+    last = np.cumsum(n)
+    step = np.arange(1.0, last[-1] + 1.0) - np.repeat(last - n, n)
+    pts = np.repeat(rows[:, :-1], n) + np.repeat(gap, n) * step / np.repeat(parts, n)
+    pts[last - 1] = rows[:, 1:].ravel()
+    # merge: drop each break within its set's tolerance of its predecessor
+    emitted = np.add.reduceat(count.sum(axis=1), np.cumsum(panels) - panels)
+    start = np.cumsum(emitted) - emitted
+    keep = np.empty(pts.size, dtype=bool)
+    keep[1:] = np.diff(pts) > np.repeat(tol, emitted)[1:]
+    keep[start] = True
+    merged = pts[keep]
+    kept = np.add.reduceat(keep, start)
+    # panels: consecutive kept breaks of one entry; masking the panel ends
+    # rather than the nodes keeps the build free of a node-sized copy
+    inner = np.ones(merged.size - 1, dtype=bool)
+    inner[np.cumsum(kept)[:-1] - 1] = False
+    return (merged[:-1][inner], merged[1:][inner]), kept
+
+
+@lru_cache(maxsize=256)
+def _unit_layout(depth: int, counts: bytes, k: int) -> np.ndarray:
+    """Step (b) of ``graded_nodes`` on [0, 1], one panel graded ``depth`` levels deep: nodes over weights, 2 x n.
+
+    ``counts`` holds the part counts (float64) of the panel's graded gaps,
+    in order, as the entry's own interval gave them.  The array is read-only:
+    every build that maps the layout shares it.
+    """
+    fracs, hi_end = _graded_fracs(depth)
+    row = (np.where(hi_end, 1.0, 0.0) + fracs[depth])[None, :]
+    # the zero-width gap from the row's leading lo takes one part
+    parts = np.concatenate(([1.0], np.frombuffer(counts)))[None, :]
+    ends, _ = _split_merge(row, np.diff(row), parts, np.ones(1, dtype=np.int64), np.array([_MERGE_RTOL]))
+    layout = np.stack(panel_nodes(ends, k))
+    layout.flags.writeable = False
+    return layout
+
+
 def graded_nodes(sets: Sequence[np.ndarray], levels, caps, k: int = 8):
     """Graded composite Gauss nodes of several breakpoint-set entries in one vectorised build.
 
@@ -184,52 +238,84 @@ def graded_nodes(sets: Sequence[np.ndarray], levels, caps, k: int = 8):
     hi - w 2^-j for j = 1 .. levels; every gap is split into equal parts
     at most the cap wide; a break within the set's merge tolerance of its
     predecessor is dropped; each remaining panel gets k Gauss-Legendre
-    nodes (``panel_nodes``).  Segment arithmetic runs every entry at once.
+    nodes (``panel_nodes``).  The build has two steps, each run on every
+    entry at once: (a) the part count of every gap, ceil(gap / cap), on
+    the entry's own interval; (b) the split, the merge and the Gauss nodes
+    (``_split_merge``).
+
+    An entry whose set [lo, hi] has no interior break, and whose narrowest
+    part (at least half the cap or the finest graded gap wide) clears four
+    times the merge tolerance on [lo, hi] and on [0, 1], so that neither
+    merge drops more than the padding, skips step (b): its nodes are
+    lo + (hi - lo) u and its weights (hi - lo) w, where (u, w) is step (b)
+    run once on [0, 1] with the entry's own part counts (``_unit_layout``),
+    kept in an LRU of 256 layouts keyed by (levels, counts, k).  The counts
+    stay those of the entry's interval, so every node count is what step
+    (b) on the interval gives, the rounding drift of ceil(gap / cap)
+    included; the nodes and weights differ from it by rounding.  Every
+    other entry takes step (b) on its interval; a build whose entries all
+    map runs no step (b) at all.  An entry's output depends on that entry
+    alone, so a set built alone or among others gets the same bytes.
     Returns flat (nodes, weights, bounds); entry e owns
     nodes[bounds[e]:bounds[e + 1]].
     """
-    panels = np.array([len(s) - 1 for s in sets])
-    if panels.min() < 1:
+    counts = [len(s) - 1 for s in sets]
+    if min(counts) < 1:
         raise ValueError("need at least two breakpoints")
+    caps = np.asarray(caps, dtype=float)
+    depth = np.empty(len(sets), dtype=np.int64)
+    depth[:] = levels
     lo = np.concatenate([s[:-1] for s in sets])
     hi = np.concatenate([s[1:] for s in sets])
-    cap = np.repeat(np.asarray(caps, dtype=float), panels)[:, None]
-    # graded rows of every panel, each led by a copy of the panel's lo, at
+    row_depth, row_caps = np.repeat(depth, counts), np.repeat(caps, counts)
+    # (a) graded rows of every panel, each led by a copy of the panel's lo, at
     # the deepest level count of the build; a shallower entry's rows are
-    # padded with copies of the panel ends, which the merge drops again
-    depth = np.broadcast_to(levels, len(sets))
-    fracs, hi_end = _graded_fracs(int(depth.max()))
-    fracs = fracs[np.repeat(depth, panels)]
-    rows = np.where(hi_end, hi[:, None], lo[:, None]) + (hi - lo)[:, None] * fracs
-    # refine: the gap ending at each break splits into `parts` equal panels;
-    # a row's first break closes the zero-width gap from its leading lo
-    prev, g = rows[:, :-1], rows[:, 1:]
-    gap = g - prev
-    parts = np.maximum(np.ceil(gap / cap), 1.0)
-    count = parts.astype(np.int64)
-    n = count.ravel()
-    last = np.cumsum(n)
-    step = np.arange(1.0, last[-1] + 1.0) - np.repeat(last - n, n)
-    pts = np.repeat(prev, n) + np.repeat(gap, n) * step / np.repeat(parts, n)
-    pts[last - 1] = g.ravel()
-    # merge: drop each break within its set's tolerance of its predecessor
-    emitted = np.add.reduceat(count.sum(axis=1), np.cumsum(panels) - panels)
-    start = np.cumsum(emitted) - emitted
-    tol = merge_tol(np.array([s[0] for s in sets]), np.array([s[-1] for s in sets]))
-    keep = np.empty(pts.size, dtype=bool)
-    keep[1:] = np.diff(pts) > np.repeat(tol, emitted)[1:]
-    keep[start] = True
-    merged = pts[keep]
-    kept = np.add.reduceat(keep, start)
-    if kept.min() < 2:
-        e = int(np.argmin(kept))
-        lo, hi = float(sets[e][0]), float(sets[e][-1])
-        raise _too_narrow(lo, hi, float(caps[e]) / (hi - lo))
-    # panels: consecutive kept breaks of one entry; masking the panel ends
-    # rather than the nodes keeps the build free of a node-sized copy
-    inner = np.ones(merged.size - 1, dtype=bool)
-    inner[np.cumsum(kept)[:-1] - 1] = False
-    x, wts = panel_nodes((merged[:-1][inner], merged[1:][inner]), k)
+    # padded with copies of the panel ends, zero-width gaps of one part
+    depths = depth.tolist()
+    top = max(depths)
+    fracs, hi_end = _graded_fracs(top)
+    span = hi - lo
+    rows = np.where(hi_end, hi[:, None], lo[:, None]) + span[:, None] * fracs[row_depth]
+    gap = rows[:, 1:] - rows[:, :-1]
+    parts = np.maximum(np.ceil(gap / row_caps[:, None]), 1.0)
+    # the one-panel entries that map a unit layout, keyed by the part counts
+    # of their row's own gaps, from its last copy of lo to its first of hi:
+    # 2d at depth d, 1 at depth 0
+    buf, width = parts.tobytes(), 8 * gap.shape[1]
+    mapped, rows_of, layouts, sizes, row = [], [], [], [], 0
+    for e, (s, n, d, cap) in enumerate(zip(sets, counts, depths, caps.tolist())):
+        if n == 1:
+            a, b = s.tolist()
+            w = b - a
+            if min(w * 0.5**d, 0.5 * cap) > 4.0 * _MERGE_RTOL * max(1.0, abs(a), abs(b), w):
+                at = width * row + 8 * (top + 1)
+                layouts.append(_unit_layout(d, buf[at - 8 * d:at + 8 * max(d, 1)], k))
+                sizes.append(layouts[-1].shape[1])
+                mapped.append(e)
+                rows_of.append(row)
+        row += n
+    if len(mapped) < len(sets):
+        # (b) on every entry, the mapped ones too: their blocks are replaced
+        # below, and selecting the others would cost more than it saves
+        tol = merge_tol(np.array([s[0] for s in sets]), np.array([s[-1] for s in sets]))
+        ends, kept = _split_merge(rows, gap, parts, np.array(counts), tol)
+        if kept.min() < 2:
+            e = int(np.argmin(kept))
+            lo, hi = float(sets[e][0]), float(sets[e][-1])
+            raise _too_narrow(lo, hi, float(caps[e]) / (hi - lo))
+        x, wts = panel_nodes(ends, k)
+    if mapped:
+        if len(rows_of) < lo.size:
+            lo, span = lo[rows_of], span[rows_of]
+        out = np.concatenate(layouts, axis=1) * np.repeat(span, sizes)
+        out[0] += np.repeat(lo, sizes)
+        if len(mapped) == len(sets):
+            return out[0], out[1], np.array([0, *accumulate(sizes)])
+        # a mapped entry's block has the node count step (b) gave it
+        own = np.zeros(len(sets), dtype=bool)
+        own[mapped] = True
+        own = np.repeat(own, (kept - 1) * k)
+        x[own], wts[own] = out
     return x, wts, np.concatenate(([0], np.cumsum((kept - 1) * k)))
 
 
@@ -311,11 +397,14 @@ def scan_breaks(scans: Sequence[tuple]) -> list[tuple]:
     before the next scan samples (``_scan``).  A line's exact zeros inside
     (lo, hi) are taken first, unless they fill more than half its scan (a
     degenerate line); then its sign changes in scan order, stopping after
-    the one that brings its list to 32 or more, where each break costs
-    graded Gauss panels.  An exhaustive scan keeps every sign change, and
-    a degenerate line whose samples take both signs keeps its exact zeros
-    too, so that g keeps one sign between any two neighbouring breaks the
-    scan resolves: there a break costs one sample of an antiderivative.
+    the one that brings its list to 32 or more.  An exhaustive scan keeps
+    every sign change, and a degenerate line whose samples take both signs
+    keeps its exact zeros too, so that g keeps one sign between any two
+    neighbouring breaks the scan resolves.  ``norms`` scans every line
+    exhaustively: a line's Gauss pass that skips a sign change reads
+    |g|^p low across it, and at p = 1 a break costs one sample of an
+    antiderivative.  Only the f_xy area axes keep the cap, as each of
+    their breaks multiplies the tensor passes.
 
     Then every chosen bracket [a, b] of every scan is refined by one
     bracketed secant search (Dekker-Brent), one vector call per round of
@@ -427,10 +516,13 @@ def scan_breaks(scans: Sequence[tuple]) -> list[tuple]:
 def _scan(g, axis: str, c: np.ndarray, lo: float, hi: float, resolution: int, exhaustive: bool):
     """One scan of ``scan_breaks``: its brackets and exact zeros, or None if it finds no zero.
 
-    Returns (a, b, fa, fb, rows, exact_rows, exact_points): the chosen
-    brackets' ends, end values and lines, and the lines and points of the
-    exact zeros.  A function of its own so that a scan's samples are freed
-    before the next scan samples.
+    An ``exhaustive`` scan (every line scan of ``norms``) keeps every
+    bracket and a both-sign degenerate line's exact zeros; any other (the
+    f_xy area axes) keeps at most 32 breaks per line.  Returns (a, b, fa,
+    fb, rows, exact_rows, exact_points): the chosen brackets' ends, end
+    values and lines, and the lines and points of the exact zeros.  A
+    function of its own so that a scan's samples are freed before the next
+    scan samples.
     """
     t = uniform_grid(lo, hi, resolution + 1)
     coords = line_coords(axis, t[None, :], c[:, None])

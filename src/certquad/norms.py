@@ -27,13 +27,17 @@ the core that ``derivative_norms`` runs): the zero scans, one
 and then each partial's lines sample all their lines in one call each,
 after which every sign change of every scan is refined by one bracketed
 secant search, one call per round of each scan with live brackets (a
-simple root typically takes 1-4 rounds, none more than 15); a scan with
+simple root typically takes 1-4 rounds, none more than 15); every line
+scans exhaustively, keeping every sign change of its scan, so no Gauss
+pass integrates |g|^p across a sign change it was not told of (the
+f_xy axes keep the cap of 32 breaks per line); a scan with
 no zero, or of +-0 samples only, gives one set that all its lines share,
 and any lines whose breaks agree bit for bit share a set, across
 partials too; one ``gauss.graded_nodes`` build, one entry per set,
 depth and cap: the area axes at each rung of the ladder, then every
 distinct line set's coarse and fine pass (5 and 6 levels deep) side by
-side; then the samples and their reductions, f_xy's two or three
+side, where a set with no interior break maps a cached layout of
+[0, 1]; then the samples and their reductions, f_xy's two or three
 tensor passes (``gauss.tensor_p_norm``) first, then each partial's lines
 in one integrand call and one ``gauss.segment_p_norms`` reduction
 (``_batch_norms``), which skips the powers of a batch whose samples are
@@ -52,10 +56,10 @@ one-element ``fixed``) and ``area_norm_with_error`` are one-request views
 of the same core.
 
 At p = 1 ``derivative_norms`` hands the core f as each line batch's
-antiderivative, and its lines need no Gauss pass.  They scan
-exhaustively (``gauss.scan_breaks``): every sign change is a break, and
-a degenerate line (exact zeros fill over half of its scan) of both
-signs keeps its exact zeros as breaks too.  Between its breaks f_x
+antiderivative, and its lines need no Gauss pass.  Their exhaustive
+scans (``gauss.scan_breaks``) make every sign change a break, and a
+degenerate line (exact zeros fill over half of its scan) of both signs
+keeps its exact zeros as breaks too.  Between its breaks f_x
 keeps one sign, so ||f_x(., y)||_1 is sum_i |f(t_{i+1}, y) - f(t_i, y)|
 over its breaks t_i, exact up to rounding, from one call of f per
 partial at every break of its lines (``_variation_norms``).  A p = 1
@@ -143,9 +147,10 @@ def _norms_with_error(p: Exponent, resolution: int, area=None, lines=()):
     Returns None or (value, error) for the area, and a list of (values,
     errors) arrays, one pair per batch.  A finite p scans and builds
     once, then samples and reduces the area and each batch in turn (see
-    the module docstring); at p = 1 a batch with an antiderivative scans
-    exhaustively, takes its norms from it (``_variation_norms``) and
-    builds nothing.  p = inf takes grid maxima, which need no build.
+    the module docstring); every batch's lines scan exhaustively, and at
+    p = 1 a batch with an antiderivative takes its norms from it
+    (``_variation_norms``) and builds nothing.  p = inf takes grid
+    maxima, which need no build.
     """
     if resolution < 16:
         raise ValueError("resolution must be >= 16")
@@ -167,13 +172,12 @@ def _norms_with_error(p: Exponent, resolution: int, area=None, lines=()):
     for _, _, _, lo, hi, _ in lines:
         require_resolvable(lo, hi, max_frac / 2.0)
     # scan: f_xy's two axes and every batch's lines in one bracket search; the
-    # area axes are the first sets, and at p = 1 a batch with an
-    # antiderivative scans exhaustively and takes no Gauss pass
+    # area axes are the first sets, and every line scans exhaustively; at
+    # p = 1 a batch with an antiderivative takes no Gauss pass
     scans = [] if area is None else area_scans(*area, min(resolution, 192))
     axes = len(scans)
     by_f = [p.is_one and batch[5] is not None for batch in lines]
-    found = scan_breaks(scans + [(g, axis, c, lo, hi, resolution, exact)
-                                 for (g, axis, c, lo, hi, _), exact in zip(lines, by_f)])
+    found = scan_breaks(scans + [(g, axis, c, lo, hi, resolution, True) for g, axis, c, lo, hi, _ in lines])
     gauss = [k for k, exact in enumerate(by_f) if not exact]
     axis_sets, line_sets = [axis_breaks(f) for f in found[:axes]], []
     owners = _line_sets([found[axes + k] for k in gauss], line_sets)

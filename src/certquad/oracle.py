@@ -2,7 +2,9 @@
 
 The reference integrator is tensor-product Gauss-Legendre with dyadic
 panel refinement until two successive refinements agree to the target
-tolerance.  The parts-identity residual numerically compares
+tolerance; the nodes of each panel count are built once on [0, 1] and
+mapped onto each rectangle's axes.  The parts-identity residual
+numerically compares
 
     int int f  =  corner terms + edge integrals + int int f_xy phi
 
@@ -13,6 +15,7 @@ it is the designated admissibility guard for any new weight variant.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,7 +35,10 @@ def oracle_integrate(f: Integrand, rect: Rectangle, target_tol: float = 1e-12):
 
     Tensor Gauss-Legendre with 16 nodes per panel on 1, 2, 4, ... equal
     panels per axis, stopping at the first two panel counts whose values
-    differ by less than ``target_tol``; that difference is the error.  A
+    differ by less than ``target_tol``; that difference is the error.
+    Each count's panels are the cached panels of [0, 1] (``_unit_panels``,
+    at most 11 counts), mapped to an axis [a, b] as a + (b - a) u with
+    weights (b - a) w.  A
     known ``exact_integral`` on the integrand overrides the quadrature
     (error 0).  Raises QuadratureConvergenceError, carrying the best
     value, if ``MAX_PANELS_PER_AXIS`` is passed first.
@@ -46,9 +52,11 @@ def oracle_integrate(f: Integrand, rect: Rectangle, target_tol: float = 1e-12):
     value = None
     delta = np.inf
     panels = 1
+    width, height = rect.width, rect.height
     while panels <= MAX_PANELS_PER_AXIS:
-        xs, wx = panel_nodes(uniform_grid(rect.a, rect.b, panels + 1), 16)
-        ys, wy = panel_nodes(uniform_grid(rect.c, rect.d, panels + 1), 16)
+        u, w = _unit_panels(panels)
+        xs, wx = rect.a + width * u, width * w
+        ys, wy = rect.c + height * u, height * w
         vals = fv(xs[:, None], ys[None, :])
         value = float(wx @ vals @ wy)
         if not math.isfinite(value):  # the Gauss weights are positive: a finite sum has finite terms
@@ -64,6 +72,17 @@ def oracle_integrate(f: Integrand, rect: Rectangle, target_tol: float = 1e-12):
         best_value=value,
         error_estimate=delta,
     )
+
+
+@lru_cache(maxsize=16)
+def _unit_panels(panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """16-node Gauss nodes and weights of ``panels`` equal panels of [0, 1], read-only.
+
+    ``oracle_integrate`` maps them onto each axis.
+    """
+    u, w = panel_nodes(uniform_grid(0.0, 1.0, panels + 1), 16)
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
 
 
 def parts_identity_sides(

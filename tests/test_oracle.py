@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import certquad as cq
+import certquad.oracle as oracle_mod
+from certquad.gauss import panel_nodes, uniform_grid
 from conftest import integrand
 
 
@@ -49,6 +51,40 @@ class TestOracleIntegrate:
                 value, err = cq.oracle_integrate(f, rect)
                 assert abs(value - exact) <= err + 1e-12 * (1.0 + abs(exact)), (
                     name, rect, value, exact, err)
+
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (2.0, 5.0), (-7.5, -3.0), (1e3, 1e3 + 2.0)])
+    def test_mapped_panels_match_panel_nodes(self, a, b):
+        # every panel count maps its cached panels of [0, 1] onto the axis;
+        # on these axes the uniform grids are exact in binary, so panels built
+        # on the axis itself carry no rounding of their own either
+        rtol = 4.0 * np.finfo(float).eps
+        for n in [2**j for j in range(11)]:
+            u, w = oracle_mod._unit_panels(n)
+            assert not (u.flags.writeable or w.flags.writeable)
+            x, wx = panel_nodes(uniform_grid(a, b, n + 1), 16)
+            assert np.allclose(a + (b - a) * u, x, rtol=rtol, atol=0.0)
+            assert np.allclose((b - a) * w, wx, rtol=rtol, atol=0.0)
+        # the oracle samples exactly those nodes
+        seen = []
+
+        def f(x, y):
+            seen.append((x.ravel().copy(), y.ravel().copy()))
+            return np.cos(x) * np.exp(-y * y)
+
+        cq.oracle_integrate(cq.Integrand(f=f), cq.Rectangle(a, b, -1.0, 2.0))
+        for level, (x, y) in enumerate(seen):
+            u, _ = oracle_mod._unit_panels(2**level)
+            assert np.array_equal(x, a + (b - a) * u) and np.array_equal(y, -1.0 + 3.0 * u)
+
+    @pytest.mark.parametrize("rect", [cq.Rectangle(0.1, 1.3, -0.7, 0.4), cq.Rectangle(2.0, 5.0, -7.5, -3.0)])
+    def test_mapped_panels_keep_the_registry_closed_forms(self, rect):
+        for name in cq.names():
+            entry = cq.get_entry(name)
+            if not entry.domain_ok(rect):
+                continue
+            exact = entry.exact(rect)
+            value, err = cq.oracle_integrate(replace(entry.integrand(rect), exact_integral=None), rect)
+            assert abs(value - exact) <= err + 1e-12 * (1.0 + abs(exact)), (name, value, exact, err)
 
     @pytest.mark.parametrize("h", [1e-6, 1e-9])
     @pytest.mark.parametrize("name", ["sinsin", "sinsum", "expsum"])

@@ -113,15 +113,22 @@ def test_certify_digest_against_its_own_dump(tmp_path):
         "ok changed 0, violated changed 0, refusals changed 0"
         for workload in ("certify-coarse", "certify-fine")
     ]
-    # then one line per workload and p, whose ops add up to the workload's
+    # then one line per workload and op class, registry before steep, and one
+    # per workload and p; each set of lines adds up to the workloads' ops
     ops = json.loads(dump.read_text())
-    per_p = [line.split(" against ") for line in again[3:]]
+    classes = sorted({(key.split()[0], op["class"]) for key, op in ops.items()},
+                     key=lambda pair: (pair[0], ["registry", "steep"].index(pair[1])))
+    assert {op["class"] for op in ops.values()} == {"registry", "steep"}
+    per_class = [line.split(" against ") for line in again[3:3 + len(classes)]]
+    assert [label for label, _ in per_class] == [f"{workload} {name}" for workload, name in classes]
+    per_p = [line.split(" against ") for line in again[3 + len(classes):]]
     assert [label for label, _ in per_p] == sorted(
         {f"{key.split()[0]} p={op['p']}" for key, op in ops.items()},
         key=lambda label: (label.split()[0], float(label.split("=")[1])))
-    assert all(rest.endswith("max rel dev estimate 0, fxy 0, line norms 0, bound terms 0; "
-                             "ok changed 0, violated changed 0, refusals changed 0") for _, rest in per_p)
-    assert sum(int(rest.split()[0]) for _, rest in per_p) == 8
+    for lines in (per_class, per_p):
+        assert all(rest.endswith("max rel dev estimate 0, fxy 0, line norms 0, bound terms 0; "
+                                 "ok changed 0, violated changed 0, refusals changed 0") for _, rest in lines)
+        assert sum(int(rest.split()[0]) for _, rest in lines) == 8
     # a deviating dump: one op's fxy raised by 1e-10 relative and its ok flipped,
     # and the first line norm of a p = 1 op raised by 1e-10 relative
     op = ops["certify-fine seed=1 op=0"]
@@ -136,7 +143,9 @@ def test_certify_digest_against_its_own_dump(tmp_path):
     assert changed[2].startswith("certify-fine against 4 ops: max rel dev estimate 0, fxy 1e-10, line norms 0, ")
     assert changed[2].endswith("; ok changed 1, violated changed 0, refusals changed 0")
     moved = [line for line in changed[3:] if line not in again[3:]]
-    assert [line.split(" against ")[0] for line in moved] == ["certify-coarse p=1", f"certify-fine p={op['p']}"]
+    assert [line.split(" against ")[0] for line in moved] == [
+        f"certify-coarse {one['class']}", f"certify-fine {op['class']}",
+        "certify-coarse p=1", f"certify-fine p={op['p']}"]
 
 
 def test_src_lines_categories_sum_to_each_module():
