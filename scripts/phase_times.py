@@ -18,7 +18,13 @@ names it binds, each wrapped in a timer for the run:
 ``norms_rest`` is the rest of ``derivative_norms``; ``estimate``,
 ``bound`` and ``oracle`` are the other calls of an op.  Each (op, phase)
 keeps its fastest repeat; a row gives the mean over the ops of each p,
-in microseconds, then over every op:
+in microseconds, then over the ops of each finite-p report class, then
+over every op.  The classes are ``free``, the reports whose partials keep
+one sign on every rule line, and ``split``, those in which a partial
+changes sign on some rule line (a line scan of the report's
+``scan_breaks`` call, the exhaustive ones, finds a break inside a line);
+the p = inf reports are the third class.  The last row, ``share``, is
+each column's part of the round's time, in percent:
 
     PYTHONPATH=src python3 scripts/phase_times.py --workload certify-fine --seed 1 --repeats 5
 
@@ -49,10 +55,21 @@ PHASES = ("estimate", *NORM_PHASES, "norms_rest", "bound", "oracle")
 FAMILY = {"composite-trapezoid": "trapezoid", "composite-midpoint": "midpoint"}
 
 
+SPLIT = "split lines"  # the key of ``spent`` that counts an op's line scans with a break
+
+
+def split_lines(scans, found) -> bool:
+    """Whether a ``scan_breaks`` call found a break inside a line of one of its line scans (the exhaustive ones)."""
+    return any(scan[6:] == (True,) and sizes is not None and (sizes > 2).any()
+               for scan, (_, sizes) in zip(scans, found))
+
+
 def run_op(spec, spent: dict) -> None:
     """One certify op, as the benchmark runs it, adding each phase's seconds to ``spent``.
 
-    The norm phases add theirs through their wrappers (``wrap_norm_phases``).
+    The norm phases add theirs through their wrappers (``wrap_norm_phases``),
+    and the wrapped ``scan_breaks`` counts its calls that split a rule line
+    under ``SPLIT``.
     """
     f = build_integrand(spec)
     rect = cq.Rectangle(*spec.rect)
@@ -84,9 +101,12 @@ def wrap_norm_phases(spent: dict):
         def wrapper(*args, **kwargs):
             start = time.perf_counter()
             try:
-                return fn(*args, **kwargs)
+                out = fn(*args, **kwargs)
             finally:
                 spent[name] += time.perf_counter() - start
+            if name == "scan_breaks":
+                spent[SPLIT] += split_lines(args[0], out)
+            return out
 
         return wrapper
 
@@ -101,13 +121,17 @@ def wrap_norm_phases(spent: dict):
             setattr(norms, name, fn)
 
 
-def phase_seconds(specs, repeats: int) -> tuple[np.ndarray, dict]:
-    """(ops x phases) seconds, each the fastest of ``repeats`` runs of the round, and each refused op's error.
+def phase_seconds(specs, repeats: int) -> tuple[np.ndarray, np.ndarray, dict]:
+    """(ops x phases) seconds, each the fastest of ``repeats`` runs of the round, the split-line ops, and refusals.
+
+    ``split`` marks the ops whose ``scan_breaks`` call found a break inside
+    a rule line; ``refused`` maps each refused op to its error.
 
     An op that raises, as the benchmark's refusals do, keeps the time its
     phases spent before the error.
     """
     best = np.full((len(specs), len(PHASES)), np.inf)
+    split = np.zeros(len(specs), dtype=bool)
     spent = defaultdict(float)
     refused = {}
     with wrap_norm_phases(spent), np.errstate(all="ignore"):
@@ -119,7 +143,8 @@ def phase_seconds(specs, repeats: int) -> tuple[np.ndarray, dict]:
                 except (cq.CertquadError, ValueError, ArithmeticError) as exc:
                     refused[k] = f"{type(exc).__name__}: {exc}"
                 best[k] = np.minimum(best[k], [spent[name] for name in PHASES])
-    return best, refused
+                split[k] = spent[SPLIT] > 0
+    return best, split, refused
 
 
 def main() -> int:
@@ -133,9 +158,11 @@ def main() -> int:
         ap.error("--repeats must be at least 1")
 
     specs = certify_round(args.workload, args.seed)[:args.ops]
-    best, refused = phase_seconds(specs, args.repeats)
+    best, split, refused = phase_seconds(specs, args.repeats)
+    finite = np.array([spec.p != "inf" for spec in specs])
     columns = [(f"p={p}", np.array([spec.p == p for spec in specs])) for p in P_TEXTS]
-    columns = [column for column in columns if column[1].any()] + [("all", np.ones(len(specs), dtype=bool))]
+    columns = [column for column in columns if column[1].any()]
+    columns += [("free", finite & ~split), ("split", finite & split), ("all", np.ones(len(specs), dtype=bool))]
     print(f"{args.workload} seed {args.seed}: {len(specs)} ops ({len(refused)} refused), "
           f"fastest of {args.repeats} repeats, mean us per op")
     print(f"{'phase':<17}" + "".join(f"{label:>10}" for label, _ in columns))
@@ -143,6 +170,7 @@ def main() -> int:
     for j, name in enumerate(PHASES):
         print(f"{name:<17}" + "".join(f"{1e6 * best[mask, j].mean():>10.1f}" for _, mask in columns))
     print(f"{'total':<17}" + "".join(f"{1e6 * best[mask].sum(axis=1).mean():>10.1f}" for _, mask in columns))
+    print(f"{'share':<17}" + "".join(f"{100.0 * best[mask].sum() / best.sum():>10.1f}" for _, mask in columns))
     for k, message in sorted(refused.items()):
         print(f"refused op {k} ({specs[k].family}, p={specs[k].p}, m={specs[k].m}): {message}")
     return 0

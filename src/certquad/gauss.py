@@ -8,9 +8,10 @@ line scan of ``norms`` is exhaustive, with no cap on its sign changes;
 only the f_xy area axes keep the cap of 32.
 ``graded_nodes`` serves ``norms._norms_with_error`` (one build per
 report: one entry per set, depth and cap), the weight norms
-(``weights``) and the minimizer's grid (``minimizer``); an entry with
-no interior break maps a cached layout of [0, 1] instead of splitting
-and merging its own breaks (``_unit_layout``).  The f_xy area
+(``weights``) and the minimizer's grid (``minimizer``) by one rule:
+every panel of every entry maps a cached layout of [0, 1], graded with
+the part counts of the panel itself (``_unit_layout``), so the split
+and merge of breaks runs only on [0, 1], once per layout.  The f_xy area
 norm and the custom weight norm reduce each tensor pass with
 ``tensor_p_norm``.  ``segment_p_norms`` reduces the samples of the line
 norms and the ramp norms with the scaled power sum ``tensor_p_norm``
@@ -150,8 +151,9 @@ def require_resolvable(lo: float, hi: float, frac: float) -> None:
     """Reject [lo, hi] before any sampling when panels of ``frac`` of it all merge away.
 
     ``graded_nodes`` panels are at most frac * (hi - lo) wide; below
-    ``_narrow_limit`` every one collapses and ``graded_nodes`` would raise
-    the same error.
+    ``_narrow_limit`` none of them clears ``merge_tol``, the tolerance
+    within which the scans and ``graded_nodes`` collapse neighbouring
+    breaks.
     """
     if hi - lo < _narrow_limit(lo, hi, frac):
         raise _too_narrow(lo, hi, frac)
@@ -178,52 +180,29 @@ def _graded_fracs(top: int) -> tuple[np.ndarray, np.ndarray]:
     return fracs, hi_end
 
 
-def _split_merge(rows, gap, parts, panels, tol):
-    """Step (b) of ``graded_nodes`` up to the Gauss nodes: split, merge and pair the breaks of entries.
-
-    ``rows`` holds the graded rows of every panel (one row per panel, the
-    panels of each entry in turn), ``gap`` their gaps and ``parts`` the
-    number of equal parts of each gap; entry e has panels[e] rows and
-    merge tolerance tol[e].  Returns the Gauss panels (lo, hi) of every
-    entry in turn and how many breaks each entry keeps.
-    """
-    # refine: the gap ending at each break splits into `parts` equal panels;
-    # a row's first break closes the zero-width gap from its leading lo
-    count = parts.astype(np.int64)
-    n = count.ravel()
-    last = np.cumsum(n)
-    step = np.arange(1.0, last[-1] + 1.0) - np.repeat(last - n, n)
-    pts = np.repeat(rows[:, :-1], n) + np.repeat(gap, n) * step / np.repeat(parts, n)
-    pts[last - 1] = rows[:, 1:].ravel()
-    # merge: drop each break within its set's tolerance of its predecessor
-    emitted = np.add.reduceat(count.sum(axis=1), np.cumsum(panels) - panels)
-    start = np.cumsum(emitted) - emitted
-    keep = np.empty(pts.size, dtype=bool)
-    keep[1:] = np.diff(pts) > np.repeat(tol, emitted)[1:]
-    keep[start] = True
-    merged = pts[keep]
-    kept = np.add.reduceat(keep, start)
-    # panels: consecutive kept breaks of one entry; masking the panel ends
-    # rather than the nodes keeps the build free of a node-sized copy
-    inner = np.ones(merged.size - 1, dtype=bool)
-    inner[np.cumsum(kept)[:-1] - 1] = False
-    return (merged[:-1][inner], merged[1:][inner]), kept
-
-
 @lru_cache(maxsize=256)
 def _unit_layout(depth: int, counts: bytes, k: int) -> np.ndarray:
-    """Step (b) of ``graded_nodes`` on [0, 1], one panel graded ``depth`` levels deep: nodes over weights, 2 x n.
+    """One panel [0, 1] graded ``depth`` levels deep, its gaps split into ``counts`` parts: nodes over weights, 2 x n.
 
-    ``counts`` holds the part counts (float64) of the panel's graded gaps,
-    in order, as the entry's own interval gave them.  The array is read-only:
-    every build that maps the layout shares it.
+    The panel's graded breaks are 0, 2^-depth .. 1/2, 1 - 1/4 .. 1 -
+    2^-depth, 1 (0 and 1 at depth 0); ``counts`` holds the part count
+    (float64) of each of their gaps, in order, as the caller's own panel
+    gave them.  A gap [a, b] of n parts gets the breaks a + (b - a) j / n
+    for j = 1 .. n - 1, and b; a break within the merge tolerance of [0, 1]
+    of its predecessor is dropped; each remaining panel gets k
+    Gauss-Legendre nodes (``panel_nodes``).  The array is read-only: every
+    build that maps the layout shares it.
     """
     fracs, hi_end = _graded_fracs(depth)
-    row = (np.where(hi_end, 1.0, 0.0) + fracs[depth])[None, :]
-    # the zero-width gap from the row's leading lo takes one part
-    parts = np.concatenate(([1.0], np.frombuffer(counts)))[None, :]
-    ends, _ = _split_merge(row, np.diff(row), parts, np.ones(1, dtype=np.int64), np.array([_MERGE_RTOL]))
-    layout = np.stack(panel_nodes(ends, k))
+    row = (np.where(hi_end, 1.0, 0.0) + fracs[depth])[1:]
+    parts = np.frombuffer(counts)
+    n = parts.astype(np.int64)
+    last = np.cumsum(n)
+    step = np.arange(1.0, last[-1] + 1.0) - np.repeat(last - n, n)
+    pts = np.repeat(row[:-1], n) + np.repeat(np.diff(row), n) * step / np.repeat(parts, n)
+    pts[last - 1] = row[1:]
+    pts = np.concatenate(([0.0], pts))
+    layout = np.stack(panel_nodes(pts[np.concatenate(([True], np.diff(pts) > _MERGE_RTOL))], k))
     layout.flags.writeable = False
     return layout
 
@@ -233,90 +212,59 @@ def graded_nodes(sets: Sequence[np.ndarray], levels, caps, k: int = 8):
 
     Entry e is the set sets[e], graded levels[e] deep (or ``levels`` deep,
     one count for every entry) with panels at most caps[e] wide; a set
-    graded twice is listed twice.  In every entry each panel [lo, hi] of
-    width w is graded toward both its ends, with breaks at lo + w 2^-j and
-    hi - w 2^-j for j = 1 .. levels; every gap is split into equal parts
-    at most the cap wide; a break within the set's merge tolerance of its
-    predecessor is dropped; each remaining panel gets k Gauss-Legendre
-    nodes (``panel_nodes``).  The build has two steps, each run on every
-    entry at once: (a) the part count of every gap, ceil(gap / cap), on
-    the entry's own interval; (b) the split, the merge and the Gauss nodes
-    (``_split_merge``).
-
-    An entry whose set [lo, hi] has no interior break, and whose narrowest
-    part (at least half the cap or the finest graded gap wide) clears four
-    times the merge tolerance on [lo, hi] and on [0, 1], so that neither
-    merge drops more than the padding, skips step (b): its nodes are
-    lo + (hi - lo) u and its weights (hi - lo) w, where (u, w) is step (b)
-    run once on [0, 1] with the entry's own part counts (``_unit_layout``),
-    kept in an LRU of 256 layouts keyed by (levels, counts, k).  The counts
-    stay those of the entry's interval, so every node count is what step
-    (b) on the interval gives, the rounding drift of ceil(gap / cap)
-    included; the nodes and weights differ from it by rounding.  Every
-    other entry takes step (b) on its interval; a build whose entries all
-    map runs no step (b) at all.  An entry's output depends on that entry
-    alone, so a set built alone or among others gets the same bytes.
-    Returns flat (nodes, weights, bounds); entry e owns
-    nodes[bounds[e]:bounds[e + 1]].
+    graded twice is listed twice.  Every entry takes one rule.  First its
+    set's breaks within the set's merge tolerance of their predecessor are
+    dropped (as ``merge_breaks`` drops them); a set left with one break
+    raises.  Then each panel [lo, hi] of width w is graded toward both its
+    ends, with breaks at lo + w 2^-j and hi - w 2^-j for j = 1 .. levels,
+    and each of its gaps takes ceil(gap / cap) equal parts, counted on the
+    panel itself; the panel's nodes are lo + w u and its weights w v,
+    where (u, v) is the layout of [0, 1] at that depth with those part
+    counts (``_unit_layout``), kept in an LRU of 256 layouts keyed by
+    (levels, counts, k).  The counts are those of the real panel, so the
+    rounding drift of ceil(gap / cap) stays in every node count.  An
+    entry's output depends on that entry alone, so a set built alone or
+    among others gets the same bytes.  Returns flat (nodes, weights,
+    bounds); entry e owns nodes[bounds[e]:bounds[e + 1]].
     """
-    counts = [len(s) - 1 for s in sets]
-    if min(counts) < 1:
+    panels = [len(s) - 1 for s in sets]
+    if min(panels) < 1:
         raise ValueError("need at least two breakpoints")
     caps = np.asarray(caps, dtype=float)
+    # the panels: consecutive breaks of one set
+    lo, hi = np.concatenate([s[:-1] for s in sets]), np.concatenate([s[1:] for s in sets])
+    span = hi - lo
+    # no set's merge tolerance exceeds merge_tol of the build's lowest and
+    # highest break, so a build whose panels all clear that has none to collapse
+    if span.min() <= merge_tol(float(lo.min()), float(hi.max())):
+        merged = [merge_breaks(s) for s in sets]
+        for e, s in enumerate(merged):
+            if s.size < 2:
+                a, b = float(sets[e][0]), float(sets[e][-1])
+                raise _too_narrow(a, b, float(caps[e]) / (b - a))
+        sets, panels = merged, [s.size - 1 for s in merged]
+        lo, hi = np.concatenate([s[:-1] for s in sets]), np.concatenate([s[1:] for s in sets])
+        span = hi - lo
     depth = np.empty(len(sets), dtype=np.int64)
     depth[:] = levels
-    lo = np.concatenate([s[:-1] for s in sets])
-    hi = np.concatenate([s[1:] for s in sets])
-    row_depth, row_caps = np.repeat(depth, counts), np.repeat(caps, counts)
+    row_depth = np.repeat(depth, panels)
     # (a) graded rows of every panel, each led by a copy of the panel's lo, at
-    # the deepest level count of the build; a shallower entry's rows are
-    # padded with copies of the panel ends, zero-width gaps of one part
-    depths = depth.tolist()
-    top = max(depths)
+    # the deepest level count of the build; a shallower panel's row is padded
+    # with copies of its ends, zero-width gaps of one part
+    top = int(depth.max())
     fracs, hi_end = _graded_fracs(top)
-    span = hi - lo
     rows = np.where(hi_end, hi[:, None], lo[:, None]) + span[:, None] * fracs[row_depth]
-    gap = rows[:, 1:] - rows[:, :-1]
-    parts = np.maximum(np.ceil(gap / row_caps[:, None]), 1.0)
-    # the one-panel entries that map a unit layout, keyed by the part counts
-    # of their row's own gaps, from its last copy of lo to its first of hi:
-    # 2d at depth d, 1 at depth 0
-    buf, width = parts.tobytes(), 8 * gap.shape[1]
-    mapped, rows_of, layouts, sizes, row = [], [], [], [], 0
-    for e, (s, n, d, cap) in enumerate(zip(sets, counts, depths, caps.tolist())):
-        if n == 1:
-            a, b = s.tolist()
-            w = b - a
-            if min(w * 0.5**d, 0.5 * cap) > 4.0 * _MERGE_RTOL * max(1.0, abs(a), abs(b), w):
-                at = width * row + 8 * (top + 1)
-                layouts.append(_unit_layout(d, buf[at - 8 * d:at + 8 * max(d, 1)], k))
-                sizes.append(layouts[-1].shape[1])
-                mapped.append(e)
-                rows_of.append(row)
-        row += n
-    if len(mapped) < len(sets):
-        # (b) on every entry, the mapped ones too: their blocks are replaced
-        # below, and selecting the others would cost more than it saves
-        tol = merge_tol(np.array([s[0] for s in sets]), np.array([s[-1] for s in sets]))
-        ends, kept = _split_merge(rows, gap, parts, np.array(counts), tol)
-        if kept.min() < 2:
-            e = int(np.argmin(kept))
-            lo, hi = float(sets[e][0]), float(sets[e][-1])
-            raise _too_narrow(lo, hi, float(caps[e]) / (hi - lo))
-        x, wts = panel_nodes(ends, k)
-    if mapped:
-        if len(rows_of) < lo.size:
-            lo, span = lo[rows_of], span[rows_of]
-        out = np.concatenate(layouts, axis=1) * np.repeat(span, sizes)
-        out[0] += np.repeat(lo, sizes)
-        if len(mapped) == len(sets):
-            return out[0], out[1], np.array([0, *accumulate(sizes)])
-        # a mapped entry's block has the node count step (b) gave it
-        own = np.zeros(len(sets), dtype=bool)
-        own[mapped] = True
-        own = np.repeat(own, (kept - 1) * k)
-        x[own], wts[own] = out
-    return x, wts, np.concatenate(([0], np.cumsum((kept - 1) * k)))
+    parts = np.maximum(np.ceil(np.diff(rows) / np.repeat(caps, panels)[:, None]), 1.0)
+    # (b) each panel's unit layout, keyed by the part counts of its row's own
+    # gaps, from its last copy of lo to its first of hi: 2d at depth d, 1 at depth 0
+    buf, width = parts.tobytes(), 8 * parts.shape[1]
+    layouts = [_unit_layout(d, buf[at - 8 * d:at + 8 * max(d, 1)], k)
+               for at, d in zip(range(8 * (top + 1), len(buf), width), row_depth.tolist())]
+    counts = [layout.shape[1] for layout in layouts]
+    out = np.concatenate(layouts, axis=1) * np.repeat(span, counts)
+    out[0] += np.repeat(lo, counts)
+    nodes = [0, *accumulate(counts)]
+    return out[0], out[1], np.array([nodes[e] for e in accumulate([0, *panels])])
 
 
 def tensor_p_norm(g, x, y, wx, wy, p: float) -> float:

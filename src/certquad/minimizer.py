@@ -129,7 +129,9 @@ class _NormObjective:
     """sum w |st + alpha + beta|^q on a fixed quadrature grid over [-1, 1]^2.
 
     The grid is split at 0 (the kink lines of the limiting |st|^q) and
-    graded toward the splits, with basis values precomputed per axis.
+    graded toward the splits, with basis values precomputed per axis: each
+    axis is the ``graded_nodes`` layout of [0, 1] and its mirror image, so
+    the grid is symmetric bit for bit.
     phi_ij = s_i s_j + a_i + b_j, so the derivatives in the coefficients
     are row and column sums of one grid array, mapped through the basis.
     """
@@ -138,7 +140,8 @@ class _NormObjective:
         levels = 12 if fine else 9
         nodes_per_panel = 10 if fine else 6
         max_width = 0.125 if fine else 0.25
-        x, w, _ = graded_nodes([np.array([-1.0, 0.0, 1.0])], levels, [max_width], nodes_per_panel)
+        u, v, _ = graded_nodes([np.array([0.0, 1.0])], levels, [max_width], nodes_per_panel)
+        x, w = np.concatenate((-u[::-1], u)), np.concatenate((v[::-1], v))
         self.w = w
         self.q = q
         self.outer = np.outer(x, x)

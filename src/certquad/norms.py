@@ -36,8 +36,8 @@ and any lines whose breaks agree bit for bit share a set, across
 partials too; one ``gauss.graded_nodes`` build, one entry per set,
 depth and cap: the area axes at each rung of the ladder, then every
 distinct line set's coarse and fine pass (5 and 6 levels deep) side by
-side, where a set with no interior break maps a cached layout of
-[0, 1]; then the samples and their reductions, f_xy's two or three
+side, where every panel maps a cached layout of [0, 1]; then the
+samples and their reductions, f_xy's two or three
 tensor passes (``gauss.tensor_p_norm``) first, then each partial's lines
 in one integrand call and one ``gauss.segment_p_norms`` reduction
 (``_batch_norms``), which skips the powers of a batch whose samples are
@@ -112,19 +112,21 @@ def _pass_fraction(resolution: int) -> float:
 def _sup_lines(g, axis: str, c: np.ndarray, lo: float, hi: float, resolution: int):
     """Grid maxima of |g| along every line and their gain over the first grid.
 
-    Each line is sampled on resolution + 1 points, then three times on 65
-    points spanning the neighbours of the last argmax.  The argmax is
+    Every line is sampled on the same resolution + 1 points, one grid row
+    against the lines' coordinates (a separable g evaluates its factor
+    along the lines once), then three times on 65 points of its own,
+    spanning the neighbours of its last argmax.  The argmax is
     taken on an |g| copy: the line samples are small, so the copy costs
     less than the extra numpy calls of reading them in place, as
     ``gauss.abs_argmax`` does for the much larger area grid.
     """
     rows = np.arange(c.size)
-    t = np.broadcast_to(uniform_grid(lo, hi, resolution + 1), (c.size, resolution + 1))
+    t = uniform_grid(lo, hi, resolution + 1)[None, :]
     best = np.zeros(c.size)
     for step in range(4):
         if step:
-            n = t.shape[1]
-            t = uniform_grid(t[rows, np.maximum(i - 1, 0)], t[rows, np.minimum(i + 1, n - 1)], 65)
+            at, n = rows if step > 1 else 0, t.shape[1]
+            t = uniform_grid(t[at, np.maximum(i - 1, 0)], t[at, np.minimum(i + 1, n - 1)], 65)
         coords = line_coords(axis, t, c[:, None])
         vals = np.abs(g(*coords))
         i = np.argmax(vals, axis=1)

@@ -1394,11 +1394,13 @@ def refine_breaks(breaks, max_width):
 
 class TestGradedNodes:
     """``graded_nodes`` builds every entry, a breakpoint set at a depth and a
-    panel cap, in one call; each entry must equal the one-set build of
+    panel cap, in one call; each entry must match the one-set build of
     ``graded_breaks`` and ``refine_breaks`` above, kept here as the
-    reference, at its own depth and cap.  A break-free entry maps a cached
-    layout of [0, 1]: on [0, 1] it equals the reference, elsewhere its node
-    count does and its nodes and weights move by rounding (``FREE``)."""
+    reference, at its own depth and cap, after the set's near-duplicate
+    breaks collapse as ``merge_breaks`` collapses them.  Every panel maps a
+    cached layout of [0, 1]: on [0, 1] an entry equals the reference,
+    elsewhere its node count does and its nodes and weights move by
+    rounding."""
 
     SETS = [
         np.array([0.0, 1.0]),  # no interior break
@@ -1424,6 +1426,20 @@ class TestGradedNodes:
                    for s, depth in zip(sets, np.broadcast_to(levels, len(sets)))]
         return tuple(map(list, zip(*entries)))
 
+    @classmethod
+    def assert_near_reference(cls, x, w, breaks, depth, cap):
+        """One entry's nodes x and weights w: the reference's node count exactly, its nodes and weights to rounding.
+
+        Within 4 ulps of max(1, |lo|, |hi|), to which the reference rounds
+        every break (a deep panel's width, and so its weights, carry that
+        rounding relative to a much smaller value).
+        """
+        ref_x, ref_w = cls.reference(merge_breaks(breaks), depth, cap)
+        assert x.size == w.size == ref_x.size, (depth, cap)
+        ulps = 4.0 * np.spacing(max(1.0, np.abs(breaks).max()))
+        assert np.abs(x - ref_x).max() <= ulps, (depth, cap)
+        assert np.abs(w - ref_w).max() <= ulps, (depth, cap)
+
     def check(self, sets, levels, fracs):
         """Build entry e as sets[e] at levels[e] (or ``levels`` for all) with a cap of fracs[e] of its span."""
         caps = [(s[-1] - s[0]) * frac for s, frac in zip(sets, fracs)]
@@ -1431,9 +1447,7 @@ class TestGradedNodes:
         assert bounds.size == len(sets) + 1
         assert bounds[0] == 0 and bounds[-1] == x.size == w.size
         for e, (b, depth, cap) in enumerate(zip(sets, np.broadcast_to(levels, len(sets)), caps)):
-            ref_x, ref_w = self.reference(b, depth, cap)
-            assert np.array_equal(x[bounds[e]:bounds[e + 1]], ref_x), (e, depth)
-            assert np.array_equal(w[bounds[e]:bounds[e + 1]], ref_w), (e, depth)
+            self.assert_near_reference(x[bounds[e]:bounds[e + 1]], w[bounds[e]:bounds[e + 1]], b, depth, cap)
 
     @pytest.mark.parametrize("passes", [
         [(11, 1 / 8), (12, 1 / 16)],  # the deep line-norm reference
@@ -1451,8 +1465,9 @@ class TestGradedNodes:
         np.array([5, 4, 5, 4, 5]),  # the depths interleaved
     ], ids=["axes-first", "interleaved"])
     def test_per_set_depths_match_reference(self, depth):
-        # a shallower entry is padded with copies of its panel ends, which the
-        # merge drops, so every entry equals the reference at its own depth
+        # a shallower entry's rows are padded with copies of its panel ends,
+        # which its part counts skip, so every entry matches the reference at
+        # its own depth
         self.check(*self.by_pass(self.SETS, [(depth, 1 / 8), (depth + 1, 1 / 16)]))
 
     def test_one_count_for_every_entry(self):
@@ -1505,19 +1520,8 @@ class TestGradedNodes:
                                         [(11, 1 / 8), (12, 1 / 16)]])
     def test_break_free_entries_map_a_unit_layout(self, passes):
         # each entry keeps the reference's node count exactly, its part counts
-        # taken on its own interval, and moves its nodes and weights by
-        # rounding: within 4 ulps of the interval's ends, to which the
-        # reference rounds every break (a deep panel's width, and so its
-        # weights, carry that rounding relative to a much smaller value)
-        sets, levels, fracs = self.by_pass(self.FREE, passes)
-        caps = [(s[-1] - s[0]) * frac for s, frac in zip(sets, fracs)]
-        x, w, bounds = graded_nodes(sets, levels, caps)
-        for e, (b, depth, cap) in enumerate(zip(sets, levels, caps)):
-            ref_x, ref_w = self.reference(b, depth, cap)
-            assert bounds[e + 1] - bounds[e] == ref_x.size
-            ulps = 4.0 * np.spacing(np.abs(b).max())
-            assert np.abs(x[bounds[e]:bounds[e + 1]] - ref_x).max() <= ulps
-            assert np.abs(w[bounds[e]:bounds[e + 1]] - ref_w).max() <= ulps
+        # taken on its own interval, and moves its nodes and weights by rounding
+        self.check(*self.by_pass(self.FREE, passes))
 
     def test_break_free_counts_drift_as_on_the_interval(self):
         # at 3 levels and a cap of 1/4 of the span, [0.1, 1.2]'s gap from 0.375
@@ -1547,25 +1551,44 @@ class TestGradedNodes:
             block = slice(bounds[e], bounds[e + 1])
             assert x[block].tobytes() == alone_x.tobytes() and w[block].tobytes() == alone_w.tobytes()
         for e in (0, 2, 4):
-            ref_x, ref_w = self.reference(sets[e], levels[e], caps[e])
-            assert np.array_equal(x[bounds[e]:bounds[e + 1]], ref_x)
-            assert np.array_equal(w[bounds[e]:bounds[e + 1]], ref_w)
+            block = slice(bounds[e], bounds[e + 1])
+            self.assert_near_reference(x[block], w[block], sets[e], levels[e], caps[e])
 
     def test_break_free_build_runs_no_split_or_merge(self, monkeypatch):
-        # a report whose sets are all break-free (both area axes and both
-        # partials' lines) maps cached layouts; a set with a break splits
-        sets = [np.array([0.3, 2.1]), np.array([-0.7, 1.4])] * 5
+        # a report's build maps cached layouts, whether its sets are all
+        # break-free (both area axes and both partials' lines) or split at
+        # breaks: built again, it splits, merges and places no Gauss nodes;
+        # a new part count builds one layout
+        free = [np.array([0.3, 2.1]), np.array([-0.7, 1.4])] * 5
+        split = free[:4] + [self.SETS[2], self.SETS[1], self.SETS[4]] * 2
         levels = [3, 3, 4, 4, 5, 5, 5, 6, 5, 6]
-        caps = [(s[-1] - s[0]) * frac for s, frac in zip(sets, [1 / 4] * 2 + [1 / 8] * 5 + [1 / 16] * 3)]
-        first = graded_nodes(sets, levels, caps)
+        fracs = [1 / 4] * 2 + [1 / 8] * 5 + [1 / 16] * 3
         calls = []
-        split_merge = gauss._split_merge
-        monkeypatch.setattr(gauss, "_split_merge", lambda *args: calls.append(len(args)) or split_merge(*args))
-        again = graded_nodes(sets, levels, caps)
-        assert calls == []
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
-        graded_nodes([self.SETS[1]], 5, [0.2])
+        layout = gauss.panel_nodes
+        gauss._unit_layout.cache_clear()
+        for sets in (free, split):
+            caps = [(s[-1] - s[0]) * frac for s, frac in zip(sets, fracs)]
+            first = graded_nodes(sets, levels, caps)
+            monkeypatch.setattr(gauss, "panel_nodes", lambda *args: calls.append(len(args)) or layout(*args))
+            again = graded_nodes(sets, levels, caps)
+            monkeypatch.setattr(gauss, "panel_nodes", layout)
+            assert calls == []
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
+        monkeypatch.setattr(gauss, "panel_nodes", lambda *args: calls.append(len(args)) or layout(*args))
+        graded_nodes([np.array([0.0, 1.0])], 5, [1 / 1000])
         assert len(calls) == 1
+
+    def test_near_duplicate_breaks_collapse(self):
+        # [0.2, 0.2 + 1e-15, 0.7]'s second break lies within the set's merge
+        # tolerance of its first and is dropped, as merge_breaks drops it: the
+        # set builds the bytes of [0.2, 0.7], with the node count that the
+        # uncollapsed reference gives it
+        near, plain = self.SETS[3], np.array([0.2, 0.7])
+        for depth, cap in [(3, 0.25), (5, 0.125), (6, 0.0625), (11, 0.125)]:
+            x, w, _ = graded_nodes([near], depth, [cap])
+            plain_x, plain_w, _ = graded_nodes([plain], depth, [cap])
+            assert x.tobytes() == plain_x.tobytes() and w.tobytes() == plain_w.tobytes()
+            assert x.size == self.reference(near, depth, cap)[0].size
 
     def test_layout_cache_stays_within_its_bound(self):
         # 7 depths x 80 caps are 319 distinct (levels, counts) keys; on [0, 1]

@@ -163,9 +163,11 @@ def test_src_lines_categories_sum_to_each_module():
 def test_phase_times():
     lines = run_script("phase_times.py", "--workload", "certify-coarse", "--repeats", "1").splitlines()
     assert lines[0] == "certify-coarse seed 1: 240 ops (0 refused), fastest of 1 repeats, mean us per op"
-    header, ops, *rows, total = (line.split() for line in lines[1:])
-    assert header == ["phase", "p=1", "p=1.5", "p=2", "p=3", "p=inf", "all"]
-    assert ops == ["ops", "48", "48", "48", "48", "48", "240"]
+    header, ops, *rows, total, share = (line.split() for line in lines[1:])
+    assert header == ["phase", "p=1", "p=1.5", "p=2", "p=3", "p=inf", "free", "split", "all"]
+    assert ops[:6] == ["ops", "48", "48", "48", "48", "48"] and ops[8] == "240"
+    # the finite-p reports split into the two classes, some of them split-line
+    assert int(ops[6]) + int(ops[7]) == 192 and int(ops[7]) > 0
     phases = {row[0]: [float(v) for v in row[1:]] for row in rows}
     assert list(phases) == ["estimate", "scan_breaks", "graded_nodes", "_area_ladder", "_batch_norms",
                             "_variation_norms", "_sup_lines", "zoomed_sup", "norms_rest", "bound", "oracle"]
@@ -179,3 +181,29 @@ def test_phase_times():
     # the total is the sum of the rows, up to their printed rounding
     assert total[0] == "total"
     assert [float(v) for v in total[1:]] == pytest.approx([sum(col) for col in zip(*phases.values())], abs=1.0)
+    # the shares of the p columns, and of the classes with p = inf, make up the round
+    assert share[0] == "share" and float(share[8]) == 100.0
+    parts = [float(v) for v in share[1:8]]
+    assert sum(parts[:5]) == pytest.approx(100.0, abs=0.3)
+    assert parts[4] + parts[5] + parts[6] == pytest.approx(100.0, abs=0.2)
+
+
+def test_interleaved_ab_times_every_class_of_both_trees():
+    lines = run_script("interleaved_ab.py", str(ROOT), str(ROOT), "--workload", "certify-coarse",
+                       "--rounds", "1").splitlines()
+    assert lines[0] == ("certify-coarse seed 1: 240 ops, fastest of 1 rounds, "
+                        "ms per class (ops alternate between the trees)")
+    assert lines[1].split() == ["class", "ops", "A", "B", "B/A-1"]
+    rows = [line.split() for line in lines[2:]]
+    assert [" ".join(row[:2]) for row in rows] == [f"p={p} {kind}" for p in ("1", "1.5", "2", "3", "inf")
+                                                   for kind in ("registry", "steep")] + ["round 240"]
+    counts = [int(row[2]) for row in rows[:-1]]
+    assert sum(counts) == 240 and all(counts)
+    for row in rows:
+        a, b = float(row[-3]), float(row[-2])
+        # the change is printed from the unrounded times
+        assert a > 0.0 and b > 0.0 and float(row[-1][:-1]) == pytest.approx(100.0 * (b / a - 1.0), abs=0.1)
+    # the round is at least as long as its slowest class, and no longer than all of them
+    classes = [[float(row[-3]) for row in rows[:-1]], [float(row[-2]) for row in rows[:-1]]]
+    for k, times in enumerate(classes):
+        assert max(times) <= float(rows[-1][-3 + k]) <= sum(times) + 1e-3 * len(times)
