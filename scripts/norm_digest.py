@@ -9,10 +9,12 @@ y-lines) that the bundle's lines come from, except at p = 1: there the
 bundle reads its complete lines off f (``derivative_norms``), and the two
 calls, which have no f, are hashed beside them.  It also takes, per
 integrand, rectangle and p, the value and error estimate of
-``area_norm_with_error`` on f_xy; per rectangle, p, family and m,
-``phi_norm_numeric`` of the family's composite weight at the conjugate
-q; per rectangle and p, ``phi_norm_numeric`` of one ``CustomPhi`` at the
-conjugate q; per rectangle, ``eval_phi`` of each of those weights on the
+``area_norm_with_error`` on f_xy and the estimate and three bound terms
+of ``custom_phi_rule`` with the rectangle's ``CustomPhi`` (below); per
+rectangle, p, family and m, ``phi_norm_numeric`` of the family's
+composite weight at the conjugate q; per rectangle and p,
+``phi_norm_numeric`` of one ``CustomPhi`` at the conjugate q; per
+rectangle, ``eval_phi`` of each of those weights on the
 grid X x Y, where X holds every x-break of the weight, the midpoint of
 every two neighbouring breaks and 17 evenly spaced points (Y likewise;
 ``CustomPhi`` has the rectangle's edges as its only breaks); and
@@ -174,9 +176,11 @@ def main() -> int:
         weights[key] = cq.phi_norm_numeric(w, q)
         update(weights[key])
 
+    customs = {}
     for rect_name in args.rects:
         rect = cq.Rectangle(*RECTS[rect_name])
         built = {"custom": custom_phi(rect)}
+        customs[rect_name] = built["custom"]
         for family in cq.FAMILIES:
             for m in args.m:
                 built[family, m] = WEIGHTS[family](rect, cq.PartitionSpec(rect, m, m))
@@ -196,6 +200,8 @@ def main() -> int:
             for ptext in args.p:
                 p = cq.Exponent.parse(ptext)
                 update(*cq.area_norm_with_error(fxy, rect, p))
+                report = cq.custom_phi_rule(f, customs[rect_name], rect, p)
+                update(report.estimate, report.fx_term, report.fy_term, report.fxy_term)
                 cache: dict = {}
                 for family in cq.FAMILIES:
                     for m in args.m:

@@ -4,8 +4,9 @@ Every graded rule and tensor-product norm is built here.  A report's
 breakpoints come from one ``scan_breaks`` call over all its zero scans:
 the f_xy axes (``area_scans``, merged per axis by ``axis_breaks``) and
 each partial's lines; ``area_breaks`` is its one-rectangle view.  Every
-line scan of ``norms`` is exhaustive, with no cap on its sign changes;
-only the f_xy area axes keep the cap of 32.
+scan breaks a line wherever g passes between negative and not (+-0 is
+not negative); every line scan of ``norms`` is exhaustive, with no cap
+on its breaks, and only the f_xy area axes keep the cap of 32.
 ``graded_nodes`` serves ``norms._norms_with_error`` (one build per
 report: one entry per set, depth and cap), the weight norms
 (``weights``) and the minimizer's grid (``minimizer``) by one rule:
@@ -20,7 +21,7 @@ against weights aligned with it, or a (lines x nodes) block against one
 weight row that every line shares; a caller whose segments are scattered
 through a build gathers them with ``gather_segments``.  A zero partial
 costs what its samples cost: a scan of +-0 samples returns its one
-[lo, hi] set before building sign masks, and ``segment_p_norms``
+[lo, hi] set before building its class mask, and ``segment_p_norms``
 returns all-zero maxima as the norms before raising any sample to p.
 The area grid maximum (``zoomed_sup``) finds its argmax with
 ``abs_argmax``, which only reads the samples; the line maxima of
@@ -97,11 +98,11 @@ def uniform_grid(lo, hi, n: int) -> np.ndarray:
 
 
 def panel_nodes(breaks, nodes_per_panel: int = 8) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss nodes and weights over consecutive breaks, or over the panels (lo, hi) of a 2 x n array."""
+    """Gauss nodes and weights over the panels between consecutive breaks of a 1-D array."""
     b = np.asarray(breaks, dtype=float)
-    lo, hi = (b[:-1], b[1:]) if b.ndim == 1 else b
-    if lo.size < 1:
+    if b.size < 2:
         raise ValueError("need at least two breakpoints")
+    lo, hi = b[:-1], b[1:]
     t, w = _leggauss(nodes_per_panel)
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
@@ -342,42 +343,43 @@ def scan_breaks(scans: Sequence[tuple]) -> list[tuple]:
     over [lo, hi] at transverse coordinate fixed[k]; g is a broadcasting
     two-variable callable.  Each scan samples all its lines in one call
     on resolution + 1 uniform points, and checks them for finiteness,
-    before the next scan samples (``_scan``).  A line's exact zeros inside
-    (lo, hi) are taken first, unless they fill more than half its scan (a
-    degenerate line); then its sign changes in scan order, stopping after
-    the one that brings its list to 32 or more.  An exhaustive scan keeps
-    every sign change, and a degenerate line whose samples take both signs
-    keeps its exact zeros too, so that g keeps one sign between any two
-    neighbouring breaks the scan resolves.  ``norms`` scans every line
-    exhaustively: a line's Gauss pass that skips a sign change reads
-    |g|^p low across it, and at p = 1 a break costs one sample of an
-    antiderivative.  Only the f_xy area axes keep the cap, as each of
-    their breaks multiplies the tensor passes.
+    before the next scan samples (``_scan``).  One rule makes the
+    brackets: a sample is negative (g < 0) or not (g >= 0, +-0 included),
+    and two neighbouring samples of a line in different classes are a
+    bracket.  An exhaustive scan keeps them all, any other (the f_xy area
+    axes, each of whose breaks multiplies the tensor passes) a line's
+    first 32 in scan order.  ``norms`` scans every line exhaustively, so
+    between two neighbouring breaks g is >= 0 at every sample or < 0 at
+    every sample: no Gauss pass reads |g|^p across a sign change the scan
+    resolves, and at p = 1 the integral of |g| between two breaks is the
+    step of an antiderivative.  An exact zero is a break only where g
+    passes between the classes at it, so g and -g break alike except in
+    brackets that end on an exact zero, and both keep that property.
 
     Then every chosen bracket [a, b] of every scan is refined by one
     bracketed secant search (Dekker-Brent), one vector call per round of
     each scan with live brackets, whose samples are checked for
     finiteness before the next call: a round samples the 15 interior
     sixteenths a + (b - a) j/16 and 15 points at the secant root r and
-    r +- (b - a) 2^-8j, j = 1 .. 7, and keeps the first sign change of the
-    sorted 30 against the left end.  A simple root typically reaches
-    adjacent floats in 1-4 rounds; none takes more than 15.  A bracket
-    retires on an exact zero, which is its root, or once it is at most
-    2^-60 of its scan's step wide or holds no float strictly inside; its
-    root is then its midpoint.  Its path depends on its own samples
-    alone, so each scan finds the breaks it would find alone.  One sort
-    merges every line's breaks, dropping each within its scan's
-    ``merge_tol`` of its predecessor.
+    r +- (b - a) 2^-8j, j = 1 .. 7, and keeps the first of the sorted 30
+    whose sign (-1, 0 or 1) differs from the left end's.  A simple root
+    typically reaches adjacent floats in 1-4 rounds; none takes more than
+    15.  A bracket retires on an exact zero that is such a change, which
+    is its root, or once it is at most 2^-60 of its scan's step wide or
+    holds no float strictly inside; its root is then its midpoint (so a
+    left end at an exact zero narrows to where g leaves zero).  Its path
+    depends on its own samples alone, so each scan finds the breaks it
+    would find alone.  One sort merges every line's breaks, dropping each
+    within its scan's ``merge_tol`` of its predecessor.
 
     Returns per scan (points, sizes): every line's sorted breaks
     concatenated in line order, and each line's count.  A scan that finds
-    no zero (and spans more than ``merge_tol``) returns ([lo, hi], None),
-    one set that all its lines share; so does a scan whose samples are all
-    +-0, every line of which is degenerate and of no sign.
+    no bracket (and spans more than ``merge_tol``), such as one of +-0
+    samples only, returns ([lo, hi], None), one set all its lines share.
     """
     found: list = []
-    # the scans that found a zero: their (g, axis), their brackets, their lines'
-    # other breaks, and (position in found, first line, line count)
+    # the scans that found a bracket: their (g, axis), their brackets, their
+    # lines' ends and merge tolerance, and (position in found, first line, line count)
     calls, brackets, merges, pending = [], [], [], []
     lines = 0
     for g, axis, fixed, lo, hi, resolution, *exhaustive in scans:
@@ -389,11 +391,10 @@ def scan_breaks(scans: Sequence[tuple]) -> list[tuple]:
         if scanned is None:
             found.append((np.array([float(lo), float(hi)]), None))
             continue
-        a, b, fa, fb, rows, exact_rows, exact_points = scanned
+        a, b, fa, fb, rows = scanned
         brackets.append((a, b, fa, fb, c[rows], np.full(rows.size, 2.0**-60 * (hi - lo) / resolution),
                          np.full(rows.size, len(calls)), rows + lines))
-        merges.append((np.full(c.size, float(lo)), np.full(c.size, float(hi)), np.full(c.size, merge_tol(lo, hi)),
-                       exact_rows + lines, exact_points))
+        merges.append((np.full(c.size, float(lo)), np.full(c.size, float(hi)), np.full(c.size, merge_tol(lo, hi))))
         pending.append((len(found), lines, c.size))
         found.append(None)
         calls.append((g, axis))
@@ -424,7 +425,7 @@ def scan_breaks(scans: Sequence[tuple]) -> list[tuple]:
         # True past the samples, when only b does
         flip = np.empty((live.size, 31), dtype=bool)
         flip[:, 30] = True
-        np.logical_or(fs == 0.0, (fs < 0.0) != (fa < 0.0)[:, None], out=flip[:, :30])
+        np.not_equal(np.sign(fs), np.sign(fa)[:, None], out=flip[:, :30])
         k = flip.argmax(axis=1)
         # the samples left and right of the change, by flat index
         offset = np.arange(0, 30 * live.size, 30)
@@ -442,12 +443,12 @@ def scan_breaks(scans: Sequence[tuple]) -> list[tuple]:
         live, a, b, fa, fb = live[more], a[more], b[more], fa[more], fb[more]
         line_of, narrowest, scan_of = line_of[more], narrowest[more], scan_of[more]
     zeros[live] = 0.5 * (a + b)
-    # every line's merge_breaks([lo, hi], exact zeros, roots) at once: sort by
-    # (line, value), collapse near-duplicates within a line
-    lows, highs, tols, exact_line, exact_point = map(np.concatenate, zip(*merges))
+    # every line's merge_breaks([lo, hi], roots) at once: sort by (line, value),
+    # collapse near-duplicates within a line
+    lows, highs, tols = map(np.concatenate, zip(*merges))
     ids = np.arange(lines)
-    line = np.concatenate((ids, ids, exact_line, line))
-    point = np.concatenate((lows, highs, exact_point, zeros))
+    line = np.concatenate((ids, ids, line))
+    point = np.concatenate((lows, highs, zeros))
     order = np.lexsort((point, line))
     line, point = line[order], point[order]
     keep = np.empty(point.size, dtype=bool)
@@ -462,15 +463,13 @@ def scan_breaks(scans: Sequence[tuple]) -> list[tuple]:
 
 
 def _scan(g, axis: str, c: np.ndarray, lo: float, hi: float, resolution: int, exhaustive: bool):
-    """One scan of ``scan_breaks``: its brackets and exact zeros, or None if it finds no zero.
+    """One scan of ``scan_breaks``: its brackets (a, b, fa, fb, rows), or None if it finds none.
 
-    An ``exhaustive`` scan (every line scan of ``norms``) keeps every
-    bracket and a both-sign degenerate line's exact zeros; any other (the
-    f_xy area axes) keeps at most 32 breaks per line.  Returns (a, b, fa,
-    fb, rows, exact_rows, exact_points): the chosen brackets' ends, end
-    values and lines, and the lines and points of the exact zeros.  A
-    function of its own so that a scan's samples are freed before the next
-    scan samples.
+    A bracket is two neighbouring samples of a line, one negative and one
+    not (+-0 is not negative); an ``exhaustive`` scan keeps every bracket,
+    any other the first 32 of each line.  Returns the chosen brackets'
+    ends, end values and lines.  A function of its own so that a scan's
+    samples are freed before the next scan samples.
     """
     t = uniform_grid(lo, hi, resolution + 1)
     coords = line_coords(axis, t[None, :], c[:, None])
@@ -479,28 +478,17 @@ def _scan(g, axis: str, c: np.ndarray, lo: float, hi: float, resolution: int, ex
     if not (math.isfinite(low) and math.isfinite(high)):
         require_finite(vals, coords)
     wide = hi - lo > merge_tol(lo, hi)
-    # one sign, or +-0 everywhere: every line is degenerate and of no sign,
-    # which the masks below also reach, at the cost of building them
-    if wide and (low > 0.0 or high < 0.0 or low == high == 0.0):
+    if wide and (low >= 0.0 or high < 0.0):  # one class everywhere
         return None
-    neg, pos = vals < 0.0, vals > 0.0  # signs, not products: those can underflow to -0.0 or overflow
-    exact = vals == 0.0
-    if exact.any():  # a line's exact zeros inside (lo, hi), unless degenerate
-        degenerate = exact.sum(axis=1) > resolution // 2
-        if exhaustive and low < 0.0 < high:  # then only lines of one sign or none drop their zeros
-            degenerate &= ~(neg.any(axis=1) & pos.any(axis=1))
-        exact &= ((t > lo) & (t < hi))[None, :] & ~degenerate[:, None]
+    neg = vals < 0.0  # classes, not products of neighbours: those can underflow to -0.0 or overflow
     # rows and columns from flat indices: np.nonzero of a 2-D mask is several times slower
-    exact_rows, exact_idx = np.divmod(exact.ravel().nonzero()[0], resolution + 1)
-    cross = neg[:, :-1] & pos[:, 1:] | pos[:, :-1] & neg[:, 1:]
-    rows, idx = np.divmod(cross.ravel().nonzero()[0], resolution)
-    if wide and rows.size == 0 and exact_rows.size == 0:
+    rows, idx = np.divmod((neg[:, :-1] != neg[:, 1:]).ravel().nonzero()[0], resolution)
+    if wide and rows.size == 0:
         return None
     if not exhaustive:
-        rank = np.arange(rows.size) - np.searchsorted(rows, rows)
-        keep = rank < np.maximum(32 - np.bincount(exact_rows, minlength=c.size)[rows], 1)
+        keep = np.arange(rows.size) - np.searchsorted(rows, rows) < 32
         rows, idx = rows[keep], idx[keep]
-    return t[idx], t[idx + 1], vals[rows, idx], vals[rows, idx + 1], rows, exact_rows, t[exact_idx]
+    return t[idx], t[idx + 1], vals[rows, idx], vals[rows, idx + 1], rows
 
 
 _AREA_OFFSETS = np.asarray([0.155, -0.237])

@@ -25,15 +25,16 @@ A finite-p report builds its norms in three steps (``_norms_with_error``,
 the core that ``derivative_norms`` runs): the zero scans, one
 ``gauss.scan_breaks`` call, in which f_xy's two axes (``gauss.area_scans``)
 and then each partial's lines sample all their lines in one call each,
-after which every sign change of every scan is refined by one bracketed
-secant search, one call per round of each scan with live brackets (a
-simple root typically takes 1-4 rounds, none more than 15); every line
-scans exhaustively, keeping every sign change of its scan, so no Gauss
-pass integrates |g|^p across a sign change it was not told of (the
-f_xy axes keep the cap of 32 breaks per line); a scan with
-no zero, or of +-0 samples only, gives one set that all its lines share,
-and any lines whose breaks agree bit for bit share a set, across
-partials too; one ``gauss.graded_nodes`` build, one entry per set,
+after which every bracket of every scan, two neighbouring samples of a
+line of which one is negative and the other not (+-0 is not negative),
+is refined by one bracketed secant search, one call per round of each
+scan with live brackets (a simple root typically takes 1-4 rounds, none
+more than 15); every line scans exhaustively, keeping every bracket of
+its scan, so no Gauss pass integrates |g|^p across a sign change it was
+not told of (the f_xy axes keep the cap of 32 per line); a scan with no
+bracket, such as one of +-0 samples only, gives one set that all its
+lines share, and any lines whose breaks agree bit for bit share a set,
+across partials too; one ``gauss.graded_nodes`` build, one entry per set,
 depth and cap: the area axes at each rung of the ladder, then every
 distinct line set's coarse and fine pass (5 and 6 levels deep) side by
 side, where every panel maps a cached layout of [0, 1]; then the
@@ -53,14 +54,14 @@ sample, so a non-finite value on a line scan is reported before a
 non-finite f_xy value that only the tensor nodes hit.
 ``line_norms_with_error`` (every line of one axis; one line is a
 one-element ``fixed``) and ``area_norm_with_error`` are one-request views
-of the same core.
+of the same core, and ``rules.custom_phi_rule`` takes its weight's area
+norm and edge norms from one run of it.
 
 At p = 1 ``derivative_norms`` hands the core f as each line batch's
-antiderivative, and its lines need no Gauss pass.  Their exhaustive
-scans (``gauss.scan_breaks``) make every sign change a break, and a
-degenerate line (exact zeros fill over half of its scan) of both signs
-keeps its exact zeros as breaks too.  Between its breaks f_x
-keeps one sign, so ||f_x(., y)||_1 is sum_i |f(t_{i+1}, y) - f(t_i, y)|
+antiderivative, and its lines need no Gauss pass.  Between two breaks
+of its exhaustive scan (``gauss.scan_breaks``) f_x is >= 0 at every
+sample or < 0 at every sample, so on the scan's resolution it keeps one
+sign, and ||f_x(., y)||_1 is sum_i |f(t_{i+1}, y) - f(t_i, y)|
 over its breaks t_i, exact up to rounding, from one call of f per
 partial at every break of its lines (``_variation_norms``).  A p = 1
 report builds only the area axes and reduces no line.

@@ -54,7 +54,7 @@ from .core import (
     conjugate,
 )
 from .gauss import as_grid_fn, require_finite
-from .norms import area_norm_with_error, derivative_norms, line_norms_with_error
+from .norms import _norms_with_error, derivative_norms
 from .weights import CustomPhi, _ramp, ramp_jumps, ramp_norm_closed
 
 NOTE_MIDLINE_P1 = (
@@ -259,14 +259,14 @@ def custom_phi_rule(
     estimate = float(np.dot(signs, fvals * phis))
 
     bundle = derivative_norms(f, rect, p, rule_family="trapezoid", resolution=resolution)
-    # the weight's edge norms and area norm, each inflated by its own error estimate
-    edges_x = np.add(*line_norms_with_error(w.eval_grid, "x", [rect.c, rect.d], rect.a, rect.b, q,
-                                            resolution))
-    edges_y = np.add(*line_norms_with_error(w.eval_grid, "y", [rect.a, rect.b], rect.c, rect.d, q,
-                                            resolution))
-    fx_term = sum(v * e for v, e in zip(bundle.x_lines, edges_x))
-    fy_term = sum(v * e for v, e in zip(bundle.y_lines, edges_y))
-    fxy_term = bundle.fxy * sum(area_norm_with_error(w.eval_grid, rect, q, resolution))
+    # the weight's area norm and edge norms from one core run (one scan and one
+    # build), each inflated by its own error estimate
+    phi = as_grid_fn(w.eval_grid)
+    edges = [(phi, "x", corners_y[:2], rect.a, rect.b, None), (phi, "y", corners_x[:2], rect.c, rect.d, None)]
+    area, (edges_x, edges_y) = _norms_with_error(q, resolution, (phi, rect), edges)
+    fx_term = sum(v * e for v, e in zip(bundle.x_lines, np.add(*edges_x)))
+    fy_term = sum(v * e for v, e in zip(bundle.y_lines, np.add(*edges_y)))
+    fxy_term = bundle.fxy * sum(area)
     return QuadratureReport(
         rule_id="custom-phi",
         estimate=estimate,

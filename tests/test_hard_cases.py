@@ -258,3 +258,58 @@ def test_jump_in_fx_not_below_closed_form(name, key, p):
         truth = ((x0 - rect.a) * abs(s1) ** p + (rect.b - x0) * abs(s2) ** p) ** (1.0 / p)
     nb = cq.derivative_norms(jump_integrand(name, x0), rect, p, cq.PartitionSpec(rect, 2, 2))
     assert min(nb.x_lines) >= truth * (1.0 - 1e-14)
+
+
+# --- exact zeros where g leaves or touches zero --------------------------------
+
+# f_x as a function of x, and ||f_x(., y)||_p / (1 + y) on [0, 1] at finite p
+ZERO_SHAPES = {
+    # -1, 0 and 1 on [0, 0.2), [0.2, 0.8] and (0.8, 1]: +-0 on 60% of every line
+    "plateau": (lambda x: np.where(x < 0.2, -1.0, np.where(x > 0.8, 1.0, 0.0)),
+                lambda x: np.maximum(x - 0.8, 0.0) - np.minimum(x, 0.2),
+                lambda p: 0.4 ** (1.0 / p)),
+    # |x - 0.5|, zero at the scan point 0.5 and of one sign on either side
+    "touch": (lambda x: np.abs(x - 0.5), lambda x: 0.5 * (x - 0.5) * np.abs(x - 0.5),
+              lambda p: 0.5 / (p + 1.0) ** (1.0 / p)),
+}
+
+
+def zero_integrand(name, sign):
+    """f = sign F(x) (1 + y) with F' = ZERO_SHAPES[name]: f_x = sign F'(x) (1 + y), f_y = sign F(x), f_xy = sign F'(x)."""
+    shape, antiderivative, _ = ZERO_SHAPES[name]
+
+    def of_x(h):
+        return lambda x, y: sign * h(np.asarray(x, dtype=float)) + 0.0 * np.asarray(y, dtype=float)
+
+    def times_one_plus_y(g):
+        return lambda x, y: g(x, y) * (1.0 + np.asarray(y, dtype=float))
+
+    fy, fxy = of_x(antiderivative), of_x(shape)
+    return cq.Integrand(f=times_one_plus_y(fy), fx=times_one_plus_y(fxy), fy=fy, fxy=fxy)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["g", "minus-g"])
+@pytest.mark.parametrize("p", P_FINITE)
+@pytest.mark.parametrize("name", ZERO_SHAPES)
+def test_exact_zero_lines_not_below_closed_form(name, p, sign, monkeypatch):
+    # every x-line of an m = n = 4 report, value plus estimate, covers its closed
+    # form (1 + y) ||F'||_p, and at p = 1, where it is read off f, equals it; an
+    # exact zero is a break only where g passes between negative and not, so a
+    # plateau's report builds a few panels, not one per zero sample
+    nodes = []
+    graded_nodes = cq.norms.graded_nodes
+
+    def counted(*args, **kwargs):
+        build = graded_nodes(*args, **kwargs)
+        nodes.append(build[0].size)
+        return build
+
+    monkeypatch.setattr(cq.norms, "graded_nodes", counted)
+    part = cq.PartitionSpec(cq.Rectangle.unit(), 4, 4)
+    ys = np.linspace(0.0, 1.0, 5)
+    nb = cq.derivative_norms(zero_integrand(name, sign), part.rect, p, partition=part)
+    exact = ZERO_SHAPES[name][2](p) * (1.0 + ys)
+    assert np.all(np.array(nb.x_lines) >= exact * (1.0 - 1e-14)), np.array(nb.x_lines) / exact - 1.0
+    if p == 1:
+        assert np.allclose(nb.x_lines, exact, rtol=1e-14, atol=0.0)
+    assert len(nodes) == 1 and nodes[0] < 2000

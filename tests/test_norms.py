@@ -340,42 +340,49 @@ class TestProperties:
         assert abs(a2 - a1) <= aerr1 + 1e-14
 
 
-def _scalar_zero_breaks(g, lo, hi, resolution):
-    """One line, one bracket and one point at a time: the reference for a one-scan ``scan_breaks``."""
+def _scalar_zero_breaks(g, lo, hi, resolution, cap=32):
+    """One line, one bracket and one point at a time: the reference for a one-scan ``scan_breaks``.
+
+    A bracket is a pair of neighbouring samples of which one is negative
+    and the other not (+-0 counts as not negative).  The first ``cap`` are
+    bisected toward a change of the sign of g (-1, 0 or 1) from their left
+    end's: a bracket whose left end is nonzero stops at an exact zero, and
+    its root is that point, or its right end if that is an exact zero which
+    no sample displaced; any other bracket's root is the midpoint of the
+    adjacent floats it narrows to.
+    """
     gv = as_vector_fn(g)
     xs = np.linspace(lo, hi, resolution + 1)
     vals = gv(xs)
     zeros = []
-    exact = np.flatnonzero(vals == 0.0)
-    if exact.size <= resolution // 2:
-        zeros.extend(float(xs[i]) for i in exact if lo < xs[i] < hi)
-    for i in np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0):
+    neg = vals < 0.0
+    for i in np.flatnonzero(neg[:-1] != neg[1:])[:cap]:
         a, b = float(xs[i]), float(xs[i + 1])
-        fa = float(vals[i])
+        fa, fb = float(vals[i]), float(vals[i + 1])
         for _ in range(60):
             m = 0.5 * (a + b)
             fm = float(gv(np.asarray([m]))[0])
-            if fm == 0.0:
+            if fm == 0.0 and fa != 0.0:
                 a = b = m
                 break
-            if (fa < 0.0) == (fm < 0.0):
+            if np.sign(fm) == np.sign(fa):
                 a, fa = m, fm
             else:
-                b = m
-        zeros.append(0.5 * (a + b))
-        if len(zeros) >= 32:
-            break
+                b, fb = m, fm
+        zeros.append(b if fb == 0.0 else 0.5 * (a + b))
     return merge_breaks([lo, hi], zeros)
 
 
 class TestZeroBreaks:
     SCAN = np.linspace(0.0, 1.0, 257)
 
+    ROOTS = (np.pi * np.arange(1, 42) - 0.3) / (41.0 * np.pi)
+
     @staticmethod
     def g(x, y):
         # 41 sign changes of sin(41 pi x + 0.3) on every row; exact zeros at
         # 16 scan points on row y = 1 and at 32 on row y = 2; row y = 3 is zero
-        # for x < 0.6, more than half its scan (a degenerate line)
+        # for x < 0.6, more than half its scan
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         scan = TestZeroBreaks.SCAN
         zeroed = (
@@ -387,43 +394,65 @@ class TestZeroBreaks:
 
     def test_rows_match_scalar_reference(self):
         rows = [0.0, 1.0, 2.0, 3.0]
-        got = line_breaks(self.g, "x", rows, 0.0, 1.0, 256)
-        for y, breaks in zip(rows, got):
-            ref = _scalar_zero_breaks(lambda t: self.g(t, y), 0.0, 1.0, 256)
-            assert np.array_equal(breaks, ref), y
+        ((points, sizes),) = gauss.scan_breaks([(self.g, "x", rows, 0.0, 1.0, 256, True)])
+        exhaustive = np.split(points, np.cumsum(sizes)[:-1])
+        for y, capped, full in zip(rows, line_breaks(self.g, "x", rows, 0.0, 1.0, 256), exhaustive):
+            line = lambda t: self.g(t, y)
+            assert np.array_equal(capped, _scalar_zero_breaks(line, 0.0, 1.0, 256)), y
+            assert np.array_equal(full, _scalar_zero_breaks(line, 0.0, 1.0, 256, cap=256)), y
 
-    def test_cap_takes_exact_zeros_then_crossings_in_order(self):
-        none, sixteen, thirty_two, degenerate = line_breaks(self.g, "x", [0.0, 1.0, 2.0, 3.0], 0.0, 1.0, 256)
-        roots = (np.pi * np.arange(1, 42) - 0.3) / (41.0 * np.pi)
+    def test_cap_takes_the_first_32_brackets_in_order(self):
+        # a capped scan keeps the first 32 brackets of each line in scan order,
+        # and its exact zeros take no share of the cap: its breaks are the
+        # exhaustive scan's, up to the right end of its 32nd bracket
+        rows = [0.0, 1.0, 2.0, 3.0]
+        capped = line_breaks(self.g, "x", rows, 0.0, 1.0, 256)
+        ((points, sizes),) = gauss.scan_breaks([(self.g, "x", rows, 0.0, 1.0, 256, True)])
+        for y, row, full in zip(rows, capped, np.split(points, np.cumsum(sizes)[:-1])):
+            neg = self.g(self.SCAN, y) < 0.0
+            changes = np.flatnonzero(neg[:-1] != neg[1:])
+            if changes.size > 32:
+                full = np.append(full[full <= self.SCAN[changes[31] + 1]], 1.0)
+            assert np.array_equal(row, full), y
+        none, sixteen, thirty_two, zeroed = capped
         # no exact zeros: the first 32 sign changes
-        assert np.allclose(none[1:-1], roots[:32], rtol=0.0, atol=1e-14)
-        # 16 exact zeros first, then sign changes in scan order up to 32
-        assert sixteen.size - 2 == 32
-        assert np.isin(self.SCAN[8::16], sixteen).all()
-        crossings = np.setdiff1d(sixteen[1:-1], self.SCAN[8::16])
-        assert crossings.size == 16
-        assert np.abs(crossings[:, None] - roots[None, :]).min(axis=1).max() < 1e-14
-        assert crossings.max() < roots[20]
-        # 32 exact zeros already: the first sign change is still bisected
-        assert thirty_two.size - 2 == 32 + 1
-        assert np.isin(self.SCAN[4::8], thirty_two).all()
-        # a line zero on more than half its scan keeps only its sign changes
-        assert np.allclose(degenerate[1:-1], roots[24:], rtol=0.0, atol=1e-14)
+        assert np.allclose(none[1:-1], self.ROOTS[:32], rtol=0.0, atol=1e-14)
+        # a zero between two negatives closes one bracket and opens the next,
+        # both rooted at it, so 32 brackets leave fewer breaks: 6 of the 16
+        # exact zeros and 23 roots of the sine, and 9 of the 32 and 18 roots
+        for row, zeros, counts in ((sixteen, self.SCAN[8::16], (6, 23)), (thirty_two, self.SCAN[4::8], (9, 18))):
+            on_zero = np.isin(row[1:-1], zeros)
+            assert (on_zero.sum(), (~on_zero).sum()) == counts
+            crossings = row[1:-1][~on_zero]
+            assert np.abs(crossings[:, None] - self.ROOTS[None, :]).min(axis=1).max() < 1e-14
+        # +-0 up to 0.6, then positive: no bracket before the sign changes past 0.6
+        assert np.allclose(zeroed[1:-1], self.ROOTS[24:], rtol=0.0, atol=1e-14)
 
     def test_exhaustive_scan_keeps_every_sign_change(self):
-        # no cap: all 41 sign changes; the degenerate row takes both signs, so
-        # it keeps its 153 exact zeros in (0, 0.6) before its sign changes
-        ((points, sizes),) = gauss.scan_breaks([(self.g, "x", [0.0, 3.0], 0.0, 1.0, 256, True)])
-        none, degenerate = np.split(points, sizes[:1])
-        roots = (np.pi * np.arange(1, 42) - 0.3) / (41.0 * np.pi)
-        assert np.allclose(none[1:-1], roots, rtol=0.0, atol=1e-14)
-        assert np.array_equal(degenerate[:154], self.SCAN[:154])
-        assert np.allclose(degenerate[154:-1], roots[24:], rtol=0.0, atol=1e-14)
-        # a degenerate row of one sign or none keeps the Gauss scan's breaks:
-        # x y is zero on all of y = 0 and changes sign at x = 0 elsewhere
+        # no cap: all 41 sign changes; the row that is +-0 up to 0.6 is of one
+        # class up to its first sign change past 0.6, and -g's row is +-0 then
+        # negative, so -g also breaks where that row leaves zero, at 0.6
+        rows = [0.0, 1.0, 2.0, 3.0]
+        ((points, sizes),) = gauss.scan_breaks([(self.g, "x", rows, 0.0, 1.0, 256, True)])
+        ((flipped, flipped_sizes),) = gauss.scan_breaks([(lambda x, y: -self.g(x, y), "x", rows, 0.0, 1.0, 256, True)])
+        mine, theirs = np.split(points, np.cumsum(sizes)[:-1]), np.split(flipped, np.cumsum(flipped_sizes)[:-1])
+        assert np.allclose(mine[0][1:-1], self.ROOTS, rtol=0.0, atol=1e-14)
+        assert np.allclose(mine[3][1:-1], self.ROOTS[24:], rtol=0.0, atol=1e-14)
+        assert abs(theirs[3][1] - 0.6) <= np.spacing(0.6) and np.array_equal(theirs[3][2:], mine[3][1:])
+        # g and -g break alike but within a scan step of an exact zero
+        for y, u, v in zip(rows, mine, theirs):
+            zeros = self.SCAN[self.g(self.SCAN, y) == 0.0]
+
+            def far(b):
+                return b[(np.abs(b[:, None] - zeros[None, :]) > 1.0 / 256).all(axis=1)]
+
+            assert np.array_equal(far(u), far(v)), y
+        # a line of +-0 and one whose zero sits between signs break alike, capped
+        # or not: x y is +-0 all along y = 0 and changes sign at x = 0 elsewhere
         lines = [(lambda x, y: x * y, "x", [0.0, 0.5, 1.0], -1.0, 1.0, 256)]
         capped, exhaustive = (gauss.scan_breaks([(*scan, flag) for scan in lines]) for flag in (False, True))
         assert all(np.array_equal(u, v) for u, v in zip(capped[0], exhaustive[0]))
+        assert np.array_equal(capped[0][0], [-1.0, 1.0, -1.0, 0.0, 1.0, -1.0, 0.0, 1.0])
 
     def test_bracket_stops_at_exact_zero(self):
         # the root is the midpoint of its scan bracket: one refinement round,
@@ -508,8 +537,8 @@ class TestZeroBreaks:
         lambda x, y: -0.0 * (x + y),
     ], ids=["mixed-signs", "minus-zero"])
     def test_zero_partial_is_one_shared_set(self, zero):
-        # +-0 everywhere: every line is degenerate and of no sign, so the scan
-        # finds no break and refines nothing
+        # +-0 everywhere: every sample is of the non-negative class, so the
+        # scan finds no bracket and refines nothing
         calls = []
 
         def g(x, y):
@@ -532,7 +561,13 @@ class TestZeroBreaks:
 
 
 def _per_scan_zero_breaks(g, axis, fixed, lo, hi, resolution):
-    """One scan's search alone, its sampling then its refinement: the reference for ``scan_breaks``."""
+    """One scan's search alone, its sampling then its refinement: the reference for ``scan_breaks``.
+
+    A bracket is a pair of neighbouring samples of which one is negative and
+    the other not (+-0 counts as not negative); each of a line's first 32 is
+    narrowed to the first change of the sign of g (-1, 0 or 1) from its left
+    end's, and stops at an exact zero that is such a change.
+    """
     c = np.asarray(fixed, dtype=float).ravel()
     if c.size == 0:
         return []
@@ -542,17 +577,14 @@ def _per_scan_zero_breaks(g, axis, fixed, lo, hi, resolution):
     low, high = vals.min(), vals.max()
     if not (np.isfinite(low) and np.isfinite(high)):
         gauss.require_finite(vals, coords)
-    if (low > 0.0 or high < 0.0) and hi - lo > gauss.merge_tol(lo, hi):
+    if (low >= 0.0 or high < 0.0) and hi - lo > gauss.merge_tol(lo, hi):
         return list(np.tile([float(lo), float(hi)], (c.size, 1)))
-    exact = vals == 0.0
-    degenerate = exact.sum(axis=1) > resolution // 2
-    exact &= ((t > lo) & (t < hi))[None, :] & ~degenerate[:, None]
-    neg, pos = vals < 0.0, vals > 0.0
-    rows, idx = np.nonzero(neg[:, :-1] & pos[:, 1:] | pos[:, :-1] & neg[:, 1:])
-    if rows.size == 0 and not exact.any() and hi - lo > gauss.merge_tol(lo, hi):
+    neg = vals < 0.0
+    rows, idx = np.nonzero(neg[:, :-1] != neg[:, 1:])
+    if rows.size == 0 and hi - lo > gauss.merge_tol(lo, hi):
         return list(np.tile([float(lo), float(hi)], (c.size, 1)))
     rank = np.arange(rows.size) - np.searchsorted(rows, rows)
-    keep = rank < np.maximum(32 - exact.sum(axis=1)[rows], 1)
+    keep = rank < 32
     rows, idx = rows[keep], idx[keep]
     a, b, fa, fb, line_of = t[idx], t[idx + 1], vals[rows, idx], vals[rows, idx + 1], c[rows]
     narrowest = 2.0**-60 * (hi - lo) / resolution
@@ -569,7 +601,7 @@ def _per_scan_zero_breaks(g, axis, fixed, lo, hi, resolution):
         x = np.concatenate((a[:, None] + w[:, None] * gauss._SIXTEENTHS, cluster), axis=1)
         x.sort(axis=1)
         fs = g(*line_coords(axis, x, line_of[:, None]))
-        flip = (fs == 0.0) | ((fs < 0.0) != (fa < 0.0)[:, None])
+        flip = np.sign(fs) != np.sign(fa)[:, None]
         k = np.where(flip.any(axis=1), np.argmax(flip, axis=1), 30)
         n = np.arange(live.size)
         right = np.minimum(k, 29)
@@ -582,10 +614,9 @@ def _per_scan_zero_breaks(g, axis, fixed, lo, hi, resolution):
         more = ~(hit | narrow)
         live, a, b, fa, fb, line_of = live[more], a[more], b[more], fa[more], fb[more], line_of[more]
     zeros[live] = 0.5 * (a + b)
-    exact_rows, exact_idx = np.nonzero(exact)
     lines = np.arange(c.size)
-    line = np.concatenate((lines, lines, exact_rows, rows))
-    point = np.concatenate((np.full(c.size, float(lo)), np.full(c.size, float(hi)), t[exact_idx], zeros))
+    line = np.concatenate((lines, lines, rows))
+    point = np.concatenate((np.full(c.size, float(lo)), np.full(c.size, float(hi)), zeros))
     order = np.lexsort((point, line))
     line, point = line[order], point[order]
     keep = np.empty(point.size, dtype=bool)
@@ -672,15 +703,17 @@ class TestReportSearch:
 
     def test_exact_zeros_degenerate_lines_and_the_cap(self):
         # TestZeroBreaks.g's rows: 41 sign changes, 16 and 32 exact zeros, and
-        # a degenerate row; x y has an all-zero line at y = 0; exp(x + y) is a
-        # sign-definite scan between them
+        # a row of +-0 over more than half its scan; x y has a line of +-0 at
+        # y = 0; exp(x + y) is a sign-definite scan between them
         lines = [
             (TestZeroBreaks.g, "x", [0.0, 1.0, 2.0, 3.0], 0.0, 1.0, 256),
             (lambda x, y: np.exp(x + y), "y", [0.2, 0.7], 0.0, 1.0, 256),
             (lambda x, y: x * y, "x", [0.0, 0.5, 1.0], -1.0, 1.0, 256),
         ]
         refs = self.check(lambda x, y: (x - 0.3) * (y - 0.6), lines)
-        assert [r.size - 2 for r in refs[2]] == [32, 32, 33, 41 - 24]
+        # 32 brackets each, the zeros taking no share of the cap, fewer breaks
+        # where a zero closes one bracket and opens the next
+        assert [r.size - 2 for r in refs[2]] == [32, 29, 27, 41 - 24]
         assert [r.size for r in refs[4]] == [2, 3, 3]
 
     def test_tiny_rectangle(self):
@@ -785,12 +818,12 @@ class TestBatchedLines:
     def test_capped_and_degenerate_lines_read_f_exactly(self, case, monkeypatch):
         # f_x = sin(40 pi x) (1 + y) has 39 sign changes on every x-line, past
         # the cap of 32 of a Gauss scan; f_x = (1 + y) times -1, 0 and 1 on
-        # [0, 0.2), [0.2, 0.8] and (0.8, 1] is a degenerate scan of both signs,
-        # with no sign change between neighbouring scan points, where
-        # f(1) - f(0) = 0.  The exhaustive p = 1 scan keeps every sign change
-        # and the degenerate line's exact zeros, so the lines read f and equal
-        # the closed forms (2/pi)(1 + y) and 0.4 (1 + y); the f_y lines have no
-        # zero.  The report builds only the area's 6 entries.
+        # [0, 0.2), [0.2, 0.8] and (0.8, 1] is +-0 on most of its scan, with no
+        # sign change between neighbouring scan points, where f(1) - f(0) = 0.
+        # The exhaustive p = 1 scan breaks wherever f_x passes between negative
+        # and not, so the lines read f and equal the closed forms (2/pi)(1 + y)
+        # and 0.4 (1 + y); the f_y lines have no zero.  The report builds only
+        # the area's 6 entries.
         k = 40.0 * np.pi
         if case == "capped":
             def f(x, y):
