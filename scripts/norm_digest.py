@@ -2,21 +2,16 @@
 """One SHA-256 over every derivative-norm and weight-norm value of a fixed grid.
 
 For every registry integrand, rectangle, p, weight family and m = n, the
-digest takes the ``repr`` of the bundle's ``fxy``, ``x_lines`` and
-``y_lines`` and of the values and error estimates of the two
-``line_norms_with_error`` calls (f_x along the x-lines, f_y along the
-y-lines) that the bundle's lines come from, except at p = 1: there the
-bundle reads its complete lines off f (``derivative_norms``), and the two
-calls, which have no f, are hashed beside them.  It also takes, per
-integrand, rectangle and p, the value and error estimate of
-``area_norm_with_error`` on f_xy and the estimate and three bound terms
-of ``custom_phi_rule`` with the rectangle's ``CustomPhi`` (below); per
-rectangle, p, family and m, ``phi_norm_numeric`` of the family's
+digest takes the ``repr`` of the ``derivative_norms`` bundle's ``fxy``,
+``x_lines`` and ``y_lines``, the only norms the package exports.  It
+also takes, per integrand, rectangle and p, the estimate and three bound
+terms of ``custom_phi_rule`` with the rectangle's ``CustomPhi`` (below);
+per rectangle, p, family and m, ``phi_norm_numeric`` of the family's
 composite weight at the conjugate q; per rectangle and p,
 ``phi_norm_numeric`` of one ``CustomPhi`` at the conjugate q; per
-rectangle, ``eval_phi`` of each of those weights on the
-grid X x Y, where X holds every x-break of the weight, the midpoint of
-every two neighbouring breaks and 17 evenly spaced points (Y likewise;
+rectangle, ``eval_phi`` of each of those weights on the grid X x Y,
+where X holds every x-break of the weight, the midpoint of every two
+neighbouring breaks and 17 evenly spaced points (Y likewise;
 ``CustomPhi`` has the rectangle's edges as its only breaks); and
 ``search_min`` at q = 1.5, 2, 3 with two starts.  Two source trees whose
 digests agree computed every one of those numbers bit for bit, so a
@@ -49,8 +44,6 @@ import json
 import numpy as np
 
 import certquad as cq
-from certquad.norms import partial_evaluators
-from certquad.weights import ramp_jumps
 
 RECTS = {"unit": (0.0, 1.0, 0.0, 1.0), "offset": (0.5, 1.75, -0.25, 0.5)}
 WEIGHTS = {"trapezoid": cq.CompositeTrapezoidPhi, "midpoint": cq.CompositeMidpointPhi}
@@ -196,10 +189,8 @@ def main() -> int:
         for rect_name in args.rects:
             rect = cq.Rectangle(*RECTS[rect_name])
             f = cq.get_entry(name).integrand(rect)
-            fx, fy, fxy, _ = partial_evaluators(f, rect)
             for ptext in args.p:
                 p = cq.Exponent.parse(ptext)
-                update(*cq.area_norm_with_error(fxy, rect, p))
                 report = cq.custom_phi_rule(f, customs[rect_name], rect, p)
                 update(report.estimate, report.fx_term, report.fy_term, report.fxy_term)
                 cache: dict = {}
@@ -207,10 +198,7 @@ def main() -> int:
                     for m in args.m:
                         part = cq.PartitionSpec(rect, m, m)
                         nb = cq.derivative_norms(f, rect, p, partition=part, rule_family=family, cache=cache)
-                        (xs, _), (ys, _) = ramp_jumps(part, family)
-                        x_lines = cq.line_norms_with_error(fx, "x", ys, rect.a, rect.b, p)
-                        y_lines = cq.line_norms_with_error(fy, "y", xs, rect.c, rect.d, p)
-                        update(nb.fxy, nb.x_lines, nb.y_lines, *x_lines, *y_lines)
+                        update(nb.fxy, nb.x_lines, nb.y_lines)
                         bundles[f"{name} {rect_name} p={ptext} {family} m={m}"] = {
                             "fxy": nb.fxy, "x_lines": list(nb.x_lines), "y_lines": list(nb.y_lines)}
     for qtext in SEARCH_Q:

@@ -41,12 +41,7 @@ from .minimizer import (
     search_min,
     verify_q2_identity,
 )
-from .norms import (
-    area_norm_with_error,
-    derivative_norms,
-    finite_difference_partials,
-    line_norms_with_error,
-)
+from .norms import derivative_norms
 from .oracle import oracle_integrate, parts_identity_residual, parts_identity_sides
 from .registry import REGISTRY, get_entry, names
 from .rules import (

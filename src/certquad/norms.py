@@ -52,10 +52,9 @@ samples before the line samples, so a non-finite f_xy value on a scan
 line is reported before any line's; but every scan runs before any
 sample, so a non-finite value on a line scan is reported before a
 non-finite f_xy value that only the tensor nodes hit.
-``line_norms_with_error`` (every line of one axis; one line is a
-one-element ``fixed``) and ``area_norm_with_error`` are one-request views
-of the same core, and ``rules.custom_phi_rule`` takes its weight's area
-norm and edge norms from one run of it.
+The core has two callers: ``derivative_norms``, and
+``rules.custom_phi_rule``, which takes its weight's area norm and edge
+norms from one run of it.
 
 At p = 1 ``derivative_norms`` hands the core f as each line batch's
 antiderivative, and its lines need no Gauss pass.  Between two breaks
@@ -64,8 +63,9 @@ sample or < 0 at every sample, so on the scan's resolution it keeps one
 sign, and ||f_x(., y)||_1 is sum_i |f(t_{i+1}, y) - f(t_i, y)|
 over its breaks t_i, exact up to rounding, from one call of f per
 partial at every break of its lines (``_variation_norms``).  A p = 1
-report builds only the area axes and reduces no line.
-``line_norms_with_error`` has no f and keeps the passes at every p.
+report builds only the area axes and reduces no line.  The weight's
+edges in ``custom_phi_rule`` have no antiderivative and keep the passes
+at every p.
 """
 
 from __future__ import annotations
@@ -301,59 +301,6 @@ def _batch_norms(p: Exponent, build, g, axis: str, c: np.ndarray, owner: np.ndar
         sizes = np.diff(bounds)[np.stack((owner, owner + 1), axis=1).ravel()]
     coarse, fine = segment_p_norms(magnitudes, w, sizes, p.value).reshape(-1, 2).T
     return fine, np.abs(fine - coarse) + 1e-15 * fine
-
-
-def line_norms_with_error(g, axis: str, fixed, lo: float, hi: float, p,
-                          resolution: int = DEFAULT_RESOLUTION):
-    """(int |g|^p)^(1/p) along every line of one axis, plus error estimates.
-
-    Line k runs along ``axis`` ("x" or "y") over [lo, hi] at transverse
-    coordinate fixed[k]; g is a two-variable callable.  Returns arrays
-    (values, errors), one entry per line.  A finite-p value is the finer
-    of two Gauss passes graded 5 and 6 levels toward every panel end, good
-    to ~1e-7 relative rather than to rounding; its estimate is the change
-    between the passes, under one panel-cap halving.  The sup norm reports
-    its refinement gain.  Both estimates add a floating-point floor of
-    1e-15 of the value, so a zero line reports (0, 0); callers add the
-    estimate to the value.  Every line is sampled in one
-    integrand call at the nodes of its breakpoint set; lines whose zero
-    scan gives the same breakpoints share their nodes.  An empty ``fixed``
-    gives two empty arrays, and an interval too narrow for the
-    breakpoint merge tolerance raises ValueError before any sampling.
-    This is the one-batch view of the core ``derivative_norms`` runs.
-    """
-    p = Exponent.coerce(p)
-    if resolution < 16:
-        raise ValueError("resolution must be >= 16")
-    if axis not in ("x", "y"):
-        raise ValueError("axis must be 'x' or 'y'")
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    c = np.asarray(fixed, dtype=float).ravel()
-    if c.size == 0:
-        return np.zeros(0), np.zeros(0)
-    _, (norms,) = _norms_with_error(p, resolution, lines=[(as_grid_fn(g), axis, c, lo, hi, None)])
-    return norms
-
-
-def area_norm_with_error(g, rect: Rectangle, p, resolution: int = DEFAULT_RESOLUTION):
-    """(int int |g|^p)^(1/p) over the rectangle, plus an error estimate.
-
-    Graded tensor Gauss passes (``gauss.tensor_p_norm``), panels split at
-    the sign changes of g along two scan lines per axis
-    (``gauss.area_breaks``) and graded toward every panel end: rung 0 at 3
-    levels and twice the coarse panel cap, rung 1 at 4 levels, rung 2 at 5
-    levels and half the cap.  Rung 1 is reported when it agrees with rung
-    0 to 1e-12 relative, else rung 2; the estimate is the change from the
-    rung below plus a floor of 1e-15 of the value, so an identically zero
-    g reports (0, 0) after two rungs.  The grading is shallow: the value
-    is good to ~1e-9, not to rounding, and ``derivative_norms`` adds the
-    estimate to it.  This is the area-only
-    view of the core ``derivative_norms`` runs, whose one ``graded_nodes``
-    build grades the area axes alongside the lines.
-    """
-    area_norm, _ = _norms_with_error(Exponent.coerce(p), resolution, area=(as_grid_fn(g), rect))
-    return area_norm
 
 
 def finite_difference_partials(f, rect: Rectangle):

@@ -248,6 +248,8 @@ def custom_phi_rule(
         raise ValueError("weight was built for a different rectangle")
     p = Exponent.coerce(p)
     q = conjugate(p)
+    # the bundle first: a rectangle too narrow for quadrature is refused before any sampling
+    bundle = derivative_norms(f, rect, p, rule_family="trapezoid", resolution=resolution)
     fv = as_grid_fn(f.f)
     corners_x = np.asarray([rect.a, rect.b, rect.a, rect.b])
     corners_y = np.asarray([rect.c, rect.d, rect.d, rect.c])
@@ -257,8 +259,6 @@ def custom_phi_rule(
     require_finite(phis, (corners_x, corners_y))
     signs = np.asarray([1.0, 1.0, -1.0, -1.0])
     estimate = float(np.dot(signs, fvals * phis))
-
-    bundle = derivative_norms(f, rect, p, rule_family="trapezoid", resolution=resolution)
     # the weight's area norm and edge norms from one core run (one scan and one
     # build), each inflated by its own error estimate
     phi = as_grid_fn(w.eval_grid)

@@ -4,6 +4,7 @@ from hypothesis import settings
 
 import certquad as cq
 from certquad import gauss
+from certquad.norms import _norms_with_error
 
 settings.register_profile("default", deadline=None, max_examples=50)
 settings.load_profile("default")
@@ -64,6 +65,26 @@ def variation_lines(f, g, axis, fixed, lo, hi, resolution=256):
         floors = np.where(steps > 0.0, 2.0**-51 * np.maximum(np.abs(v[:-1]), np.abs(v[1:])), 0.0)
         out.append(float(np.add.reduce(steps) + np.add.reduce(floors)))
     return out
+
+
+def line_norms(g, axis, fixed, lo, hi, p, resolution=256):
+    """(values, errors) of g along every line of one axis, one entry per line.
+
+    Line k runs along ``axis`` over [lo, hi] at transverse coordinate
+    fixed[k].  A one-batch request of ``norms._norms_with_error``, the
+    core ``derivative_norms`` runs, with no antiderivative, so every finite
+    p, 1 included, takes the two Gauss passes graded 5 and 6 levels deep.
+    """
+    c = np.asarray(fixed, dtype=float).ravel()
+    _, (norms,) = _norms_with_error(cq.Exponent.coerce(p), resolution,
+                                    lines=[(gauss.as_grid_fn(g), axis, c, lo, hi, None)])
+    return norms
+
+
+def area_norm(g, rect, p, resolution=256):
+    """(value, error) of the L^p norm of g over the rectangle: one area-only request of the core."""
+    norm, _ = _norms_with_error(cq.Exponent.coerce(p), resolution, area=(gauss.as_grid_fn(g), rect))
+    return norm
 
 
 def tensor_norms(g, rect, p, scan, passes):

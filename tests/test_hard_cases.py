@@ -126,9 +126,15 @@ def test_steep_tanh_certified_or_refused(rule, p):
 
 SPIKE_RECT = cq.Rectangle(0.2, 1.4, -0.3, 0.6)
 SPIKE_EPS = (0.05, 0.02, 0.01, 0.005)
-# centres as fractions of the sides; (centre, eps, p) where fxy is below the closed form
+# narrower fronts, checked against the closed form only
+NARROW_EPS = (1e-3, 1e-4)
+# centres as fractions of the sides
 SPIKE_CENTRES = {"inner": (0.37, 0.61), "low-right": (0.81, 0.23), "corner": (0.1234, 0.8765)}
-SPIKE_SHORT = {("corner", 0.005, 2)}
+# (centre, eps, p) where fxy is below the closed form, and the ROADMAP item
+# that must fix it; at eps = 1e-4 the spike is narrower than the spacing of
+# the tensor passes' nodes, which miss it (down to 8e-54 of the truth)
+SPIKE_SHORT = {("corner", 0.005, 2): 1, ("inner", 1e-3, 2): 16, ("low-right", 1e-3, 1): 16,
+               ("low-right", 1e-3, 2): 16, **{(key, 1e-4, p): 16 for key in SPIKE_CENTRES for p in (1, 2)}}
 
 
 def _sech2(z):
@@ -185,21 +191,22 @@ def tanh_spike_fxy_norm(rect, shape, p):
     return (factor(rect.a, rect.b, x0, ex) * factor(rect.c, rect.d, y0, ey)) ** (1.0 / p)
 
 
-def _spike_cases(short=frozenset()):
+def _spike_cases(widths, short=None):
     for key in SPIKE_CENTRES:
-        for eps in SPIKE_EPS:
+        for eps in widths:
             for p in (1, 2):
-                marks = known_defect(1) if (key, eps, p) in short else []
+                item = (short or {}).get((key, eps, p))
+                marks = known_defect(item) if item else []
                 yield pytest.param(key, eps, p, id=f"{key}-eps{eps}-p{p}", marks=marks)
 
 
-@pytest.mark.parametrize("key,eps,p", _spike_cases())
+@pytest.mark.parametrize("key,eps,p", _spike_cases(SPIKE_EPS))
 def test_tanh_spike_fxy_escalates_to_the_two_pass_norm(key, eps, p):
     f, _ = tanh_spike(SPIKE_RECT, SPIKE_CENTRES[key], eps)
-    assert cq.area_norm_with_error(f.fxy, SPIKE_RECT, p) == two_pass_area_norm(f.fxy, SPIKE_RECT, p)
+    assert cq.derivative_norms(f, SPIKE_RECT, p).fxy == sum(two_pass_area_norm(f.fxy, SPIKE_RECT, p))
 
 
-@pytest.mark.parametrize("key,eps,p", _spike_cases(SPIKE_SHORT))
+@pytest.mark.parametrize("key,eps,p", _spike_cases(SPIKE_EPS + NARROW_EPS, SPIKE_SHORT))
 def test_tanh_spike_fxy_not_below_closed_form(key, eps, p):
     f, shape = tanh_spike(SPIKE_RECT, SPIKE_CENTRES[key], eps)
     truth = tanh_spike_fxy_norm(SPIKE_RECT, shape, p)

@@ -21,13 +21,13 @@ from certquad.gauss import (
 )
 from certquad.norms import partial_evaluators
 from certquad.weights import ramp_jumps
-from conftest import (RECT_SET, UNIT, integrand, line_breaks, tensor_norms, two_pass_area_norm,
-                      variation_lines)
+from conftest import (RECT_SET, UNIT, area_norm, integrand, line_breaks, line_norms, tensor_norms,
+                      two_pass_area_norm, variation_lines)
 
 
 def one_line(g, lo, hi, p, fixed=0.0, axis="x", **kw):
-    """Value and error estimate of the one-line ``line_norms_with_error`` call."""
-    values, errors = cq.line_norms_with_error(g, axis, [fixed], lo, hi, p, **kw)
+    """Value and error estimate of the one-line ``line_norms`` call."""
+    values, errors = line_norms(g, axis, [fixed], lo, hi, p, **kw)
     return float(values[0]), float(errors[0])
 
 
@@ -60,15 +60,6 @@ class TestLineNorm:
         with pytest.raises(ValueError):
             one_line(lambda x, y: x, 0.0, 1.0, 2, resolution=8)
 
-    @pytest.mark.parametrize("lo, hi", [(1.0, 0.0), (0.5, 0.5)])
-    def test_empty_interval_rejected(self, lo, hi):
-        with pytest.raises(ValueError, match="need lo < hi"):
-            one_line(lambda x, y: x, lo, hi, 2)
-
-    def test_bad_axis_rejected(self):
-        with pytest.raises(ValueError, match="axis must be"):
-            one_line(lambda x, y: x, 0.0, 1.0, 2, axis="z")
-
     def test_huge_p_close_to_sup(self):
         sup, _ = one_line(lambda x, y: np.sin(x), 0.0, np.pi, cq.INF)
         near, _ = one_line(lambda x, y: np.sin(x), 0.0, np.pi, 1e6)
@@ -78,15 +69,15 @@ class TestLineNorm:
 
 class TestAreaNorm:
     def test_constant(self, unit):
-        assert cq.area_norm_with_error(lambda x, y: 1.0 + 0 * x + 0 * y, unit, 3)[0] == pytest.approx(
+        assert area_norm(lambda x, y: 1.0 + 0 * x + 0 * y, unit, 3)[0] == pytest.approx(
             1.0, rel=1e-12)
 
     def test_sup(self, unit):
-        assert cq.area_norm_with_error(lambda x, y: 4.0 * x * y, unit, cq.INF)[0] == pytest.approx(
+        assert area_norm(lambda x, y: 4.0 * x * y, unit, cq.INF)[0] == pytest.approx(
             4.0, abs=1e-12)
 
     def test_bilinear_l1(self, sym):
-        assert cq.area_norm_with_error(lambda x, y: x * y, sym, 1)[0] == pytest.approx(1.0, rel=1e-10)
+        assert area_norm(lambda x, y: x * y, sym, 1)[0] == pytest.approx(1.0, rel=1e-10)
 
     @pytest.mark.parametrize("p", [1, 1.5])
     def test_axis_aligned_kinks(self, p):
@@ -96,7 +87,7 @@ class TestAreaNorm:
         from scipy.integrate import quad
 
         rect = cq.Rectangle(0.0, np.pi, 0.0, np.pi)
-        got = cq.area_norm_with_error(lambda x, y: np.cos(x) * np.cos(y), rect, p)[0]
+        got = area_norm(lambda x, y: np.cos(x) * np.cos(y), rect, p)[0]
         factor, _ = quad(lambda t: abs(np.cos(t)) ** p, 0.0, np.pi, limit=200)
         expect = (factor * factor) ** (1.0 / p)
         assert got == pytest.approx(expect, rel=1e-8)
@@ -128,7 +119,7 @@ class TestAreaLadder:
     def test_escalated_norm_is_the_two_pass_norm(self, rungs, name, p):
         rect = cq.Rectangle(0.0, np.pi, 0.0, np.pi)
         fxy = integrand(name, rect).fxy
-        got = cq.area_norm_with_error(fxy, rect, p)
+        got = area_norm(fxy, rect, p)
         assert rungs[0] == 3
         assert got == two_pass_area_norm(fxy, rect, p)
 
@@ -144,7 +135,7 @@ class TestAreaLadder:
                     continue
                 fxy = entry.integrand(rect).fxy
                 rungs[0] = 0
-                value, error = cq.area_norm_with_error(fxy, rect, p)
+                value, error = area_norm(fxy, rect, p)
                 ref, ref_error = two_pass_area_norm(fxy, rect, p)
                 counts[rungs[0]] += 1
                 if rungs[0] == 3:
@@ -156,7 +147,7 @@ class TestAreaLadder:
 
     @pytest.mark.parametrize("p", [1, 1.5, 2, 3])
     def test_zero_stops_at_the_first_pair(self, rungs, p):
-        assert cq.area_norm_with_error(lambda x, y: 0.0 * x * y, UNIT, p) == (0.0, 0.0)
+        assert area_norm(lambda x, y: 0.0 * x * y, UNIT, p) == (0.0, 0.0)
         assert rungs[0] == 2
 
 
@@ -241,7 +232,7 @@ class TestDerivativeNorms:
         # the line norms' floating-point floor is relative to their value too
         g = getattr(integrand(name, unit), partial)
         for axis in ("x", "y"):
-            values, errors = cq.line_norms_with_error(g, axis, [0.0, 0.25, 1.0], 0.0, 1.0, p)
+            values, errors = line_norms(g, axis, [0.0, 0.25, 1.0], 0.0, 1.0, p)
             assert (*values, *errors) == (0.0,) * 6
         if name == "one":
             nb = cq.derivative_norms(integrand(name, unit), unit, p, partition=cq.PartitionSpec(unit, 4, 4))
@@ -327,7 +318,7 @@ class TestProperties:
             lambda x, y: np.cos(3 * x) * np.cos(2 * y),
         ]
         for g in fns:
-            vals = [cq.area_norm_with_error(g, unit, p, resolution=96)[0] for p in (1, 1.5, 2, 3, 8)]
+            vals = [area_norm(g, unit, p, resolution=96)[0] for p in (1, 1.5, 2, 3, 8)]
             assert all(a <= b + 1e-9 for a, b in zip(vals, vals[1:])), vals
 
     def test_refinement_within_error_estimate(self, unit):
@@ -335,8 +326,8 @@ class TestProperties:
         v1, err1 = one_line(g, 0.0, 1.0, 1.5, fixed=0.3, resolution=64)
         v2, _ = one_line(g, 0.0, 1.0, 1.5, fixed=0.3, resolution=128)
         assert abs(v2 - v1) <= err1 + 1e-14
-        a1, aerr1 = cq.area_norm_with_error(lambda x, y: np.exp(x + y), unit, 3, resolution=64)
-        a2, _ = cq.area_norm_with_error(lambda x, y: np.exp(x + y), unit, 3, resolution=128)
+        a1, aerr1 = area_norm(lambda x, y: np.exp(x + y), unit, 3, resolution=64)
+        a2, _ = area_norm(lambda x, y: np.exp(x + y), unit, 3, resolution=128)
         assert abs(a2 - a1) <= aerr1 + 1e-14
 
 
@@ -764,7 +755,7 @@ class TestReportSearch:
 
 class TestBatchedLines:
     """derivative_norms batches every line of a partial; each value must equal
-    value + error estimate of the one-line ``line_norms_with_error`` call of
+    value + error estimate of the one-line ``line_norms`` call of
     that line, or at p = 1 the exact norm read off f plus its floor
     (``variation_lines``)."""
 
@@ -879,7 +870,7 @@ class TestBatchedLines:
         (_, _), (ys, _) = ramp_jumps(part, "trapezoid")
         mean = math.gamma((p + 1.0) / 2.0) / (math.sqrt(math.pi) * math.gamma(p / 2.0 + 1.0))
         exact = mean ** (1.0 / p) * (1.0 + ys)
-        values, errors = cq.line_norms_with_error(fx, "x", ys, 0.0, 1.0, p)
+        values, errors = line_norms(fx, "x", ys, 0.0, 1.0, p)
         for lines in (np.array(cq.derivative_norms(f, UNIT, p, partition=part).x_lines), values + errors):
             assert np.all(lines >= exact * (1.0 - 1e-14)) and np.all(lines <= exact * (1.0 + 1e-7))
 
@@ -911,11 +902,11 @@ class TestBatchedLines:
 
 
 def _lines(p):
-    return lambda g: cq.line_norms_with_error(g, "x", [0.2, 0.7], 0.0, 1.0, p)
+    return lambda g: line_norms(g, "x", [0.2, 0.7], 0.0, 1.0, p)
 
 
 def _area(p):
-    return lambda g: cq.area_norm_with_error(g, UNIT, p)
+    return lambda g: area_norm(g, UNIT, p)
 
 
 class TestNonfiniteSamples:
@@ -1349,9 +1340,9 @@ class TestLineBatches:
         sets = line_breaks(as_grid_fn(g), axis, c, lo, hi, 256)
         assert all(np.array_equal(s, sets[0]) for s in sets) == shared
         assert shared or len({s.tobytes() for s in sets}) == c.size
-        values, errors = cq.line_norms_with_error(g, axis, c, lo, hi, p)
+        values, errors = line_norms(g, axis, c, lo, hi, p)
         for k in range(c.size):
-            alone = cq.line_norms_with_error(g, axis, c[k:k + 1], lo, hi, p)
+            alone = line_norms(g, axis, c[k:k + 1], lo, hi, p)
             assert (values[k], errors[k]) == (alone[0][0], alone[1][0])
 
 
@@ -1842,11 +1833,6 @@ class TestAsGridFn:
 
 
 class TestEmptyAndTinyIntervals:
-    @pytest.mark.parametrize("p", [2, cq.INF])
-    def test_no_lines_give_empty_arrays(self, p):
-        values, errors = cq.line_norms_with_error(lambda x, y: x + y, "x", [], 0.0, 1.0, p)
-        assert values.shape == errors.shape == (0,)
-
     @pytest.mark.parametrize("lo, width", [(0.0, 1e-15), (0.0, 1e-13), (1e3, 1e-11)])
     def test_too_narrow_square_is_refused(self, lo, width):
         rect = cq.Rectangle(lo, lo + width, lo, lo + width)
@@ -1855,17 +1841,26 @@ class TestEmptyAndTinyIntervals:
                            cq.PartitionSpec(rect, 4, 4))
 
     def test_refused_before_sampling(self):
+        # every public entry refuses a rectangle too narrow for quadrature
+        # before it calls f, a partial or the weight, and the core refuses a
+        # line batch alone before it calls g
         calls = []
 
-        def g(x, y):
-            calls.append(1)
-            return np.asarray(x) + np.asarray(y)
+        def counted(name):
+            def g(*args):
+                calls.append(name)
+                return sum(np.asarray(a, dtype=float) for a in args)
+            return g
 
-        with pytest.raises(ValueError, match=r"\[0.0, 1e-13\].*1.529e-13"):
-            cq.line_norms_with_error(g, "x", [0.0], 0.0, 1e-13, 2)
-        with pytest.raises(ValueError, match="too narrow"):
-            cq.area_norm_with_error(g, cq.Rectangle(0.0, 1.0, 0.0, 1e-13), 2)
-        assert calls == []
+        rect = cq.Rectangle(0.0, 1.0, 0.0, 1e-13)
+        f = cq.Integrand(f=counted("f"), fx=counted("fx"), fy=counted("fy"), fxy=counted("fxy"))
+        w = cq.CustomPhi(counted("alpha"), counted("beta"), rect)
+        for run in (lambda: cq.rule_report(f, rect, "trapezoid", 2), lambda: cq.derivative_norms(f, rect, 2),
+                    lambda: cq.custom_phi_rule(f, w, rect, 2),
+                    lambda: line_norms(counted("g"), "x", [0.0], 0.0, 1e-13, 2)):
+            with pytest.raises(ValueError, match=r"\[0.0, 1e-13\] is too narrow.*1.529e-13"):
+                run()
+            assert calls == []
 
     def test_narrow_square_above_the_limit_reports(self):
         rect = cq.Rectangle(0.0, 3e-13, 0.0, 3e-13)

@@ -10,7 +10,7 @@ import certquad as cq
 from certquad.core import FAMILIES
 from certquad.rules import _jump_bound
 from certquad.weights import ramp_jumps, ramp_norm_closed
-from conftest import integrand
+from conftest import SKEW, UNIT, integrand, line_norms
 
 P_GRID = (1, 1.5, 2, 3, cq.INF)
 
@@ -420,15 +420,24 @@ class TestCustomPhiRule:
         assert report.bound == pytest.approx(trap_bound, rel=1e-6)
 
     @pytest.mark.parametrize("p", [1, 1.5, 2, 3, cq.INF])
-    def test_fxy_term_covers_the_exact_weight_norm(self, unit, p):
-        # the weight's area norm enters inflated by its error estimate, so the
-        # f_xy term is not below ||f_xy||_p times the weight's exact norm
-        w = cq.CustomPhi(lambda x: -unit.m2 * x + unit.m1 * unit.m2,
-                         lambda y: -unit.m1 * y, unit)
-        report = cq.custom_phi_rule(integrand("poly22", unit), w, unit, p)
-        trap = cq.CompositeTrapezoidPhi(unit, cq.PartitionSpec(unit, 1, 1))
-        exact = cq.phi_norm_closed(trap, cq.conjugate(cq.Exponent.coerce(p)))
-        assert report.fxy_term >= report.norms_used.fxy * exact
+    def test_fxy_term_covers_the_exact_weight_norm(self, p):
+        # the weight's area norm and edge norms enter inflated by their error
+        # estimates, so no term is below its norms times the weight's exact
+        # norms: phi = (x - m1)(y - m2) is the simple trapezoid weight, and
+        # ||phi(., c)||_q = (H/2) ||x - m1||_q on both x-edges (the y-edges
+        # likewise)
+        q = cq.conjugate(cq.Exponent.coerce(p))
+        for rect in (UNIT, cq.Rectangle(0.5, 1.75, -0.25, 0.5), SKEW):
+            w = cq.CustomPhi(lambda x: -rect.m2 * x + rect.m1 * rect.m2, lambda y: -rect.m1 * y, rect)
+            edge_x = rect.height / 2.0 * ramp_norm_closed(rect.width, 1, q)
+            edge_y = rect.width / 2.0 * ramp_norm_closed(rect.height, 1, q)
+            area = cq.phi_norm_closed(cq.CompositeTrapezoidPhi(rect, cq.PartitionSpec(rect, 1, 1)), q)
+            for name in ("poly22", "sinsin", "expsum"):
+                report = cq.custom_phi_rule(integrand(name, rect), w, rect, p)
+                norms = report.norms_used
+                assert report.fx_term >= sum(norms.x_lines) * edge_x, (name, rect)
+                assert report.fy_term >= sum(norms.y_lines) * edge_y, (name, rect)
+                assert report.fxy_term >= norms.fxy * area, (name, rect)
 
     def test_plain_xy_corner_combination(self, unit):
         w = cq.CustomPhi(lambda x: 0.0 * x, lambda y: 0.0 * y, unit)
@@ -486,7 +495,7 @@ class TestOneDimensionalRules:
             q = cq.conjugate(p)
             _, bound = cq.midpoint_1d(lambda x: x, (0.0, 1.0), p, 1.0)
             omega = lambda x, y: np.where(x < 0.5, x, x - 1.0)
-            (direct,), _ = cq.line_norms_with_error(omega, "x", [0.0], 0.0, 1.0, q, resolution=256)
+            (direct,), _ = line_norms(omega, "x", [0.0], 0.0, 1.0, q)
             assert bound == pytest.approx(direct, rel=1e-9)
 
     def test_midpoint_zero_norm(self):
