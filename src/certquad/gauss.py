@@ -6,30 +6,27 @@ the f_xy axes (``area_scans``, merged per axis by ``axis_breaks``) and
 each partial's lines; ``area_breaks`` is its one-rectangle view.  Every
 scan breaks a line wherever g passes between negative and not (+-0 is
 not negative); every line scan of ``norms`` is exhaustive, with no cap
-on its breaks, and only the f_xy area axes keep the cap of 32.
-``graded_nodes`` serves ``norms._norms_with_error`` (one build per
-report: one entry per set, depth and cap), the weight norms
-(``weights``) and the minimizer's grid (``minimizer``) by one rule:
-every panel of every entry maps a cached layout of [0, 1], graded with
-the part counts of the panel itself (``_unit_layout``), so the split
-and merge of breaks runs only on [0, 1], once per layout.  The f_xy area
-norm and the custom weight norm reduce each tensor pass with
-``tensor_p_norm``.  ``segment_p_norms`` reduces the samples of the line
-norms and the ramp norms with the scaled power sum ``tensor_p_norm``
-uses, at every finite p, in the array that holds them: a flat array
-against weights aligned with it, or a (lines x nodes) block against one
-weight row that every line shares; a caller whose segments are scattered
-through a build gathers them with ``gather_segments``.  A zero partial
-costs what its samples cost: a scan of +-0 samples returns its one
-[lo, hi] set before building its class mask, and ``segment_p_norms``
-returns all-zero maxima as the norms before raising any sample to p.
-The area grid maximum (``zoomed_sup``) finds its argmax with
-``abs_argmax``, which only reads the samples; the line maxima of
-``norms`` are small enough to take theirs on an |g| copy.  The oracle maps
-``panel_nodes`` of [0, 1] that it caches per panel count; per-call
-uniform grids come from ``uniform_grid``.  All
-routines are deterministic: fixed node counts and fixed summation order,
-so repeated runs reproduce bit-identical values.
+on its breaks, and only the f_xy area axes keep the cap of 32.  One
+contract holds: every interval that reaches a scan or a build is
+resolvable, as ``require_resolvable`` checks before any sampling; the
+scans and the build keep no guard of their own.  ``graded_nodes`` serves
+``norms._norms_with_error`` (one build per report: one entry per set,
+depth and cap), the weight norms (``weights``) and the minimizer's grid
+(``minimizer``) by one rule: every panel of every entry maps a cached
+layout of [0, 1], graded with the part counts of the panel itself
+(``_unit_layout``), so the split and merge of breaks runs only on
+[0, 1], once per layout.  The f_xy area norm and the custom weight norm
+reduce each tensor pass with ``tensor_p_norm``.  ``segment_p_norms``
+reduces the samples of the line norms and the ramp norms with the scaled
+power sum ``tensor_p_norm`` uses, at every finite p, in the array that
+holds them: a flat array against weights aligned with it, or a (lines x
+nodes) block against one weight row that every line shares; a caller
+whose segments are scattered through a build gathers them with
+``gather_segments``.  The area grid maximum (``zoomed_sup``) finds its
+argmax with ``abs_argmax``, which only reads the samples.  The oracle
+maps ``panel_nodes`` of [0, 1] that it caches per panel count; per-call
+uniform grids come from ``uniform_grid``.  All routines are
+deterministic, so repeated runs reproduce bit-identical values.
 """
 
 from __future__ import annotations
@@ -100,8 +97,6 @@ def uniform_grid(lo, hi, n: int) -> np.ndarray:
 def panel_nodes(breaks, nodes_per_panel: int = 8) -> tuple[np.ndarray, np.ndarray]:
     """Gauss nodes and weights over the panels between consecutive breaks of a 1-D array."""
     b = np.asarray(breaks, dtype=float)
-    if b.size < 2:
-        raise ValueError("need at least two breakpoints")
     lo, hi = b[:-1], b[1:]
     t, w = _leggauss(nodes_per_panel)
     half = 0.5 * (hi - lo)
@@ -111,16 +106,13 @@ def panel_nodes(breaks, nodes_per_panel: int = 8) -> tuple[np.ndarray, np.ndarra
     return x.ravel(), wts.ravel()
 
 
-def merge_tol(lo, hi):
-    """Breakpoint merge tolerance of [lo, hi], elementwise for array ends.
+def merge_tol(lo: float, hi: float) -> float:
+    """Breakpoint merge tolerance of [lo, hi]: 1e-14 * max(1, |lo|, |hi|).
 
-    Breaks of [lo, hi] closer than 1e-14 * max(1, |lo|, |hi|) collapse
-    into one; every breakpoint merge uses this tolerance.  Float ends take
-    Python's ``max``, which picks the same value in a seventh of the time.
+    Breaks of [lo, hi] closer than this collapse into one; every
+    breakpoint merge uses this tolerance.
     """
-    if isinstance(lo, float) and isinstance(hi, float):
-        return _MERGE_RTOL * max(1.0, abs(lo), abs(hi))
-    return _MERGE_RTOL * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+    return _MERGE_RTOL * max(1.0, abs(lo), abs(hi))
 
 
 def merge_breaks(*groups: Sequence[float]) -> np.ndarray:
@@ -137,27 +129,22 @@ def _narrow_limit(lo: float, hi: float, frac: float) -> float:
     Below it even a panel of frac * (hi - lo), plus the rounding of its
     two ends (2^-51 * max(1, |lo|, |hi|)), stays under ``merge_tol``.
     """
-    return float(merge_tol(lo, hi)) * (1.0 - 2.0**-51 / _MERGE_RTOL) / frac
-
-
-def _too_narrow(lo: float, hi: float, frac: float) -> ValueError:
-    return ValueError(
-        f"interval [{lo!r}, {hi!r}] is too narrow for quadrature: panels of 1/{1.0 / frac:g} of its width "
-        f"must clear the breakpoint merge tolerance {float(merge_tol(lo, hi)):.3g}, which needs a width "
-        f"of at least {_narrow_limit(lo, hi, frac):.4g}"
-    )
+    return merge_tol(lo, hi) * (1.0 - 2.0**-51 / _MERGE_RTOL) / frac
 
 
 def require_resolvable(lo: float, hi: float, frac: float) -> None:
     """Reject [lo, hi] before any sampling when panels of ``frac`` of it all merge away.
 
     ``graded_nodes`` panels are at most frac * (hi - lo) wide; below
-    ``_narrow_limit`` none of them clears ``merge_tol``, the tolerance
-    within which the scans and ``graded_nodes`` collapse neighbouring
-    breaks.
+    ``_narrow_limit`` none of them clears ``merge_tol``, within which the
+    scans collapse neighbouring breaks.  The scans and the build rely on it.
     """
     if hi - lo < _narrow_limit(lo, hi, frac):
-        raise _too_narrow(lo, hi, frac)
+        raise ValueError(
+            f"interval [{lo!r}, {hi!r}] is too narrow for quadrature: panels of 1/{1.0 / frac:g} of its width "
+            f"must clear the breakpoint merge tolerance {merge_tol(lo, hi):.3g}, which needs a width "
+            f"of at least {_narrow_limit(lo, hi, frac):.4g}"
+        )
 
 
 @lru_cache(maxsize=16)
@@ -213,10 +200,10 @@ def graded_nodes(sets: Sequence[np.ndarray], levels, caps, k: int = 8):
 
     Entry e is the set sets[e], graded levels[e] deep (or ``levels`` deep,
     one count for every entry) with panels at most caps[e] wide; a set
-    graded twice is listed twice.  Every entry takes one rule.  First its
-    set's breaks within the set's merge tolerance of their predecessor are
-    dropped (as ``merge_breaks`` drops them); a set left with one break
-    raises.  Then each panel [lo, hi] of width w is graded toward both its
+    graded twice is listed twice.  Every set holds two or more breaks,
+    each more than the set's ``merge_tol`` above its predecessor, as the
+    scans of resolvable intervals hand them over.  Every entry takes one
+    rule: each panel [lo, hi] of width w is graded toward both its
     ends, with breaks at lo + w 2^-j and hi - w 2^-j for j = 1 .. levels,
     and each of its gaps takes ceil(gap / cap) equal parts, counted on the
     panel itself; the panel's nodes are lo + w u and its weights w v,
@@ -229,23 +216,10 @@ def graded_nodes(sets: Sequence[np.ndarray], levels, caps, k: int = 8):
     bounds); entry e owns nodes[bounds[e]:bounds[e + 1]].
     """
     panels = [len(s) - 1 for s in sets]
-    if min(panels) < 1:
-        raise ValueError("need at least two breakpoints")
     caps = np.asarray(caps, dtype=float)
     # the panels: consecutive breaks of one set
     lo, hi = np.concatenate([s[:-1] for s in sets]), np.concatenate([s[1:] for s in sets])
     span = hi - lo
-    # no set's merge tolerance exceeds merge_tol of the build's lowest and
-    # highest break, so a build whose panels all clear that has none to collapse
-    if span.min() <= merge_tol(float(lo.min()), float(hi.max())):
-        merged = [merge_breaks(s) for s in sets]
-        for e, s in enumerate(merged):
-            if s.size < 2:
-                a, b = float(sets[e][0]), float(sets[e][-1])
-                raise _too_narrow(a, b, float(caps[e]) / (b - a))
-        sets, panels = merged, [s.size - 1 for s in merged]
-        lo, hi = np.concatenate([s[:-1] for s in sets]), np.concatenate([s[1:] for s in sets])
-        span = hi - lo
     depth = np.empty(len(sets), dtype=np.int64)
     depth[:] = levels
     row_depth = np.repeat(depth, panels)
@@ -340,8 +314,9 @@ def scan_breaks(scans: Sequence[tuple]) -> list[tuple]:
 
     Scan s is (g, axis, fixed, lo, hi, resolution), or the same with a
     seventh item, True for an exhaustive scan: line k runs along ``axis``
-    over [lo, hi] at transverse coordinate fixed[k]; g is a broadcasting
-    two-variable callable.  Each scan samples all its lines in one call
+    over [lo, hi] at transverse coordinate fixed[k] (``fixed`` is not
+    empty and [lo, hi] is resolvable, see ``require_resolvable``); g is a
+    broadcasting two-variable callable.  Each scan samples all its lines in one call
     on resolution + 1 uniform points, and checks them for finiteness,
     before the next scan samples (``_scan``).  One rule makes the
     brackets: a sample is negative (g < 0) or not (g >= 0, +-0 included),
@@ -374,8 +349,8 @@ def scan_breaks(scans: Sequence[tuple]) -> list[tuple]:
 
     Returns per scan (points, sizes): every line's sorted breaks
     concatenated in line order, and each line's count.  A scan that finds
-    no bracket (and spans more than ``merge_tol``), such as one of +-0
-    samples only, returns ([lo, hi], None), one set all its lines share.
+    no bracket, such as one of +-0 samples only, returns ([lo, hi], None),
+    one set all its lines share.
     """
     found: list = []
     # the scans that found a bracket: their (g, axis), their brackets, their
@@ -384,9 +359,6 @@ def scan_breaks(scans: Sequence[tuple]) -> list[tuple]:
     lines = 0
     for g, axis, fixed, lo, hi, resolution, *exhaustive in scans:
         c = np.asarray(fixed, dtype=float).ravel()
-        if c.size == 0:
-            found.append((np.zeros(0), np.zeros(0, dtype=np.int64)))
-            continue
         scanned = _scan(g, axis, c, lo, hi, resolution, any(exhaustive))
         if scanned is None:
             found.append((np.array([float(lo), float(hi)]), None))
@@ -463,12 +435,12 @@ def scan_breaks(scans: Sequence[tuple]) -> list[tuple]:
 
 
 def _scan(g, axis: str, c: np.ndarray, lo: float, hi: float, resolution: int, exhaustive: bool):
-    """One scan of ``scan_breaks``: its brackets (a, b, fa, fb, rows), or None if it finds none.
+    """One scan of ``scan_breaks`` over a resolvable [lo, hi]: its brackets (a, b, fa, fb, rows), or None.
 
     A bracket is two neighbouring samples of a line, one negative and one
     not (+-0 is not negative); an ``exhaustive`` scan keeps every bracket,
     any other the first 32 of each line.  Returns the chosen brackets'
-    ends, end values and lines.  A function of its own so that a scan's
+    ends, end values and lines, or None if there are none.  A function of its own so that a scan's
     samples are freed before the next scan samples.
     """
     t = uniform_grid(lo, hi, resolution + 1)
@@ -477,13 +449,12 @@ def _scan(g, axis: str, c: np.ndarray, lo: float, hi: float, resolution: int, ex
     low, high = vals.min(), vals.max()
     if not (math.isfinite(low) and math.isfinite(high)):
         require_finite(vals, coords)
-    wide = hi - lo > merge_tol(lo, hi)
-    if wide and (low >= 0.0 or high < 0.0):  # one class everywhere
+    if low >= 0.0 or high < 0.0:  # one class everywhere
         return None
     neg = vals < 0.0  # classes, not products of neighbours: those can underflow to -0.0 or overflow
     # rows and columns from flat indices: np.nonzero of a 2-D mask is several times slower
     rows, idx = np.divmod((neg[:, :-1] != neg[:, 1:]).ravel().nonzero()[0], resolution)
-    if wide and rows.size == 0:
+    if rows.size == 0:
         return None
     if not exhaustive:
         keep = np.arange(rows.size) - np.searchsorted(rows, rows) < 32

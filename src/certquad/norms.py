@@ -370,10 +370,11 @@ def derivative_norms(
     is instead the variation of f along it over the breaks of its
     exhaustive zero scan, exact up to rounding, plus a rounding floor, so
     f_x and f_y must be the partials of f.  ``cache``
-    memoizes the area norm and every line norm of one integrand per
-    (rectangle, p, resolution), a line keyed by its exact coordinate, so
-    calls for other partitions, rules or rectangles can share it; a
-    report whose norms are all cached builds nothing.
+    memoizes the area norm and every line norm per (f.f, f.fx, f.fy,
+    f.fxy, rectangle, p, resolution), a line keyed by its exact
+    coordinate, so calls for other partitions, rules, rectangles or
+    integrands can share it; a report whose norms are all cached builds
+    nothing.
     """
     p = Exponent.coerce(p)
     if rule_family not in FAMILIES:
@@ -383,9 +384,11 @@ def derivative_norms(
         raise ValueError("partition was built for a different rectangle")
     fx, fy, fxy, analytic = partial_evaluators(f, rect)
     fv = as_grid_fn(f.f)
-    # one sub-cache per setup: a line or area norm depends on the rectangle
-    # through its extent and the finite-difference steps, not only on p
-    store = {} if cache is None else cache.setdefault((rect, str(p), resolution), {})
+    # one sub-cache per setup: a line or area norm depends on the integrand's
+    # callables, and on the rectangle through its extent and the
+    # finite-difference steps, not only on p
+    key = (f.f, f.fx, f.fy, f.fxy, rect, str(p), resolution)
+    store = {} if cache is None else cache.setdefault(key, {})
     (xs, _), (ys, _) = ramp_jumps(part, rule_family)
     # a line's key is its transverse coordinate, exactly; the lines not yet
     # known form one batch per partial

@@ -27,7 +27,7 @@ from .core import (
 )
 from .gauss import as_grid_fn, finite_samples, panel_nodes, require_finite, uniform_grid
 
-MAX_PANELS_PER_AXIS = 1024  # 1024^2 = 2^20 two-dimensional panels
+MAX_PANELS_PER_AXIS = 256  # its grid: (16 * 256)^2 = 2^24 samples, 128 MiB per float64 array
 
 
 def oracle_integrate(f: Integrand, rect: Rectangle, target_tol: float = 1e-12):
@@ -41,10 +41,11 @@ def oracle_integrate(f: Integrand, rect: Rectangle, target_tol: float = 1e-12):
     weights (b - a) w.  A
     known ``exact_integral`` on the integrand overrides the quadrature
     (error 0).  Raises QuadratureConvergenceError, carrying the best
-    value, if ``MAX_PANELS_PER_AXIS`` is passed first.
+    value, if ``MAX_PANELS_PER_AXIS`` is passed first, and ValueError
+    before any sample if ``target_tol`` is not >= 1e-13 (NaN included).
     """
-    if target_tol < 1e-13:
-        raise ValueError("target_tol must be >= 1e-13")
+    if not target_tol >= 1e-13:
+        raise ValueError(f"target_tol must be >= 1e-13, got {target_tol!r}")
     if f.exact_integral is not None:
         return float(f.exact_integral), 0.0
     fv = as_grid_fn(f.f)

@@ -270,7 +270,9 @@ def phi_norm_numeric(w, q, resolution: int = 256) -> float:
     Panels never straddle a piece seam.  Built-in variants separate, so
     the norm is the product of the two axis-ramp norms; q = infinity
     takes the maximum of |phi| over piece closures (attained at piece
-    corners for these piecewise-bilinear weights).
+    corners for these piecewise-bilinear weights).  A finite q first
+    refuses an axis too narrow for its panels (``require_resolvable``),
+    ``cap`` of the axis or, built in, of a ramp piece: 1/(2m) of m cells.
     """
     q = Exponent.coerce(q)
     if resolution < 8:
@@ -290,6 +292,9 @@ def phi_norm_numeric(w, q, resolution: int = 256) -> float:
         raise UnsupportedVariantError(f"unknown weight type {type(w).__name__}")
     if q.is_infinite:
         return _axis_sup(w.x_breaks, w.x_roots) * _axis_sup(w.y_breaks, w.y_roots)
+    r, part = w.rect, w.partition
+    require_resolvable(r.a, r.b, cap / (2 * part.m))
+    require_resolvable(r.c, r.d, cap / (2 * part.n))
     return _axis_ramp_norm(w.x_breaks, w.x_roots, q.value, cap) * _axis_ramp_norm(
         w.y_breaks, w.y_roots, q.value, cap
     )

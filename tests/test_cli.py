@@ -281,6 +281,25 @@ class TestFlagChecks:
         assert "unrecognized arguments" in err
 
 
+    @pytest.mark.parametrize("argv, text", [
+        (["converge", "--rule", "trapezoid"], "error: converge needs a composite rule\n"),
+        (["converge", "--rule", "composite-trapezoid", "--tol", "abc"],
+         "argument --tol: must be finite and >= 0, got abc"),
+    ], ids=["simple-rule", "tol"])
+    def test_converge_refuses_before_any_report(self, capsys, monkeypatch, argv, text):
+        import certquad.cli as cli
+
+        def called(*args):
+            raise AssertionError("sampled before the refusal")
+
+        monkeypatch.setattr(cli, "oracle_integrate", called)
+        monkeypatch.setattr(cli, "rule_report", called)
+        code, out, err = run_main(capsys, argv)
+        assert code == USAGE_ERROR
+        assert out == ""
+        assert text in err
+
+
 class TestTinyRectangle:
     def test_too_narrow_rectangle_exits_with_usage_error(self):
         code, _, err = invoke(["integrate", "--function", "sinsin", "--rect", "0", "1e-15", "0", "1e-15",

@@ -262,21 +262,35 @@ class TestDerivativeNorms:
 
     def test_cache_keyed_on_rectangle(self, unit):
         wide = cq.Rectangle(0.0, 3.0, 0.0, 1.0)
-        f = integrand("sinsin", unit)
+        base, calls = integrand("sinsin", unit), []
+
+        def counted(g):
+            return lambda x, y: calls.append(1) or g(x, y)
+
+        f = cq.Integrand(*map(counted, (base.f, base.fx, base.fy, base.fxy)))
         cache = {}
         cq.derivative_norms(f, unit, 2, cache=cache)
         shared = cq.derivative_norms(f, wide, 2, cache=cache)
-        fresh = cq.derivative_norms(f, wide, 2)
+        fresh, cold = cq.derivative_norms(f, wide, 2), cq.derivative_norms(f, unit, 2)
         assert shared == fresh
         assert fresh.fxy == pytest.approx(1.0199, abs=1e-4)
-
-        def miss(x, y):
-            raise AssertionError(f"cache miss at {x}, {y}")
-
         # a repeat on either rectangle is served from the cache alone
-        cached = cq.Integrand(f=f.f, fx=miss, fy=miss, fxy=miss)
-        assert cq.derivative_norms(cached, wide, 2, cache=cache) == fresh
-        assert cq.derivative_norms(cached, unit, 2, cache=cache) == cq.derivative_norms(f, unit, 2)
+        calls.clear()
+        assert cq.derivative_norms(f, wide, 2, cache=cache) == fresh
+        assert cq.derivative_norms(f, unit, 2, cache=cache) == cold
+        assert calls == []
+
+    def test_cache_keyed_on_integrand(self, unit):
+        # one cache shared by two integrands gives each its own norms: keyed
+        # by rectangle, p and resolution alone, expsum took sinsin's and
+        # reported a bound of 0.2678 against an error of 0.5039
+        cache = {}
+        cq.rule_report(integrand("sinsin", unit), unit, "trapezoid", 2, cache=cache)
+        expsum = integrand("expsum", unit)
+        shared = cq.rule_report(expsum, unit, "trapezoid", 2, cache=cache)
+        assert shared == cq.rule_report(expsum, unit, "trapezoid", 2)
+        assert shared.bound == pytest.approx(2.1847, abs=1e-4)
+        assert abs(shared.estimate - expsum.exact_integral) <= shared.bound
 
     def test_analytic_vs_finite_difference(self, unit):
         for name in ("poly22", "sinsin", "expsum", "invsum"):
@@ -560,19 +574,15 @@ def _per_scan_zero_breaks(g, axis, fixed, lo, hi, resolution):
     end's, and stops at an exact zero that is such a change.
     """
     c = np.asarray(fixed, dtype=float).ravel()
-    if c.size == 0:
-        return []
     t = gauss.uniform_grid(lo, hi, resolution + 1)
     coords = line_coords(axis, t[None, :], c[:, None])
     vals = g(*coords)
     low, high = vals.min(), vals.max()
     if not (np.isfinite(low) and np.isfinite(high)):
         gauss.require_finite(vals, coords)
-    if (low >= 0.0 or high < 0.0) and hi - lo > gauss.merge_tol(lo, hi):
-        return list(np.tile([float(lo), float(hi)], (c.size, 1)))
     neg = vals < 0.0
     rows, idx = np.nonzero(neg[:, :-1] != neg[:, 1:])
-    if rows.size == 0 and hi - lo > gauss.merge_tol(lo, hi):
+    if rows.size == 0:
         return list(np.tile([float(lo), float(hi)], (c.size, 1)))
     rank = np.arange(rows.size) - np.searchsorted(rows, rows)
     keep = rank < 32
@@ -706,12 +716,6 @@ class TestReportSearch:
         # where a zero closes one bracket and opens the next
         assert [r.size - 2 for r in refs[2]] == [32, 29, 27, 41 - 24]
         assert [r.size for r in refs[4]] == [2, 3, 3]
-
-    def test_tiny_rectangle(self):
-        rect = cq.Rectangle(0.0, 1e-14, 0.0, 1e-14)
-        for name in ("sinsin", "sinsum"):
-            f = integrand(name, rect)
-            self.check(partial_evaluators(f, rect)[2], self.report_lines(f, rect, 4), rect)
 
     def test_scans_retire_in_different_rounds(self):
         # the f_xy axes' roots are midpoints of their 193-point scan brackets,
@@ -1420,17 +1424,17 @@ class TestGradedNodes:
     """``graded_nodes`` builds every entry, a breakpoint set at a depth and a
     panel cap, in one call; each entry must match the one-set build of
     ``graded_breaks`` and ``refine_breaks`` above, kept here as the
-    reference, at its own depth and cap, after the set's near-duplicate
-    breaks collapse as ``merge_breaks`` collapses them.  Every panel maps a
-    cached layout of [0, 1]: on [0, 1] an entry equals the reference,
-    elsewhere its node count does and its nodes and weights move by
-    rounding."""
+    reference, at its own depth and cap.  Every set's neighbouring breaks
+    are more than its ``merge_tol`` apart, as the scans hand them over.
+    Every panel maps a cached layout of [0, 1]: on [0, 1] an entry equals
+    the reference, elsewhere its node count does and its nodes and weights
+    move by rounding."""
 
     SETS = [
         np.array([0.0, 1.0]),  # no interior break
         np.array([-0.25, 0.3, 1.5]),  # one
         np.array([0.5, 0.6, 0.61, 0.9, 1.2, 1.7, 1.75]),  # five
-        np.array([0.2, 0.2 + 1e-15, 0.7]),  # a break within 1e-15 of lo
+        np.array([0.2, 0.7]),  # a scan's set for [0.2, 0.2 + 1e-15, 0.7]: the near-duplicate merged
         np.array([1e3, 1e3 + 0.5, 1e3 + 2.0]),
     ]
 
@@ -1458,7 +1462,7 @@ class TestGradedNodes:
         every break (a deep panel's width, and so its weights, carry that
         rounding relative to a much smaller value).
         """
-        ref_x, ref_w = cls.reference(merge_breaks(breaks), depth, cap)
+        ref_x, ref_w = cls.reference(breaks, depth, cap)
         assert x.size == w.size == ref_x.size, (depth, cap)
         ulps = 4.0 * np.spacing(max(1.0, np.abs(breaks).max()))
         assert np.abs(x - ref_x).max() <= ulps, (depth, cap)
@@ -1526,12 +1530,6 @@ class TestGradedNodes:
             tracemalloc.stop()
         assert peak < 6 * x.nbytes
         self.check(*self.by_pass(sets[:2], passes))
-
-    def test_collapsed_set_raises(self):
-        with pytest.raises(ValueError, match=r"\[0.0, 1e-14\] is too narrow for quadrature: panels of 1/10 "):
-            graded_nodes([np.array([0.0, 1.0]), np.array([0.0, 1e-14])], 11, np.array([0.1, 1e-15]))
-        with pytest.raises(ValueError, match="two breakpoints"):
-            graded_nodes([np.array([0.5])], 11, np.array([0.1]))
 
     # break-free sets off [0, 1], where the unit layout's map is not the identity
     FREE = [np.array([0.1, 1.2]), np.array([-7.5, -3.0]), np.array([1e3, 1e3 + 2.0])]
@@ -1602,18 +1600,6 @@ class TestGradedNodes:
         graded_nodes([np.array([0.0, 1.0])], 5, [1 / 1000])
         assert len(calls) == 1
 
-    def test_near_duplicate_breaks_collapse(self):
-        # [0.2, 0.2 + 1e-15, 0.7]'s second break lies within the set's merge
-        # tolerance of its first and is dropped, as merge_breaks drops it: the
-        # set builds the bytes of [0.2, 0.7], with the node count that the
-        # uncollapsed reference gives it
-        near, plain = self.SETS[3], np.array([0.2, 0.7])
-        for depth, cap in [(3, 0.25), (5, 0.125), (6, 0.0625), (11, 0.125)]:
-            x, w, _ = graded_nodes([near], depth, [cap])
-            plain_x, plain_w, _ = graded_nodes([plain], depth, [cap])
-            assert x.tobytes() == plain_x.tobytes() and w.tobytes() == plain_w.tobytes()
-            assert x.size == self.reference(near, depth, cap)[0].size
-
     def test_layout_cache_stays_within_its_bound(self):
         # 7 depths x 80 caps are 319 distinct (levels, counts) keys; on [0, 1]
         # a mapped layout is the reference itself
@@ -1631,6 +1617,37 @@ class TestGradedNodes:
             assert info.misses == 319 and info.maxsize == info.currsize == 256
         finally:
             gauss._unit_layout.cache_clear()
+
+
+class TestResolvableSets:
+    """The one contract of ``gauss``: every interval that reaches a scan or a
+    Gauss build is resolvable, so no set of a build holds two breaks within
+    its ``merge_tol``.  Only the up-front refusals (``require_resolvable``)
+    enforce it; the scans and ``graded_nodes`` keep no guard of their own."""
+
+    def test_every_built_set_clears_its_merge_tol(self, monkeypatch):
+        sets = []
+
+        def recorded(build):
+            return lambda entries, *args: sets.extend(entries) or build(entries, *args)
+
+        for module in (cq.norms, cq.weights):
+            monkeypatch.setattr(module, "graded_nodes", recorded(module.graded_nodes))
+        for rect in RECT_SET:
+            w = cq.CustomPhi(lambda x: np.sin(3.0 * x), lambda y: -rect.m1 * y, rect)
+            for name in filter(lambda name: cq.get_entry(name).domain_ok(rect), cq.registry.names()):
+                f, cache = integrand(name, rect), {}
+                for p in (1, 1.5, 2, 3):
+                    for m in (1, 3, 16):
+                        for family in FAMILIES:
+                            cq.derivative_norms(f, rect, p, cq.PartitionSpec(rect, m, m), family, cache=cache)
+                    cq.custom_phi_rule(f, w, rect, p)
+            for m in (1, 3, 16):
+                for weight in (cq.CompositeTrapezoidPhi, cq.CompositeMidpointPhi):
+                    cq.phi_norm_numeric(weight(rect, cq.PartitionSpec(rect, m, m)), 2)
+        assert len(sets) > 1000
+        for s in sets:
+            assert s.size >= 2 and np.diff(s).min() > gauss.merge_tol(s[0], s[-1]), s
 
 
 def mp_p_norm(values, weights, p: float) -> float:

@@ -34,6 +34,18 @@ class TestOracleIntegrate:
         with pytest.raises(ValueError):
             cq.oracle_integrate(cq.Integrand(f=lambda x, y: x), unit, target_tol=1e-14)
 
+    def test_nan_tolerance_refused_before_sampling(self, unit):
+        # NaN passes a `tol < 1e-13` test, and no refinement delta is ever below it
+        calls = []
+        f = cq.Integrand(f=lambda x, y: calls.append(1) or np.sin(x) * np.sin(y))
+        with pytest.raises(ValueError, match="target_tol must be >= 1e-13, got nan"):
+            cq.oracle_integrate(f, unit, target_tol=float("nan"))
+        assert calls == []
+
+    def test_budget_grid_fits_in_128_mib(self):
+        # the last grid of the budget: 16 nodes per panel on each axis, 8 bytes a sample
+        assert (16 * oracle_mod.MAX_PANELS_PER_AXIS) ** 2 * 8 <= 2**27
+
     def test_self_consistency(self, unit):
         f = cq.Integrand(f=lambda x, y: np.exp(x) * np.cos(4 * y))
         v1, e1 = cq.oracle_integrate(f, unit, 1e-9)

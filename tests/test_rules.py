@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import certquad as cq
 from certquad.core import FAMILIES
+from certquad.minimizer import AlphaBetaBasis
 from certquad.rules import _jump_bound
 from certquad.weights import ramp_jumps, ramp_norm_closed
 from conftest import SKEW, UNIT, integrand, line_norms
@@ -507,3 +508,56 @@ class TestOneDimensionalRules:
     def test_bad_norm_rejected(self, rule, norm):
         with pytest.raises(ValueError):
             rule(lambda x: x, (0.0, 1.0), 2, norm)
+
+
+OTHER = cq.Rectangle(0.0, 2.0, 0.0, 1.0)
+OTHER_PART = cq.PartitionSpec(OTHER, 2, 2)
+UNIT_NORMS = cq.DerivativeNorms(p=2, family="trapezoid", partition=cq.PartitionSpec(UNIT, 2, 2), fxy=1.0,
+                                x_lines=(1.0,) * 3, y_lines=(1.0,) * 3)
+FOREIGN = "partition was built for a different rectangle"
+TERMS = dict(rule_id="trapezoid", estimate=0.0, fx_term=1.0, fy_term=1.0, p=2)
+
+
+class TestRefusals:
+    """Every documented refusal of a public entry raises its error before any
+    call of f, a partial, the weight or a one-variable g."""
+
+    @pytest.fixture
+    def counted(self):
+        calls = []
+
+        def make(name):
+            return lambda *args: calls.append(name) or sum(np.asarray(a, dtype=float) for a in args)
+
+        f = cq.Integrand(*map(make, ("f", "fx", "fy", "fxy")))
+        return calls, f, cq.CustomPhi(make("alpha"), make("beta"), OTHER), make("g")
+
+    @pytest.mark.parametrize("run, error, text", [
+        (lambda f, w, g: cq.composite_trapezoid_estimate(f, UNIT, OTHER_PART), ValueError, FOREIGN),
+        (lambda f, w, g: cq.composite_midpoint_estimate(f, UNIT, OTHER_PART), ValueError, FOREIGN),
+        (lambda f, w, g: cq.composite_trapezoid_bound(UNIT_NORMS, UNIT, OTHER_PART), ValueError, FOREIGN),
+        (lambda f, w, g: cq.composite_midpoint_bound(UNIT_NORMS, UNIT, OTHER_PART), ValueError, FOREIGN),
+        (lambda f, w, g: cq.derivative_norms(f, UNIT, 2, rule_family="simpson"), ValueError,
+         "unknown rule family 'simpson'"),
+        (lambda f, w, g: cq.derivative_norms(f, UNIT, 2, OTHER_PART), ValueError, FOREIGN),
+        (lambda f, w, g: cq.custom_phi_rule(f, w, UNIT, 2), ValueError, "weight was built for a different rectangle"),
+        (lambda f, w, g: cq.parts_identity_sides(f, w, UNIT), ValueError,
+         "weight was built for a different rectangle"),
+        (lambda f, w, g: cq.CompositeTrapezoidPhi(UNIT, OTHER_PART), ValueError, FOREIGN),
+        (lambda f, w, g: cq.CompositeMidpointPhi(UNIT, OTHER_PART), ValueError, FOREIGN),
+        (lambda f, w, g: cq.trapezoid_1d(g, (1.0, 1.0), 2, 1.0), ValueError, "interval must satisfy lo < hi"),
+        (lambda f, w, g: cq.midpoint_1d(g, (1.0, 0.0), 2, 1.0), ValueError, "interval must satisfy lo < hi"),
+        (lambda f, w, g: cq.UniformBounds(M=-1, N=1), ValueError, "M must be finite and >= 0"),
+        (lambda f, w, g: cq.DerivativeNorms(p=2, family="simpson", partition=UNIT_NORMS.partition, fxy=1.0,
+                                            x_lines=(), y_lines=()), ValueError, "family must be one of"),
+        (lambda f, w, g: cq.QuadratureReport(**TERMS, fxy_term=-1.0), ValueError, "fxy_term must be finite and >= 0"),
+        (lambda f, w, g: AlphaBetaBasis(coefficients=(0.0,) * 3), ValueError, "coefficient vector must have length"),
+        (lambda f, w, g: AlphaBetaBasis().build_phi([0.0] * 3), ValueError, "coefficient vector must have length"),
+    ], ids=["trapezoid-estimate", "midpoint-estimate", "trapezoid-bound", "midpoint-bound", "norms-family",
+            "norms-partition", "custom-phi-rule", "parts-identity", "trapezoid-phi", "midpoint-phi",
+            "trapezoid-1d", "midpoint-1d", "uniform-bounds", "norms-bundle", "report-term", "basis", "build-phi"])
+    def test_refused_before_any_call(self, counted, run, error, text):
+        calls, f, w, g = counted
+        with pytest.raises(error, match=text):
+            run(f, w, g)
+        assert calls == []

@@ -160,6 +160,24 @@ def test_src_lines_categories_sum_to_each_module():
     assert [int(v) for v in total[1:]] == [sum(int(row[k]) for row in modules) for k in range(1, 6)]
 
 
+def test_line_coverage_of_the_cli_digest():
+    args = ("--functions", "xy", "--rects", "unit", "--p", "2", "--formats", "json")
+    out = run_script("line_coverage.py", str(ROOT / "scripts" / "cli_digest.py"), *args).splitlines()
+    # the target's own output first, unchanged by the tracer
+    assert out[0] == run_script("cli_digest.py", *args).strip()
+    assert out[1].split() == ["module", "lines", "run", "never", "run"]
+    rows = {line.split()[0]: line.split(maxsplit=3)[1:] for line in out[2:-1]}
+    assert list(rows) == [str(path.relative_to(ROOT)) for path in sorted((ROOT / "src" / "certquad").glob("*.py"))]
+    for lines, ran, *never in rows.values():
+        assert 0 <= int(ran) <= int(lines)
+        assert (int(ran) == int(lines)) == (never == [])
+    # the digest calls cli.main in process: gauss runs, the package's __main__ does not
+    assert int(rows["src/certquad/gauss.py"][1]) > 0
+    assert rows["src/certquad/__main__.py"][1] == "0"
+    total = out[-1].split()
+    assert total == ["total", str(sum(int(r[0]) for r in rows.values())), str(sum(int(r[1]) for r in rows.values()))]
+
+
 def test_phase_times():
     lines = run_script("phase_times.py", "--workload", "certify-coarse", "--repeats", "1").splitlines()
     assert lines[0] == "certify-coarse seed 1: 240 ops (0 refused), fastest of 1 repeats, mean us per op"

@@ -155,6 +155,25 @@ class TestNumericAudit:
         psi = cq.CustomPhi(lambda s: 0.0 * s, lambda t: 0.0 * t, sym)
         assert cq.phi_norm_numeric(psi, 1) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("weight", [cq.CompositeTrapezoidPhi, cq.CompositeMidpointPhi],
+                             ids=["trapezoid", "midpoint"])
+    def test_too_narrow_axis_refused_by_name(self, weight):
+        # the refusal names the rectangle's axis, not one of its ramp pieces
+        rect = cq.Rectangle(1e9, 1e9 + 1e-6, 0.0, 1.0)
+        w = weight(rect, cq.PartitionSpec(rect, 4, 4))
+        with pytest.raises(ValueError, match=r"interval \[1000000000.0, 1000000000.000001\] is too narrow"):
+            cq.phi_norm_numeric(w, 2)
+
+    @pytest.mark.parametrize("a", [0.0, 1.0])
+    def test_panels_below_the_merge_tolerance_refused(self, a):
+        # 1e-13 wide at m = 4: the ramp pieces clear the merge tolerance, but
+        # their panels, a quarter of a piece, do not ([1, 1 + 1e-13] used to
+        # come out 4.0e-4 relative off the closed form)
+        rect = cq.Rectangle(a, a + 1e-13, 0.0, 1.0)
+        w = cq.CompositeTrapezoidPhi(rect, cq.PartitionSpec(rect, 4, 4))
+        with pytest.raises(ValueError, match=r"too narrow for quadrature: panels of 1/32 .* at least 3.058e-13"):
+            cq.phi_norm_numeric(w, 2)
+
     def test_resolution_validated(self, sym):
         with pytest.raises(ValueError):
             w = cq.CompositeTrapezoidPhi(sym, cq.PartitionSpec(sym, 1, 1))
